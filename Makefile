@@ -2,13 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-vision bench-dataplane bench-batching bench-routing bench-fastpath bench-autoscale bench-sharding bench-kernels profile-vision fuzz figures examples chaos clean
+.PHONY: all build vet test race cover bench ledger bench-vision bench-dataplane bench-batching bench-routing bench-fastpath bench-autoscale bench-sharding bench-kernels profile-vision fuzz figures examples chaos clean
 
 all: build test
 
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -37,6 +39,13 @@ figures:
 # One benchmark per paper figure + micro-benchmarks.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The frame ledger (BENCHMARK.json, bench/README.md): every workload on
+# the real runtime, end-to-end metrics plus the traced per-layer table.
+# This is what a performance change is judged on; one workload at a time
+# is `bash bench/run.sh --workload W --seed N --seconds 20 --trace 0`.
+ledger:
+	$(GO) run ./bench
 
 # Data-plane allocation/throughput benchmarks (codec, transport send,
 # full worker hop) with -benchmem, exported to BENCH_dataplane.json so
@@ -121,6 +130,7 @@ profile-vision:
 bench-vision:
 	$(GO) test -run '^$$' -bench Vision -benchtime=1x -cpu 1,4,8 .
 	$(GO) test -run '^$$' -bench . -benchtime=1x -cpu 1,4,8 ./internal/vision/...
+	$(GO) test -run '^$$' -bench Primary720p -benchtime=1x -cpu 1,4,8 ./internal/core
 
 # Short fuzzing passes over the wire/payload decoders.
 fuzz:

@@ -186,8 +186,16 @@ func (r *payloadReader) bytes(n int) ([]byte, error) {
 	return v, nil
 }
 
-// DecodePayload parses an encoded payload.
+// DecodePayload parses an encoded payload. The result shares no memory
+// with data.
 func DecodePayload(data []byte) (*Payload, error) {
+	return decodePayload(data, false)
+}
+
+// decodePayload is DecodePayload; with borrowImage the image section's
+// pixels alias data instead of being copied, for a caller that is done
+// with them before data is reused.
+func decodePayload(data []byte, borrowImage bool) (*Payload, error) {
 	r := &payloadReader{buf: data}
 	flags, err := r.u8()
 	if err != nil {
@@ -210,7 +218,10 @@ func DecodePayload(data []byte) (*Payload, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.Image = &ImagePayload{W: int(w), H: int(h), Pix: append([]uint8(nil), pix...)}
+		if !borrowImage {
+			pix = append([]uint8(nil), pix...)
+		}
+		p.Image = &ImagePayload{W: int(w), H: int(h), Pix: pix}
 	}
 	if flags&secFeatures != 0 {
 		n, err := r.u32()

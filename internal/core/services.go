@@ -44,9 +44,16 @@ var (
 	ErrStateMiss      = errors.New("core: sift state not found")
 )
 
-func decodeFor(fr *wire.Frame, step wire.Step) (*Payload, error) {
+func checkStep(fr *wire.Frame, step wire.Step) error {
 	if fr.Step != step {
-		return nil, fmt.Errorf("core: %s received frame at step %s", step, fr.Step)
+		return fmt.Errorf("core: %s received frame at step %s", step, fr.Step)
+	}
+	return nil
+}
+
+func decodeFor(fr *wire.Frame, step wire.Step) (*Payload, error) {
+	if err := checkStep(fr, step); err != nil {
+		return nil, err
 	}
 	return DecodePayload(fr.Payload)
 }
@@ -100,20 +107,70 @@ func (s *Primary) Process(fr *wire.Frame) error {
 			return nil
 		}
 	}
-	p, err := decodeFor(fr, wire.StepPrimary)
+	if err := checkStep(fr, wire.StepPrimary); err != nil {
+		return err
+	}
+	// The image is only read until the resized copy exists, which is
+	// before advance replaces fr.Payload, so its pixels can stay where
+	// they arrived.
+	p, err := decodePayload(fr.Payload, true)
 	if err != nil {
 		return err
 	}
 	if p.Image == nil {
 		return fmt.Errorf("%w: image at primary", ErrMissingSection)
 	}
-	img := payloadToGray(p.Image)
-	if img.W != s.TargetW || img.H != s.TargetH {
-		img = imgproc.Resize(img, s.TargetW, s.TargetH)
+	if p.Image.W == 0 || p.Image.H == 0 {
+		return fmt.Errorf("%w: empty image at primary", ErrBadPayload)
 	}
-	p.Image = grayToPayload(img)
+	if p.Image.W != s.TargetW || p.Image.H != s.TargetH {
+		p.Image = resizeImage(p.Image, s.TargetW, s.TargetH)
+	} else {
+		p.Image = grayToPayload(payloadToGray(p.Image))
+	}
 	advance(fr, p)
 	return nil
+}
+
+// resizeImage resamples an 8-bit image to w×h with bilinear interpolation.
+// It computes, sample for sample, what
+// grayToPayload(imgproc.Resize(payloadToGray(ip), w, h)) does — the same
+// float32(v)/255 conversion, the arithmetic of Gray.BilinearAt, the same
+// rounding back to 8 bits — but converts only the source pixels the
+// samples touch instead of the whole source image.
+func resizeImage(ip *ImagePayload, w, h int) *ImagePayload {
+	var unit [256]float32
+	for v := range unit {
+		unit[v] = float32(v) / 255
+	}
+	// sample returns, for destination index i along an axis of n source
+	// pixels at scale source pixels per destination pixel, the two
+	// clamped source indices it interpolates and the second's weight.
+	sample := func(i int, scale float64, n int) (i0, i1 int, frac float32) {
+		f := (float64(i)+0.5)*scale - 0.5
+		i0 = int(math.Floor(f))
+		frac = float32(f - float64(i0))
+		return min(max(i0, 0), n-1), min(max(i0+1, 0), n-1), frac
+	}
+	sx := float64(ip.W) / float64(w)
+	sy := float64(ip.H) / float64(h)
+	x0, x1, wx := make([]int, w), make([]int, w), make([]float32, w)
+	for x := range x0 {
+		x0[x], x1[x], wx[x] = sample(x, sx, ip.W)
+	}
+	out := &ImagePayload{W: w, H: h, Pix: make([]uint8, w*h)}
+	for y := 0; y < h; y++ {
+		y0, y1, wy := sample(y, sy, ip.H)
+		top, bot := ip.Pix[y0*ip.W:][:ip.W], ip.Pix[y1*ip.W:][:ip.W]
+		row := out.Pix[y*w:][:w]
+		for x := range row {
+			l, r, fx := x0[x], x1[x], wx[x]
+			t := unit[top[l]] + fx*(unit[top[r]]-unit[top[l]])
+			b := unit[bot[l]] + fx*(unit[bot[r]]-unit[bot[l]])
+			row[x] = quantize8(t + wy*(b-t))
+		}
+	}
+	return out
 }
 
 func payloadToGray(ip *ImagePayload) *imgproc.Gray {
@@ -124,15 +181,21 @@ func payloadToGray(ip *ImagePayload) *imgproc.Gray {
 	return g
 }
 
+// quantize8 rounds a [0, 1] intensity to 8 bits, clamping what lies
+// outside.
+func quantize8(v float32) uint8 {
+	if v < 0 {
+		v = 0
+	} else if v > 1 {
+		v = 1
+	}
+	return uint8(v*255 + 0.5)
+}
+
 func grayToPayload(g *imgproc.Gray) *ImagePayload {
 	out := &ImagePayload{W: g.W, H: g.H, Pix: make([]uint8, len(g.Pix))}
 	for i, v := range g.Pix {
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
-		}
-		out.Pix[i] = uint8(v*255 + 0.5)
+		out.Pix[i] = quantize8(v)
 	}
 	return out
 }

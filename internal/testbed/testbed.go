@@ -90,7 +90,11 @@ func (c MachineConfig) Validate() error {
 // 1,4,8 (EXPERIMENTS.md scaling recipe), and the per-architecture
 // factor is the ratio of the machine's per-frame wall time to E1's at
 // the machine's core count. Re-derive the factors from that table when
-// the kernels change.
+// the kernels change. Re-checked after the blocked sift/primary kernels
+// (BenchmarkVisionFrame -cpu 1,2 on the 2-vCPU build host: 39.7/27.7 ms
+// became 15.0/11.4 ms): every machine runs the same kernels, so the
+// between-machine ratios below stand; what changed is that a smaller
+// share of a frame now fans out (1→2 core speedup 1.43× → 1.32×).
 
 // E1 is the local edge server.
 func E1() MachineConfig {

@@ -19,6 +19,10 @@ import (
 // is bit-identical to the serial scan at any worker count.
 const convGrain = 16
 
+// serialWork is the multiply-add count under which a convolution pass
+// skips the worker pool (the same cutoff lsh uses for its hash fan-out).
+const serialWork = 1 << 17
+
 // Gray is a single-channel float32 image. Pixel (x, y) is stored at
 // Pix[y*W+x]. Values are nominally in [0, 1] but intermediate results
 // (for example difference-of-Gaussian responses) may leave that range.
@@ -110,50 +114,129 @@ func GaussianKernel(sigma float64) []float32 {
 	return k
 }
 
+// convWorkers returns the worker count for one convolution pass over g:
+// below serialWork multiply-adds the fan-out costs more in goroutine
+// handoff than the pass itself (the small pyramid octaves), so it runs on
+// the caller. Chunking never affects results, only who computes them.
+func convWorkers(g *Gray, taps, workers int) int {
+	if g.W*g.H*taps < serialWork {
+		return 1
+	}
+	return workers
+}
+
 // convolveH convolves src horizontally with kernel k into dst, fanning
 // rows out across workers (0 = GOMAXPROCS, 1 = serial). dst and src must
 // have identical dimensions and must not alias.
 func convolveH(dst, src *Gray, k []float32, workers int) {
-	radius := len(k) / 2
-	parallel.For(workers, src.H, convGrain, func(_, start, end int) {
+	w := src.W
+	parallel.For(convWorkers(src, len(k), workers), src.H, convGrain, func(_, start, end int) {
 		for y := start; y < end; y++ {
-			row := src.Pix[y*src.W : (y+1)*src.W]
-			for x := 0; x < src.W; x++ {
-				var acc float32
-				for i := -radius; i <= radius; i++ {
-					xx := x + i
-					if xx < 0 {
-						xx = 0
-					} else if xx >= src.W {
-						xx = src.W - 1
-					}
-					acc += row[xx] * k[i+radius]
-				}
-				dst.Pix[y*src.W+x] = acc
-			}
+			convolveRow(dst.Pix[y*w:(y+1)*w], src.Pix[y*w:(y+1)*w], k)
 		}
 	})
 }
 
+// convolveRow convolves one row with the odd-length kernel k, clamping at
+// the row ends. Every output pixel starts from zero and adds its taps in
+// ascending order, so how the row is split below never shows in a result:
+// clamped borders, then a branch-free interior computed four pixels at a
+// time so the four accumulators' add chains overlap.
+func convolveRow(out, row, k []float32) {
+	w, n := len(row), len(k)
+	radius := n / 2
+	lo, hi := radius, w-radius // interior: the window [x-radius, x+radius] lies inside the row
+	if hi < lo {
+		lo, hi = w, w
+	}
+	convolveClamped(out, row, k, 0, lo)
+	x := lo
+	for ; x+4 <= hi; x += 4 {
+		win := row[x-radius : x-radius+n+3]
+		w0, w1, w2, w3 := win[:n], win[1:][:n], win[2:][:n], win[3:][:n]
+		var a0, a1, a2, a3 float32
+		for i, kv := range k {
+			a0 += w0[i] * kv
+			a1 += w1[i] * kv
+			a2 += w2[i] * kv
+			a3 += w3[i] * kv
+		}
+		o := out[x : x+4]
+		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
+	}
+	for ; x < hi; x++ {
+		win := row[x-radius:][:n]
+		var acc float32
+		for i, kv := range k {
+			acc += win[i] * kv
+		}
+		out[x] = acc
+	}
+	convolveClamped(out, row, k, hi, w)
+}
+
+// convolveClamped computes out[from:to] with every tap index clamped to
+// the row — the border form of convolveRow. Per pixel the taps fall into
+// three runs, those left of the row (reading row[0]), those inside it and
+// those right of it (reading the last pixel), added in that order.
+func convolveClamped(out, row, k []float32, from, to int) {
+	n, radius, last := len(k), len(k)/2, len(row)-1
+	for x := from; x < to; x++ {
+		a := min(max(radius-x, 0), n)
+		b := max(min(last+radius-x+1, n), a)
+		var acc float32
+		for _, kv := range k[:a] {
+			acc += row[0] * kv
+		}
+		win := row[x-radius+a:][:b-a]
+		for i, kv := range k[a:b] {
+			acc += win[i] * kv
+		}
+		for _, kv := range k[b:] {
+			acc += row[last] * kv
+		}
+		out[x] = acc
+	}
+}
+
 // convolveV convolves src vertically with kernel k into dst, fanning rows
 // out across workers. dst and src must have identical dimensions and must
-// not alias.
+// not alias. Each output row is zeroed and then swept once per four taps
+// over whole source rows (clamped at the top and bottom), so the
+// inner loop walks memory contiguously; per pixel that is the same
+// start-from-zero, ascending-tap sum as a column walk.
 func convolveV(dst, src *Gray, k []float32, workers int) {
+	w, h := src.W, src.H
 	radius := len(k) / 2
-	parallel.For(workers, src.H, convGrain, func(_, start, end int) {
+	srcRow := func(y int) []float32 {
+		if y < 0 {
+			y = 0
+		} else if y >= h {
+			y = h - 1
+		}
+		return src.Pix[y*w : (y+1)*w]
+	}
+	parallel.For(convWorkers(src, len(k), workers), h, convGrain, func(_, start, end int) {
 		for y := start; y < end; y++ {
-			for x := 0; x < src.W; x++ {
-				var acc float32
-				for i := -radius; i <= radius; i++ {
-					yy := y + i
-					if yy < 0 {
-						yy = 0
-					} else if yy >= src.H {
-						yy = src.H - 1
-					}
-					acc += src.Pix[yy*src.W+x] * k[i+radius]
+			out := dst.Pix[y*w : (y+1)*w]
+			clear(out)
+			i := 0
+			for ; i+4 <= len(k); i += 4 {
+				s0 := srcRow(y + i - radius)[:len(out)]
+				s1 := srcRow(y + i + 1 - radius)[:len(out)]
+				s2 := srcRow(y + i + 2 - radius)[:len(out)]
+				s3 := srcRow(y + i + 3 - radius)[:len(out)]
+				k0, k1, k2, k3 := k[i], k[i+1], k[i+2], k[i+3]
+				for x := range out {
+					out[x] = out[x] + s0[x]*k0 + s1[x]*k1 + s2[x]*k2 + s3[x]*k3
 				}
-				dst.Pix[y*src.W+x] = acc
+			}
+			for ; i < len(k); i++ {
+				s0 := srcRow(y + i - radius)[:len(out)]
+				k0 := k[i]
+				for x := range out {
+					out[x] += s0[x] * k0
+				}
 			}
 		}
 	})
@@ -170,24 +253,37 @@ func GaussianBlur(src *Gray, sigma float64) *Gray {
 // result is bit-identical at any setting — each output pixel is computed
 // independently.
 func GaussianBlurWorkers(src *Gray, sigma float64, workers int) *Gray {
-	k := GaussianKernel(sigma)
-	tmp := NewGray(src.W, src.H)
 	dst := NewGray(src.W, src.H)
+	BlurInto(dst, NewGray(src.W, src.H), src, GaussianKernel(sigma), workers)
+	return dst
+}
+
+// BlurInto convolves src with the separable kernel k (GaussianKernel) into
+// dst, using tmp for the horizontal pass. All three images must have the
+// same dimensions; tmp must alias neither of the others and its previous
+// contents are irrelevant, so callers can keep one across many blurs.
+func BlurInto(dst, tmp, src *Gray, k []float32, workers int) {
 	convolveH(tmp, src, k, workers)
 	convolveV(dst, tmp, k, workers)
-	return dst
 }
 
 // Subtract returns a-b pixel-wise. The images must have equal dimensions.
 func Subtract(a, b *Gray) *Gray {
-	if a.W != b.W || a.H != b.H {
-		panic(fmt.Sprintf("imgproc: size mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H))
-	}
 	out := NewGray(a.W, a.H)
-	for i := range out.Pix {
-		out.Pix[i] = a.Pix[i] - b.Pix[i]
-	}
+	SubtractInto(out, a, b)
 	return out
+}
+
+// SubtractInto writes a-b pixel-wise into dst, which may be a or b
+// themselves. The images must have equal dimensions.
+func SubtractInto(dst, a, b *Gray) {
+	if a.W != b.W || a.H != b.H || dst.W != a.W || dst.H != a.H {
+		panic(fmt.Sprintf("imgproc: size mismatch %dx%d vs %dx%d into %dx%d", a.W, a.H, b.W, b.H, dst.W, dst.H))
+	}
+	out, bp := dst.Pix[:len(a.Pix)], b.Pix[:len(a.Pix)]
+	for i, av := range a.Pix {
+		out[i] = av - bp[i]
+	}
 }
 
 // Downsample returns the image reduced by a factor of two using 2×2 box
@@ -203,12 +299,15 @@ func Downsample(src *Gray) *Gray {
 		h = 1
 	}
 	out := NewGray(w, h)
+	// dx and the bottom row index collapse onto the top-left sample for a
+	// one-pixel-wide or one-pixel-tall source, which repeats its border.
+	dx := min(1, src.W-1)
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			sx := 2 * x
-			sy := 2 * y
-			sum := src.At(sx, sy) + src.At(sx+1, sy) + src.At(sx, sy+1) + src.At(sx+1, sy+1)
-			out.Pix[y*w+x] = sum / 4
+		top := src.Pix[2*y*src.W:][:src.W]
+		bot := src.Pix[min(2*y+1, src.H-1)*src.W:][:src.W]
+		row := out.Pix[y*w:][:w]
+		for x := range row {
+			row[x] = (top[2*x] + top[2*x+dx] + bot[2*x] + bot[2*x+dx]) / 4
 		}
 	}
 	return out

@@ -116,6 +116,22 @@ var circleOffsets = [16][2]int{
 // center by the threshold), else 0.
 func fastScore(img *imgproc.Gray, x, y int, threshold float32) float64 {
 	c := img.Pix[y*img.W+x]
+	// Any 9 contiguous circle pixels include two of the four compass
+	// points, so a pixel with fewer than two of them beyond the threshold
+	// on the same side cannot be a corner.
+	var compassBrighter, compassDarker int
+	for i := 0; i < 16; i += 4 {
+		off := circleOffsets[i]
+		d := img.Pix[(y+off[1])*img.W+(x+off[0])] - c
+		if d > threshold {
+			compassBrighter++
+		} else if d < -threshold {
+			compassDarker++
+		}
+	}
+	if compassBrighter < 2 && compassDarker < 2 {
+		return 0
+	}
 	var brighter, darker [16]bool
 	var diff [16]float32
 	for i, off := range circleOffsets {
@@ -173,8 +189,7 @@ func (d *Detector) Detect(img *imgproc.Gray) []Feature {
 		}
 	}
 	// 3×3 non-maximum suppression.
-	smoothed := imgproc.GaussianBlur(img, 2.0)
-	var feats []Feature
+	kept := corners[:0]
 	for _, c := range corners {
 		max := true
 		for dy := -1; dy <= 1 && max; dy++ {
@@ -188,17 +203,25 @@ func (d *Detector) Detect(img *imgproc.Gray) []Feature {
 				}
 			}
 		}
-		if !max {
-			continue
+		if max {
+			kept = append(kept, c)
 		}
-		ori := orientation(img, c.x, c.y, d.cfg.PatchRadius)
-		f := Feature{X: float64(c.x), Y: float64(c.y), Score: c.score, Orientation: ori}
-		f.Desc = d.describe(smoothed, c.x, c.y, ori)
-		feats = append(feats, f)
 	}
-	sort.Slice(feats, func(i, j int) bool { return feats[i].Score > feats[j].Score })
-	if d.cfg.MaxFeatures > 0 && len(feats) > d.cfg.MaxFeatures {
-		feats = feats[:d.cfg.MaxFeatures]
+	// Rank and cap before describing: the order depends on scores alone,
+	// so only the features that are returned pay for a descriptor.
+	sort.Slice(kept, func(i, j int) bool { return kept[i].score > kept[j].score })
+	if d.cfg.MaxFeatures > 0 && len(kept) > d.cfg.MaxFeatures {
+		kept = kept[:d.cfg.MaxFeatures]
+	}
+	if len(kept) == 0 {
+		return nil
+	}
+	smoothed := imgproc.GaussianBlur(img, 2.0)
+	feats := make([]Feature, len(kept))
+	for i, c := range kept {
+		ori := orientation(img, c.x, c.y, d.cfg.PatchRadius)
+		feats[i] = Feature{X: float64(c.x), Y: float64(c.y), Score: c.score, Orientation: ori}
+		feats[i].Desc = d.describe(smoothed, c.x, c.y, ori)
 	}
 	return feats
 }

@@ -14,6 +14,7 @@ package sift
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/edge-mar/scatter/internal/vision/imgproc"
 	"github.com/edge-mar/scatter/internal/vision/parallel"
@@ -79,45 +80,94 @@ func Defaults() Config {
 }
 
 // Detector detects SIFT features. A Detector is safe for concurrent use;
-// it holds only immutable configuration.
+// it holds only immutable configuration and the tables derived from it.
 type Detector struct {
 	cfg Config
+	// sigmas is the blur of each of the Levels+3 Gaussian levels within
+	// an octave. kernels[0] takes the input to sigmas[0]; kernels[i] is
+	// the incremental blur from level i-1 to level i.
+	sigmas  []float64
+	kernels [][]float32
+	// oriWeight[l] and descWeight[l] are the Gaussian windows of the
+	// orientation histogram and of the descriptor at level l, indexed by
+	// the squared pixel distance dx²+dy² from the keypoint.
+	oriWeight, descWeight [][]float64
 }
 
 // New returns a Detector for the given configuration, filling unset fields
 // from Defaults.
 func New(cfg Config) *Detector {
-	d := Defaults()
+	c := Defaults()
 	if cfg.Octaves > 0 {
-		d.Octaves = cfg.Octaves
+		c.Octaves = cfg.Octaves
 	}
 	if cfg.Levels > 0 {
-		d.Levels = cfg.Levels
+		c.Levels = cfg.Levels
 	}
 	if cfg.SigmaBase > 0 {
-		d.SigmaBase = cfg.SigmaBase
+		c.SigmaBase = cfg.SigmaBase
 	}
 	if cfg.ContrastThreshold > 0 {
-		d.ContrastThreshold = cfg.ContrastThreshold
+		c.ContrastThreshold = cfg.ContrastThreshold
 	}
 	if cfg.EdgeThreshold > 0 {
-		d.EdgeThreshold = cfg.EdgeThreshold
+		c.EdgeThreshold = cfg.EdgeThreshold
 	}
 	if cfg.MaxFeatures > 0 {
-		d.MaxFeatures = cfg.MaxFeatures
+		c.MaxFeatures = cfg.MaxFeatures
 	}
 	if cfg.Workers > 0 {
-		d.Workers = cfg.Workers
+		c.Workers = cfg.Workers
 	}
-	return &Detector{cfg: d}
+	d := &Detector{cfg: c}
+
+	nLevels := c.Levels + 3
+	k := math.Pow(2, 1/float64(c.Levels))
+	d.sigmas = make([]float64, nLevels)
+	d.sigmas[0] = c.SigmaBase
+	for i := 1; i < nLevels; i++ {
+		d.sigmas[i] = d.sigmas[0] * math.Pow(k, float64(i))
+	}
+	d.kernels = make([][]float32, nLevels)
+	d.kernels[0] = imgproc.GaussianKernel(c.SigmaBase)
+	for i := 1; i < nLevels; i++ {
+		sPrev, sCur := d.sigmas[i-1], d.sigmas[i]
+		d.kernels[i] = imgproc.GaussianKernel(math.Sqrt(sCur*sCur - sPrev*sPrev))
+	}
+	// Keypoints live on levels 1..Levels: the DoG levels with a neighbour
+	// on both sides.
+	d.oriWeight = make([][]float64, c.Levels+1)
+	d.descWeight = make([][]float64, c.Levels+1)
+	for l := 1; l <= c.Levels; l++ {
+		sigma := d.sigmas[l]
+		d.oriWeight[l] = gaussianWindow(orientationRadius(sigma), 1.5*sigma)
+		d.descWeight[l] = gaussianWindow(descriptorRadius(sigma), descGrid*descBinWidth(sigma)/2)
+	}
+	return d
+}
+
+// gaussianWindow tabulates exp(-d²/(2w²)) for every squared distance d²
+// that occurs in a (2·radius+1)² window.
+func gaussianWindow(radius int, w float64) []float64 {
+	inv := -1 / (2 * w * w)
+	tab := make([]float64, 2*radius*radius+1)
+	for d2 := range tab {
+		tab[d2] = math.Exp(float64(d2) * inv)
+	}
+	return tab
 }
 
 // pyramid holds the Gaussian and DoG scale spaces for one image.
 type pyramid struct {
-	gauss  [][]*imgproc.Gray // [octave][level], levels+3 per octave
-	dog    [][]*imgproc.Gray // [octave][level], levels+2 per octave
-	sigmas []float64         // per-level blur within an octave
+	// gauss[octave][level] is set for levels 1..Levels, the ones
+	// descriptors sample; the storage of the other three went to dog.
+	gauss [][]*imgproc.Gray
+	dog   [][]*imgproc.Gray // [octave][level], levels+2 per octave
 }
+
+// tmpPool holds the blur's horizontal-pass buffer between Detect calls.
+// Every blur overwrites it whole, so one buffer serves a whole pyramid.
+var tmpPool sync.Pool
 
 func (d *Detector) buildPyramid(img *imgproc.Gray) *pyramid {
 	cfg := d.cfg
@@ -135,34 +185,53 @@ func (d *Detector) buildPyramid(img *imgproc.Gray) *pyramid {
 		}
 	}
 	nLevels := cfg.Levels + 3
-	k := math.Pow(2, 1/float64(cfg.Levels))
-	sigmas := make([]float64, nLevels)
-	sigmas[0] = cfg.SigmaBase
-	for i := 1; i < nLevels; i++ {
-		sigmas[i] = sigmas[0] * math.Pow(k, float64(i))
+
+	scratch, _ := tmpPool.Get().(*[]float32)
+	if scratch == nil || cap(*scratch) < len(img.Pix) {
+		buf := make([]float32, len(img.Pix))
+		scratch = &buf
+	}
+	defer tmpPool.Put(scratch)
+	blur := func(src *imgproc.Gray, k []float32) *imgproc.Gray {
+		dst := imgproc.NewGray(src.W, src.H)
+		tmp := imgproc.Gray{W: src.W, H: src.H, Pix: (*scratch)[:len(src.Pix)]}
+		imgproc.BlurInto(dst, &tmp, src, k, cfg.Workers)
+		return dst
 	}
 
-	p := &pyramid{sigmas: sigmas}
-	base := imgproc.GaussianBlurWorkers(img, cfg.SigmaBase, cfg.Workers)
+	p := &pyramid{}
+	base := blur(img, d.kernels[0])
 	for o := 0; o < octaves; o++ {
 		levels := make([]*imgproc.Gray, nLevels)
 		levels[0] = base
 		for i := 1; i < nLevels; i++ {
-			// Incremental blur: sigma needed to go from level i-1 to i.
 			// Levels chain sequentially, but each blur's convolution
 			// passes fan rows out across the pool.
-			sPrev, sCur := sigmas[i-1], sigmas[i]
-			inc := math.Sqrt(sCur*sCur - sPrev*sPrev)
-			levels[i] = imgproc.GaussianBlurWorkers(levels[i-1], inc, cfg.Workers)
+			levels[i] = blur(levels[i-1], d.kernels[i])
 		}
-		dogs := make([]*imgproc.Gray, nLevels-1)
-		for i := 0; i < nLevels-1; i++ {
-			dogs[i] = imgproc.Subtract(levels[i+1], levels[i])
-		}
-		p.gauss = append(p.gauss, levels)
-		p.dog = append(p.dog, dogs)
 		// Next octave starts from the level with blur 2*sigmaBase.
 		next := levels[cfg.Levels]
+
+		// dogs[i] = levels[i+1] - levels[i]. Nothing downstream reads
+		// Gaussian levels 0, Levels+1 and Levels+2, so the three DoG
+		// images at the ends are written over them — each level only
+		// after the last difference that needs it.
+		last := nLevels - 2
+		dogs := make([]*imgproc.Gray, nLevels-1)
+		inPlace := func(i int, over *imgproc.Gray) {
+			imgproc.SubtractInto(over, levels[i+1], levels[i])
+			dogs[i] = over
+		}
+		inPlace(0, levels[0])
+		inPlace(last, levels[last+1])
+		inPlace(last-1, levels[last])
+		for i := 1; i < last-1; i++ {
+			dogs[i] = imgproc.Subtract(levels[i+1], levels[i])
+		}
+		levels[0], levels[last], levels[last+1] = nil, nil, nil
+
+		p.gauss = append(p.gauss, levels)
+		p.dog = append(p.dog, dogs)
 		if next.W < 4 || next.H < 4 {
 			break
 		}
@@ -174,20 +243,20 @@ func (d *Detector) buildPyramid(img *imgproc.Gray) *pyramid {
 	return p
 }
 
-// isExtremum reports whether pixel (x, y) of dog[o][l] is a local extremum
-// over its 26 scale-space neighbours.
-func isExtremum(dogs []*imgproc.Gray, l, x, y int) bool {
-	v := dogs[l].At(x, y)
+// isExtremum reports whether interior pixel i of cur (row stride w) is a
+// local extremum over its 26 neighbours in the DoG levels below, at and
+// above it.
+func isExtremum(below, cur, above []float32, w, i int) bool {
+	v := cur[i]
 	isMax := true
 	isMin := true
-	for dl := -1; dl <= 1; dl++ {
-		img := dogs[l+dl]
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if dl == 0 && dx == 0 && dy == 0 {
+	for l, img := range [3][]float32{below, cur, above} {
+		for r := i - w; r <= i+w; r += w {
+			for j := r - 1; j <= r+1; j++ {
+				if l == 1 && j == i {
 					continue
 				}
-				n := img.At(x+dx, y+dy)
+				n := img[j]
 				if n >= v {
 					isMax = false
 				}
@@ -204,11 +273,12 @@ func isExtremum(dogs []*imgproc.Gray, l, x, y int) bool {
 }
 
 // edgeLike applies Lowe's principal-curvature ratio test using the 2×2
-// Hessian of the DoG response. Returns true if the point lies on an edge.
-func edgeLike(img *imgproc.Gray, x, y int, edgeThreshold float64) bool {
-	dxx := float64(img.At(x+1, y) + img.At(x-1, y) - 2*img.At(x, y))
-	dyy := float64(img.At(x, y+1) + img.At(x, y-1) - 2*img.At(x, y))
-	dxy := float64(img.At(x+1, y+1)-img.At(x-1, y+1)-img.At(x+1, y-1)+img.At(x-1, y-1)) / 4
+// Hessian of the DoG response at interior pixel i of img (row stride w).
+// Returns true if the point lies on an edge.
+func edgeLike(img []float32, w, i int, edgeThreshold float64) bool {
+	dxx := float64(img[i+1] + img[i-1] - 2*img[i])
+	dyy := float64(img[i+w] + img[i-w] - 2*img[i])
+	dxy := float64(img[i+w+1]-img[i+w-1]-img[i-w+1]+img[i-w-1]) / 4
 	tr := dxx + dyy
 	det := dxx*dyy - dxy*dxy
 	if det <= 0 {
@@ -237,15 +307,17 @@ const (
 // scanExtrema finds DoG extrema across the pyramid, parallelized over row
 // bands within each (octave, level). Per-chunk candidate lists are
 // concatenated in chunk order, so the result matches the serial
-// octave→level→row→column scan order exactly.
+// octave→level→row→column scan order exactly. The scan visits interior
+// pixels only, so neighbours are read straight out of the three slices.
 func (d *Detector) scanExtrema(p *pyramid) []candidate {
 	cfg := d.cfg
 	var cands []candidate
 	for o := range p.dog {
 		dogs := p.dog[o]
 		for l := 1; l < len(dogs)-1; l++ {
-			img := dogs[l]
-			rows := img.H - 2
+			w := dogs[l].W
+			below, cur, above := dogs[l-1].Pix, dogs[l].Pix, dogs[l+1].Pix
+			rows := dogs[l].H - 2
 			if rows <= 0 {
 				continue
 			}
@@ -253,20 +325,21 @@ func (d *Detector) scanExtrema(p *pyramid) []candidate {
 			parallel.For(cfg.Workers, rows, scanGrain, func(chunk, start, end int) {
 				var out []candidate
 				for y := start + 1; y < end+1; y++ {
-					for x := 1; x < img.W-1; x++ {
-						v := img.At(x, y)
-						if math.Abs(float64(v)) < cfg.ContrastThreshold {
+					for x := 1; x < w-1; x++ {
+						i := y*w + x
+						response := math.Abs(float64(cur[i]))
+						if response < cfg.ContrastThreshold {
 							continue
 						}
-						if !isExtremum(dogs, l, x, y) {
+						if !isExtremum(below, cur, above, w, i) {
 							continue
 						}
-						if edgeLike(img, x, y, cfg.EdgeThreshold) {
+						if edgeLike(cur, w, i, cfg.EdgeThreshold) {
 							continue
 						}
 						out = append(out, candidate{
 							octave: o, level: l, x: x, y: y,
-							response: math.Abs(float64(v)),
+							response: response,
 						})
 					}
 				}
@@ -280,6 +353,52 @@ func (d *Detector) scanExtrema(p *pyramid) []candidate {
 	return cands
 }
 
+// gradPatch is the gradient field around one candidate: magnitude and
+// orientation of every pixel within radius of the keypoint, computed once
+// and read by the orientation histogram and by the descriptor of every
+// orientation the histogram yields. Pixel (x+dx, y+dy) is entry
+// (dy+radius)*(2*radius+1) + dx+radius. Pixels without a central
+// difference (outside the image interior) have magnitude 0, which both
+// readers skip.
+type gradPatch struct {
+	radius     int
+	mag, theta []float64
+}
+
+var patchPool = sync.Pool{New: func() any { return new(gradPatch) }}
+
+// fill computes the patch of the given radius around (x, y).
+func (pt *gradPatch) fill(img *imgproc.Gray, x, y, radius int) {
+	side := 2*radius + 1
+	if cap(pt.mag) < side*side {
+		pt.mag = make([]float64, side*side)
+		pt.theta = make([]float64, side*side)
+	}
+	pt.radius = radius
+	pt.mag, pt.theta = pt.mag[:side*side], pt.theta[:side*side]
+	w := img.W
+	left := x - radius
+	lo, hi := max(left, 1), min(x+radius, w-2)
+	for dy := -radius; dy <= radius; dy++ {
+		mag := pt.mag[(dy+radius)*side:][:side]
+		theta := pt.theta[(dy+radius)*side:][:side]
+		py := y + dy
+		if py < 1 || py >= img.H-1 || lo > hi {
+			clear(mag)
+			continue
+		}
+		clear(mag[:lo-left])
+		clear(mag[hi-left+1:])
+		up, cur, down := img.Pix[(py-1)*w:][:w], img.Pix[py*w:][:w], img.Pix[(py+1)*w:][:w]
+		for px := lo; px <= hi; px++ {
+			gx := float64(cur[px+1] - cur[px-1])
+			gy := float64(down[px] - up[px])
+			mag[px-left] = math.Hypot(gx, gy)
+			theta[px-left] = math.Atan2(gy, gx)
+		}
+	}
+}
+
 // describe assigns orientations and computes descriptors for each
 // candidate. Candidates are independent, so the pool fans them out with
 // each worker writing a disjoint result slot; flattening in candidate
@@ -287,12 +406,14 @@ func (d *Detector) scanExtrema(p *pyramid) []candidate {
 func (d *Detector) describe(p *pyramid, cands []candidate) []Feature {
 	perCand := make([][]Feature, len(cands))
 	parallel.For(d.cfg.Workers, len(cands), describeGrain, func(_, start, end int) {
+		pt := patchPool.Get().(*gradPatch)
+		defer patchPool.Put(pt)
 		for i := start; i < end; i++ {
 			c := cands[i]
-			sigma := p.sigmas[c.level]
-			grad := p.gauss[c.octave][c.level]
+			sigma := d.sigmas[c.level]
 			scale := float64(int(1) << uint(c.octave))
-			oris := dominantOrientations(grad, c.x, c.y, sigma)
+			pt.fill(p.gauss[c.octave][c.level], c.x, c.y, max(orientationRadius(sigma), descriptorRadius(sigma)))
+			oris := dominantOrientations(pt, sigma, d.oriWeight[c.level])
 			feats := make([]Feature, 0, len(oris))
 			for _, ori := range oris {
 				kp := Keypoint{
@@ -304,13 +425,17 @@ func (d *Detector) describe(p *pyramid, cands []candidate) []Feature {
 					Octave:      c.octave,
 					Level:       c.level,
 				}
-				desc := computeDescriptor(grad, c.x, c.y, sigma, ori)
+				desc := computeDescriptor(pt, sigma, ori, d.descWeight[c.level])
 				feats = append(feats, Feature{Keypoint: kp, Desc: desc})
 			}
 			perCand[i] = feats
 		}
 	})
-	var feats []Feature
+	total := 0
+	for _, fs := range perCand {
+		total += len(fs)
+	}
+	feats := make([]Feature, 0, total)
 	for _, fs := range perCand {
 		feats = append(feats, fs...)
 	}
@@ -332,29 +457,32 @@ func (d *Detector) Detect(img *imgproc.Gray) []Feature {
 
 const orientationBins = 36
 
-// dominantOrientations builds a 36-bin gradient orientation histogram in a
-// Gaussian-weighted window around (x, y) and returns the dominant peak plus
-// any secondary peaks within 80% of it (each spawning its own keypoint, as
-// in Lowe 2004).
-func dominantOrientations(img *imgproc.Gray, x, y int, sigma float64) []float64 {
-	var hist [orientationBins]float64
+// orientationRadius is the half-width of the orientation-histogram window
+// at blur sigma.
+func orientationRadius(sigma float64) int {
 	radius := int(math.Round(3 * 1.5 * sigma))
 	if radius < 1 {
 		radius = 1
 	}
-	w := 1.5 * sigma
-	inv := -1 / (2 * w * w)
+	return radius
+}
+
+// dominantOrientations builds a 36-bin gradient orientation histogram in a
+// Gaussian-weighted window (weight, from gaussianWindow) around the
+// patch's keypoint and returns the dominant peak plus any secondary peaks
+// within 80% of it (each spawning its own keypoint, as in Lowe 2004).
+func dominantOrientations(pt *gradPatch, sigma float64, weight []float64) []float64 {
+	var hist [orientationBins]float64
+	radius := orientationRadius(sigma)
+	side := 2*pt.radius + 1
 	for dy := -radius; dy <= radius; dy++ {
+		row := (dy+pt.radius)*side + pt.radius
 		for dx := -radius; dx <= radius; dx++ {
-			px, py := x+dx, y+dy
-			if px < 1 || px >= img.W-1 || py < 1 || py >= img.H-1 {
-				continue
-			}
-			mag, theta := imgproc.Gradient(img, px, py)
+			mag := pt.mag[row+dx]
 			if mag == 0 {
 				continue
 			}
-			weight := math.Exp(float64(dx*dx+dy*dy) * inv)
+			theta := pt.theta[row+dx]
 			bin := int(math.Floor((theta + math.Pi) / (2 * math.Pi) * orientationBins))
 			if bin >= orientationBins {
 				bin = orientationBins - 1
@@ -362,7 +490,7 @@ func dominantOrientations(img *imgproc.Gray, x, y int, sigma float64) []float64 
 			if bin < 0 {
 				bin = 0
 			}
-			hist[bin] += mag * weight
+			hist[bin] += mag * weight[dx*dx+dy*dy]
 		}
 	}
 	// Smooth the histogram (twice, circular box filter of width 3).
@@ -418,24 +546,35 @@ const (
 	descOriBins = 8 // 8 orientation bins per spatial bin
 )
 
-// computeDescriptor samples gradients in a 16×16 (scaled by sigma) window
-// rotated to the keypoint orientation and accumulates them into the 4×4×8
-// histogram grid, then applies L2 normalization with the 0.2 clamp.
-func computeDescriptor(img *imgproc.Gray, x, y int, sigma, orientation float64) Descriptor {
-	var desc Descriptor
-	binWidth := 3 * sigma // pixels per spatial bin
-	radius := int(math.Round(binWidth * float64(descGrid) / 2 * math.Sqrt2))
+// descBinWidth is the width in pixels of one spatial descriptor bin.
+func descBinWidth(sigma float64) float64 { return 3 * sigma }
+
+// descriptorRadius is the half-width of the square that contains the
+// rotated descriptor window at blur sigma.
+func descriptorRadius(sigma float64) int {
+	radius := int(math.Round(descBinWidth(sigma) * float64(descGrid) / 2 * math.Sqrt2))
 	if radius < 2 {
 		radius = 2
 	}
+	return radius
+}
+
+// computeDescriptor samples the patch's gradients in a 16×16 (scaled by
+// sigma) window rotated to the keypoint orientation and accumulates them,
+// Gaussian-weighted (weight, from gaussianWindow), into the 4×4×8
+// histogram grid, then applies L2 normalization with the 0.2 clamp.
+func computeDescriptor(pt *gradPatch, sigma, orientation float64, weight []float64) Descriptor {
+	var desc Descriptor
+	binWidth := descBinWidth(sigma)
+	radius := descriptorRadius(sigma)
 	cosT := math.Cos(-orientation)
 	sinT := math.Sin(-orientation)
-	window := float64(descGrid) * binWidth / 2
-	inv := -1 / (2 * window * window)
+	side := 2*pt.radius + 1
 	for dy := -radius; dy <= radius; dy++ {
+		row := (dy+pt.radius)*side + pt.radius
 		for dx := -radius; dx <= radius; dx++ {
-			px, py := x+dx, y+dy
-			if px < 1 || px >= img.W-1 || py < 1 || py >= img.H-1 {
+			mag := pt.mag[row+dx]
+			if mag == 0 {
 				continue
 			}
 			// Rotate the offset into the keypoint frame.
@@ -447,11 +586,7 @@ func computeDescriptor(img *imgproc.Gray, x, y int, sigma, orientation float64) 
 			if bx <= -1 || bx >= descGrid || by <= -1 || by >= descGrid {
 				continue
 			}
-			mag, theta := imgproc.Gradient(img, px, py)
-			if mag == 0 {
-				continue
-			}
-			rel := theta - orientation
+			rel := pt.theta[row+dx] - orientation
 			for rel < 0 {
 				rel += 2 * math.Pi
 			}
@@ -459,8 +594,7 @@ func computeDescriptor(img *imgproc.Gray, x, y int, sigma, orientation float64) 
 				rel -= 2 * math.Pi
 			}
 			ob := rel / (2 * math.Pi) * descOriBins
-			weight := mag * math.Exp(float64(dx*dx+dy*dy)*inv)
-			trilinearAccumulate(&desc, bx, by, ob, weight)
+			trilinearAccumulate(&desc, bx, by, ob, mag*weight[dx*dx+dy*dy])
 		}
 	}
 	normalizeDescriptor(&desc)

@@ -62,7 +62,7 @@ func TestShardCodecRejectsMalformed(t *testing.T) {
 	r := AppendShardResult(nil, 1, 0, 10, []ShardNeighbor{{ID: 1, Dist: 0.5}})
 	cases := [][]byte{
 		nil,
-		q[:len(q)-1],          // truncated payload
+		q[:len(q)-1], // truncated payload
 		append(q[:0:0], q...)[:shardQueryHeaderSize-1], // truncated header
 		r[:len(r)-1],
 		append(append([]byte{}, q...), 0), // trailing junk
