@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench ledger bench-vision bench-dataplane bench-batching bench-routing bench-fastpath bench-autoscale bench-sharding bench-kernels profile-vision fuzz figures examples chaos clean
+.PHONY: all build vet test race cover bench ledger bench-vision bench-dataplane bench-routing bench-fastpath bench-autoscale bench-sharding bench-kernels profile-vision fuzz figures examples chaos clean
 
 all: build test
 
@@ -58,14 +58,6 @@ bench-dataplane:
 		./internal/agent ./internal/wire ./internal/transport \
 		| $(GO) run ./cmd/benchjson -o BENCH_dataplane.json -note "make bench-dataplane"
 
-# Micro-batching headline: sustained frames/sec per worker at saturation
-# for batch sizes 1/4/16 at the paper's 180 KiB frame, at 1/4/8 cores,
-# exported to BENCH_batching.json (batch1 is the per-frame baseline;
-# frames/sec = 1e9 / ns_per_op).
-bench-batching:
-	$(GO) test -run '^$$' -bench 'WorkerHopBatched' -benchmem -cpu 1,4,8 ./internal/agent \
-		| $(GO) run ./cmd/benchjson -o BENCH_batching.json -note "make bench-batching"
-
 # Stats-driven replica selection on the forward path: ns/op and allocs/op
 # of StatsRouter.Pick (power-of-two-choices over live windows), exported
 # to BENCH_routing.json. The 0 allocs/op budget is enforced as a plain
@@ -107,9 +99,10 @@ bench-sharding:
 # Recognition hot-path distance kernels: exact-mode candidate ranking at
 # 10k/100k candidates (SoA arena + cached norms), the Hamming pre-rank
 # sweep with measured recall@10 per budget, and the deferred-sqrt ratio
-# test — exported to BENCH_kernels.json and compared against the
-# committed pre-change BENCH_kernels_baseline.json. Bit-identity and
-# allocation budgets are enforced as plain tests in `make test`.
+# test — exported to BENCH_kernels.json; compare against the parent
+# commit's run of the same target (the pre-change numbers are in git
+# history). Bit-identity and allocation budgets are enforced as plain
+# tests in `make test`.
 bench-kernels:
 	{ $(GO) test -run '^$$' -bench 'Kernel' -benchmem ./internal/vision/lsh; \
 	  $(GO) test -run '^$$' -bench 'Kernel' -benchmem ./internal/vision/match; } \
@@ -152,4 +145,5 @@ examples:
 
 clean:
 	$(GO) clean ./...
-	rm -rf internal/wire/testdata internal/core/testdata
+	rm -rf internal/wire/testdata internal/core/testdata internal/vision/lsh/testdata
+	rm -rf .bench_build bench/out

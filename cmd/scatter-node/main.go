@@ -23,7 +23,6 @@
 //	  },
 //	  "obs_listen": "127.0.0.1:9100",
 //	  "trace_spans": true,
-//	  "batch_max": 4, "batch_slack_ms": 10,
 //	  "route_stats": {"enabled": true, "ack_timeout_ms": 250},
 //	  "fast_path": {"enabled": true, "refresh_every": 30, "min_confidence": 0.5},
 //	  "recognition_cache": {"enabled": true, "ttl_ms": 500, "capacity": 1024},
@@ -35,12 +34,11 @@
 // obs_listen serves live telemetry (/metrics, /metrics.json, /healthz,
 // /routes, /routes.json, /debug/vars, /debug/pprof); trace_spans stamps
 // per-service spans onto frames for end-to-end trace reconstruction at
-// the client; batch_max and batch_slack_ms arm the deadline-aware
-// micro-batching former on every batch-capable service; route_stats
-// upgrades forwarding from static round-robin to stats-driven replica
-// selection over live per-replica windows (hop acks feed EWMA latency
-// and loss; unhealthy replicas are shed, ejected, and re-admitted after
-// probation), published on the obs endpoints and in heartbeats;
+// the client; route_stats upgrades forwarding from static round-robin
+// to stats-driven replica selection over live per-replica windows (hop
+// acks feed EWMA latency and loss; unhealthy replicas are shed, ejected,
+// and re-admitted after probation), published on the obs endpoints and
+// in heartbeats;
 // fast_path arms the tracker-gated recognition fast path (confident
 // frames answered at primary from matching's published verdicts, skipping
 // sift→matching; scatter_fastpath_* series on the obs endpoints);
@@ -62,8 +60,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -234,14 +234,6 @@ type nodeConfig struct {
 	// Fault, when set, wraps every worker's endpoint in a fault injector
 	// applying the policy to all outbound traffic from this node.
 	Fault *faultSpec `json:"fault,omitempty"`
-	// BatchMax enables deadline-aware micro-batching on every service
-	// whose processor supports batch dispatch: the sidecar coalesces up to
-	// this many queued frames per dispatch. 0 or 1 disables batching.
-	BatchMax int `json:"batch_max,omitempty"`
-	// BatchSlackMs is how much of the latency threshold the batch former
-	// reserves: it flushes a partial batch once the oldest frame's
-	// remaining budget drops to this slack. Default 10ms when batching.
-	BatchSlackMs int `json:"batch_slack_ms,omitempty"`
 	// RouteStats, when enabled, replaces the static round-robin router
 	// with the stats-driven one: per-replica windows fed by hop acks
 	// drive power-of-two-choices selection, health ejection, and
@@ -262,6 +254,22 @@ type nodeConfig struct {
 	// Sharding partitions the lsh reference database across shard
 	// replicas with scatter/gather top-k merge (see shardingSpec).
 	Sharding *shardingSpec `json:"sharding,omitempty"`
+}
+
+// parseConfig decodes a node deployment document. Keys it does not know
+// are an error, so a stale or misspelt setting fails at start with the
+// key named instead of silently doing nothing.
+func parseConfig(data []byte) (nodeConfig, error) {
+	var cfg nodeConfig
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return nodeConfig{}, err
+	}
+	if dec.More() {
+		return nodeConfig{}, errors.New("trailing data after the config document")
+	}
+	return cfg, nil
 }
 
 // admissionEnforcer applies the control plane's per-service verdicts to
@@ -324,8 +332,8 @@ func main() {
 		log.Error("read config", "err", err)
 		os.Exit(1)
 	}
-	var cfg nodeConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	cfg, err := parseConfig(data)
+	if err != nil {
 		log.Error("parse config", "err", err)
 		os.Exit(1)
 	}
@@ -586,8 +594,6 @@ func main() {
 			Obs:            reg,
 			Host:           hostLabel,
 			TraceSpans:     cfg.TraceSpans,
-			BatchMax:       cfg.BatchMax,
-			BatchSlack:     time.Duration(cfg.BatchSlackMs) * time.Millisecond,
 		})
 		if err != nil {
 			log.Error("start worker", "service", svc.Step, "err", err)

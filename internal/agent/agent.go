@@ -107,8 +107,6 @@ type WorkerStats struct {
 	ForwardRetries   uint64 // next-hop send retries under the budget
 	QueueMicros      uint64 // total queueing time of processed frames
 	ProcMicros       uint64 // total processing time
-	Batches          uint64 // batch dispatches through the BatchHandler
-	BatchedFrames    uint64 // frames those dispatches carried
 	// FastPathSkips counts frames this worker short-circuited to StepDone
 	// ahead of the matching stage — the primary worker's tracker-gated
 	// fast path answering from published verdicts.
@@ -129,16 +127,6 @@ type WorkerConfig struct {
 	Threshold time.Duration
 	// QueueCap bounds the sidecar queue (default 64).
 	QueueCap int
-	// BatchMax caps how many queued frames the sidecar coalesces into one
-	// dispatch when the processor implements core.BatchHandler. 1 (the
-	// default) keeps the per-frame path; without a BatchHandler the value
-	// is ignored.
-	BatchMax int
-	// BatchSlack is the batch former's flush margin: a forming batch is
-	// dispatched once the oldest member's remaining latency budget
-	// (Threshold minus queue wait) drops to this slack, so holding a
-	// batch open never pushes a frame past its threshold. Default 10 ms.
-	BatchSlack time.Duration
 	// StateRPCListen, for a stateful sift worker, starts a state-fetch
 	// RPC server on this address ("host:port", port 0 ok).
 	StateRPCListen string
@@ -231,7 +219,6 @@ type Worker struct {
 	droppedShutdown, forwardRetries atomic.Uint64
 	droppedAdmission                atomic.Uint64
 	queueMicros, procMicros         atomic.Uint64
-	batches, batchedFrames          atomic.Uint64
 	fastSkips                       atomic.Uint64
 
 	// admit is the admission verdict in force at this worker's ingress
@@ -247,12 +234,6 @@ type Worker struct {
 	// always run on a wire.FramePool.
 	frames  framePool
 	encPool wire.BufPool
-
-	// Batch-former scratch, owned by the sidecar goroutine: the gathered
-	// items and the frame slice handed to ProcessBatch are reused across
-	// dispatches.
-	batchItems  []queuedItem
-	batchFrames []*wire.Frame
 
 	// clientAddrs caches the string form of client delivery addresses
 	// (netip.AddrPort.String allocates); bounded like the transport
@@ -303,15 +284,6 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 1
-	}
-	if cfg.BatchMax > cfg.QueueCap {
-		cfg.BatchMax = cfg.QueueCap
-	}
-	if cfg.BatchSlack <= 0 {
-		cfg.BatchSlack = 10 * time.Millisecond
 	}
 	if cfg.ForwardAttempts <= 0 {
 		cfg.ForwardAttempts = 2
@@ -481,8 +453,6 @@ func (w *Worker) Stats() WorkerStats {
 		ForwardRetries:   w.forwardRetries.Load(),
 		QueueMicros:      w.queueMicros.Load(),
 		ProcMicros:       w.procMicros.Load(),
-		Batches:          w.batches.Load(),
-		BatchedFrames:    w.batchedFrames.Load(),
 		FastPathSkips:    w.fastSkips.Load(),
 	}
 }
@@ -683,10 +653,6 @@ func (w *Worker) ackSweepLoop() {
 
 func (w *Worker) sidecarLoop() {
 	defer w.wg.Done()
-	if bh, ok := w.cfg.Processor.(core.BatchHandler); ok && w.cfg.BatchMax > 1 {
-		w.batchLoop(bh)
-		return
-	}
 	for {
 		select {
 		case <-w.done:
@@ -712,151 +678,13 @@ func (w *Worker) sidecarLoop() {
 	}
 }
 
-// batchLoop is the sidecar loop of a batching worker: it gathers up to
-// BatchMax queued frames, holding the batch open no longer than the
-// oldest member's remaining latency budget minus BatchSlack, then
-// dispatches them in one ProcessBatch call. Frames gathered but not yet
-// dispatched when the worker closes are accounted as shutdown drops —
-// one count and one span per member frame.
-func (w *Worker) batchLoop(bh core.BatchHandler) {
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	for {
-		select {
-		case <-w.done:
-			return
-		case item := <-w.queue:
-			w.batchItems = append(w.batchItems[:0], item)
-		}
-		// The flush deadline is fixed by the first (oldest) frame: waiting
-		// past it would eat into the slack the frame still needs to get
-		// processed under its threshold.
-		timer.Reset(time.Until(w.batchItems[0].at.Add(w.cfg.Threshold - w.cfg.BatchSlack)))
-	gather:
-		for len(w.batchItems) < w.cfg.BatchMax {
-			select {
-			case <-w.done:
-				timer.Stop()
-				w.dropBatchShutdown()
-				return
-			case item := <-w.queue:
-				w.batchItems = append(w.batchItems, item)
-			case <-timer.C:
-				break gather
-			}
-		}
-		timer.Stop()
-		if w.live != nil {
-			w.live.QueueLen.Set(int64(len(w.queue)))
-		}
-		w.dispatchBatch(bh)
-	}
-}
-
-// dropBatchShutdown accounts every gathered-but-undispatched frame as a
-// shutdown drop, mirroring Close's drain of the queue channel.
-func (w *Worker) dropBatchShutdown() {
-	now := time.Now()
-	for _, item := range w.batchItems {
-		w.droppedShutdown.Add(1)
-		if w.live != nil {
-			w.live.Dropped.Inc()
-		}
-		w.dropSpan(item.fr, obs.OutcomeShutdown, item.at, now, now)
-		w.frames.Put(item.fr)
-	}
-	w.batchItems = w.batchItems[:0]
-}
-
-// dispatchBatch re-checks every member against the latency threshold
-// (the former must never admit a frame past its budget, however long the
-// previous dispatch ran), hands the survivors to the BatchHandler in one
-// call, and completes each frame with its own queue wait and an
-// amortized share of the batch processing time.
-func (w *Worker) dispatchBatch(bh core.BatchHandler) {
-	start := time.Now()
-	keep := w.batchItems[:0]
-	for _, item := range w.batchItems {
-		if start.Sub(item.at) > w.cfg.Threshold {
-			w.droppedThreshold.Add(1)
-			if w.live != nil {
-				w.live.Dropped.Inc()
-			}
-			w.dropSpan(item.fr, obs.OutcomeThreshold, item.at, start, start)
-			w.frames.Put(item.fr)
-			continue
-		}
-		keep = append(keep, item)
-	}
-	w.batchItems = keep
-	n := len(keep)
-	if n == 0 {
-		return
-	}
-	frs := w.batchFrames[:0]
-	for _, item := range keep {
-		frs = append(frs, item.fr)
-	}
-	w.batchFrames = frs
-
-	errs := bh.ProcessBatch(frs)
-	end := time.Now()
-	share := end.Sub(start) / time.Duration(n)
-	w.batches.Add(1)
-	w.batchedFrames.Add(uint64(n))
-	if w.live != nil {
-		w.live.RecordBatch(n, start.Sub(keep[0].at))
-	}
-	w.batchSpan(n, keep[0].at, start, end)
-	for i, item := range keep {
-		var err error
-		if i < len(errs) {
-			err = errs[i]
-		}
-		w.complete(item.fr, err, item.at, start, end, start.Sub(item.at), share)
-		w.frames.Put(item.fr)
-	}
-	w.batchItems = w.batchItems[:0]
-	for i := range w.batchFrames {
-		w.batchFrames[i] = nil
-	}
-	w.batchFrames = w.batchFrames[:0]
-}
-
-// batchSpan records the dispatch itself — service "<step>/batch", batch
-// size in FrameNo — alongside the per-frame spans riding the envelopes.
-func (w *Worker) batchSpan(n int, enq, start, end time.Time) {
-	if !w.cfg.TraceSpans {
-		return
-	}
-	w.cfg.Spans.Record(obs.Span{
-		Service:   w.cfg.Step.String() + "/batch",
-		Host:      w.cfg.Host,
-		Step:      w.cfg.Step,
-		FrameNo:   uint64(n),
-		EnqueueAt: time.Duration(enq.UnixMicro()) * time.Microsecond,
-		StartAt:   time.Duration(start.UnixMicro()) * time.Microsecond,
-		EndAt:     time.Duration(end.UnixMicro()) * time.Microsecond,
-		Queue:     start.Sub(enq),
-		Proc:      end.Sub(start),
-		Outcome:   obs.OutcomeOK,
-	})
-}
-
+// process runs the service on one frame, then does the accounting,
+// stage/span attachment, re-encode, and forward/deliver.
 func (w *Worker) process(fr *wire.Frame, enqueuedAt time.Time, queueWait time.Duration) {
 	start := time.Now()
 	err := w.cfg.Processor.Process(fr)
 	end := time.Now()
-	w.complete(fr, err, enqueuedAt, start, end, queueWait, end.Sub(start))
-}
-
-// complete is the shared tail of the per-frame and batched paths:
-// accounting, stage/span attachment, re-encode, and forward/deliver.
-// proc is the processing time attributed to this frame — the real
-// elapsed time on the per-frame path, the amortized share of the batch
-// window on the batched path (spans carry the full window, so residency
-// and throughput accounting stay distinguishable).
-func (w *Worker) complete(fr *wire.Frame, err error, enqueuedAt, start, end time.Time, queueWait, proc time.Duration) {
+	proc := end.Sub(start)
 	if err != nil {
 		w.errorsCount.Add(1)
 		if w.live != nil {

@@ -142,156 +142,73 @@ func waitStats(w *Worker, cond func(WorkerStats) bool) WorkerStats {
 	}
 }
 
-// TestBatchFramePoolReleaseOnAllExits drives a batching worker through
-// its three envelope exits — processed, threshold-drop at dispatch, and
-// shutdown-drain — and asserts every frame in every formed batch is
-// released to the pool exactly once.
-func TestBatchFramePoolReleaseOnAllExits(t *testing.T) {
-	t.Run("processed", func(t *testing.T) {
-		pool := newCountingFramePool()
-		delivered := make(chan struct{}, 32)
-		sink, err := listenEndpoint("udp", "127.0.0.1:0", func(data []byte, from net.Addr) {
-			delivered <- struct{}{}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sink.Close()
-		w, err := StartWorker(WorkerConfig{
-			Step:       wire.StepPrimary,
-			Mode:       core.ModeScatterPP,
-			Processor:  &batchHopProcessor{step: wire.StepPrimary},
-			ListenAddr: "127.0.0.1:0",
-			Router:     NewStaticRouter(nil),
-			BatchMax:   4,
-			BatchSlack: 90 * time.Millisecond, // flush almost immediately
-			framePool:  pool,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := listenEndpoint("udp", "127.0.0.1:0", func([]byte, net.Addr) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer src.Close()
-		fr := sinkBoundFrame(t, sink.LocalAddr(), 4<<10)
-		data, err := fr.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 12
-		for i := 0; i < n; i++ {
-			if err := src.SendToAddr(w.Addr(), data); err != nil {
+// TestFramePoolReleaseOnAllExits drives a sidecar worker through each
+// exit an envelope can take — processed, threshold-drop at dequeue,
+// shutdown-drain, queue overflow and admission reject — and asserts every
+// frame is released to the pool exactly once.
+func TestFramePoolReleaseOnAllExits(t *testing.T) {
+	const n = 12
+	fast := hopProcessor{step: wire.StepPrimary}
+	slow := hopProcessor{step: wire.StepPrimary, delay: 30 * time.Millisecond}
+	cases := []struct {
+		name   string
+		cfg    WorkerConfig
+		reject bool
+		// closeEarly closes once the frames are received, while most still
+		// sit in the queue; otherwise Close waits until all have left.
+		closeEarly bool
+		want       func(WorkerStats) bool
+	}{
+		{
+			name: "processed",
+			cfg:  WorkerConfig{Processor: fast},
+			want: func(st WorkerStats) bool { return st.Processed == n },
+		},
+		{
+			name: "threshold-drop",
+			cfg:  WorkerConfig{Processor: slow, Threshold: 40 * time.Millisecond},
+			want: func(st WorkerStats) bool { return st.DroppedThreshold > 0 },
+		},
+		{
+			name:       "shutdown-drain",
+			cfg:        WorkerConfig{Processor: slow, Threshold: 10 * time.Second},
+			closeEarly: true,
+			want: func(st WorkerStats) bool {
+				return st.DroppedShutdown > 0 && st.Processed+st.DroppedShutdown == n
+			},
+		},
+		{
+			name: "queue-overflow",
+			cfg:  WorkerConfig{Processor: slow, Threshold: 10 * time.Second, QueueCap: 2},
+			want: func(st WorkerStats) bool { return st.DroppedQueue > 0 },
+		},
+		{
+			name:   "admission-reject",
+			cfg:    WorkerConfig{Processor: fast},
+			reject: true,
+			want:   func(st WorkerStats) bool { return st.DroppedAdmission == n },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := newCountingFramePool()
+			tc.cfg.framePool = pool
+			w, send := startHopRig(t, tc.cfg, nil)
+			if tc.reject {
+				w.SetAdmitState(core.AdmitReject)
+			}
+			send(n)
+			waitStats(w, func(st WorkerStats) bool {
+				left := st.Processed + st.DroppedThreshold + st.DroppedQueue + st.DroppedAdmission
+				return st.Received == n && (tc.closeEarly || left == n)
+			})
+			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		for i := 0; i < n; i++ {
-			<-delivered
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		pool.verify(t)
-		if st := w.Stats(); st.Processed != n {
-			t.Errorf("processed %d frames, want %d (%+v)", st.Processed, n, st)
-		}
-	})
-
-	t.Run("threshold-drop", func(t *testing.T) {
-		pool := newCountingFramePool()
-		sink, err := listenEndpoint("udp", "127.0.0.1:0", func([]byte, net.Addr) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sink.Close()
-		w, err := StartWorker(WorkerConfig{
-			Step:       wire.StepPrimary,
-			Mode:       core.ModeScatterPP,
-			Processor:  &batchHopProcessor{step: wire.StepPrimary, delay: 120 * time.Millisecond},
-			ListenAddr: "127.0.0.1:0",
-			Router:     NewStaticRouter(nil),
-			Threshold:  40 * time.Millisecond,
-			BatchMax:   4,
-			framePool:  pool,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := listenEndpoint("udp", "127.0.0.1:0", func([]byte, net.Addr) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer src.Close()
-		fr := sinkBoundFrame(t, sink.LocalAddr(), 4<<10)
-		data, err := fr.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 12
-		for i := 0; i < n; i++ {
-			if err := src.SendToAddr(w.Addr(), data); err != nil {
-				t.Fatal(err)
+			pool.verify(t)
+			if st := w.Stats(); !tc.want(st) {
+				t.Errorf("worker did not take the %s exit: %+v", tc.name, st)
 			}
-		}
-		st := waitStats(w, func(st WorkerStats) bool {
-			return st.Processed+st.DroppedThreshold == n
 		})
-		if st.DroppedThreshold == 0 {
-			t.Errorf("slow batches produced no threshold drops: %+v", st)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		pool.verify(t)
-	})
-
-	t.Run("shutdown-drain", func(t *testing.T) {
-		pool := newCountingFramePool()
-		sink, err := listenEndpoint("udp", "127.0.0.1:0", func([]byte, net.Addr) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sink.Close()
-		w, err := StartWorker(WorkerConfig{
-			Step:       wire.StepPrimary,
-			Mode:       core.ModeScatterPP,
-			Processor:  &batchHopProcessor{step: wire.StepPrimary},
-			ListenAddr: "127.0.0.1:0",
-			Router:     NewStaticRouter(nil),
-			Threshold:  time.Second, // gather window ≈ 990ms: frames wait in the former
-			BatchMax:   64,
-			QueueCap:   64,
-			framePool:  pool,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := listenEndpoint("udp", "127.0.0.1:0", func([]byte, net.Addr) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer src.Close()
-		fr := sinkBoundFrame(t, sink.LocalAddr(), 4<<10)
-		data, err := fr.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 5
-		for i := 0; i < n; i++ {
-			if err := src.SendToAddr(w.Addr(), data); err != nil {
-				t.Fatal(err)
-			}
-		}
-		waitStats(w, func(st WorkerStats) bool { return st.Received == n })
-		time.Sleep(20 * time.Millisecond) // let the former gather
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		pool.verify(t)
-		if st := w.Stats(); st.DroppedShutdown != n {
-			t.Errorf("shutdown drops = %d, want %d (one per member frame; %+v)",
-				st.DroppedShutdown, n, st)
-		}
-	})
+	}
 }

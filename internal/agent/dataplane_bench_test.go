@@ -16,11 +16,18 @@ import (
 // worker delivers it straight back to the client address. It isolates the
 // data-plane cost of a worker hop (decode → process → re-encode →
 // forward) from the vision kernels, which have their own benchmarks.
-type hopProcessor struct{ step wire.Step }
+// delay, when set, makes it a slow service for the sidecar contract tests.
+type hopProcessor struct {
+	step  wire.Step
+	delay time.Duration
+}
 
 func (p hopProcessor) Step() wire.Step { return p.step }
 
 func (p hopProcessor) Process(fr *wire.Frame) error {
+	if p.delay > 0 {
+		time.Sleep(p.delay)
+	}
 	fr.Step = wire.StepDone
 	return nil
 }
@@ -123,108 +130,6 @@ func benchWorkerHop(b *testing.B, network string, payloadSize int) {
 	b.StopTimer()
 	if st := w.Stats(); st.Errors > 0 || st.DroppedQueue > 0 || st.DroppedThreshold > 0 {
 		b.Fatalf("worker dropped or errored during bench: %+v", st)
-	}
-}
-
-// batchBenchSetup is the per-dispatch setup cost of the benchmark's
-// service stub — the fixed portion (kernel launch, scratch preparation,
-// model residency) that micro-batching amortizes. It matches the order
-// of magnitude of the batchable profiles in core.DefaultProfiles.
-const batchBenchSetup = time.Millisecond
-
-// BenchmarkWorkerHopBatched measures the same loopback hop as
-// BenchmarkWorkerHop against a service with a fixed per-dispatch setup
-// cost, keeping a window of frames in flight so the sidecar stays
-// saturated and the former can coalesce. batch1 is the per-frame
-// baseline (serial sidecar loop); larger batches pay the setup once per
-// dispatch, so ns/op — one delivered frame — shrinks toward the
-// marginal hop cost. TCP keeps the in-flight window flow-controlled
-// instead of overflowing loopback UDP socket buffers.
-func BenchmarkWorkerHopBatched(b *testing.B) {
-	for _, batch := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("180KiB/batch%d", batch), func(b *testing.B) {
-			benchWorkerHopBatched(b, batch, 180<<10)
-		})
-	}
-}
-
-func benchWorkerHopBatched(b *testing.B, batchMax, payloadSize int) {
-	window := 2 * batchMax
-	if window < 8 {
-		window = 8
-	}
-	delivered := make(chan struct{}, window)
-	sink, err := listenEndpoint("tcp", "127.0.0.1:0", func(data []byte, from net.Addr) {
-		delivered <- struct{}{}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sink.Close()
-
-	w, err := StartWorker(WorkerConfig{
-		Step:       wire.StepPrimary,
-		Mode:       core.ModeScatterPP,
-		Processor:  &batchHopProcessor{step: wire.StepPrimary, delay: batchBenchSetup},
-		ListenAddr: "127.0.0.1:0",
-		Router:     NewStaticRouter(nil),
-		Network:    "tcp",
-		QueueCap:   2 * window,
-		BatchMax:   batchMax,
-		// Saturation benchmark: a long budget with slack close to it gives
-		// partial batches a ~10ms flush while keeping drops out of the way.
-		Threshold:  time.Second,
-		BatchSlack: 990 * time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-
-	src, err := listenEndpoint("tcp", "127.0.0.1:0", func(data []byte, from net.Addr) {})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer src.Close()
-
-	fr := sinkBoundFrame(b, sink.LocalAddr(), payloadSize)
-	data, err := fr.MarshalBinary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ingress := w.Addr()
-	send := func() {
-		if err := src.SendToAddr(ingress, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Warm the path (TCP dials, pools, route caches) at full window.
-	for i := 0; i < window; i++ {
-		send()
-	}
-	for i := 0; i < window; i++ {
-		<-delivered
-	}
-
-	b.SetBytes(int64(payloadSize))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < window && i < b.N; i++ {
-		send()
-	}
-	for i := 0; i < b.N; i++ {
-		<-delivered
-		if i+window < b.N {
-			send()
-		}
-	}
-	b.StopTimer()
-	st := w.Stats()
-	if st.Errors > 0 || st.DroppedQueue > 0 || st.DroppedThreshold > 0 {
-		b.Fatalf("worker dropped or errored during bench: %+v", st)
-	}
-	if batchMax > 1 && st.Batches == 0 {
-		b.Fatalf("batch former never dispatched a batch: %+v", st)
 	}
 }
 

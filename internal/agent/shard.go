@@ -495,25 +495,6 @@ func (g *ShardGather) Query(v []float32, k int) []lsh.Neighbor {
 	return g.gather(id, p, k)
 }
 
-// QueryBatch implements core.NNIndex: the whole batch is scattered
-// before any gather blocks, so shard round-trips overlap across the
-// batch instead of serializing.
-func (g *ShardGather) QueryBatch(vs [][]float32, k int) [][]lsh.Neighbor {
-	out := make([][]lsh.Neighbor, len(vs))
-	if len(vs) == 0 || k <= 0 {
-		return out
-	}
-	ids := make([]uint64, len(vs))
-	ps := make([]*gatherPending, len(vs))
-	for i, v := range vs {
-		ids[i], ps[i] = g.scatter(v, k, 0)
-	}
-	for i := range vs {
-		out[i] = g.gather(ids[i], ps[i], k)
-	}
-	return out
-}
-
 // ExactNN implements core.NNIndex: the brute-force scan fans out with
 // the exact flag, each shard scans its partition, and the merge of
 // per-shard exact top-k lists is the global exact top-k.

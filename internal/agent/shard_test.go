@@ -68,10 +68,8 @@ func TestShardGatherMatchesMonolithic(t *testing.T) {
 		t.Fatalf("sketcher tables %d, want %d", g.Tables(), mono.Tables())
 	}
 	rng := rand.New(rand.NewSource(62))
-	var batch [][]float32
 	for q := 0; q < 10; q++ {
 		v := randomVec(rng, dim)
-		batch = append(batch, v)
 		for tb := 0; tb < mono.Tables(); tb++ {
 			if g.Hash(tb, v) != mono.Hash(tb, v) {
 				t.Fatalf("sketcher hash diverges in table %d", tb)
@@ -83,9 +81,6 @@ func TestShardGatherMatchesMonolithic(t *testing.T) {
 		if got, want := g.ExactNN(v, 5), mono.ExactNN(v, 5); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: exact gather diverges", q)
 		}
-	}
-	if got, want := g.QueryBatch(batch, 5), mono.QueryBatch(batch, 5); !reflect.DeepEqual(got, want) {
-		t.Fatal("batched gather diverges from monolithic QueryBatch")
 	}
 	if g.Len() != mono.Len() {
 		t.Fatalf("gathered Len %d, want %d", g.Len(), mono.Len())

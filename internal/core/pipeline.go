@@ -68,17 +68,6 @@ type Options struct {
 	// when reliable).
 	ReliableTransport bool
 	Retries           int
-	// BatchMax caps how many queued frames a scAtteR++ sidecar coalesces
-	// into one dispatch at services whose profile declares a setup
-	// component (ServiceProfile.Batchable). 1 (the default) disables
-	// batching.
-	BatchMax int
-	// BatchSlack is the flush margin of the batch former: a forming
-	// batch is dispatched as soon as the oldest member's remaining
-	// latency budget (Threshold minus queue wait) drops to this slack,
-	// so waiting for more frames can never push a frame past its
-	// threshold. Default 10 ms.
-	BatchSlack time.Duration
 	// WeightedRouting replaces the plain round-robin replica selection
 	// with the runtime's stats-driven power-of-two-choices over live
 	// per-replica windows (mirroring agent.StatsRouter). Windows are fed
@@ -185,12 +174,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ReliableTransport && o.Retries <= 0 {
 		o.Retries = 3
-	}
-	if o.BatchMax <= 0 {
-		o.BatchMax = 1
-	}
-	if o.BatchSlack <= 0 {
-		o.BatchSlack = 10 * time.Millisecond
 	}
 	if o.FastPath.Enabled {
 		if o.FastPath.WarmHits <= 0 {
@@ -317,9 +300,6 @@ type Instance struct {
 	busy   bool
 	queue  []queuedFrame
 	states map[stateKey]*stateEntry
-	// flush is the pending slack-deadline flush of a forming batch; nil
-	// when no batch is waiting for more frames.
-	flush *sim.Event
 
 	cpuBusy  time.Duration
 	gpuBusy  time.Duration
@@ -542,11 +522,11 @@ func (p *Pipeline) RemoveReplica(step wire.Step) error {
 }
 
 // maybeReleaseRetired frees a retired replica's baseline memory once it
-// has fully drained (not busy, empty queue, no pending batch flush).
+// has fully drained (not busy, empty queue).
 // Held sift states stay allocated until fetched or timed out — their
 // release path already runs on the state lifecycle.
 func (in *Instance) maybeReleaseRetired() {
-	if !in.retired || in.released || in.busy || len(in.queue) > 0 || in.flush != nil {
+	if !in.retired || in.released || in.busy || len(in.queue) > 0 {
 		return
 	}
 	in.released = true
@@ -743,10 +723,7 @@ func (p *Pipeline) arrive(in *Instance, fr *simFrame) {
 }
 
 // kick dispatches the sidecar queue: it filters frames that exceeded the
-// latency threshold and, if idle, either starts the oldest admissible
-// frame or — at batchable services with BatchMax > 1 — forms a batch,
-// waiting for more frames until the oldest member's remaining latency
-// budget drops to BatchSlack.
+// latency threshold and, if idle, starts the oldest admissible frame.
 func (in *Instance) kick() {
 	if in.busy {
 		return
@@ -768,28 +745,6 @@ func (in *Instance) kick() {
 		in.recordSpan(q.fr, q.at, p.eng.Now(), p.eng.Now(), obs.OutcomeThreshold)
 	}
 	if len(in.queue) == 0 {
-		return
-	}
-	if p.opts.BatchMax > 1 && in.prof.Batchable() {
-		if len(in.queue) < p.opts.BatchMax {
-			// Not full yet: hold the batch open until the oldest frame's
-			// remaining budget hits the slack, then flush what we have.
-			deadline := in.queue[0].at + p.opts.Threshold - p.opts.BatchSlack
-			if p.eng.Now() < deadline {
-				if in.flush == nil {
-					in.flush = p.eng.At(deadline, func() {
-						in.flush = nil
-						in.kick()
-					})
-				}
-				return
-			}
-		}
-		n := len(in.queue)
-		if n > p.opts.BatchMax {
-			n = p.opts.BatchMax
-		}
-		in.startBatch(n)
 		return
 	}
 	q := in.queue[0]
@@ -867,23 +822,16 @@ func (in *Instance) runGate(fr *simFrame, queueWait time.Duration, began sim.Tim
 	})
 }
 
-// shardedCompute maps one lsh dispatch (batchN frames; 1 = serial) onto
-// the scatter/gather cost model: per-shard compute is the monolithic
-// cost over the shard count (candidate volume scales with partition
-// size), every gather pays the fan-out/merge overhead, and a gather with
-// missing shard legs waits out the gather window. It also advances the
-// scatter/gather counters.
-func (in *Instance) shardedCompute(batchN int) time.Duration {
+// shardedCompute maps one lsh dispatch onto the scatter/gather cost
+// model: per-shard compute is the monolithic cost over the shard count
+// (candidate volume scales with partition size), every gather pays the
+// fan-out/merge overhead, and a gather with missing shard legs waits out
+// the gather window. It also advances the scatter/gather counters.
+func (in *Instance) shardedCompute() time.Duration {
 	p := in.p
 	sh := p.opts.Sharding
 	perShard := in.prof.CPUTime / time.Duration(sh.Shards)
-	var cpu time.Duration
-	if batchN <= 1 {
-		cpu = in.machine.ComputeTime(perShard, false)
-	} else {
-		cpu = in.machine.ComputeTimeBatch(perShard, in.prof.CPUSetup, batchN, false)
-	}
-	cpu += sh.GatherOverhead
+	cpu := in.machine.ComputeTime(perShard, false) + sh.GatherOverhead
 	misses := 0
 	if sh.ShardLossProb > 0 {
 		for s := 0; s < sh.Shards; s++ {
@@ -940,7 +888,7 @@ func (in *Instance) runPhases(fr *simFrame, queueWait time.Duration, began sim.T
 	p := in.p
 	cpu := in.machine.ComputeTime(in.prof.CPUTime, false)
 	if in.shardedStep() {
-		cpu = in.shardedCompute(1)
+		cpu = in.shardedCompute()
 	}
 	if p.opts.Mode == ModeScatterPP {
 		cpu += p.opts.SidecarOverhead
@@ -963,96 +911,6 @@ func (in *Instance) runPhases(fr *simFrame, queueWait time.Duration, began sim.T
 			})
 		})
 	})
-}
-
-// startBatch dispatches the first n queued frames as one batch: the
-// service pays its setup cost once plus the marginal cost per frame
-// (testbed.ComputeTimeBatch), holding the CPU/GPU slots for the whole
-// batch window. One sidecar RPC carries the batch.
-func (in *Instance) startBatch(n int) {
-	p := in.p
-	if in.flush != nil {
-		in.flush.Cancel()
-		in.flush = nil
-	}
-	batch := make([]queuedFrame, n)
-	copy(batch, in.queue[:n])
-	in.queue = in.queue[:copy(in.queue, in.queue[n:])]
-	in.busy = true
-	began := p.eng.Now()
-	cpu := in.machine.ComputeTimeBatch(in.prof.CPUTime, in.prof.CPUSetup, n, false)
-	if in.shardedStep() {
-		cpu = in.shardedCompute(n)
-	}
-	if p.opts.Mode == ModeScatterPP {
-		cpu += p.opts.SidecarOverhead
-	}
-	in.machine.CPU.Acquire(func() {
-		p.eng.After(cpu, func() {
-			in.machine.CPU.Release()
-			in.cpuBusy += cpu
-			if !in.prof.UsesGPU() {
-				in.finishBatch(batch, began)
-				return
-			}
-			gpu := in.machine.ComputeTimeBatch(in.prof.GPUTime, in.prof.GPUSetup, n, true)
-			in.machine.GPU.Acquire(func() {
-				p.eng.After(gpu, func() {
-					in.machine.GPU.Release()
-					in.gpuBusy += gpu
-					in.finishBatch(batch, began)
-				})
-			})
-		})
-	})
-}
-
-// finishBatch completes a batch dispatch: per-frame service metrics are
-// recorded with the amortized processing share (so service-latency
-// aggregates stay comparable to serial runs), per-frame spans carry the
-// full batch residency window, and one extra "<service>/batch" span
-// records the dispatch itself with the batch size in FrameNo.
-func (in *Instance) finishBatch(batch []queuedFrame, began sim.Time) {
-	p := in.p
-	now := p.eng.Now()
-	share := (now - began) / time.Duration(len(batch))
-	for _, q := range batch {
-		p.col.ServiceProcessed(in.Name(), began-q.at, share)
-		in.recordSpan(q.fr, q.at, began, now, obs.OutcomeOK)
-	}
-	if p.tracer != nil {
-		first := batch[0]
-		p.tracer.Record(obs.Span{
-			Service:   in.Name() + "/batch",
-			Host:      in.machine.Name(),
-			Step:      in.step,
-			ClientID:  first.fr.clientID,
-			FrameNo:   uint64(len(batch)),
-			EnqueueAt: first.at,
-			StartAt:   began,
-			EndAt:     now,
-			Queue:     began - first.at,
-			Proc:      now - began,
-			Outcome:   obs.OutcomeOK,
-		})
-	}
-	for _, q := range batch {
-		fr := q.fr
-		switch in.step {
-		case wire.StepSIFT:
-			if p.opts.Mode == ModeScatter {
-				in.storeState(fr)
-			} else {
-				fr.bytes = trace.FrameBytes(true)
-			}
-		case wire.StepMatching:
-			in.deliver(fr)
-			continue
-		}
-		next := p.route(in.step.Next(), fr.clientID)
-		p.send(in.machine.Name(), next, fr)
-	}
-	in.idle()
 }
 
 // finish records service metrics, forwards/delivers the frame, and frees

@@ -23,14 +23,6 @@ type ServiceProfile struct {
 	Step    wire.Step
 	CPUTime time.Duration
 	GPUTime time.Duration
-	// CPUSetup/GPUSetup is the fixed per-dispatch portion of the phase
-	// cost — model load, kernel launch, lock and cache-warm overhead —
-	// that micro-batching amortizes: a batch of n frames costs
-	// setup + n*(phase-setup) instead of n*phase. Zero (the default)
-	// marks the service as non-batchable; the sidecar then dispatches it
-	// frame by frame.
-	CPUSetup time.Duration
-	GPUSetup time.Duration
 	// BaselineMem is the resident memory of one deployed instance
 	// (container image + loaded models).
 	BaselineMem int64
@@ -50,21 +42,10 @@ func (p ServiceProfile) Total() time.Duration { return p.CPUTime + p.GPUTime }
 // services except primary are GPU-dependent.
 func (p ServiceProfile) UsesGPU() bool { return p.GPUTime > 0 }
 
-// Batchable reports whether the service declares a setup component that
-// batching can amortize — the sim-side analogue of a real service
-// implementing BatchHandler.
-func (p ServiceProfile) Batchable() bool { return p.CPUSetup > 0 || p.GPUSetup > 0 }
-
 // Validate reports profile errors.
 func (p ServiceProfile) Validate() error {
 	if p.CPUTime < 0 || p.GPUTime < 0 || p.FetchServe < 0 {
 		return fmt.Errorf("core: negative duration in %s profile", p.Step)
-	}
-	if p.CPUSetup < 0 || p.GPUSetup < 0 {
-		return fmt.Errorf("core: negative setup time in %s profile", p.Step)
-	}
-	if p.CPUSetup > p.CPUTime || p.GPUSetup > p.GPUTime {
-		return fmt.Errorf("core: %s profile setup exceeds phase time", p.Step)
 	}
 	if p.Total() == 0 {
 		return fmt.Errorf("core: %s profile has zero compute time", p.Step)
@@ -96,32 +77,22 @@ func DefaultProfiles() Profiles {
 			StateBytes:  24 << 20, // held descriptors + retained pyramid
 			FetchServe:  time.Millisecond,
 		},
-		// The three stages whose real services implement BatchHandler
-		// declare setup components (posterior/gradient scratch priming,
-		// hash-table lock + key slab, distance-matrix fill) that a batch
-		// dispatch pays once.
 		wire.StepEncoding: {
 			Step:        wire.StepEncoding,
 			CPUTime:     2500 * time.Microsecond,
 			GPUTime:     5 * time.Millisecond,
-			CPUSetup:    800 * time.Microsecond,
-			GPUSetup:    2 * time.Millisecond,
 			BaselineMem: 800 << 20,
 		},
 		wire.StepLSH: {
 			Step:        wire.StepLSH,
 			CPUTime:     1500 * time.Microsecond,
 			GPUTime:     3 * time.Millisecond,
-			CPUSetup:    500 * time.Microsecond,
-			GPUSetup:    1200 * time.Microsecond,
 			BaselineMem: 600 << 20,
 		},
 		wire.StepMatching: {
 			Step:        wire.StepMatching,
 			CPUTime:     3 * time.Millisecond,
 			GPUTime:     6 * time.Millisecond,
-			CPUSetup:    1 * time.Millisecond,
-			GPUSetup:    2 * time.Millisecond,
 			BaselineMem: 1000 << 20,
 		},
 	}

@@ -27,12 +27,11 @@ type Processor interface {
 	Process(fr *wire.Frame) error
 }
 
-// BatchHandler is an optional extension of Processor for services whose
-// kernels can amortize setup cost across several frames. ProcessBatch
-// must behave exactly as calling Process on each frame in slice order —
-// bit-identical payloads and step advancement, with the i-th returned
-// error (nil on success) matching what Process would have returned — so
-// callers may mix batched and per-frame dispatch freely.
+// BatchHandler is unimplemented: micro-batching was removed and nothing
+// in the product may call it. The declaration stays only because
+// bench/spans.go names it in a type assertion (always false now) and
+// bench/ is frozen outside benchmark PRs; it goes with that file's
+// timedBatchProcessor in the next one.
 type BatchHandler interface {
 	Processor
 	ProcessBatch(frs []*wire.Frame) []error
@@ -427,44 +426,6 @@ func (s *Encoding) Process(fr *wire.Frame) error {
 	return nil
 }
 
-// ProcessBatch implements BatchHandler: descriptor sets for the whole
-// batch are projected up front and encoded through fisher.EncodeBatch,
-// which shares one gradient accumulator across frames.
-func (s *Encoding) ProcessBatch(frs []*wire.Frame) []error {
-	errs := make([]error, len(frs))
-	payloads := make([]*Payload, len(frs))
-	reduced := make([][][]float32, 0, len(frs))
-	live := make([]int, 0, len(frs))
-	for i, fr := range frs {
-		p, err := decodeFor(fr, wire.StepEncoding)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		if p.Features == nil {
-			errs[i] = fmt.Errorf("%w: features at encoding", ErrMissingSection)
-			continue
-		}
-		r := make([][]float32, len(p.Features.Descriptors))
-		for j := range p.Features.Descriptors {
-			r[j] = s.proj.Project(p.Features.Descriptors[j][:])
-		}
-		payloads[i] = p
-		reduced = append(reduced, r)
-		live = append(live, i)
-	}
-	vecs := s.enc.EncodeBatch(reduced)
-	for b, i := range live {
-		p := payloads[i]
-		p.Fisher = vecs[b]
-		if !frs[i].Stateless {
-			p.Features = nil
-		}
-		advance(frs[i], p)
-	}
-	return errs
-}
-
 func (s *Encoding) encodeFeatures(f *Features) []float32 {
 	reduced := make([][]float32, len(f.Descriptors))
 	for i := range f.Descriptors {
@@ -537,59 +498,6 @@ func (s *LSHService) Process(fr *wire.Frame) error {
 	p.Fisher = nil
 	advance(fr, p)
 	return nil
-}
-
-// ProcessBatch implements BatchHandler: Fisher vectors for the whole
-// batch go through lsh.Index.QueryBatch — one lock acquisition and
-// pooled candidate buffers — with the same per-frame ExactNN top-up as
-// Process.
-func (s *LSHService) ProcessBatch(frs []*wire.Frame) []error {
-	errs := make([]error, len(frs))
-	payloads := make([]*Payload, len(frs))
-	sketches := make([]string, len(frs))
-	vecs := make([][]float32, 0, len(frs))
-	live := make([]int, 0, len(frs))
-	for i, fr := range frs {
-		p, err := decodeFor(fr, wire.StepLSH)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		if p.Fisher == nil {
-			errs[i] = fmt.Errorf("%w: fisher vector at lsh", ErrMissingSection)
-			continue
-		}
-		if s.Cache != nil {
-			sketches[i] = s.Cache.Sketch(p.Fisher)
-			if cached, ok := s.Cache.Lookup(sketches[i]); ok {
-				p.Candidates = cached
-				p.Fisher = nil
-				advance(fr, p)
-				continue
-			}
-		}
-		payloads[i] = p
-		vecs = append(vecs, p.Fisher)
-		live = append(live, i)
-	}
-	results := s.index.QueryBatch(vecs, s.K)
-	for b, i := range live {
-		p := payloads[i]
-		neighbors := results[b]
-		if len(neighbors) < s.K && s.index.Len() >= s.K {
-			neighbors = s.index.ExactNN(p.Fisher, s.K)
-		}
-		p.Candidates = make([]Candidate, len(neighbors))
-		for j, n := range neighbors {
-			p.Candidates[j] = Candidate{ObjectID: int32(n.ID), Dist: float32(n.Dist)}
-		}
-		if s.Cache != nil {
-			s.Cache.Store(sketches[i], p.Candidates)
-		}
-		p.Fisher = nil
-		advance(frs[i], p)
-	}
-	return errs
 }
 
 // ReferenceObject is one trained object: its features in reference-image
@@ -732,82 +640,6 @@ func (s *Matching) Process(fr *wire.Frame) error {
 	return nil
 }
 
-// ProcessBatch implements BatchHandler: candidate ratio tests are
-// regrouped by reference object so match.RatioTestBatch reuses one
-// distance matrix per object across every frame in the batch. Pose
-// estimation and tracker updates then run per frame in slice order,
-// which keeps cross-frame tracking identical to serial processing.
-func (s *Matching) ProcessBatch(frs []*wire.Frame) []error {
-	errs := make([]error, len(frs))
-	payloads := make([]*Payload, len(frs))
-	queries := make([][]sift.Feature, len(frs))
-	for i, fr := range frs {
-		p, err := decodeFor(fr, wire.StepMatching)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		feats := p.Features
-		if feats == nil {
-			if s.fetch == nil {
-				errs[i] = fmt.Errorf("%w: features at matching (stateless) or fetcher (stateful)", ErrMissingSection)
-				continue
-			}
-			feats, err = s.fetch(fr.ClientID, fr.FrameNo)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-		}
-		payloads[i] = p
-		queries[i] = featuresToSIFT(feats)
-	}
-
-	type site struct{ frame, cand int }
-	groups := make(map[int32][]site)
-	for i := range frs {
-		if payloads[i] == nil {
-			continue
-		}
-		for ci, cand := range payloads[i].Candidates {
-			if _, ok := s.refs[cand.ObjectID]; ok {
-				groups[cand.ObjectID] = append(groups[cand.ObjectID], site{i, ci})
-			}
-		}
-	}
-	matchesAt := make(map[site][]match.Match)
-	for id, sites := range groups {
-		ref := s.refs[id]
-		qs := make([][]sift.Feature, len(sites))
-		for k, st := range sites {
-			qs[k] = queries[st.frame]
-		}
-		res := match.RatioTestBatch(qs, ref.Features, s.ratio)
-		for k, st := range sites {
-			matchesAt[st] = res[k]
-		}
-	}
-
-	for i, fr := range frs {
-		if payloads[i] == nil {
-			continue
-		}
-		var detections []match.Detection
-		for ci, cand := range payloads[i].Candidates {
-			ref, ok := s.refs[cand.ObjectID]
-			if !ok {
-				continue
-			}
-			det, ok := s.poseFromMatches(queries[i], ref, matchesAt[site{frame: i, cand: ci}])
-			if ok {
-				detections = append(detections, det)
-			}
-		}
-		s.track(fr, detections)
-	}
-	return errs
-}
-
 // track folds detections into the per-client tracker and rewrites the
 // frame as the terminal detection payload. It also evicts trackers for
 // idle clients (throttled to every idleTimeout/4) and publishes the
@@ -863,12 +695,7 @@ func (s *Matching) sweepTrackersLocked(now time.Time) {
 }
 
 func (s *Matching) matchObject(query []sift.Feature, ref *ReferenceObject) (match.Detection, bool) {
-	return s.poseFromMatches(query, ref, match.RatioTest(query, ref.Features, s.ratio))
-}
-
-// poseFromMatches runs RANSAC pose estimation over precomputed ratio-test
-// matches — the shared tail of the serial and batched paths.
-func (s *Matching) poseFromMatches(query []sift.Feature, ref *ReferenceObject, matches []match.Match) (match.Detection, bool) {
+	matches := match.RatioTest(query, ref.Features, s.ratio)
 	if len(matches) < s.ransac.MinInliers {
 		return match.Detection{}, false
 	}

@@ -112,12 +112,6 @@ func writeTextMetrics(w http.ResponseWriter, reg *Registry) {
 		writeTextHistogram(w, "scatter_service_queue_seconds", name, &m.QueueLat)
 		writeTextHistogram(w, "scatter_service_proc_seconds", name, &m.ProcLat)
 		writeTextHistogram(w, "scatter_service_latency_seconds", name, &m.SvcLat)
-		if m.Batches.Value() > 0 {
-			fmt.Fprintf(w, "scatter_service_batches_total%s %d\n", label, m.Batches.Value())
-			fmt.Fprintf(w, "scatter_service_batch_frames_total%s %d\n", label, m.BatchFrames.Value())
-			fmt.Fprintf(w, "scatter_service_batch_size%s %d\n", label, m.BatchSize.Value())
-			writeTextHistogram(w, "scatter_service_batch_wait_seconds", name, &m.BatchWait)
-		}
 	}
 	writeTextRoutes(w, reg.RouteDigests())
 	if d, ok := reg.FastPathDigest(); ok {

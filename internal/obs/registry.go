@@ -166,16 +166,6 @@ type ServiceMetrics struct {
 	QueueLat       Histogram // time from ingress to processing start
 	ProcLat        Histogram // processing time
 	SvcLat         Histogram // queue + processing (the paper's service latency)
-
-	// Micro-batching series (zero unless the service dispatches batches):
-	// Batches counts dispatches, BatchFrames the frames they carried, so
-	// BatchFrames/Batches is the realized mean batch size. BatchWait is
-	// how long the batch former held its oldest frame before dispatch,
-	// and BatchSize is the size of the most recent dispatch.
-	Batches     Counter
-	BatchFrames Counter
-	BatchWait   Histogram
-	BatchSize   Gauge
 }
 
 // RecordProcessed updates every instrument for one completed execution.
@@ -184,15 +174,6 @@ func (m *ServiceMetrics) RecordProcessed(queue, proc time.Duration) {
 	m.QueueLat.Observe(queue)
 	m.ProcLat.Observe(proc)
 	m.SvcLat.Observe(queue + proc)
-}
-
-// RecordBatch updates the batching series for one dispatch of size
-// frames whose oldest member waited wait in the former.
-func (m *ServiceMetrics) RecordBatch(size int, wait time.Duration) {
-	m.Batches.Inc()
-	m.BatchFrames.Add(uint64(size))
-	m.BatchWait.Observe(wait)
-	m.BatchSize.Set(int64(size))
 }
 
 // Registry is a live, concurrency-safe metrics registry: one
@@ -281,11 +262,6 @@ type ServiceDigest struct {
 	P50Micros      uint64 `json:"p50_us"` // service latency percentiles
 	P95Micros      uint64 `json:"p95_us"`
 	P99Micros      uint64 `json:"p99_us"`
-	// Batching summary: realized mean batch size and mean former wait.
-	Batches        uint64  `json:"batches,omitempty"`
-	BatchFrames    uint64  `json:"batch_frames,omitempty"`
-	MeanBatch      float64 `json:"mean_batch,omitempty"`
-	BatchWaitMicro uint64  `json:"batch_wait_us,omitempty"`
 }
 
 // Digest snapshots every service, sorted by name.
@@ -308,12 +284,6 @@ func (r *Registry) Digest() []ServiceDigest {
 		}
 		if d.Arrived > 0 {
 			d.DropRatio = float64(d.Dropped) / float64(d.Arrived)
-		}
-		d.Batches = m.Batches.Value()
-		d.BatchFrames = m.BatchFrames.Value()
-		if d.Batches > 0 {
-			d.MeanBatch = float64(d.BatchFrames) / float64(d.Batches)
-			d.BatchWaitMicro = uint64(m.BatchWait.Mean() / time.Microsecond)
 		}
 		out = append(out, d)
 	}

@@ -274,25 +274,6 @@ func (m *Machine) ComputeTime(base time.Duration, gpu bool) time.Duration {
 	return d
 }
 
-// ComputeTimeBatch scales a batched workload: the per-request cost base
-// splits into a fixed setup component paid once per dispatch and a
-// marginal component paid per frame, so a batch of n costs
-// setup + n*(base-setup) reference time (n=1 degenerates to ComputeTime).
-// The whole batch takes one virtualization-noise draw — it is a single
-// kernel launch.
-func (m *Machine) ComputeTimeBatch(base, setup time.Duration, n int, gpu bool) time.Duration {
-	if n <= 1 {
-		return m.ComputeTime(base, gpu)
-	}
-	if setup < 0 {
-		setup = 0
-	}
-	if setup > base {
-		setup = base
-	}
-	return m.ComputeTime(setup+time.Duration(n)*(base-setup), gpu)
-}
-
 // AllocMem reserves bytes of memory; it reports false (and reserves
 // nothing) when the machine would exceed capacity — the condition that
 // limits stateful sift on memory-constrained edge hardware.

@@ -365,29 +365,6 @@ func (e *Encoder) Encode(descs [][]float32) []float32 {
 	return out
 }
 
-// EncodeBatch encodes several descriptor sets, one Fisher vector per set,
-// sharing the posterior and gradient scratch across the whole batch — one
-// accumulator checkout instead of one per frame. Each output is
-// bit-identical to Encode on the same set (the batch path runs the exact
-// serial accumulation per set), so a batch of one degenerates to Encode.
-func (e *Encoder) EncodeBatch(batch [][][]float32) [][]float32 {
-	if len(batch) == 0 {
-		return nil
-	}
-	fv := f64Pool.Get(e.Size())
-	out := make([][]float32, len(batch))
-	for i, descs := range batch {
-		if i > 0 {
-			for j := range fv {
-				fv[j] = 0
-			}
-		}
-		out[i] = e.encodeInto(descs, fv)
-	}
-	f64Pool.Put(fv)
-	return out
-}
-
 // encodeInto runs the Fisher encoding into the caller's zeroed float64
 // accumulator (length Size()) and returns the normalized float32 vector.
 func (e *Encoder) encodeInto(descs [][]float32, fv []float64) []float32 {

@@ -7,10 +7,10 @@ import (
 
 // Kernel benchmarks isolate the recognition hot path's distance kernels
 // from bucket probing and sorting, at the candidate counts the paper's
-// recognition tier sees at scale (BENCH_kernels.json vs the committed
-// pre-change BENCH_kernels_baseline.json). Workers is pinned to 1 so the
-// rows measure single-core kernel cost, not pool scaling — that is the
-// per-node client ceiling the orchestrator divides by.
+// recognition tier sees at scale (BENCH_kernels.json; the pre-change
+// run is in git history). Workers is pinned to 1 so the rows measure
+// single-core kernel cost, not pool scaling — that is the per-node
+// client ceiling the orchestrator divides by.
 
 const kernelBenchDim = 64
 

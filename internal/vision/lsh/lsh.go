@@ -673,67 +673,10 @@ func (ix *Index) Query(v []float32, k int) []Neighbor {
 	return out
 }
 
-// neighborPool recycles candidate-ranking buffers across QueryBatch
-// calls, so a steady stream of batches allocates only the trimmed result
-// slices that escape to the caller.
+// neighborPool recycles candidate-ranking buffers across Query and
+// ExactNN calls, so a steady stream of queries allocates only the trimmed
+// result slices that escape to the caller.
 var neighborPool parallel.SlicePool[Neighbor]
-
-// QueryBatch answers several queries in one call: every query is hashed
-// up front on the bulk-hashing path (outside the lock), then candidates
-// for the whole batch are collected and ranked under a single read-lock
-// acquisition, with the candidate buffer reused across queries. Each
-// result is identical to Query on the same vector — the (distance, id)
-// total-order sort makes ranking independent of candidate collection
-// order — so a batch of one degenerates to Query.
-func (ix *Index) QueryBatch(vs [][]float32, k int) [][]Neighbor {
-	out := make([][]Neighbor, len(vs))
-	if len(vs) == 0 || k <= 0 {
-		return out
-	}
-	for _, v := range vs {
-		ix.checkDim(v)
-	}
-	// Bulk hashing: one key slab for the whole batch, fanned out over
-	// queries when the total multiply-add count clears the same cutoff as
-	// hashAll (per-query work times the batch width).
-	nt := ix.cfg.Tables
-	keys := keyPool.Get(nt * len(vs))
-	workers := ix.cfg.Workers
-	if len(vs)*nt*ix.cfg.Bits*ix.cfg.Dim < 1<<17 {
-		workers = 1
-	}
-	parallel.For(workers, len(vs), 1, func(_, start, end int) {
-		for q := start; q < end; q++ {
-			for t := 0; t < nt; t++ {
-				keys[q*nt+t] = ix.Hash(t, vs[q])
-			}
-		}
-	})
-
-	ix.mu.RLock()
-	seen := seenPool.Get(len(ix.slotIDs))
-	scratch := neighborPool.Get(0)
-	for q, v := range vs {
-		neighbors := ix.collectLocked(keys[q*nt:(q+1)*nt], seen, scratch[:0])
-		if cap(neighbors) > cap(scratch) {
-			scratch = neighbors
-		}
-		// Reset only the bits this query set (O(candidates), not O(Len))
-		// before ranking rewrites the slots to public ids.
-		for _, nb := range neighbors {
-			seen[nb.ID] = false
-		}
-		neighbors = ix.preRankLocked(keys[q*nt:(q+1)*nt], neighbors, k)
-		ix.rankLocked(v, neighbors)
-		neighbors = sortAndTrim(neighbors, k)
-		out[q] = append([]Neighbor(nil), neighbors...)
-	}
-	ix.mu.RUnlock()
-	neighborPool.Put(scratch)
-	seenPool.Put(seen)
-	keyPool.Put(keys)
-	return out
-}
 
 // ExactNN returns the true k nearest neighbours by brute force — the
 // accuracy baseline LSH recall is measured against. The distance scan

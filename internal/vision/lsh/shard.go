@@ -53,7 +53,7 @@ func (c ShardConfig) withDefaults() ShardConfig {
 
 // ShardStats counts scatter/gather activity on a ShardedIndex.
 type ShardStats struct {
-	Queries      uint64 // gather operations (single queries and batch members)
+	Queries      uint64 // gather operations
 	ShardQueries uint64 // per-shard fan-out legs issued
 }
 
@@ -326,36 +326,6 @@ func (sx *ShardedIndex) Query(v []float32, k int) []Neighbor {
 		}
 	})
 	out := MergeNeighbors(make([]Neighbor, 0, k), lists, k)
-	listsPool.Put(lists)
-	return out
-}
-
-// QueryBatch answers several queries in one gather: the whole batch is
-// scattered once per shard (amortizing per-shard hashing and locking via
-// Index.QueryBatch), then each query's per-shard lists are merged. Every
-// result equals Query on the same vector.
-func (sx *ShardedIndex) QueryBatch(vs [][]float32, k int) [][]Neighbor {
-	out := make([][]Neighbor, len(vs))
-	if len(vs) == 0 || k <= 0 {
-		return out
-	}
-	topo := sx.snapshot()
-	ns := len(topo.replicas)
-	sx.queries.Add(uint64(len(vs)))
-	sx.legs.Add(uint64(ns))
-	perShard := make([][][]Neighbor, ns)
-	parallel.For(sx.cfg.Workers, ns, 1, func(_, start, end int) {
-		for s := start; s < end; s++ {
-			perShard[s] = sx.replica(topo.replicas[s], s).QueryBatch(vs, k)
-		}
-	})
-	lists := listsPool.Get(ns)
-	for q := range vs {
-		for s := 0; s < ns; s++ {
-			lists[s] = perShard[s][q]
-		}
-		out[q] = MergeNeighbors(make([]Neighbor, 0, k), lists, k)
-	}
 	listsPool.Put(lists)
 	return out
 }

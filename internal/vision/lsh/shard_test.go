@@ -49,7 +49,7 @@ func TestShardOf(t *testing.T) {
 
 // TestShardedMatchesMonolithic is the bit-identity regression: a sharded
 // index over the same reference set must return byte-for-byte the result
-// of the monolithic index for Query, QueryBatch, and ExactNN.
+// of the monolithic index for Query and ExactNN.
 func TestShardedMatchesMonolithic(t *testing.T) {
 	const n, dim = 2000, 32
 	for _, shards := range []int{1, 3, 4, 8} {
@@ -57,10 +57,8 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 		if sx.Len() != mono.Len() {
 			t.Fatalf("shards=%d: Len %d, want %d", shards, sx.Len(), mono.Len())
 		}
-		var batch [][]float32
 		for q := 0; q < 20; q++ {
 			v := randomUnit(rng, dim)
-			batch = append(batch, v)
 			for _, k := range []int{1, 3, 10, 50} {
 				got, want := sx.Query(v, k), mono.Query(v, k)
 				if !reflect.DeepEqual(got, want) {
@@ -70,10 +68,6 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 			if got, want := sx.ExactNN(v, 10), mono.ExactNN(v, 10); !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d: sharded ExactNN diverges", shards)
 			}
-		}
-		got, want := sx.QueryBatch(batch, 10), mono.QueryBatch(batch, 10)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: sharded QueryBatch diverges", shards)
 		}
 	}
 }
@@ -136,7 +130,7 @@ func TestShardedConcurrentMutation(t *testing.T) {
 				default:
 				}
 				sx.Query(randomUnit(rng, dim), 5)
-				sx.QueryBatch([][]float32{randomUnit(rng, dim)}, 3)
+				sx.Query(randomUnit(rng, dim), 3)
 			}
 		}(int64(40 + w))
 	}

@@ -33,20 +33,3 @@ func BenchmarkKernelRatioTest(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkKernelRatioTestBatch measures the batched kernel (one pooled
-// distance matrix per reference object) at batch 8.
-func BenchmarkKernelRatioTestBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(32))
-	queries := make([][]sift.Feature, 8)
-	for i := range queries {
-		queries[i] = randomFeatures(rng, 150)
-	}
-	train := randomFeatures(rng, 150)
-	b.Run("b8xq150xt150", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ratioTestBatch(queries, train, 0.8, 1)
-		}
-	})
-}

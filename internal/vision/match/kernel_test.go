@@ -59,8 +59,8 @@ func matchesEqual(t *testing.T, label string, got, want []Match) {
 }
 
 // TestRatioTestDeferredSqrtMatchesReference pins the deferred-sqrt
-// kernels — serial, parallel, and batch — to the per-pair-sqrt
-// reference scan with exact equality, including the emitted Dist.
+// kernels — serial and parallel — to the per-pair-sqrt reference
+// scan with exact equality, including the emitted Dist.
 func TestRatioTestDeferredSqrtMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 5; trial++ {
@@ -83,9 +83,6 @@ func TestRatioTestDeferredSqrtMatchesReference(t *testing.T) {
 		}
 		matchesEqual(t, "serial", ratioTest(query, train, 0.8, 1), want)
 		matchesEqual(t, "parallel", ratioTest(query, train, 0.8, 4), want)
-		batch := ratioTestBatch([][]sift.Feature{query, query[:20]}, train, 0.8, 1)
-		matchesEqual(t, "batch[0]", batch[0], want)
-		matchesEqual(t, "batch[1]", batch[1], referenceRatioTest(query[:20], train, 0.8))
 	}
 	// Exact-duplicate query/train pairs: best distance 0 must still win
 	// the ratio test when the second-nearest is nonzero.

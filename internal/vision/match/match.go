@@ -86,81 +86,6 @@ func ratioTest(query, train []sift.Feature, ratio float64, workers int) []Match 
 	return out
 }
 
-// distPool recycles the batch distance matrix RatioTestBatch fills, so a
-// steady stream of batches reuses one allocation for all query sets.
-var distPool parallel.SlicePool[float64]
-
-// RatioTestBatch runs the ratio test for several query sets against one
-// train set, reusing a single pooled distance-matrix allocation across
-// the whole batch (sized for the largest query set). Each result is
-// bit-identical to RatioTest on the same query set: distances are the
-// same sift.L2Sq evaluations and best/second selection scans train
-// indices in the same order, so a batch of one degenerates to RatioTest.
-func RatioTestBatch(queries [][]sift.Feature, train []sift.Feature, ratio float64) [][]Match {
-	return ratioTestBatch(queries, train, ratio, 0)
-}
-
-// ratioTestBatch is RatioTestBatch with an explicit worker count — the
-// knob the batch-vs-serial equivalence tests use.
-func ratioTestBatch(queries [][]sift.Feature, train []sift.Feature, ratio float64, workers int) [][]Match {
-	if ratio <= 0 || ratio >= 1 {
-		ratio = 0.8
-	}
-	out := make([][]Match, len(queries))
-	if len(train) < 2 {
-		// Same contract as RatioTest: no second-nearest distance exists,
-		// so every query set yields no verifiable matches.
-		return out
-	}
-	maxQ := 0
-	for _, q := range queries {
-		if len(q) > maxQ {
-			maxQ = len(q)
-		}
-	}
-	dist := distPool.Get(maxQ * len(train))
-	for b, query := range queries {
-		parts := make([][]Match, parallel.Chunks(len(query), ratioGrain))
-		parallel.For(workers, len(query), ratioGrain, func(chunk, start, end int) {
-			var part []Match
-			for qi := start; qi < end; qi++ {
-				// Same deferred-sqrt kernel as ratioTest: the row holds
-				// squared L2 and only the surviving pair is sqrt'd.
-				row := dist[qi*len(train) : (qi+1)*len(train)]
-				for ti := range train {
-					row[ti] = sift.L2Sq(&query[qi].Desc, &train[ti].Desc)
-				}
-				best, second := math.Inf(1), math.Inf(1)
-				bestIdx := -1
-				for ti, d := range row {
-					if d < best {
-						second = best
-						best = d
-						bestIdx = ti
-					} else if d < second {
-						second = d
-					}
-				}
-				if bestIdx < 0 {
-					continue
-				}
-				bestD, secondD := math.Sqrt(best), math.Sqrt(second)
-				if secondD > 0 && bestD < ratio*secondD {
-					part = append(part, Match{QueryIdx: qi, TrainIdx: bestIdx, Dist: bestD})
-				}
-			}
-			parts[chunk] = part
-		})
-		var matches []Match
-		for _, part := range parts {
-			matches = append(matches, part...)
-		}
-		out[b] = matches
-	}
-	distPool.Put(dist)
-	return out
-}
-
 // Point is a 2-D image point.
 type Point struct {
 	X, Y float64

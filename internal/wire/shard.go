@@ -1,11 +1,10 @@
 // Shard scatter/gather frames: the two control messages the matching
 // tier's scatter path exchanges with remote index shards. A shard query
-// carries one descriptor vector (or one member of a descriptor batch)
-// to a single shard replica; a shard result carries that shard's local
-// top-k back. Both share the data sockets with frames and acks,
-// distinguished by their own magics, and both use append-style encoders
-// so a pooled buffer round-trips with zero allocations — the same
-// data-plane discipline as the frame codec.
+// carries one descriptor vector to a single shard replica; a shard
+// result carries that shard's local top-k back. Both share the data
+// sockets with frames and acks, distinguished by their own magics, and
+// both use append-style encoders so a pooled buffer round-trips with
+// zero allocations — the same data-plane discipline as the frame codec.
 package wire
 
 import (

@@ -88,10 +88,6 @@ type (
 	TrainConfig = core.TrainConfig
 	// Processor is one real pipeline service.
 	Processor = core.Processor
-	// BatchHandler is a Processor that also accepts whole micro-batches,
-	// letting the sidecar's deadline-aware batch former amortize
-	// per-dispatch setup across coalesced frames.
-	BatchHandler = core.BatchHandler
 	// Payload is the typed frame content of the real pipeline.
 	Payload = core.Payload
 	// Detection is a recognized/tracked object with bounding box.
