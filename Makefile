@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench ledger bench-vision bench-dataplane bench-routing bench-fastpath bench-autoscale bench-sharding bench-kernels profile-vision fuzz figures examples chaos clean
+.PHONY: all build vet test race cover bench ledger bench-vision bench-dataplane bench-routing bench-autoscale bench-sharding profile-vision fuzz figures examples chaos clean
 
 all: build test
 
@@ -66,14 +66,6 @@ bench-routing:
 	$(GO) test -run '^$$' -bench 'ReplicaPick' -benchmem ./internal/agent \
 		| $(GO) run ./cmd/benchjson -o BENCH_routing.json -note "make bench-routing"
 
-# Tracker-gated fast path: per-frame cost of a full recognition pass vs
-# a gate skip on the synthetic clip, exported to BENCH_fastpath.json
-# (full/tracked sub-benchmarks; the skip answers from the published
-# verdict without running sift→encoding→lsh→matching).
-bench-fastpath:
-	$(GO) test -run '^$$' -bench 'FastPathFrame' -benchmem ./internal/core \
-		| $(GO) run ./cmd/benchjson -o BENCH_fastpath.json -note "make bench-fastpath"
-
 # Closed-loop autoscaling headline: the simulated 4-client saturation
 # ramp under static vs hardware vs qos policies, exported to
 # BENCH_autoscale.json. Per policy: time-to-react (react_s; the full run
@@ -95,18 +87,6 @@ bench-autoscale:
 bench-sharding:
 	$(GO) test -run '^$$' -bench 'Sharding' -benchmem ./internal/vision/lsh \
 		| $(GO) run ./cmd/benchjson -o BENCH_sharding.json -note "make bench-sharding"
-
-# Recognition hot-path distance kernels: exact-mode candidate ranking at
-# 10k/100k candidates (SoA arena + cached norms), the Hamming pre-rank
-# sweep with measured recall@10 per budget, and the deferred-sqrt ratio
-# test — exported to BENCH_kernels.json; compare against the parent
-# commit's run of the same target (the pre-change numbers are in git
-# history). Bit-identity and allocation budgets are enforced as plain
-# tests in `make test`.
-bench-kernels:
-	{ $(GO) test -run '^$$' -bench 'Kernel' -benchmem ./internal/vision/lsh; \
-	  $(GO) test -run '^$$' -bench 'Kernel' -benchmem ./internal/vision/match; } \
-		| $(GO) run ./cmd/benchjson -o BENCH_kernels.json -note "make bench-kernels"
 
 # CPU-profiles the vision kernel benchmarks for flamegraph inspection
 # (see EXPERIMENTS.md): writes cpu_lsh.pprof / cpu_match.pprof; open

@@ -18,10 +18,9 @@ func TestParseLineStandardUnits(t *testing.T) {
 	}
 }
 
-// TestParseLineRecallMetric pins the custom-unit capture the kernel
-// benchmarks rely on: BenchmarkKernelPreRank reports recall@10 via
-// b.ReportMetric, and BENCH_kernels.json must carry it so the committed
-// recall-vs-speedup curve is machine-readable.
+// TestParseLineRecallMetric pins the custom-unit capture: a benchmark
+// that reports a metric of its own via b.ReportMetric (as
+// BenchmarkKernelPreRank does with recall@10) keeps it in the JSON.
 func TestParseLineRecallMetric(t *testing.T) {
 	r, ok := parseLine("BenchmarkKernelPreRank/n=100000/pr=4-8  1296  917955 ns/op  0.994 recall@10  565 B/op  12 allocs/op")
 	if !ok {

@@ -147,7 +147,8 @@ type recognitionCacheSpec struct {
 // sketches) before the exact cosine pass re-ranks the survivors. 0
 // (default) is exact mode — every candidate cosine-ranked, bit-identical
 // results. 4 is the recommended trimming setting (recall@10 ≥ 0.95 on
-// clustered reference sets; see BENCH_kernels.json). The setting
+// clustered reference sets; see EXPERIMENTS.md, "Distance kernels &
+// Hamming pre-ranking"). The setting
 // propagates into shard replicas when sharding is enabled.
 type lshSpec struct {
 	PreRank int `json:"pre_rank,omitempty"`

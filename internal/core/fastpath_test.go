@@ -422,7 +422,8 @@ func TestSimFastPathDisabledUnchanged(t *testing.T) {
 }
 
 // BenchmarkFastPathFrame compares the per-frame cost of a full
-// recognition pass against a tracker-gated skip (make bench-fastpath).
+// recognition pass against a tracker-gated skip (fastpath.full_ms and
+// fastpath.skip_ms on the ledger).
 func BenchmarkFastPathFrame(b *testing.B) {
 	m, gen := trainedModel(b)
 
@@ -484,4 +485,29 @@ func BenchmarkFastPathFrame(b *testing.B) {
 func bytesHasFastPath(payload []byte) bool {
 	p, err := DecodePayload(payload)
 	return err == nil && p.FastPath
+}
+
+// A full recognition pass — decode, resize, detect, encode, query, match,
+// track, five payload hops — made 15 809 allocations before the matching
+// solver moved onto the stack and the codec sized its buffers; what is
+// left is the pyramid's images, the per-candidate feature lists and the
+// worker pool's fan-out, which grows with GOMAXPROCS.
+func TestFullPassAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is unreliable under -race")
+	}
+	const budget = 1500
+	m, gen := trainedModel(t)
+	procs := NewProcessors(m, true, 320, 180)
+	src := clientFrame(t, gen, 1, 1, 0)
+	frameNo := uint64(0)
+	allocs := testing.AllocsPerRun(5, func() {
+		fr := src.Clone()
+		frameNo++
+		fr.FrameNo = frameNo
+		runPipeline(t, procs, fr)
+	})
+	if allocs > budget {
+		t.Errorf("full pass allocates %v times, budget %d", allocs, budget)
+	}
 }

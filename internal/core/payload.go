@@ -82,71 +82,101 @@ const (
 // ErrBadPayload reports a malformed payload encoding.
 var ErrBadPayload = errors.New("core: bad payload")
 
-// Encode serializes the payload (little-endian, length-prefixed).
+// Wire sizes of the fixed-width records.
+const (
+	keypointBytes   = 4 * 4
+	descriptorBytes = 4 * sift.DescriptorSize
+	candidateBytes  = 4 * 2
+	detectionBytes  = 4 * 6
+)
+
+// Encode serializes the payload (little-endian, length-prefixed) into one
+// exactly sized allocation.
 func (p *Payload) Encode() []byte {
 	var flags byte
+	size := 1
 	if p.Image != nil {
 		flags |= secImage
+		size += 8 + len(p.Image.Pix)
 	}
 	if p.Features != nil {
 		flags |= secFeatures
+		size += 4 + keypointBytes*len(p.Features.Keypoints) + descriptorBytes*len(p.Features.Descriptors)
 	}
 	if p.Fisher != nil {
 		flags |= secFisher
+		size += 4 + 4*len(p.Fisher)
 	}
 	if p.Candidates != nil {
 		flags |= secCandidates
+		size += 4 + candidateBytes*len(p.Candidates)
 	}
 	if p.Detections != nil {
 		flags |= secDetections
+		size += 4 + detectionBytes*len(p.Detections)
 	}
 	if p.FastPath {
 		flags |= secFastPath
 	}
-	buf := []byte{flags}
+	out := make([]byte, size)
+	out[0] = flags
+	buf := out[1:] // what is left to fill
 	le := binary.LittleEndian
 	if p.Image != nil {
-		buf = le.AppendUint32(buf, uint32(p.Image.W))
-		buf = le.AppendUint32(buf, uint32(p.Image.H))
-		buf = append(buf, p.Image.Pix...)
+		le.PutUint32(buf, uint32(p.Image.W))
+		le.PutUint32(buf[4:], uint32(p.Image.H))
+		copy(buf[8:], p.Image.Pix)
+		buf = buf[8+len(p.Image.Pix):]
 	}
 	if p.Features != nil {
-		buf = le.AppendUint32(buf, uint32(len(p.Features.Keypoints)))
+		le.PutUint32(buf, uint32(len(p.Features.Keypoints)))
+		buf = buf[4:]
 		for _, kp := range p.Features.Keypoints {
-			buf = le.AppendUint32(buf, math.Float32bits(kp.X))
-			buf = le.AppendUint32(buf, math.Float32bits(kp.Y))
-			buf = le.AppendUint32(buf, math.Float32bits(kp.Sigma))
-			buf = le.AppendUint32(buf, math.Float32bits(kp.Orientation))
+			buf = putFloats(buf, kp.X, kp.Y, kp.Sigma, kp.Orientation)
 		}
-		for _, d := range p.Features.Descriptors {
-			for _, v := range d {
-				buf = le.AppendUint32(buf, math.Float32bits(v))
-			}
+		for i := range p.Features.Descriptors {
+			buf = putFloats(buf, p.Features.Descriptors[i][:]...)
 		}
 	}
 	if p.Fisher != nil {
-		buf = le.AppendUint32(buf, uint32(len(p.Fisher)))
-		for _, v := range p.Fisher {
-			buf = le.AppendUint32(buf, math.Float32bits(v))
-		}
+		le.PutUint32(buf, uint32(len(p.Fisher)))
+		buf = putFloats(buf[4:], p.Fisher...)
 	}
 	if p.Candidates != nil {
-		buf = le.AppendUint32(buf, uint32(len(p.Candidates)))
+		le.PutUint32(buf, uint32(len(p.Candidates)))
+		buf = buf[4:]
 		for _, c := range p.Candidates {
-			buf = le.AppendUint32(buf, uint32(c.ObjectID))
-			buf = le.AppendUint32(buf, math.Float32bits(c.Dist))
+			le.PutUint32(buf, uint32(c.ObjectID))
+			buf = putFloats(buf[4:], c.Dist)
 		}
 	}
 	if p.Detections != nil {
-		buf = le.AppendUint32(buf, uint32(len(p.Detections)))
+		le.PutUint32(buf, uint32(len(p.Detections)))
+		buf = buf[4:]
 		for _, d := range p.Detections {
-			buf = le.AppendUint32(buf, uint32(d.ObjectID))
-			for _, v := range []float32{d.MinX, d.MinY, d.MaxX, d.MaxY, d.InlierFrac} {
-				buf = le.AppendUint32(buf, math.Float32bits(v))
-			}
+			le.PutUint32(buf, uint32(d.ObjectID))
+			buf = putFloats(buf[4:], d.MinX, d.MinY, d.MaxX, d.MaxY, d.InlierFrac)
 		}
 	}
-	return buf
+	return out
+}
+
+// putFloats writes vs at the front of buf and returns the rest of buf.
+func putFloats(buf []byte, vs ...float32) []byte {
+	dst := buf[:4*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	}
+	return buf[len(dst):]
+}
+
+// getFloats fills dst from the front of buf, which must hold 4·len(dst)
+// bytes.
+func getFloats(dst []float32, buf []byte) {
+	buf = buf[:4*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	}
 }
 
 type payloadReader struct {
@@ -172,11 +202,6 @@ func (r *payloadReader) u32() (uint32, error) {
 	return v, nil
 }
 
-func (r *payloadReader) f32() (float32, error) {
-	v, err := r.u32()
-	return math.Float32frombits(v), err
-}
-
 func (r *payloadReader) bytes(n int) ([]byte, error) {
 	if n < 0 || r.off+n > len(r.buf) {
 		return nil, ErrBadPayload
@@ -184,6 +209,22 @@ func (r *payloadReader) bytes(n int) ([]byte, error) {
 	v := r.buf[r.off : r.off+n]
 	r.off += n
 	return v, nil
+}
+
+// count reads a section's element count, rejects one above limit, and
+// returns the section's n·elemBytes body — checked against what data
+// holds before the caller allocates anything for it, so a short datagram
+// cannot make the decoder allocate for the count it claims.
+func (r *payloadReader) count(limit uint32, elemBytes int, what string) (int, []byte, error) {
+	n, err := r.u32()
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > limit {
+		return 0, nil, fmt.Errorf("%w: %d %s", ErrBadPayload, n, what)
+	}
+	body, err := r.bytes(int(n) * elemBytes)
+	return int(n), body, err
 }
 
 // DecodePayload parses an encoded payload. The result shares no memory
@@ -202,6 +243,7 @@ func decodePayload(data []byte, borrowImage bool) (*Payload, error) {
 		return nil, err
 	}
 	p := &Payload{FastPath: flags&secFastPath != 0}
+	le := binary.LittleEndian
 	if flags&secImage != 0 {
 		w, err := r.u32()
 		if err != nil {
@@ -224,89 +266,60 @@ func decodePayload(data []byte, borrowImage bool) (*Payload, error) {
 		p.Image = &ImagePayload{W: int(w), H: int(h), Pix: pix}
 	}
 	if flags&secFeatures != 0 {
-		n, err := r.u32()
+		n, body, err := r.count(maxFeatureCount, keypointBytes+descriptorBytes, "features")
 		if err != nil {
 			return nil, err
-		}
-		if n > maxFeatureCount {
-			return nil, fmt.Errorf("%w: %d features", ErrBadPayload, n)
 		}
 		f := &Features{
 			Keypoints:   make([]FeatureKeypoint, n),
 			Descriptors: make([]sift.Descriptor, n),
 		}
 		for i := range f.Keypoints {
-			kp := &f.Keypoints[i]
-			for _, dst := range []*float32{&kp.X, &kp.Y, &kp.Sigma, &kp.Orientation} {
-				if *dst, err = r.f32(); err != nil {
-					return nil, err
-				}
-			}
+			var kp [4]float32
+			getFloats(kp[:], body[keypointBytes*i:])
+			f.Keypoints[i] = FeatureKeypoint{X: kp[0], Y: kp[1], Sigma: kp[2], Orientation: kp[3]}
 		}
+		body = body[keypointBytes*n:]
 		for i := range f.Descriptors {
-			for j := 0; j < sift.DescriptorSize; j++ {
-				if f.Descriptors[i][j], err = r.f32(); err != nil {
-					return nil, err
-				}
-			}
+			getFloats(f.Descriptors[i][:], body[descriptorBytes*i:])
 		}
 		p.Features = f
 	}
 	if flags&secFisher != 0 {
-		n, err := r.u32()
+		n, body, err := r.count(maxVectorLen, 4, "fisher components")
 		if err != nil {
 			return nil, err
-		}
-		if n > maxVectorLen {
-			return nil, fmt.Errorf("%w: fisher vector of %d", ErrBadPayload, n)
 		}
 		p.Fisher = make([]float32, n)
-		for i := range p.Fisher {
-			if p.Fisher[i], err = r.f32(); err != nil {
-				return nil, err
-			}
-		}
+		getFloats(p.Fisher, body)
 	}
 	if flags&secCandidates != 0 {
-		n, err := r.u32()
+		n, body, err := r.count(maxListLen, candidateBytes, "candidates")
 		if err != nil {
 			return nil, err
-		}
-		if n > maxListLen {
-			return nil, fmt.Errorf("%w: %d candidates", ErrBadPayload, n)
 		}
 		p.Candidates = make([]Candidate, n)
 		for i := range p.Candidates {
-			id, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			p.Candidates[i].ObjectID = int32(id)
-			if p.Candidates[i].Dist, err = r.f32(); err != nil {
-				return nil, err
+			rec := body[candidateBytes*i:][:candidateBytes]
+			p.Candidates[i] = Candidate{
+				ObjectID: int32(le.Uint32(rec)),
+				Dist:     math.Float32frombits(le.Uint32(rec[4:])),
 			}
 		}
 	}
 	if flags&secDetections != 0 {
-		n, err := r.u32()
+		n, body, err := r.count(maxListLen, detectionBytes, "detections")
 		if err != nil {
 			return nil, err
 		}
-		if n > maxListLen {
-			return nil, fmt.Errorf("%w: %d detections", ErrBadPayload, n)
-		}
 		p.Detections = make([]Detection, n)
 		for i := range p.Detections {
-			id, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			d := &p.Detections[i]
-			d.ObjectID = int32(id)
-			for _, dst := range []*float32{&d.MinX, &d.MinY, &d.MaxX, &d.MaxY, &d.InlierFrac} {
-				if *dst, err = r.f32(); err != nil {
-					return nil, err
-				}
+			rec := body[detectionBytes*i:][:detectionBytes]
+			var v [5]float32
+			getFloats(v[:], rec[4:])
+			p.Detections[i] = Detection{
+				ObjectID: int32(le.Uint32(rec)),
+				MinX:     v[0], MinY: v[1], MaxX: v[2], MaxY: v[3], InlierFrac: v[4],
 			}
 		}
 	}

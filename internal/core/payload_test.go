@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -113,6 +116,119 @@ func TestPayloadDecodeTruncated(t *testing.T) {
 		if _, err := DecodePayload(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded", cut)
 		}
+	}
+}
+
+// codecCases is one valid payload per section, plus the flag-only and the
+// all-sections ones.
+func codecCases() map[string]*Payload {
+	full := samplePayload()
+	return map[string]*Payload{
+		"image":      {Image: full.Image},
+		"features":   {Features: full.Features},
+		"fisher":     {Fisher: full.Fisher},
+		"candidates": {Candidates: full.Candidates},
+		"detections": {Detections: full.Detections},
+		"fast-path":  {Detections: full.Detections, FastPath: true},
+		"flag-only":  {FastPath: true},
+		"full":       full,
+	}
+}
+
+// Every strict prefix of a valid encoding leaves a section it announces
+// short, so it must be refused as ErrBadPayload — and never by panicking.
+func TestPayloadDecodeRejectsEveryPrefix(t *testing.T) {
+	for name, p := range codecCases() {
+		enc := p.Encode()
+		if got, err := DecodePayload(enc); err != nil || !payloadsEqual(p, got) || got.FastPath != p.FastPath {
+			t.Fatalf("%s: whole encoding does not round-trip (err %v)", name, err)
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			if _, err := DecodePayload(enc[:cut]); !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("%s: prefix of %d/%d bytes: err = %v, want ErrBadPayload", name, cut, len(enc), err)
+			}
+			if _, err := decodePayload(enc[:cut], true); !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("%s: borrowing decode of a %d/%d-byte prefix: err = %v, want ErrBadPayload", name, cut, len(enc), err)
+			}
+		}
+	}
+}
+
+// A length field one past its limit is refused whatever follows it, and a
+// length within its limit whose bytes are missing is refused before
+// anything is allocated for it: a 5-byte datagram claiming 2^20 features
+// used to cost a 553 MB allocation on its way to the error.
+func TestPayloadDecodeRejectsOversizedCounts(t *testing.T) {
+	header := func(flag byte, fields ...uint32) []byte {
+		buf := []byte{flag}
+		for _, f := range fields {
+			buf = binary.LittleEndian.AppendUint32(buf, f)
+		}
+		return buf
+	}
+	padding := make([]byte, 4096)
+	for name, hdr := range map[string][]byte{
+		"image area":  header(secImage, 1<<13+1, 1<<13),
+		"image width": header(secImage, 1<<31, 1<<31),
+		"features":    header(secFeatures, maxFeatureCount+1),
+		"fisher":      header(secFisher, maxVectorLen+1),
+		"candidates":  header(secCandidates, maxListLen+1),
+		"detections":  header(secDetections, maxListLen+1),
+		"wrapped":     header(secFeatures, 1<<32-1),
+	} {
+		for _, data := range [][]byte{hdr, append(hdr[:len(hdr):len(hdr)], padding...)} {
+			if _, err := DecodePayload(data); !errors.Is(err, ErrBadPayload) {
+				t.Errorf("%s (%d bytes): err = %v, want ErrBadPayload", name, len(data), err)
+			}
+		}
+	}
+	if raceEnabled {
+		return // allocation accounting is unreliable under -race
+	}
+	for name, hdr := range map[string][]byte{
+		"features":   header(secFeatures, maxFeatureCount),
+		"fisher":     header(secFisher, maxVectorLen),
+		"candidates": header(secCandidates, maxListLen),
+		"detections": header(secDetections, maxListLen),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodePayload(hdr)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadPayload) {
+			t.Errorf("%s at its limit with no body: err = %v, want ErrBadPayload", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+			t.Errorf("%s at its limit with no body: decoder allocated %d bytes for a %d-byte input", name, got, len(hdr))
+		}
+	}
+}
+
+// The codec's allocation budget: Encode sizes its buffer exactly, and a
+// features payload decodes into the payload, the section and its two
+// arrays.
+func TestPayloadCodecAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is unreliable under -race")
+	}
+	f := &Features{Keypoints: make([]FeatureKeypoint, 115), Descriptors: make([]sift.Descriptor, 115)}
+	for name, p := range map[string]*Payload{
+		"features": {Features: f},
+		"matching": {Features: f, Candidates: make([]Candidate, 3)},
+		"result":   {Detections: make([]Detection, 2)},
+		"full":     samplePayload(),
+	} {
+		var enc []byte
+		if got := testing.AllocsPerRun(50, func() { enc = p.Encode() }); got != 1 {
+			t.Errorf("%s: Encode allocates %v times, want 1", name, got)
+		}
+		if len(enc) != cap(enc) {
+			t.Errorf("%s: Encode returned %d bytes in a %d-byte buffer", name, len(enc), cap(enc))
+		}
+	}
+	enc := (&Payload{Features: f}).Encode()
+	if got := testing.AllocsPerRun(50, func() { _, _ = DecodePayload(enc) }); got > 5 {
+		t.Errorf("DecodePayload of a features payload allocates %v times, budget 5", got)
 	}
 }
 

@@ -138,10 +138,7 @@ func (s *Primary) Process(fr *wire.Frame) error {
 // rounding back to 8 bits — but converts only the source pixels the
 // samples touch instead of the whole source image.
 func resizeImage(ip *ImagePayload, w, h int) *ImagePayload {
-	var unit [256]float32
-	for v := range unit {
-		unit[v] = float32(v) / 255
-	}
+	unit := &unitIntensity
 	// sample returns, for destination index i along an axis of n source
 	// pixels at scale source pixels per destination pixel, the two
 	// clamped source indices it interpolates and the second's weight.
@@ -172,10 +169,19 @@ func resizeImage(ip *ImagePayload, w, h int) *ImagePayload {
 	return out
 }
 
+// unitIntensity maps an 8-bit pixel to its [0, 1] intensity,
+// float32(v)/255.
+var unitIntensity = func() (unit [256]float32) {
+	for v := range unit {
+		unit[v] = float32(v) / 255
+	}
+	return unit
+}()
+
 func payloadToGray(ip *ImagePayload) *imgproc.Gray {
 	g := imgproc.NewGray(ip.W, ip.H)
 	for i, v := range ip.Pix {
-		g.Pix[i] = float32(v) / 255
+		g.Pix[i] = unitIntensity[v]
 	}
 	return g
 }
@@ -335,7 +341,12 @@ func (s *SIFT) StateCount() int {
 
 // Process implements Processor.
 func (s *SIFT) Process(fr *wire.Frame) error {
-	p, err := decodeFor(fr, wire.StepSIFT)
+	if err := checkStep(fr, wire.StepSIFT); err != nil {
+		return err
+	}
+	// As at primary, the pixels are read (into the float image) before
+	// advance replaces fr.Payload, so the decode borrows them.
+	p, err := decodePayload(fr.Payload, true)
 	if err != nil {
 		return err
 	}
@@ -427,9 +438,14 @@ func (s *Encoding) Process(fr *wire.Frame) error {
 }
 
 func (s *Encoding) encodeFeatures(f *Features) []float32 {
+	// One buffer for every reduced descriptor; reduced[i] is a window
+	// into it.
+	k := s.proj.K
+	flat := make([]float32, k*len(f.Descriptors))
 	reduced := make([][]float32, len(f.Descriptors))
 	for i := range f.Descriptors {
-		reduced[i] = s.proj.Project(f.Descriptors[i][:])
+		reduced[i] = flat[i*k : (i+1)*k : (i+1)*k]
+		s.proj.ProjectInto(reduced[i], f.Descriptors[i][:])
 	}
 	return s.enc.Encode(reduced)
 }
@@ -624,18 +640,20 @@ func (s *Matching) Process(fr *wire.Frame) error {
 			return err
 		}
 	}
-	query := featuresToSIFT(feats)
+	sc := matchScratchPool.Get().(*matchScratch)
+	query := sc.featuresToSIFT(feats)
 	var detections []match.Detection
 	for _, cand := range p.Candidates {
 		ref, ok := s.refs[cand.ObjectID]
 		if !ok {
 			continue
 		}
-		det, ok := s.matchObject(query, ref)
+		det, ok := s.matchObject(sc, query, ref)
 		if ok {
 			detections = append(detections, det)
 		}
 	}
+	matchScratchPool.Put(sc)
 	s.track(fr, detections)
 	return nil
 }
@@ -694,19 +712,29 @@ func (s *Matching) sweepTrackersLocked(now time.Time) {
 	}
 }
 
-func (s *Matching) matchObject(query []sift.Feature, ref *ReferenceObject) (match.Detection, bool) {
+// matchScratch is what one Matching.Process call needs and nothing
+// outlives: the frame's features in the matcher's form and the matched
+// point pairs handed to RANSAC.
+type matchScratch struct {
+	query    []sift.Feature
+	src, dst []match.Point
+}
+
+var matchScratchPool = sync.Pool{New: func() any { return new(matchScratch) }}
+
+func (s *Matching) matchObject(sc *matchScratch, query []sift.Feature, ref *ReferenceObject) (match.Detection, bool) {
 	matches := match.RatioTest(query, ref.Features, s.ratio)
 	if len(matches) < s.ransac.MinInliers {
 		return match.Detection{}, false
 	}
-	src := make([]match.Point, len(matches))
-	dst := make([]match.Point, len(matches))
-	for i, m := range matches {
-		rf := ref.Features[m.TrainIdx]
-		qf := query[m.QueryIdx]
-		src[i] = match.Point{X: rf.X, Y: rf.Y}
-		dst[i] = match.Point{X: qf.X, Y: qf.Y}
+	src, dst := sc.src[:0], sc.dst[:0]
+	for _, m := range matches {
+		rf := &ref.Features[m.TrainIdx]
+		qf := &query[m.QueryIdx]
+		src = append(src, match.Point{X: rf.X, Y: rf.Y})
+		dst = append(dst, match.Point{X: qf.X, Y: qf.Y})
 	}
+	sc.src, sc.dst = src, dst
 	res, err := match.EstimateHomographyRANSAC(src, dst, s.ransac)
 	if err != nil {
 		return match.Detection{}, false
@@ -719,16 +747,19 @@ func (s *Matching) matchObject(query []sift.Feature, ref *ReferenceObject) (matc
 	}, true
 }
 
-func featuresToSIFT(f *Features) []sift.Feature {
-	out := make([]sift.Feature, len(f.Keypoints))
+// featuresToSIFT converts the wire features into the scratch's query
+// slice, valid until the scratch goes back to the pool.
+func (sc *matchScratch) featuresToSIFT(f *Features) []sift.Feature {
+	if cap(sc.query) < len(f.Keypoints) {
+		sc.query = make([]sift.Feature, len(f.Keypoints))
+	}
+	out := sc.query[:len(f.Keypoints)]
 	for i, kp := range f.Keypoints {
-		out[i] = sift.Feature{
-			Keypoint: sift.Keypoint{
-				X: float64(kp.X), Y: float64(kp.Y),
-				Sigma: float64(kp.Sigma), Orientation: float64(kp.Orientation),
-			},
-			Desc: f.Descriptors[i],
+		out[i].Keypoint = sift.Keypoint{
+			X: float64(kp.X), Y: float64(kp.Y),
+			Sigma: float64(kp.Sigma), Orientation: float64(kp.Orientation),
 		}
+		out[i].Desc = f.Descriptors[i]
 	}
 	return out
 }

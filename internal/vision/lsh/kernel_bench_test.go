@@ -7,10 +7,10 @@ import (
 
 // Kernel benchmarks isolate the recognition hot path's distance kernels
 // from bucket probing and sorting, at the candidate counts the paper's
-// recognition tier sees at scale (BENCH_kernels.json; the pre-change
-// run is in git history). Workers is pinned to 1 so the rows measure
-// single-core kernel cost, not pool scaling — that is the per-node
-// client ceiling the orchestrator divides by.
+// recognition tier sees at scale (vision.lsh.query_ms on the ledger is
+// the same path at the deployed size). Workers is pinned to 1 so the
+// rows measure single-core kernel cost, not pool scaling — that is the
+// per-node client ceiling the orchestrator divides by.
 
 const kernelBenchDim = 64
 
@@ -74,8 +74,8 @@ func BenchmarkKernelQuery(b *testing.B) {
 // sketch. The pr=0 row times exact mode on the *same* index, so the
 // pre-rank speedup is read off within this table, and each pr>0 row
 // reports recall@10 against those exact results — computed outside the
-// timed loop over the same query set — alongside query latency, so
-// BENCH_kernels.json carries the full recall-vs-speedup curve.
+// timed loop over the same query set — alongside query latency: the
+// recall-vs-speedup curve EXPERIMENTS.md quotes.
 func BenchmarkKernelPreRank(b *testing.B) {
 	const dim, n, k = 64, 100_000, 10
 	rng := rand.New(rand.NewSource(int64(n) + 200))

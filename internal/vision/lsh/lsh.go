@@ -395,29 +395,65 @@ func CosineDistance(a, b []float32) float64 {
 // rankGrain is the candidate granularity of parallel distance ranking.
 const rankGrain = 32
 
+// cosineFromDot finishes a cosine distance from the query·reference dot
+// product and the two squared norms; a zero vector on either side is at
+// distance 1 from everything.
+func cosineFromDot(dot, qn, nb float64) float64 {
+	if qn == 0 || nb == 0 {
+		return 1
+	}
+	return 1 - dot/math.Sqrt(qn*nb)
+}
+
+// dot4 returns the dot products of v with four equally long rows in one
+// sweep over v. Each product accumulates on its own, in index order, so
+// every result is the one a single-row loop would give.
+func dot4(v, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float64) {
+	r0, r1, r2, r3 = r0[:len(v)], r1[:len(v)], r2[:len(v)], r3[:len(v)]
+	for i, x := range v {
+		f := float64(x)
+		d0 += f * float64(r0[i])
+		d1 += f * float64(r1[i])
+		d2 += f * float64(r2[i])
+		d3 += f * float64(r3[i])
+	}
+	return
+}
+
+// dot1 is the single-row dot product dot4's remainder rows use.
+func dot1(v, r []float32) (d float64) {
+	r = r[:len(v)]
+	for i, x := range v {
+		d += float64(x) * float64(r[i])
+	}
+	return
+}
+
 // rankRange ranks candidates neighbors[start:end], whose ID field holds
-// arena slots on entry: one dot-product pass over the contiguous arena
-// row per candidate against the Add-time norm cache and the hoisted
-// query norm qn, then the slot is rewritten to the public id. The dot
-// accumulates in index order and the norms accumulate per vector in
+// arena slots on entry: a dot-product pass over the contiguous arena rows
+// of four candidates at a time against the Add-time norm cache and the
+// hoisted query norm qn, then the slot is rewritten to the public id. The
+// dot accumulates in index order and the norms accumulate per vector in
 // index order — the same three float64 reduction sequences
 // CosineDistance runs in one loop — so the distance is bit-identical to
 // the fused computation.
 func (ix *Index) rankRange(v []float32, qn float64, neighbors []Neighbor, start, end int) {
 	dim := ix.cfg.Dim
-	for i := start; i < end; i++ {
+	row := func(slot int) []float32 { return ix.arena[slot*dim : (slot+1)*dim] }
+	finish := func(i int, dot float64) {
 		slot := neighbors[i].ID
-		ref := ix.arena[slot*dim : (slot+1)*dim]
-		var dot float64
-		for d, x := range v {
-			dot += float64(x) * float64(ref[d])
-		}
-		nb := ix.normsSq[slot]
-		d := 1.0
-		if qn != 0 && nb != 0 {
-			d = 1 - dot/math.Sqrt(qn*nb)
-		}
-		neighbors[i] = Neighbor{ID: ix.slotIDs[slot], Dist: d}
+		neighbors[i] = Neighbor{ID: ix.slotIDs[slot], Dist: cosineFromDot(dot, qn, ix.normsSq[slot])}
+	}
+	i := start
+	for ; i+4 <= end; i += 4 {
+		d0, d1, d2, d3 := dot4(v, row(neighbors[i].ID), row(neighbors[i+1].ID), row(neighbors[i+2].ID), row(neighbors[i+3].ID))
+		finish(i, d0)
+		finish(i+1, d1)
+		finish(i+2, d2)
+		finish(i+3, d3)
+	}
+	for ; i < end; i++ {
+		finish(i, dot1(v, row(neighbors[i].ID)))
 	}
 }
 
@@ -439,38 +475,15 @@ func (ix *Index) rankLocked(v []float32, neighbors []Neighbor) {
 	})
 }
 
-// rankAllRange ranks stored slots [start, end) into neighbors: pure
-// arena streaming in slot order, no id→slot lookups.
-func (ix *Index) rankAllRange(v []float32, qn float64, neighbors []Neighbor, start, end int) {
-	dim := ix.cfg.Dim
-	for s := start; s < end; s++ {
-		ref := ix.arena[s*dim : (s+1)*dim]
-		var dot float64
-		for d, x := range v {
-			dot += float64(x) * float64(ref[d])
-		}
-		nb := ix.normsSq[s]
-		d := 1.0
-		if qn != 0 && nb != 0 {
-			d = 1 - dot/math.Sqrt(qn*nb)
-		}
-		neighbors[s] = Neighbor{ID: ix.slotIDs[s], Dist: d}
-	}
-}
-
-// rankAllLocked ranks every stored item in slot order into neighbors
-// (length Len) — the ExactNN fast path. The serial path runs inline (no
-// closure — zero allocations). Callers must hold at least a read lock.
+// rankAllLocked ranks every stored item into neighbors (length Len) —
+// the ExactNN path: every slot is a candidate, listed in slot order, so
+// the rank kernel streams the arena front to back. Callers must hold at
+// least a read lock.
 func (ix *Index) rankAllLocked(v []float32, neighbors []Neighbor) {
-	qn := normSq(v)
-	n := len(neighbors)
-	if ix.cfg.Workers == 1 || n <= rankGrain {
-		ix.rankAllRange(v, qn, neighbors, 0, n)
-		return
+	for s := range neighbors {
+		neighbors[s].ID = s
 	}
-	parallel.For(ix.cfg.Workers, n, rankGrain, func(_, start, end int) {
-		ix.rankAllRange(v, qn, neighbors, start, end)
-	})
+	ix.rankLocked(v, neighbors)
 }
 
 // preRankLocked cuts the candidate set (ID holds arena slots) to
@@ -614,27 +627,30 @@ func insertionSortNeighbors(a []Neighbor, lo, hi int) {
 // candidate-collection path.
 var seenPool parallel.SlicePool[bool]
 
-// collectLocked appends the deduplicated candidate slots of the query
+// collectLocked gathers the deduplicated candidate slots of the query
 // whose per-table bucket keys are keys — the exact buckets plus
-// single-bit-flip probe buckets — as Neighbor{ID: slot} entries onto
-// dst. seen must be a zeroed bitmap of at least Len bools; it is left
-// with the collected slots set. Callers must hold at least a read lock.
+// single-bit-flip probe buckets — and appends them to dst as
+// Neighbor{ID: slot} entries in ascending slot order, so the ranking
+// passes walk the arena and the sketch slab forwards. Every ranking is
+// under a total order ((Hamming, slot), then (distance, id)), so the
+// order candidates are listed in never shows in a result. seen must be a
+// zeroed bitmap of Len bools; it is left with the collected slots set.
+// Callers must hold at least a read lock.
 func (ix *Index) collectLocked(keys []uint64, seen []bool, dst []Neighbor) []Neighbor {
 	for t := range ix.tables {
 		key := keys[t]
 		for _, s := range ix.tables[t][key] {
-			if !seen[s] {
-				seen[s] = true
-				dst = append(dst, Neighbor{ID: s})
-			}
+			seen[s] = true
 		}
 		for p := 0; p < ix.cfg.Probes && p < ix.cfg.Bits; p++ {
 			for _, s := range ix.tables[t][key^(1<<uint(p))] {
-				if !seen[s] {
-					seen[s] = true
-					dst = append(dst, Neighbor{ID: s})
-				}
+				seen[s] = true
 			}
+		}
+	}
+	for s, hit := range seen {
+		if hit {
+			dst = append(dst, Neighbor{ID: s})
 		}
 	}
 	return dst

@@ -47,25 +47,14 @@ func ratioTest(query, train []sift.Feature, ratio float64, workers int) []Match 
 	}
 	parts := make([][]Match, parallel.Chunks(len(query), ratioGrain))
 	parallel.For(workers, len(query), ratioGrain, func(chunk, start, end int) {
-		var out []Match
+		out := make([]Match, 0, end-start)
 		for qi := start; qi < end; qi++ {
 			// Deferred sqrt: best/second are tracked as squared L2 — sqrt
 			// is monotone, so the selection picks the same pair — and only
 			// the two survivors are sqrt'd, turning |train| sqrts per query
 			// feature into two. The emitted Dist and the ratio comparison
 			// use the sqrt'd values, so output matches a per-pair-L2 scan.
-			best, second := math.Inf(1), math.Inf(1)
-			bestIdx := -1
-			for ti := range train {
-				d := sift.L2Sq(&query[qi].Desc, &train[ti].Desc)
-				if d < best {
-					second = best
-					best = d
-					bestIdx = ti
-				} else if d < second {
-					second = d
-				}
-			}
+			best, second, bestIdx := nearestTwo(&query[qi].Desc, train)
 			if bestIdx < 0 {
 				continue
 			}
@@ -79,11 +68,60 @@ func ratioTest(query, train []sift.Feature, ratio float64, workers int) []Match 
 		}
 		parts[chunk] = out
 	})
-	var out []Match
+	total := 0
+	for _, part := range parts {
+		total += len(part)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]Match, 0, total)
 	for _, part := range parts {
 		out = append(out, part...)
 	}
 	return out
+}
+
+// nearestTwo returns the smallest and second-smallest squared L2 distance
+// from q to the train descriptors and the index of the nearest (-1 when
+// no distance is below +Inf). It sweeps four train rows per pass over q,
+// each with its own accumulator summing in sift.L2Sq's order, and offers
+// the four distances to the selection in train order — the distances and
+// the choice are those of one sift.L2Sq call per row.
+func nearestTwo(q *sift.Descriptor, train []sift.Feature) (best, second float64, bestIdx int) {
+	best, second, bestIdx = math.Inf(1), math.Inf(1), -1
+	offer := func(d float64, ti int) {
+		if d < best {
+			second = best
+			best = d
+			bestIdx = ti
+		} else if d < second {
+			second = d
+		}
+	}
+	ti := 0
+	for ; ti+4 <= len(train); ti += 4 {
+		t0, t1, t2, t3 := &train[ti].Desc, &train[ti+1].Desc, &train[ti+2].Desc, &train[ti+3].Desc
+		var d0, d1, d2, d3 float64
+		for i, v := range q {
+			e0 := float64(v - t0[i])
+			e1 := float64(v - t1[i])
+			e2 := float64(v - t2[i])
+			e3 := float64(v - t3[i])
+			d0 += e0 * e0
+			d1 += e1 * e1
+			d2 += e2 * e2
+			d3 += e3 * e3
+		}
+		offer(d0, ti)
+		offer(d1, ti+1)
+		offer(d2, ti+2)
+		offer(d3, ti+3)
+	}
+	for ; ti < len(train); ti++ {
+		offer(sift.L2Sq(q, &train[ti].Desc), ti)
+	}
+	return best, second, bestIdx
 }
 
 // Point is a 2-D image point.
@@ -143,10 +181,11 @@ func (h *Homography) normalize() {
 // singular system).
 var ErrDegenerate = errors.New("match: degenerate correspondence set")
 
-// solveLinear solves the n×n system a·x = b in place using Gaussian
-// elimination with partial pivoting. Returns false if singular.
-func solveLinear(a [][]float64, b []float64) ([]float64, bool) {
-	n := len(a)
+// solveLinear solves the 8×8 system a·x = b by Gaussian elimination with
+// partial pivoting, overwriting a and b. It reports false if the system is
+// singular.
+func solveLinear(a *[8][8]float64, b *[8]float64) (x [8]float64, ok bool) {
+	const n = 8
 	for col := 0; col < n; col++ {
 		// Pivot.
 		pivot := col
@@ -161,23 +200,24 @@ func solveLinear(a [][]float64, b []float64) ([]float64, bool) {
 		// coordinates) also reports singular instead of silently
 		// propagating NaN through back-substitution.
 		if !(maxAbs >= 1e-12) {
-			return nil, false
+			return x, false
 		}
 		a[col], a[pivot] = a[pivot], a[col]
 		b[col], b[pivot] = b[pivot], b[col]
 		// Eliminate.
+		prow := &a[col]
 		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
+			row := &a[r]
+			f := row[col] / prow[col]
 			if f == 0 {
 				continue
 			}
 			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
+				row[c] -= f * prow[c]
 			}
 			b[r] -= f * b[col]
 		}
 	}
-	x := make([]float64, n)
 	for r := n - 1; r >= 0; r-- {
 		s := b[r]
 		for c := r + 1; c < n; c++ {
@@ -190,51 +230,47 @@ func solveLinear(a [][]float64, b []float64) ([]float64, bool) {
 
 // homographyFromPairs estimates H mapping src[i] -> dst[i] by solving the
 // DLT linear system with h22 fixed to 1. It requires >= 4 pairs; with more
-// than 4 it solves the least-squares normal equations.
+// than 4 it solves the least-squares normal equations. The system lives in
+// fixed arrays on the stack and the points are normalized as they are
+// read, so a call allocates nothing.
 func homographyFromPairs(src, dst []Point) (Homography, error) {
 	n := len(src)
 	if n < 4 || len(dst) != n {
 		return Identity(), fmt.Errorf("%w: %d pairs", ErrDegenerate, n)
 	}
 	// Normalize points for conditioning (Hartley normalization).
-	srcN, tSrc := normalizePoints(src)
-	dstN, tDst := normalizePoints(dst)
+	nSrc := normalizePoints(src)
+	nDst := normalizePoints(dst)
 
 	// Build the 2n×8 design matrix rows; solve least squares via normal
 	// equations AtA x = Atb (8×8).
-	ata := make([][]float64, 8)
-	for i := range ata {
-		ata[i] = make([]float64, 8)
-	}
-	atb := make([]float64, 8)
-	row := make([]float64, 8)
-	addRow := func(rhs float64) {
-		for i := 0; i < 8; i++ {
-			if row[i] == 0 {
+	var ata [8][8]float64
+	var atb [8]float64
+	addRow := func(row *[8]float64, rhs float64) {
+		for i, ri := range row {
+			if ri == 0 {
 				continue
 			}
-			for j := 0; j < 8; j++ {
-				ata[i][j] += row[i] * row[j]
+			for j, rj := range row {
+				ata[i][j] += ri * rj
 			}
-			atb[i] += row[i] * rhs
+			atb[i] += ri * rhs
 		}
 	}
 	for i := 0; i < n; i++ {
-		x, y := srcN[i].X, srcN[i].Y
-		u, v := dstN[i].X, dstN[i].Y
-		row[0], row[1], row[2], row[3], row[4], row[5], row[6], row[7] =
-			x, y, 1, 0, 0, 0, -u*x, -u*y
-		addRow(u)
-		row[0], row[1], row[2], row[3], row[4], row[5], row[6], row[7] =
-			0, 0, 0, x, y, 1, -v*x, -v*y
-		addRow(v)
+		p, q := nSrc.apply(src[i]), nDst.apply(dst[i])
+		x, y := p.X, p.Y
+		u, v := q.X, q.Y
+		addRow(&[8]float64{x, y, 1, 0, 0, 0, -u * x, -u * y}, u)
+		addRow(&[8]float64{0, 0, 0, x, y, 1, -v * x, -v * y}, v)
 	}
-	sol, ok := solveLinear(ata, atb)
+	sol, ok := solveLinear(&ata, &atb)
 	if !ok {
 		return Identity(), ErrDegenerate
 	}
 	hn := Homography{sol[0], sol[1], sol[2], sol[3], sol[4], sol[5], sol[6], sol[7], 1}
 	// Denormalize: H = tDst^-1 · Hn · tSrc.
+	tSrc, tDst := nSrc.transform(), nDst.transform()
 	tDstInv, err := tDst.invertAffine()
 	if err != nil {
 		return Identity(), err
@@ -261,10 +297,15 @@ func (h *Homography) isFinite() bool {
 	return true
 }
 
-// normalizePoints translates points to zero centroid and scales to mean
-// distance sqrt(2) (Hartley). Returns the transformed points and the
-// similarity transform T with out = T(in).
-func normalizePoints(pts []Point) ([]Point, Homography) {
+// normalization is the Hartley similarity of a point set: translate the
+// centroid (cx, cy) to the origin, then scale.
+type normalization struct {
+	cx, cy, scale float64
+}
+
+// normalizePoints returns the similarity that moves pts to zero centroid
+// and mean distance sqrt(2) from it (Hartley).
+func normalizePoints(pts []Point) normalization {
 	var cx, cy float64
 	for _, p := range pts {
 		cx += p.X
@@ -282,12 +323,16 @@ func normalizePoints(pts []Point) ([]Point, Homography) {
 	if meanDist > 1e-12 {
 		scale = math.Sqrt2 / meanDist
 	}
-	out := make([]Point, len(pts))
-	for i, p := range pts {
-		out[i] = Point{X: (p.X - cx) * scale, Y: (p.Y - cy) * scale}
-	}
-	t := Homography{scale, 0, -scale * cx, 0, scale, -scale * cy, 0, 0, 1}
-	return out, t
+	return normalization{cx: cx, cy: cy, scale: scale}
+}
+
+func (t normalization) apply(p Point) Point {
+	return Point{X: (p.X - t.cx) * t.scale, Y: (p.Y - t.cy) * t.scale}
+}
+
+// transform returns the similarity as a homography T with T(p) = apply(p).
+func (t normalization) transform() Homography {
+	return Homography{t.scale, 0, -t.scale * t.cx, 0, t.scale, -t.scale * t.cy, 0, 0, 1}
 }
 
 // invertAffine inverts a similarity/affine homography (bottom row 0 0 1).
@@ -343,9 +388,12 @@ func EstimateHomographyRANSAC(src, dst []Point, cfg RANSACConfig) (*RANSACResult
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	thresholdSq := cfg.Threshold * cfg.Threshold
 
-	var bestInliers []int
-	sample := make([]int, 4)
-	s4, d4 := make([]Point, 4), make([]Point, 4)
+	// Two inlier buffers: the running best and the one being filled,
+	// exchanged when an iteration beats the best.
+	bestInliers := make([]int, 0, n)
+	inliers := make([]int, 0, n)
+	var sample [4]int
+	var s4, d4 [4]Point
 	for it := 0; it < cfg.Iterations; it++ {
 		// Sample 4 distinct indices.
 		for i := range sample {
@@ -368,11 +416,11 @@ func EstimateHomographyRANSAC(src, dst []Point, cfg RANSACConfig) (*RANSACResult
 			s4[i] = src[idx]
 			d4[i] = dst[idx]
 		}
-		h, err := homographyFromPairs(s4, d4)
+		h, err := homographyFromPairs(s4[:], d4[:])
 		if err != nil {
 			continue
 		}
-		var inliers []int
+		inliers = inliers[:0]
 		for i := 0; i < n; i++ {
 			p := h.Apply(src[i])
 			if math.IsNaN(p.X) {
@@ -385,7 +433,7 @@ func EstimateHomographyRANSAC(src, dst []Point, cfg RANSACConfig) (*RANSACResult
 			}
 		}
 		if len(inliers) > len(bestInliers) {
-			bestInliers = inliers
+			bestInliers, inliers = inliers, bestInliers
 			// Early exit when almost everything is an inlier.
 			if len(bestInliers) > n*95/100 {
 				break
@@ -440,7 +488,7 @@ func IoU(a, b BoundingBox) float64 {
 // homography and returns the axis-aligned bounding box of the result —
 // the box scAtteR draws over a recognized object.
 func ProjectBox(h *Homography, refW, refH float64) BoundingBox {
-	corners := []Point{{0, 0}, {refW, 0}, {refW, refH}, {0, refH}}
+	corners := [4]Point{{0, 0}, {refW, 0}, {refW, refH}, {0, refH}}
 	box := BoundingBox{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
 	for _, c := range corners {
 		p := h.Apply(c)

@@ -382,23 +382,36 @@ func TestHomographyRecoveryProperty(t *testing.T) {
 	}
 }
 
+// embed2x2 places a 2×2 system in the corner of the solver's fixed 8×8
+// shape, the identity filling the rest.
+func embed2x2(a [2][2]float64, b [2]float64) (*[8][8]float64, *[8]float64) {
+	var m [8][8]float64
+	var rhs [8]float64
+	for i := range m {
+		m[i][i] = 1
+	}
+	for i := range a {
+		copy(m[i][:2], a[i][:])
+		rhs[i] = b[i]
+	}
+	return &m, &rhs
+}
+
 func TestSolveLinearSingular(t *testing.T) {
-	a := [][]float64{{1, 2}, {2, 4}}
-	b := []float64{1, 2}
+	a, b := embed2x2([2][2]float64{{1, 2}, {2, 4}}, [2]float64{1, 2})
 	if _, ok := solveLinear(a, b); ok {
 		t.Error("singular system reported solvable")
 	}
 }
 
 func TestSolveLinearKnown(t *testing.T) {
-	a := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{5, 10}
+	a, b := embed2x2([2][2]float64{{2, 1}, {1, 3}}, [2]float64{5, 10})
 	x, ok := solveLinear(a, b)
 	if !ok {
 		t.Fatal("solvable system reported singular")
 	}
 	if !almostEqual(x[0], 1, 1e-12) || !almostEqual(x[1], 3, 1e-12) {
-		t.Errorf("solution = %v, want [1 3]", x)
+		t.Errorf("solution = %v, want [1 3 0 ...]", x)
 	}
 }
 

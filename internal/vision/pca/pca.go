@@ -182,11 +182,24 @@ func jacobiEigen(a [][]float64) (vals []float64, vecs [][]float64) {
 // Project maps an input vector to its k-dimensional PCA coefficients.
 // It panics if the vector has the wrong dimensionality.
 func (p *Projection) Project(v []float32) []float32 {
+	out := make([]float32, p.K)
+	p.ProjectInto(out, v)
+	return out
+}
+
+// ProjectInto is Project writing the K coefficients into dst, for a
+// caller that lays many projections out in one buffer.
+func (p *Projection) ProjectInto(dst, v []float32) {
 	if len(v) != p.Dim {
 		panic(fmt.Sprintf("pca: project dim %d, want %d", len(v), p.Dim))
 	}
-	out := make([]float32, p.K)
-	centered := make([]float64, p.Dim)
+	// The centered copy stays on the stack at descriptor size.
+	var stack [128]float64
+	centered := stack[:]
+	if p.Dim > len(stack) {
+		centered = make([]float64, p.Dim)
+	}
+	centered = centered[:p.Dim]
 	for i, x := range v {
 		centered[i] = float64(x) - p.Mean[i]
 	}
@@ -195,9 +208,8 @@ func (p *Projection) Project(v []float32) []float32 {
 		for i, x := range centered {
 			dot += x * comp[i]
 		}
-		out[c] = float32(dot)
+		dst[c] = float32(dot)
 	}
-	return out
 }
 
 // ProjectAll maps a batch of vectors.

@@ -296,11 +296,60 @@ func refComputeDescriptor(img *imgproc.Gray, x, y int, sigma, orientation float6
 			}
 			ob := rel / (2 * math.Pi) * descOriBins
 			weight := mag * math.Exp(float64(dx*dx+dy*dy)*inv)
-			trilinearAccumulate(&desc, bx, by, ob, weight)
+			refTrilinearAccumulate(&desc, bx, by, ob, weight)
 		}
 	}
 	normalizeDescriptor(&desc)
 	return desc
+}
+
+// refTrilinearAccumulate distributes weight across the neighbouring
+// spatial and orientation bins (standard SIFT trilinear interpolation) —
+// the loop computeDescriptor now spells out cell by cell.
+func refTrilinearAccumulate(desc *Descriptor, bx, by, ob float64, weight float64) {
+	x0 := int(math.Floor(bx))
+	y0 := int(math.Floor(by))
+	o0 := int(math.Floor(ob))
+	fx := bx - float64(x0)
+	fy := by - float64(y0)
+	fo := ob - float64(o0)
+	for di := 0; di <= 1; di++ {
+		yi := y0 + di
+		if yi < 0 || yi >= descGrid {
+			continue
+		}
+		wy := weight
+		if di == 0 {
+			wy *= 1 - fy
+		} else {
+			wy *= fy
+		}
+		for dj := 0; dj <= 1; dj++ {
+			xi := x0 + dj
+			if xi < 0 || xi >= descGrid {
+				continue
+			}
+			wx := wy
+			if dj == 0 {
+				wx *= 1 - fx
+			} else {
+				wx *= fx
+			}
+			for dk := 0; dk <= 1; dk++ {
+				oi := (o0 + dk) % descOriBins
+				if oi < 0 {
+					oi += descOriBins
+				}
+				wo := wx
+				if dk == 0 {
+					wo *= 1 - fo
+				} else {
+					wo *= fo
+				}
+				desc[(yi*descGrid+xi)*descOriBins+oi] += float32(wo)
+			}
+		}
+	}
 }
 
 // refDetect is Detect assembled from the reference stages, serially.
@@ -406,9 +455,18 @@ func TestExtremaMatchReference(t *testing.T) {
 }
 
 func TestDescribeMatchesReference(t *testing.T) {
-	d := New(Defaults())
-	pt := new(gradPatch)
-	for _, size := range oracleSizes {
+	pt := new(gradPatch) // one patch throughout: its tables are reused across levels
+	describeMatchesReference(t, New(Defaults()), pt, oracleSizes)
+	describeMatchesReference(t, New(Config{Levels: 4, SigmaBase: 2.2}), pt, oracleSizes[2:])
+}
+
+// axisOrientations are keypoint orientations the histogram rarely yields:
+// the axes, where a rotation product is zero or a bin coordinate lands on
+// a cell boundary, both ends of the range, and just off zero.
+var axisOrientations = []float64{0, math.Pi / 2, -math.Pi / 2, math.Pi, -math.Pi, 1e-9, -3}
+
+func describeMatchesReference(t *testing.T, d *Detector, pt *gradPatch, sizes [][2]int) {
+	for _, size := range sizes {
 		w, h := size[0], size[1]
 		img := noiseImage(w, h, int64(w*h))
 		// Every pixel of the small images; a lattice that touches all
@@ -423,7 +481,7 @@ func TestDescribeMatchesReference(t *testing.T) {
 					for l := 1; l <= d.cfg.Levels; l++ {
 						sigma := d.sigmas[l]
 						pt.fill(img, at[0], at[1], max(orientationRadius(sigma), descriptorRadius(sigma)))
-						what := fmt.Sprintf("%dx%d at (%d,%d) level %d", w, h, at[0], at[1], l)
+						what := fmt.Sprintf("%dx%d at (%d,%d) level %d of %d", w, h, at[0], at[1], l, d.cfg.Levels)
 						got := dominantOrientations(pt, sigma, d.oriWeight[l])
 						want := refDominantOrientations(img, at[0], at[1], sigma)
 						if len(got) != len(want) {
@@ -433,6 +491,11 @@ func TestDescribeMatchesReference(t *testing.T) {
 							if math.Float64bits(got[i]) != math.Float64bits(ori) {
 								t.Fatalf("%s: orientation %d = %v, reference %v", what, i, got[i], ori)
 							}
+						}
+						if (at[0]+at[1])%9 == 0 {
+							want = append(want, axisOrientations...)
+						}
+						for _, ori := range want {
 							if computeDescriptor(pt, sigma, ori, d.descWeight[l]) != refComputeDescriptor(img, at[0], at[1], sigma, ori) {
 								t.Fatalf("%s: descriptor at orientation %v differs from reference", what, ori)
 							}

@@ -363,6 +363,9 @@ func (d *Detector) scanExtrema(p *pyramid) []candidate {
 type gradPatch struct {
 	radius     int
 	mag, theta []float64
+	// colCos and colSin are computeDescriptor's per-column rotation
+	// products, rewritten for every descriptor.
+	colCos, colSin []float64
 }
 
 var patchPool = sync.Pool{New: func() any { return new(gradPatch) }}
@@ -563,6 +566,13 @@ func descriptorRadius(sigma float64) int {
 // sigma) window rotated to the keypoint orientation and accumulates them,
 // Gaussian-weighted (weight, from gaussianWindow), into the 4×4×8
 // histogram grid, then applies L2 normalization with the 0.2 clamp.
+//
+// The rotation's four products are hoisted — per column into the patch's
+// tables, per row into two locals — and the trilinear spread over the
+// neighbouring spatial and orientation bins is written out: the bin
+// coordinates lie in (-1, 4), so a floor is a truncation or -1, the
+// orientation bin wraps with a mask, and each of the (up to) eight cells
+// receives the product weight·wy·wx·wo associated in that order.
 func computeDescriptor(pt *gradPatch, sigma, orientation float64, weight []float64) Descriptor {
 	var desc Descriptor
 	binWidth := descBinWidth(sigma)
@@ -570,23 +580,35 @@ func computeDescriptor(pt *gradPatch, sigma, orientation float64, weight []float
 	cosT := math.Cos(-orientation)
 	sinT := math.Sin(-orientation)
 	side := 2*pt.radius + 1
+	if cap(pt.colCos) < 2*radius+1 {
+		pt.colCos = make([]float64, 2*radius+1)
+		pt.colSin = make([]float64, 2*radius+1)
+	}
+	colCos, colSin := pt.colCos[:2*radius+1], pt.colSin[:2*radius+1]
+	for dx := -radius; dx <= radius; dx++ {
+		colCos[dx+radius] = cosT * float64(dx)
+		colSin[dx+radius] = sinT * float64(dx)
+	}
 	for dy := -radius; dy <= radius; dy++ {
 		row := (dy+pt.radius)*side + pt.radius
-		for dx := -radius; dx <= radius; dx++ {
-			mag := pt.mag[row+dx]
+		mags := pt.mag[row-radius:][:2*radius+1]
+		thetas := pt.theta[row-radius:][:2*radius+1]
+		rowSin, rowCos := sinT*float64(dy), cosT*float64(dy)
+		dy2 := dy * dy
+		for i, mag := range mags {
 			if mag == 0 {
 				continue
 			}
 			// Rotate the offset into the keypoint frame.
-			rx := (cosT*float64(dx) - sinT*float64(dy)) / binWidth
-			ry := (sinT*float64(dx) + cosT*float64(dy)) / binWidth
+			rx := (colCos[i] - rowSin) / binWidth
+			ry := (colSin[i] + rowCos) / binWidth
 			// Continuous bin coordinates in [0, 4).
 			bx := rx + float64(descGrid)/2 - 0.5
 			by := ry + float64(descGrid)/2 - 0.5
 			if bx <= -1 || bx >= descGrid || by <= -1 || by >= descGrid {
 				continue
 			}
-			rel := pt.theta[row+dx] - orientation
+			rel := thetas[i] - orientation
 			for rel < 0 {
 				rel += 2 * math.Pi
 			}
@@ -594,59 +616,50 @@ func computeDescriptor(pt *gradPatch, sigma, orientation float64, weight []float
 				rel -= 2 * math.Pi
 			}
 			ob := rel / (2 * math.Pi) * descOriBins
-			trilinearAccumulate(&desc, bx, by, ob, mag*weight[dx*dx+dy*dy])
+
+			x0, y0 := int(bx), int(by)
+			if bx < 0 {
+				x0 = -1
+			}
+			if by < 0 {
+				y0 = -1
+			}
+			o0 := int(ob)
+			fx := bx - float64(x0)
+			fy := by - float64(y0)
+			fo := ob - float64(o0)
+			o0, o1 := o0&(descOriBins-1), (o0+1)&(descOriBins-1)
+			dx := i - radius
+			w := mag * weight[dx*dx+dy2]
+			// spread adds a spatial cell's share wx to its two orientation
+			// bins.
+			spread := func(cell int, wx float64) {
+				bins := desc[cell*descOriBins:][:descOriBins]
+				bins[o0] += float32(wx * (1 - fo))
+				bins[o1] += float32(wx * fo)
+			}
+			if y0 >= 0 {
+				wy := w * (1 - fy)
+				if x0 >= 0 {
+					spread(y0*descGrid+x0, wy*(1-fx))
+				}
+				if x0 < descGrid-1 {
+					spread(y0*descGrid+x0+1, wy*fx)
+				}
+			}
+			if y0 < descGrid-1 {
+				wy := w * fy
+				if x0 >= 0 {
+					spread((y0+1)*descGrid+x0, wy*(1-fx))
+				}
+				if x0 < descGrid-1 {
+					spread((y0+1)*descGrid+x0+1, wy*fx)
+				}
+			}
 		}
 	}
 	normalizeDescriptor(&desc)
 	return desc
-}
-
-// trilinearAccumulate distributes weight across the neighbouring spatial
-// and orientation bins (standard SIFT trilinear interpolation).
-func trilinearAccumulate(desc *Descriptor, bx, by, ob float64, weight float64) {
-	x0 := int(math.Floor(bx))
-	y0 := int(math.Floor(by))
-	o0 := int(math.Floor(ob))
-	fx := bx - float64(x0)
-	fy := by - float64(y0)
-	fo := ob - float64(o0)
-	for di := 0; di <= 1; di++ {
-		yi := y0 + di
-		if yi < 0 || yi >= descGrid {
-			continue
-		}
-		wy := weight
-		if di == 0 {
-			wy *= 1 - fy
-		} else {
-			wy *= fy
-		}
-		for dj := 0; dj <= 1; dj++ {
-			xi := x0 + dj
-			if xi < 0 || xi >= descGrid {
-				continue
-			}
-			wx := wy
-			if dj == 0 {
-				wx *= 1 - fx
-			} else {
-				wx *= fx
-			}
-			for dk := 0; dk <= 1; dk++ {
-				oi := (o0 + dk) % descOriBins
-				if oi < 0 {
-					oi += descOriBins
-				}
-				wo := wx
-				if dk == 0 {
-					wo *= 1 - fo
-				} else {
-					wo *= fo
-				}
-				desc[(yi*descGrid+xi)*descOriBins+oi] += float32(wo)
-			}
-		}
-	}
 }
 
 // normalizeDescriptor applies L2 normalization, clamps components at 0.2,

@@ -246,7 +246,9 @@ func TestNormalizeZeroDescriptor(t *testing.T) {
 }
 
 // Property: trilinear accumulation conserves total weight when bins are
-// interior (no boundary clipping).
+// interior (no boundary clipping). computeDescriptor spells the spread
+// out inline and normalizes, so the property is checked on the reference
+// loop that TestDescribeMatchesReference pins it to.
 func TestTrilinearConservesWeight(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -255,7 +257,7 @@ func TestTrilinearConservesWeight(t *testing.T) {
 		bx := 0.5 + rng.Float64()*2 // in [0.5, 2.5]
 		by := 0.5 + rng.Float64()*2
 		ob := rng.Float64() * descOriBins
-		trilinearAccumulate(&d, bx, by, ob, 1.0)
+		refTrilinearAccumulate(&d, bx, by, ob, 1.0)
 		var sum float64
 		for _, v := range d {
 			sum += float64(v)
