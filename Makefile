@@ -2,12 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench ledger bench-vision bench-dataplane bench-routing bench-autoscale bench-sharding profile-vision fuzz figures examples chaos clean
+.PHONY: all build vet test race cover bench ledger bench-vision bench-dataplane bench-routing bench-autoscale profile-vision fuzz figures examples chaos clean
 
 all: build test
 
+# The arm64 cross-build keeps the pure-Go fallbacks of internal/vision/simd
+# compiling where its assembly does not; vet's asmdecl pass checks that
+# assembly against its Go declarations.
 build:
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
@@ -76,17 +80,6 @@ bench-routing:
 bench-autoscale:
 	$(GO) test -run '^$$' -bench 'AutoscalePolicy' -benchtime=1x ./internal/appaware \
 		| $(GO) run ./cmd/benchjson -o BENCH_autoscale.json -note "make bench-autoscale"
-
-# Sharded-database headline: per-replica query cost monolithic vs one
-# shard replica of a 4/8-way split at 10k/100k reference objects
-# (BenchmarkShardingReplica — the O(N) → O(N/S) saving each matching
-# node pays), plus the full scatter/gather path and the quickselect
-# top-k kernel vs full sort, exported to BENCH_sharding.json. The
-# bit-identity and allocation budgets are enforced as plain tests in
-# `make test`; this target records the throughput trajectory.
-bench-sharding:
-	$(GO) test -run '^$$' -bench 'Sharding' -benchmem ./internal/vision/lsh \
-		| $(GO) run ./cmd/benchjson -o BENCH_sharding.json -note "make bench-sharding"
 
 # CPU-profiles the vision kernel benchmarks for flamegraph inspection
 # (see EXPERIMENTS.md): writes cpu_lsh.pprof / cpu_match.pprof; open

@@ -298,8 +298,15 @@ func TestFastExtractorIsFaster(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	slow := timeOne(NewSIFT(150, true))
-	fast := timeOne(NewFastSIFT(150, true))
+	// The margin is about a millisecond, less than one descheduling, so
+	// compare each side's best of five alternating calls, not one cold
+	// call of each.
+	siftSvc, orbSvc := NewSIFT(150, true), NewFastSIFT(150, true)
+	slow, fast := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < 5; i++ {
+		slow = min(slow, timeOne(siftSvc))
+		fast = min(fast, timeOne(orbSvc))
+	}
 	if fast >= slow {
 		t.Errorf("ORB extractor (%v) not faster than SIFT (%v)", fast, slow)
 	}

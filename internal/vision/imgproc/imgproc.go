@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"github.com/edge-mar/scatter/internal/vision/parallel"
+	"github.com/edge-mar/scatter/internal/vision/simd"
 )
 
 // convGrain is the row granularity of the parallel separable convolution.
@@ -114,130 +115,78 @@ func GaussianKernel(sigma float64) []float32 {
 	return k
 }
 
-// convWorkers returns the worker count for one convolution pass over g:
-// below serialWork multiply-adds the fan-out costs more in goroutine
-// handoff than the pass itself (the small pyramid octaves), so it runs on
-// the caller. Chunking never affects results, only who computes them.
+// convWorkers returns the worker count for one convolution pass over g.
+// Below serialWork multiply-adds the fan-out costs more in goroutine
+// handoff than the pass itself (the small pyramid octaves), and on vector
+// units that holds for every image this pipeline sees — waking the second
+// core takes longer than a whole vectorised 320×180 pass, and a fanned-out
+// pyramid measured slower than a serial one (EXPERIMENTS.md, "Third
+// purchase") — so those passes run on the caller. Chunking never affects
+// results, only who computes them.
 func convWorkers(g *Gray, taps, workers int) int {
-	if g.W*g.H*taps < serialWork {
+	if simd.Vector() || g.W*g.H*taps < serialWork {
 		return 1
 	}
 	return workers
 }
 
+// Scratch that fits these sizes lives on the stack of whoever runs a
+// convolution chunk; wider rows or longer kernels fall back to the heap.
+const (
+	stackRow  = 2048
+	stackTaps = 64
+)
+
+// fit returns n elements of scratch: buf's when it has them, else new ones.
+func fit[T any](buf []T, n int) []T {
+	if n > len(buf) {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // convolveH convolves src horizontally with kernel k into dst, fanning
 // rows out across workers (0 = GOMAXPROCS, 1 = serial). dst and src must
-// have identical dimensions and must not alias.
+// have identical dimensions and must not alias. Each row is copied between
+// radius repeats of its first and of its last pixel — tap for tap what
+// clamping every index to the row reads — so borders and interior are one
+// simd.Conv call: every output pixel starts from zero and adds its taps in
+// ascending order.
 func convolveH(dst, src *Gray, k []float32, workers int) {
-	w := src.W
+	w, radius := src.W, len(k)/2
 	parallel.For(convWorkers(src, len(k), workers), src.H, convGrain, func(_, start, end int) {
+		var rowBuf [stackRow]float32
+		var offBuf [stackTaps]int
+		padded, offs := fit(rowBuf[:], w+2*radius), fit(offBuf[:], len(k))
+		for i := range offs {
+			offs[i] = i
+		}
 		for y := start; y < end; y++ {
-			convolveRow(dst.Pix[y*w:(y+1)*w], src.Pix[y*w:(y+1)*w], k)
+			row := src.Pix[y*w : (y+1)*w]
+			for i := 0; i < radius; i++ {
+				padded[i], padded[radius+w+i] = row[0], row[w-1]
+			}
+			copy(padded[radius:], row)
+			simd.Conv(dst.Pix[y*w:(y+1)*w], padded, offs, k)
 		}
 	})
 }
 
-// convolveRow convolves one row with the odd-length kernel k, clamping at
-// the row ends. Every output pixel starts from zero and adds its taps in
-// ascending order, so how the row is split below never shows in a result:
-// clamped borders, then a branch-free interior computed four pixels at a
-// time so the four accumulators' add chains overlap.
-func convolveRow(out, row, k []float32) {
-	w, n := len(row), len(k)
-	radius := n / 2
-	lo, hi := radius, w-radius // interior: the window [x-radius, x+radius] lies inside the row
-	if hi < lo {
-		lo, hi = w, w
-	}
-	convolveClamped(out, row, k, 0, lo)
-	x := lo
-	for ; x+4 <= hi; x += 4 {
-		win := row[x-radius : x-radius+n+3]
-		w0, w1, w2, w3 := win[:n], win[1:][:n], win[2:][:n], win[3:][:n]
-		var a0, a1, a2, a3 float32
-		for i, kv := range k {
-			a0 += w0[i] * kv
-			a1 += w1[i] * kv
-			a2 += w2[i] * kv
-			a3 += w3[i] * kv
-		}
-		o := out[x : x+4]
-		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
-	}
-	for ; x < hi; x++ {
-		win := row[x-radius:][:n]
-		var acc float32
-		for i, kv := range k {
-			acc += win[i] * kv
-		}
-		out[x] = acc
-	}
-	convolveClamped(out, row, k, hi, w)
-}
-
-// convolveClamped computes out[from:to] with every tap index clamped to
-// the row — the border form of convolveRow. Per pixel the taps fall into
-// three runs, those left of the row (reading row[0]), those inside it and
-// those right of it (reading the last pixel), added in that order.
-func convolveClamped(out, row, k []float32, from, to int) {
-	n, radius, last := len(k), len(k)/2, len(row)-1
-	for x := from; x < to; x++ {
-		a := min(max(radius-x, 0), n)
-		b := max(min(last+radius-x+1, n), a)
-		var acc float32
-		for _, kv := range k[:a] {
-			acc += row[0] * kv
-		}
-		win := row[x-radius+a:][:b-a]
-		for i, kv := range k[a:b] {
-			acc += win[i] * kv
-		}
-		for _, kv := range k[b:] {
-			acc += row[last] * kv
-		}
-		out[x] = acc
-	}
-}
-
 // convolveV convolves src vertically with kernel k into dst, fanning rows
 // out across workers. dst and src must have identical dimensions and must
-// not alias. Each output row is zeroed and then swept once per four taps
-// over whole source rows (clamped at the top and bottom), so the
-// inner loop walks memory contiguously; per pixel that is the same
-// start-from-zero, ascending-tap sum as a column walk.
+// not alias. An output row is simd.Conv over the len(k) source rows around
+// it, clamped at the top and bottom: per pixel the same start-from-zero,
+// ascending-tap sum as a column walk, read along rows.
 func convolveV(dst, src *Gray, k []float32, workers int) {
-	w, h := src.W, src.H
-	radius := len(k) / 2
-	srcRow := func(y int) []float32 {
-		if y < 0 {
-			y = 0
-		} else if y >= h {
-			y = h - 1
-		}
-		return src.Pix[y*w : (y+1)*w]
-	}
+	w, h, radius := src.W, src.H, len(k)/2
 	parallel.For(convWorkers(src, len(k), workers), h, convGrain, func(_, start, end int) {
+		var offBuf [stackTaps]int
+		offs := fit(offBuf[:], len(k))
 		for y := start; y < end; y++ {
-			out := dst.Pix[y*w : (y+1)*w]
-			clear(out)
-			i := 0
-			for ; i+4 <= len(k); i += 4 {
-				s0 := srcRow(y + i - radius)[:len(out)]
-				s1 := srcRow(y + i + 1 - radius)[:len(out)]
-				s2 := srcRow(y + i + 2 - radius)[:len(out)]
-				s3 := srcRow(y + i + 3 - radius)[:len(out)]
-				k0, k1, k2, k3 := k[i], k[i+1], k[i+2], k[i+3]
-				for x := range out {
-					out[x] = out[x] + s0[x]*k0 + s1[x]*k1 + s2[x]*k2 + s3[x]*k3
-				}
+			for i := range offs {
+				offs[i] = min(max(y+i-radius, 0), h-1) * w
 			}
-			for ; i < len(k); i++ {
-				s0 := srcRow(y + i - radius)[:len(out)]
-				k0 := k[i]
-				for x := range out {
-					out[x] += s0[x] * k0
-				}
-			}
+			simd.Conv(dst.Pix[y*w:(y+1)*w], src.Pix, offs, k)
 		}
 	})
 }
@@ -280,10 +229,7 @@ func SubtractInto(dst, a, b *Gray) {
 	if a.W != b.W || a.H != b.H || dst.W != a.W || dst.H != a.H {
 		panic(fmt.Sprintf("imgproc: size mismatch %dx%d vs %dx%d into %dx%d", a.W, a.H, b.W, b.H, dst.W, dst.H))
 	}
-	out, bp := dst.Pix[:len(a.Pix)], b.Pix[:len(a.Pix)]
-	for i, av := range a.Pix {
-		out[i] = av - bp[i]
-	}
+	simd.Sub(dst.Pix, a.Pix, b.Pix)
 }
 
 // Downsample returns the image reduced by a factor of two using 2×2 box

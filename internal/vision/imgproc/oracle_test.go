@@ -141,6 +141,27 @@ func TestConvolveMatchesReference(t *testing.T) {
 	}
 }
 
+// TestConvolveBeyondStackScratch covers the rows and kernels too large for
+// the convolution's on-stack scratch, which take it from the heap.
+func TestConvolveBeyondStackScratch(t *testing.T) {
+	for _, c := range []struct {
+		w, h  int
+		sigma float64
+	}{{stackRow + 50, 3, 1}, {40, 30, float64(stackTaps) / 5}} {
+		src, k := noiseImage(c.w, c.h, 8), GaussianKernel(c.sigma)
+		if c.w+len(k) <= stackRow && len(k) <= stackTaps {
+			t.Fatalf("%dx%d with %d taps fits the stack scratch", c.w, c.h, len(k))
+		}
+		got, want := NewGray(c.w, c.h), NewGray(c.w, c.h)
+		convolveH(got, src, k, 1)
+		refConvolveH(want, src, k, 1)
+		requireSameBits(t, fmt.Sprintf("convolveH %dx%d %d taps", c.w, c.h, len(k)), got, want)
+		convolveV(got, src, k, 1)
+		refConvolveV(want, src, k, 1)
+		requireSameBits(t, fmt.Sprintf("convolveV %dx%d %d taps", c.w, c.h, len(k)), got, want)
+	}
+}
+
 func TestBlurIntoReusesScratch(t *testing.T) {
 	src := noiseImage(33, 17, 1)
 	k := GaussianKernel(1.2)

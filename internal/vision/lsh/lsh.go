@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"github.com/edge-mar/scatter/internal/vision/parallel"
+	"github.com/edge-mar/scatter/internal/vision/simd"
 )
 
 // Neighbor is a query result: a stored item and its distance to the query.
@@ -430,13 +431,13 @@ func dot1(v, r []float32) (d float64) {
 }
 
 // rankRange ranks candidates neighbors[start:end], whose ID field holds
-// arena slots on entry: a dot-product pass over the contiguous arena rows
-// of four candidates at a time against the Add-time norm cache and the
-// hoisted query norm qn, then the slot is rewritten to the public id. The
-// dot accumulates in index order and the norms accumulate per vector in
-// index order — the same three float64 reduction sequences
-// CosineDistance runs in one loop — so the distance is bit-identical to
-// the fused computation.
+// arena slots on entry: a dot-product pass over the arena rows of sixteen
+// candidates at a time (simd.Dot16), then four, then one, against the
+// Add-time norm cache and the hoisted query norm qn, then the slot is
+// rewritten to the public id. Every form accumulates a row's dot in index
+// order and the norms accumulate per vector in index order — the same
+// three float64 reduction sequences CosineDistance runs in one loop — so
+// the distance is bit-identical to the fused computation.
 func (ix *Index) rankRange(v []float32, qn float64, neighbors []Neighbor, start, end int) {
 	dim := ix.cfg.Dim
 	row := func(slot int) []float32 { return ix.arena[slot*dim : (slot+1)*dim] }
@@ -445,6 +446,17 @@ func (ix *Index) rankRange(v []float32, qn float64, neighbors []Neighbor, start,
 		neighbors[i] = Neighbor{ID: ix.slotIDs[slot], Dist: cosineFromDot(dot, qn, ix.normsSq[slot])}
 	}
 	i := start
+	for ; i+16 <= end; i += 16 {
+		var rows [16]*float32
+		var dots [16]float64
+		for r := range rows {
+			rows[r] = &row(neighbors[i+r].ID)[0]
+		}
+		simd.Dot16(&dots, v, &rows)
+		for r, d := range dots {
+			finish(i+r, d)
+		}
+	}
 	for ; i+4 <= end; i += 4 {
 		d0, d1, d2, d3 := dot4(v, row(neighbors[i].ID), row(neighbors[i+1].ID), row(neighbors[i+2].ID), row(neighbors[i+3].ID))
 		finish(i, d0)

@@ -11,6 +11,7 @@ import (
 
 	"github.com/edge-mar/scatter/internal/vision/parallel"
 	"github.com/edge-mar/scatter/internal/vision/sift"
+	"github.com/edge-mar/scatter/internal/vision/simd"
 )
 
 // Match pairs a query feature index with a train (reference) feature index.
@@ -84,10 +85,11 @@ func ratioTest(query, train []sift.Feature, ratio float64, workers int) []Match 
 
 // nearestTwo returns the smallest and second-smallest squared L2 distance
 // from q to the train descriptors and the index of the nearest (-1 when
-// no distance is below +Inf). It sweeps four train rows per pass over q,
-// each with its own accumulator summing in sift.L2Sq's order, and offers
-// the four distances to the selection in train order — the distances and
-// the choice are those of one sift.L2Sq call per row.
+// no distance is below +Inf). It takes sixteen train rows per simd.SqDist16
+// call, then four per pass over q with four accumulators, then one; every
+// form sums a row in sift.L2Sq's order and offers its distances to the
+// selection in train order — the distances and the choice are those of one
+// sift.L2Sq call per row.
 func nearestTwo(q *sift.Descriptor, train []sift.Feature) (best, second float64, bestIdx int) {
 	best, second, bestIdx = math.Inf(1), math.Inf(1), -1
 	offer := func(d float64, ti int) {
@@ -100,6 +102,17 @@ func nearestTwo(q *sift.Descriptor, train []sift.Feature) (best, second float64,
 		}
 	}
 	ti := 0
+	for ; ti+16 <= len(train); ti += 16 {
+		var rows [16]*float32
+		var dists [16]float64
+		for r := range rows {
+			rows[r] = &train[ti+r].Desc[0]
+		}
+		simd.SqDist16(&dists, q[:], &rows)
+		for r, d := range dists {
+			offer(d, ti+r)
+		}
+	}
 	for ; ti+4 <= len(train); ti += 4 {
 		t0, t1, t2, t3 := &train[ti].Desc, &train[ti+1].Desc, &train[ti+2].Desc, &train[ti+3].Desc
 		var d0, d1, d2, d3 float64
