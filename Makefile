@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench ledger bench-vision bench-dataplane bench-routing bench-autoscale profile-vision fuzz figures examples chaos clean
+.PHONY: all build vet test race cover bench ledger bench-vision profile-vision fuzz figures examples chaos clean
 
 all: build test
 
@@ -21,12 +21,15 @@ vet:
 
 # The concurrent layers (live registry, span recorder, runtime workers,
 # fault-injection transport, parallel vision kernels) always get a race
-# pass. The 1-iteration bench smoke keeps the data-plane benchmarks
-# compiling and running without paying full measurement time.
+# pass. The 1-iteration bench smoke keeps the data-plane, routing,
+# autoscaling and kernel benchmarks compiling and running without paying
+# full measurement time; the allocation budgets themselves are plain
+# tests (internal/wire, internal/transport, internal/agent alloc_test.go).
 test:
 	$(GO) test ./...
 	$(GO) test -race ./internal/core ./internal/obs/... ./internal/agent ./internal/transport ./internal/netem ./internal/vision/... ./internal/appaware ./internal/orchestrator ./internal/wire
-	$(GO) test -run '^$$' -bench 'WorkerHop|DataplaneEncode' -benchtime=1x ./internal/agent
+	$(GO) test -run '^$$' -bench 'WorkerHop|DataplaneEncode|ReplicaPick' -benchtime=1x ./internal/agent
+	$(GO) test -run '^$$' -bench 'AutoscalePolicy' -benchtime=1x ./internal/appaware
 	$(GO) test -run '^$$' -bench 'Sharding' -benchtime=1x ./internal/vision/lsh
 	$(GO) test -run '^$$' -bench 'KernelRank|KernelRatio' -benchtime=1x ./internal/vision/lsh ./internal/vision/match
 
@@ -50,36 +53,6 @@ bench:
 # is `bash bench/run.sh --workload W --seed N --seconds 20 --trace 0`.
 ledger:
 	$(GO) run ./bench
-
-# Data-plane allocation/throughput benchmarks (codec, transport send,
-# full worker hop) with -benchmem, exported to BENCH_dataplane.json so
-# regressions in allocs/op and B/op are visible run over run. The
-# allocation *budgets* are enforced as plain tests in `make test`
-# (internal/wire, internal/transport, internal/agent alloc_test.go);
-# this target records the trajectory.
-bench-dataplane:
-	$(GO) test -run '^$$' -bench 'WorkerHop|DataplaneEncode|Marshal|Unmarshal|Clone|Send180KB' -benchmem \
-		./internal/agent ./internal/wire ./internal/transport \
-		| $(GO) run ./cmd/benchjson -o BENCH_dataplane.json -note "make bench-dataplane"
-
-# Stats-driven replica selection on the forward path: ns/op and allocs/op
-# of StatsRouter.Pick (power-of-two-choices over live windows), exported
-# to BENCH_routing.json. The 0 allocs/op budget is enforced as a plain
-# test in internal/agent alloc_test.go; this records the latency.
-bench-routing:
-	$(GO) test -run '^$$' -bench 'ReplicaPick' -benchmem ./internal/agent \
-		| $(GO) run ./cmd/benchjson -o BENCH_routing.json -note "make bench-routing"
-
-# Closed-loop autoscaling headline: the simulated 4-client saturation
-# ramp under static vs hardware vs qos policies, exported to
-# BENCH_autoscale.json. Per policy: time-to-react (react_s; the full run
-# length when the policy never acts), delivered FPS per client (fps; the
-# paper targets 30), and replicas added (actions). One deterministic
-# iteration per policy — the sim is virtual-time, so -benchtime=1x is
-# both fast and reproducible.
-bench-autoscale:
-	$(GO) test -run '^$$' -bench 'AutoscalePolicy' -benchtime=1x ./internal/appaware \
-		| $(GO) run ./cmd/benchjson -o BENCH_autoscale.json -note "make bench-autoscale"
 
 # CPU-profiles the vision kernel benchmarks for flamegraph inspection
 # (see EXPERIMENTS.md): writes cpu_lsh.pprof / cpu_match.pprof; open

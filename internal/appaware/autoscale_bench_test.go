@@ -20,8 +20,8 @@ import (
 //	             full run length when the policy never acts
 //	actions    — replicas added over the run
 //
-// so BENCH_autoscale.json records how much QoS each policy buys per
-// action. In this queued (scAtteR++) collapse the shared GPU does
+// which shows how much QoS each policy buys per action (the recorded
+// values are in EXPERIMENTS.md). In this queued (scAtteR++) collapse the shared GPU does
 // saturate, so the utilization baseline eventually fires — but it scales
 // the busiest-by-ingress stage rather than the distressed one, spending
 // more actions for less delivered FPS than the app-aware policy.

@@ -383,44 +383,6 @@ func TestFastPathSteadyStateSkipRate(t *testing.T) {
 		rate, skipped, measured, gate.Skips(), gate.Fulls())
 }
 
-// TestSimFastPathMirrorsGate checks the simulator mirror: an enabled
-// fast path skips the overwhelming majority of steady-state frames and
-// records them in the run summary.
-func TestSimFastPathMirrorsGate(t *testing.T) {
-	e := newEnv(5)
-	p := NewPipeline(e.eng, e.fabric, e.col, PlaceAll(e.e1), DefaultProfiles(),
-		Options{Mode: ModeScatter, FastPath: FastPathSimOptions{Enabled: true}})
-	s := e.run(p, 1, 30*time.Second)
-	if s.FastPathSkips == 0 {
-		t.Fatal("enabled sim fast path skipped nothing")
-	}
-	// 30 s at 30 FPS with RefreshEvery=30 and WarmHits=3: nearly all
-	// frames after warm-up come from the gate.
-	if frac := float64(s.FastPathSkips) / float64(s.FramesOK); frac < 0.8 {
-		t.Errorf("sim skip fraction = %.2f, want >= 0.80", frac)
-	}
-	if s.SuccessRate < 0.95 {
-		t.Errorf("success rate with fast path = %.2f", s.SuccessRate)
-	}
-}
-
-func TestSimFastPathDisabledUnchanged(t *testing.T) {
-	run := func(opts Options) float64 {
-		e := newEnv(11)
-		p := NewPipeline(e.eng, e.fabric, e.col, PlaceAll(e.e1), DefaultProfiles(), opts)
-		s := e.run(p, 1, 10*time.Second)
-		if s.FastPathSkips != 0 {
-			t.Fatalf("disabled sim fast path skipped %d frames", s.FastPathSkips)
-		}
-		return s.E2EMean.Seconds()
-	}
-	base := run(Options{Mode: ModeScatter})
-	again := run(Options{Mode: ModeScatter})
-	if base != again {
-		t.Errorf("baseline not deterministic: %v vs %v", base, again)
-	}
-}
-
 // BenchmarkFastPathFrame compares the per-frame cost of a full
 // recognition pass against a tracker-gated skip (fastpath.full_ms and
 // fastpath.skip_ms on the ledger).

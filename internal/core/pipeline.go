@@ -82,72 +82,6 @@ type Options struct {
 	// with the engine's virtual clock, and a zero Seed is drawn from the
 	// engine's deterministic RNG so runs stay reproducible.
 	RouteStats routestats.Config
-	// FastPath mirrors the runtime's tracker-gated recognition fast path
-	// (core.FastPathGate): once a client's tracker is warm, frames are
-	// answered at the primary stage for only GateCost and skip
-	// sift→encoding→lsh→matching entirely. Disabled (the zero value),
-	// scheduling is bit-identical to a build without the option.
-	FastPath FastPathSimOptions
-	// Sharding mirrors the sharded reference database (lsh.ShardedIndex /
-	// agent.ShardGather) at the lsh step: per-dispatch compute drops to
-	// the per-shard share plus a gather overhead, and shard legs can miss
-	// the gather window. Disabled (the zero value), scheduling is
-	// bit-identical to a build without the option.
-	Sharding ShardingSimOptions
-}
-
-// ShardingSimOptions mirrors the scatter/gather reference-database layout
-// on the simulator's virtual clock. The sim holds no reference vectors;
-// what it models is the cost shape: each lsh dispatch pays the ranking
-// cost of one shard's partition (CPUTime/Shards — candidate counts scale
-// with partition size) plus the fan-out/merge overhead, and a shard leg
-// that misses the gather window stalls the gather for GatherTimeout.
-// Below-quorum gathers proceed with empty candidates, exactly like the
-// runtime's ShardGather returning nil to the recognition service.
-type ShardingSimOptions struct {
-	Enabled bool
-	// Shards is the hash-space partition count (default 4).
-	Shards int
-	// Replication is the replicas kept per shard — telemetry only in the
-	// sim, where replica choice has no cost asymmetry (default 1).
-	Replication int
-	// Quorum is the minimum shard responses a gather needs to deliver
-	// candidates. Zero defaults to Shards — strict bit-identity.
-	Quorum int
-	// GatherOverhead is the per-gather fan-out + k-way merge cost added
-	// on top of the per-shard compute (default 200µs).
-	GatherOverhead time.Duration
-	// GatherTimeout is how long a gather waits out missing shard legs
-	// (default 20ms).
-	GatherTimeout time.Duration
-	// ShardLossProb is the per-leg probability a shard misses the gather
-	// window (replica overload, transit loss). Drawn from the engine's
-	// deterministic RNG.
-	ShardLossProb float64
-}
-
-// FastPathSimOptions mirrors FastPathConfig on the simulator's virtual
-// clock. The sim has no real frames or trackers, so warm-up is modelled
-// on delivered full recognitions: after WarmHits consecutive full results
-// a client's track is warm; warm frames skip, except every
-// RefreshEvery-th frame (drift-bounding refresh) and after TrackTTL
-// without any result (track loss — e.g. the client stalled or its frames
-// were dropped).
-type FastPathSimOptions struct {
-	Enabled bool
-	// WarmHits is how many full recognitions must be delivered back-to-
-	// back before the gate starts skipping (default 3 — the confidence
-	// EWMA's rise time at the default gain).
-	WarmHits int
-	// RefreshEvery forces a full recognition at least every N-th frame
-	// per client (default 30).
-	RefreshEvery int
-	// TrackTTL is how long a track survives without any delivered result
-	// before the warm state resets (default 2s).
-	TrackTTL time.Duration
-	// GateCost is the primary-stage compute a skipped frame pays (gate
-	// lookup + verdict copy) instead of the full pipeline (default 100µs).
-	GateCost time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -174,37 +108,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ReliableTransport && o.Retries <= 0 {
 		o.Retries = 3
-	}
-	if o.FastPath.Enabled {
-		if o.FastPath.WarmHits <= 0 {
-			o.FastPath.WarmHits = 3
-		}
-		if o.FastPath.RefreshEvery <= 0 {
-			o.FastPath.RefreshEvery = 30
-		}
-		if o.FastPath.TrackTTL <= 0 {
-			o.FastPath.TrackTTL = 2 * time.Second
-		}
-		if o.FastPath.GateCost <= 0 {
-			o.FastPath.GateCost = 100 * time.Microsecond
-		}
-	}
-	if o.Sharding.Enabled {
-		if o.Sharding.Shards <= 0 {
-			o.Sharding.Shards = 4
-		}
-		if o.Sharding.Replication <= 0 {
-			o.Sharding.Replication = 1
-		}
-		if o.Sharding.Quorum <= 0 || o.Sharding.Quorum > o.Sharding.Shards {
-			o.Sharding.Quorum = o.Sharding.Shards
-		}
-		if o.Sharding.GatherOverhead <= 0 {
-			o.Sharding.GatherOverhead = 200 * time.Microsecond
-		}
-		if o.Sharding.GatherTimeout <= 0 {
-			o.Sharding.GatherTimeout = 20 * time.Millisecond
-		}
 	}
 	return o
 }
@@ -262,16 +165,6 @@ type simFrame struct {
 	// in flight to (WeightedRouting); the admission outcome resolves it.
 	hopRep    *routestats.Replica
 	hopSentAt sim.Time
-	// fast marks a frame answered by the fast-path gate at primary; its
-	// delivery must not bump the client's warm state.
-	fast bool
-}
-
-// simTrack is the per-client warm state of the simulated fast path.
-type simTrack struct {
-	fulls    int // consecutive delivered full recognitions
-	skips    int // frames skipped since the last full recognition
-	lastFull sim.Time
 }
 
 type stateKey struct {
@@ -350,22 +243,6 @@ type Pipeline struct {
 	// virtual clock (WeightedRouting); nil when routing is plain RR.
 	routes *routestats.Table
 	repOf  map[*Instance]*routestats.Replica
-
-	// fastTracks is the per-client warm state of the simulated fast path;
-	// nil when Options.FastPath is disabled.
-	fastTracks map[uint32]*simTrack
-
-	// shardSim counts the simulated scatter/gather activity at the lsh
-	// step (Options.Sharding). The sim engine is single-threaded, so
-	// plain fields suffice.
-	shardSim struct {
-		fanOuts     uint64
-		gathers     uint64
-		partials    uint64
-		dropped     uint64
-		belowQuorum uint64
-		waitMicros  uint64
-	}
 }
 
 // NewPipeline deploys the pipeline per the placement. It panics on
@@ -406,9 +283,6 @@ func NewPipeline(eng *sim.Engine, fabric *Fabric, col *metrics.Collector,
 				p.machines = append(p.machines, m)
 			}
 		}
-	}
-	if p.opts.FastPath.Enabled {
-		p.fastTracks = make(map[uint32]*simTrack)
 	}
 	if p.opts.WeightedRouting {
 		cfg := p.opts.RouteStats
@@ -760,12 +634,6 @@ func (in *Instance) kick() {
 func (in *Instance) start(fr *simFrame, queueWait time.Duration) {
 	p := in.p
 	began := p.eng.Now()
-	// The tracker-gated fast path answers warm clients' frames at the
-	// head of the pipeline for only the gate cost.
-	if in.step == wire.StepPrimary && p.fastSkip(fr) {
-		in.runGate(fr, queueWait, began)
-		return
-	}
 	// scAtteR's matching first fetches the frame's state from sift.
 	if in.step == wire.StepMatching && p.opts.Mode == ModeScatter {
 		in.fetchThenProcess(fr, queueWait, began)
@@ -774,122 +642,9 @@ func (in *Instance) start(fr *simFrame, queueWait time.Duration) {
 	in.runPhases(fr, queueWait, began)
 }
 
-// fastSkip decides whether fr can be answered from the client's warm
-// track, mirroring FastPathGate.VerdictAppend: the track must be warm
-// (WarmHits consecutive full recognitions), fresh (within TrackTTL), and
-// not due for its RefreshEvery-th drift-bounding refresh.
-func (p *Pipeline) fastSkip(fr *simFrame) bool {
-	if p.fastTracks == nil {
-		return false
-	}
-	t := p.fastTracks[fr.clientID]
-	if t == nil {
-		return false
-	}
-	fp := p.opts.FastPath
-	if t.fulls > 0 && p.eng.Now()-t.lastFull > fp.TrackTTL {
-		// Track loss: no result reached this client recently enough.
-		t.fulls, t.skips = 0, 0
-		return false
-	}
-	if t.fulls < fp.WarmHits || t.skips+1 >= fp.RefreshEvery {
-		return false
-	}
-	t.skips++
-	return true
-}
-
-// runGate is the fast-path service phase at primary: the frame pays only
-// the gate lookup + verdict copy (plus the sidecar RPC in scAtteR++) and
-// is delivered directly, never touching sift→matching.
-func (in *Instance) runGate(fr *simFrame, queueWait time.Duration, began sim.Time) {
-	p := in.p
-	fr.fast = true
-	cpu := in.machine.ComputeTime(p.opts.FastPath.GateCost, false)
-	if p.opts.Mode == ModeScatterPP {
-		cpu += p.opts.SidecarOverhead
-	}
-	in.machine.CPU.Acquire(func() {
-		p.eng.After(cpu, func() {
-			in.machine.CPU.Release()
-			in.cpuBusy += cpu
-			p.col.ServiceProcessed(in.Name(), queueWait, p.eng.Now()-began)
-			p.col.FastPathSkipped()
-			in.recordSpan(fr, began-queueWait, began, p.eng.Now(), obs.OutcomeOK)
-			in.deliver(fr)
-			in.idle()
-		})
-	})
-}
-
-// shardedCompute maps one lsh dispatch onto the scatter/gather cost
-// model: per-shard compute is the monolithic cost over the shard count
-// (candidate volume scales with partition size), every gather pays the
-// fan-out/merge overhead, and a gather with missing shard legs waits out
-// the gather window. It also advances the scatter/gather counters.
-func (in *Instance) shardedCompute() time.Duration {
-	p := in.p
-	sh := p.opts.Sharding
-	perShard := in.prof.CPUTime / time.Duration(sh.Shards)
-	cpu := in.machine.ComputeTime(perShard, false) + sh.GatherOverhead
-	misses := 0
-	if sh.ShardLossProb > 0 {
-		for s := 0; s < sh.Shards; s++ {
-			if p.eng.Rand().Float64() < sh.ShardLossProb {
-				misses++
-			}
-		}
-	}
-	p.shardSim.fanOuts += uint64(sh.Shards)
-	if misses > 0 {
-		p.shardSim.dropped += uint64(misses)
-		cpu += sh.GatherTimeout
-		if sh.Shards-misses >= sh.Quorum {
-			p.shardSim.partials++
-			p.shardSim.gathers++
-		} else {
-			// Below quorum the gather delivers no candidates; the frame
-			// still flows, recognition just comes back empty — exactly
-			// the runtime ShardGather contract.
-			p.shardSim.belowQuorum++
-		}
-	} else {
-		p.shardSim.gathers++
-	}
-	p.shardSim.waitMicros += uint64(cpu / time.Microsecond)
-	return cpu
-}
-
-// shardedStep reports whether this dispatch goes through the simulated
-// scatter/gather path.
-func (in *Instance) shardedStep() bool {
-	return in.p.opts.Sharding.Enabled && in.step == wire.StepLSH
-}
-
-// ShardDigest snapshots the simulated scatter/gather counters in the
-// obs exposition shape; ok is false when sharding is disabled.
-func (p *Pipeline) ShardDigest() (obs.ShardDigest, bool) {
-	if !p.opts.Sharding.Enabled {
-		return obs.ShardDigest{}, false
-	}
-	return obs.ShardDigest{
-		Shards:           p.opts.Sharding.Shards,
-		Replication:      p.opts.Sharding.Replication,
-		FanOuts:          p.shardSim.fanOuts,
-		Gathers:          p.shardSim.gathers,
-		PartialGathers:   p.shardSim.partials,
-		DroppedShards:    p.shardSim.dropped,
-		BelowQuorum:      p.shardSim.belowQuorum,
-		GatherWaitMicros: p.shardSim.waitMicros,
-	}, true
-}
-
 func (in *Instance) runPhases(fr *simFrame, queueWait time.Duration, began sim.Time) {
 	p := in.p
 	cpu := in.machine.ComputeTime(in.prof.CPUTime, false)
-	if in.shardedStep() {
-		cpu = in.shardedCompute()
-	}
 	if p.opts.Mode == ModeScatterPP {
 		cpu += p.opts.SidecarOverhead
 	}
@@ -947,25 +702,9 @@ func (in *Instance) idle() {
 	in.maybeReleaseRetired()
 }
 
-// deliver sends the processed frame back to its client. A full
-// recognition completing here is the sim's equivalent of matching
-// publishing into the gate: it bumps the client's warm state. Fast-path
-// results never do.
+// deliver sends the processed frame back to its client.
 func (in *Instance) deliver(fr *simFrame) {
 	p := in.p
-	if p.fastTracks != nil && !fr.fast {
-		t := p.fastTracks[fr.clientID]
-		if t == nil {
-			t = &simTrack{}
-			p.fastTracks[fr.clientID] = t
-		}
-		if t.fulls > 0 && p.eng.Now()-t.lastFull > p.opts.FastPath.TrackTTL {
-			t.fulls = 0
-		}
-		t.fulls++
-		t.skips = 0
-		t.lastFull = p.eng.Now()
-	}
 	link := p.fabric.Link(in.machine.Name(), clientName(fr.clientID))
 	capture := fr.capture
 	clientID := fr.clientID

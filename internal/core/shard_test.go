@@ -3,7 +3,6 @@ package core
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/edge-mar/scatter/internal/vision/lsh"
 	"github.com/edge-mar/scatter/internal/wire"
@@ -78,73 +77,5 @@ func TestRecognitionCacheShardLayoutKeying(t *testing.T) {
 	// Identical layouts still share keys — that is the cache's point.
 	if c4.Sketch(fisher) != resized {
 		t.Fatal("sketch not stable within one layout")
-	}
-}
-
-// TestSimShardingSpeedsUpLSH checks the simulator mirror: sharding the
-// lsh step cuts its per-dispatch compute, so the same workload finishes
-// with a lower end-to-end mean, full gathers, and no degradation when
-// ShardLossProb is zero.
-func TestSimShardingSpeedsUpLSH(t *testing.T) {
-	run := func(opts Options) (float64, *Pipeline) {
-		e := newEnv(17)
-		p := NewPipeline(e.eng, e.fabric, e.col, PlaceAll(e.e1), DefaultProfiles(), opts)
-		s := e.run(p, 1, 20*time.Second)
-		if s.SuccessRate < 0.9 {
-			t.Fatalf("success rate %.2f under %+v", s.SuccessRate, opts.Sharding)
-		}
-		return s.E2EMean.Seconds(), p
-	}
-	base, bp := run(Options{Mode: ModeScatter})
-	if _, ok := bp.ShardDigest(); ok {
-		t.Fatal("disabled sharding publishes a digest")
-	}
-	sharded, sp := run(Options{Mode: ModeScatter,
-		Sharding: ShardingSimOptions{Enabled: true, Shards: 8}})
-	if sharded >= base {
-		t.Errorf("8-shard E2E mean %.4fs not below monolithic %.4fs", sharded, base)
-	}
-	d, ok := sp.ShardDigest()
-	if !ok || d.Shards != 8 || d.Replication != 1 {
-		t.Fatalf("bad shard digest: %+v ok=%v", d, ok)
-	}
-	if d.Gathers == 0 || d.FanOuts != d.Gathers*8 {
-		t.Fatalf("gather accounting off: %+v", d)
-	}
-	if d.PartialGathers != 0 || d.DroppedShards != 0 || d.BelowQuorum != 0 {
-		t.Fatalf("lossless run shows degradation: %+v", d)
-	}
-	// Determinism: the virtual-clock model must reproduce bit-identically
-	// under the same seed.
-	again, _ := run(Options{Mode: ModeScatter,
-		Sharding: ShardingSimOptions{Enabled: true, Shards: 8}})
-	if sharded != again {
-		t.Errorf("sharded run not deterministic: %v vs %v", sharded, again)
-	}
-}
-
-// TestSimShardingDegradation drives shard-leg loss through the quorum
-// policy: with a generous quorum the pipeline survives on partial
-// gathers; the counters must show both partials and the legs dropped.
-func TestSimShardingDegradation(t *testing.T) {
-	e := newEnv(19)
-	p := NewPipeline(e.eng, e.fabric, e.col, PlaceAll(e.e1), DefaultProfiles(),
-		Options{Mode: ModeScatter, Sharding: ShardingSimOptions{
-			Enabled: true, Shards: 4, Quorum: 2, ShardLossProb: 0.2,
-			GatherTimeout: 5 * time.Millisecond,
-		}})
-	s := e.run(p, 1, 10*time.Second)
-	d, ok := p.ShardDigest()
-	if !ok {
-		t.Fatal("no shard digest")
-	}
-	if d.PartialGathers == 0 || d.DroppedShards == 0 {
-		t.Fatalf("20%% leg loss produced no partial gathers: %+v", d)
-	}
-	if d.BelowQuorum == 0 {
-		t.Logf("note: no below-quorum gathers at this seed (%+v)", d)
-	}
-	if d.Gathers+d.BelowQuorum == 0 || s.FramesOK == 0 {
-		t.Fatalf("degraded run delivered nothing: %+v, frames %d", d, s.FramesOK)
 	}
 }

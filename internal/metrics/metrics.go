@@ -39,7 +39,6 @@ type Collector struct {
 	jitterAbs []time.Duration
 
 	stateAllocFailures uint64
-	fastPathSkips      uint64
 
 	services map[string]*ServiceStats
 }
@@ -108,11 +107,6 @@ func (c *Collector) FrameDropped(reason DropReason) { c.dropped[reason]++ }
 // here — it will later miss at matching — so this is a separate signal,
 // the condition the paper flags for memory-constrained edge hardware.
 func (c *Collector) StateAllocFailed() { c.stateAllocFailures++ }
-
-// FastPathSkipped records a frame answered by the tracker-gated fast path
-// (delivered without running sift→matching). Such frames also count as
-// delivered; this counter separates cheap from full deliveries.
-func (c *Collector) FastPathSkipped() { c.fastPathSkips++ }
 
 // ServiceArrived records an ingress request at a service.
 func (c *Collector) ServiceArrived(name string, at time.Duration) {
@@ -189,7 +183,6 @@ func (c *Collector) Merge(other *Collector) {
 		c.lastE2E[id] = last
 	}
 	c.stateAllocFailures += other.stateAllocFailures
-	c.fastPathSkips += other.fastPathSkips
 	for name, ost := range other.services {
 		s := c.service(name)
 		s.Processed += ost.Processed
@@ -253,9 +246,6 @@ type Summary struct {
 	// StateAllocFailures counts sift state reservations rejected by the
 	// host's memory capacity.
 	StateAllocFailures uint64
-	// FastPathSkips counts delivered frames answered by the tracker-gated
-	// fast path instead of full recognition.
-	FastPathSkips uint64
 }
 
 // Summarize produces the run digest. duration is the experiment length in
@@ -313,7 +303,6 @@ func (c *Collector) Summarize(duration time.Duration, clients int, machines []Ma
 		s.ServiceLatMean = procSum / time.Duration(nSvc)
 	}
 	s.StateAllocFailures = c.stateAllocFailures
-	s.FastPathSkips = c.fastPathSkips
 	return s
 }
 
@@ -430,9 +419,6 @@ func (s Summary) String() string {
 		s.DropsTotal())
 	if s.StateAllocFailures > 0 {
 		out += fmt.Sprintf(" state_alloc_fail=%d", s.StateAllocFailures)
-	}
-	if s.FastPathSkips > 0 {
-		out += fmt.Sprintf(" fastpath_skips=%d", s.FastPathSkips)
 	}
 	return out
 }
