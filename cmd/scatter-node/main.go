@@ -25,7 +25,6 @@
 //	  "trace_spans": true,
 //	  "route_stats": {"enabled": true, "ack_timeout_ms": 250},
 //	  "fast_path": {"enabled": true, "refresh_every": 30, "min_confidence": 0.5},
-//	  "recognition_cache": {"enabled": true, "ttl_ms": 500, "capacity": 1024},
 //	  "lsh": {"pre_rank": 4},
 //	  "sharding": {"enabled": true, "shards": 4, "replication": 1},
 //	  "fault": {"packet_loss": 0.01, "delay_ms": 5, "seed": 42}
@@ -41,19 +40,17 @@
 // in heartbeats;
 // fast_path arms the tracker-gated recognition fast path (confident
 // frames answered at primary from matching's published verdicts, skipping
-// sift→matching; scatter_fastpath_* series on the obs endpoints);
-// recognition_cache shares LSH candidate lists across clients keyed by
-// the query's LSH sketch; lsh arms bit-packed Hamming pre-ranking on the
-// reference index (pre_rank n cuts the exact cosine pass to n·k
-// candidates; 0/omitted is exact mode, and the budget propagates into
-// shard replicas); sharding partitions the lsh reference database
-// across shard replicas with scatter/gather top-k merge — bit-identical
-// results, O(N/shards) per-replica query cost (scatter_shard_* series on
-// the obs endpoints; see shardingSpec for serving and remote-gather
-// deployments); fault
-// (all fields optional) injects drops, compounding per-fragment loss,
-// delay, jitter, and duplication on this node's outbound traffic for
-// chaos experiments.
+// sift→matching; scatter_fastpath_* series on the obs endpoints); lsh
+// arms bit-packed Hamming pre-ranking on the reference index (pre_rank n
+// cuts the exact cosine pass to n·k candidates; 0/omitted is exact mode,
+// and the budget propagates into shard replicas); sharding partitions
+// the lsh reference database across shard replicas with scatter/gather
+// top-k merge — bit-identical results, O(N/shards) per-replica query
+// cost (scatter_shard_* series on the obs endpoints; see shardingSpec
+// for serving and remote-gather deployments); fault (all fields
+// optional) injects drops, compounding per-fragment loss, delay,
+// jitter, and duplication on this node's outbound traffic for chaos
+// experiments.
 //
 // Split deployments run scatter-node on several machines with routes
 // pointing across hosts, exactly as the paper pins services to E1/E2.
@@ -130,17 +127,6 @@ type fastPathSpec struct {
 	TrackerIdleTimeoutMs int     `json:"tracker_idle_timeout_ms,omitempty"`
 }
 
-// recognitionCacheSpec arms the cross-client recognition cache at the lsh
-// service: candidate lists are keyed by the query's LSH sketch so
-// co-located clients viewing the same scene share results. Zero fields
-// take the core.RecognitionCacheConfig defaults (500ms TTL, 1024
-// entries).
-type recognitionCacheSpec struct {
-	Enabled  bool `json:"enabled"`
-	TTLMs    int  `json:"ttl_ms,omitempty"`
-	Capacity int  `json:"capacity,omitempty"`
-}
-
 // lshSpec tunes the lsh service's recognition index. pre_rank > 0 arms
 // bit-packed Hamming pre-ranking: candidates are cut to pre_rank·k by
 // sketch Hamming distance (XOR/popcount over the Add-time sign
@@ -167,10 +153,8 @@ type shardServeSpec struct {
 // to the monolithic index). serve additionally publishes partitions to
 // the network for remote gathers; gather makes the lsh service scatter
 // to a remote shard fleet instead of its local partitions (outer index
-// = shard number, inner = replica addresses). Either way the
-// recognition cache keys gain a layout prefix so entries can never
-// alias across shard layouts, and scatter_shard_* series appear on the
-// obs endpoints.
+// = shard number, inner = replica addresses). Either way
+// scatter_shard_* series appear on the obs endpoints.
 type shardingSpec struct {
 	Enabled         bool             `json:"enabled"`
 	Shards          int              `json:"shards,omitempty"`      // default 4
@@ -249,9 +233,6 @@ type nodeConfig struct {
 	// LSH tunes the recognition index's ranking kernels (Hamming
 	// pre-ranking budget; see lshSpec).
 	LSH *lshSpec `json:"lsh,omitempty"`
-	// RecognitionCache, when enabled, shares LSH candidate lists across
-	// clients keyed by the query's LSH sketch.
-	RecognitionCache *recognitionCacheSpec `json:"recognition_cache,omitempty"`
 	// Sharding partitions the lsh reference database across shard
 	// replicas with scatter/gather top-k merge (see shardingSpec).
 	Sharding *shardingSpec `json:"sharding,omitempty"`
@@ -432,7 +413,6 @@ func main() {
 		if len(cfg.Sharding.Gather) > 0 {
 			g, err := agent.NewShardGather(agent.ShardGatherConfig{
 				Shards:        cfg.Sharding.Gather,
-				Index:         model.Index.Config(),
 				Network:       cfg.Network,
 				GatherTimeout: time.Duration(cfg.Sharding.GatherTimeoutMs) * time.Millisecond,
 				Quorum:        cfg.Sharding.Quorum,
@@ -450,9 +430,8 @@ func main() {
 			"serving", len(shardServers), "remote_gather", shardGather != nil)
 	}
 
-	// Optional tracker-gated fast path + shared recognition cache: the
-	// gate is shared by the primary (reader) and matching (writer) workers
-	// on this node; the cache sits behind the lsh worker.
+	// Optional tracker-gated fast path: the gate is shared by the primary
+	// (reader) and matching (writer) workers on this node.
 	var gate *core.FastPathGate
 	if cfg.FastPath != nil && cfg.FastPath.Enabled {
 		gate = core.NewFastPathGate(core.FastPathConfig{
@@ -466,17 +445,6 @@ func main() {
 			"refresh_every", cfg.FastPath.RefreshEvery,
 			"min_confidence", cfg.FastPath.MinConfidence)
 	}
-	var cache *core.RecognitionCache
-	if cfg.RecognitionCache != nil && cfg.RecognitionCache.Enabled {
-		cache = core.NewRecognitionCache(core.RecognitionCacheConfig{
-			TTL:      time.Duration(cfg.RecognitionCache.TTLMs) * time.Millisecond,
-			Capacity: cfg.RecognitionCache.Capacity,
-		}, lshIndex)
-		log.Info("recognition cache armed",
-			"ttl_ms", cfg.RecognitionCache.TTLMs,
-			"capacity", cfg.RecognitionCache.Capacity)
-	}
-
 	// Optional fault injection: every worker's outbound traffic goes
 	// through the same policy, like tc/netem qdiscs on the node's egress.
 	var wrapEndpoint func(transport.Endpoint) transport.Endpoint
@@ -508,17 +476,12 @@ func main() {
 	if statsRouter != nil {
 		reg.SetRouteSource(statsRouter.Table().Digest)
 	}
-	if gate != nil || cache != nil {
-		// Gate and cache methods are nil-receiver-safe, so a node running
-		// only one of the two exposes zeros for the other.
+	if gate != nil {
 		reg.SetFastPathSource(func() obs.FastPathDigest {
 			return obs.FastPathDigest{
-				Skips:       gate.Skips(),
-				Fulls:       gate.Fulls(),
-				Clients:     gate.ClientCount(),
-				CacheHits:   cache.Hits(),
-				CacheMisses: cache.Misses(),
-				CacheLen:    cache.Len(),
+				Skips:   gate.Skips(),
+				Fulls:   gate.Fulls(),
+				Clients: gate.ClientCount(),
 			}
 		})
 	}
@@ -562,9 +525,7 @@ func main() {
 		case wire.StepEncoding:
 			proc = core.NewEncoding(model.PCA, model.Encoder)
 		case wire.StepLSH:
-			l := core.NewLSHService(lshIndex, 3)
-			l.Cache = cache
-			proc = l
+			proc = core.NewLSHService(lshIndex, 3)
 		case wire.StepMatching:
 			var fetch core.StateFetcher
 			if !stateless {

@@ -31,12 +31,13 @@ func TestParseConfigAcceptsDeployFiles(t *testing.T) {
 	}
 }
 
-// TestParseConfigRejectsUnknownKeys covers a removed batching key, a
-// typo inside a nested block, and trailing data: each must fail at parse
-// with the offending key named.
+// TestParseConfigRejectsUnknownKeys covers the removed batching and
+// recognition-cache keys, a typo inside a nested block, and trailing
+// data: each must fail at parse with the offending key named.
 func TestParseConfigRejectsUnknownKeys(t *testing.T) {
 	for _, tc := range []struct{ doc, want string }{
 		{`{"mode": "scatter++", "batch_max": 4}`, "batch_max"},
+		{`{"mode": "scatter++", "recognition_cache": {"enabled": true}}`, "recognition_cache"},
 		{`{"route_stats": {"enabeld": true}}`, "enabeld"},
 		{`{"mode": "scatter"} {"mode": "scatter++"}`, "trailing"},
 	} {

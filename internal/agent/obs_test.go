@@ -24,7 +24,7 @@ func TestWorkerObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := core.NewFastProcessors(model, true, 320, 180)
+	procs := core.NewProcessors(model, true, 320, 180)
 
 	reg := obs.NewRegistry()
 	table := map[wire.Step][]string{}

@@ -167,12 +167,6 @@ type ShardGatherConfig struct {
 	// Shards[s] holds the interchangeable replicas of shard s. Every
 	// shard needs at least one address.
 	Shards [][]string
-	// Index must equal the configuration the shard servers' indexes
-	// were built with. The gather side instantiates an empty index from
-	// it as its local sketcher: hyperplanes are derived from the seed,
-	// so Hash/Tables (recognition-cache keying) match the shards without
-	// holding any reference data.
-	Index lsh.Config
 	// Network selects the transport ("udp" default, "tcp").
 	Network string
 	// GatherTimeout bounds how long a gather waits for shard responses
@@ -215,12 +209,11 @@ type gatherPending struct {
 // shards and merges the gathered top-k lists. It implements
 // core.NNIndex.
 type ShardGather struct {
-	cfg      ShardGatherConfig
-	conn     transport.Endpoint
-	sketcher *lsh.Index
-	health   []*routestats.Table // one table per shard, keyed at wire.StepLSH
-	rr       atomic.Uint64
-	nextID   atomic.Uint64
+	cfg    ShardGatherConfig
+	conn   transport.Endpoint
+	health []*routestats.Table // one table per shard, keyed at wire.StepLSH
+	rr     atomic.Uint64
+	nextID atomic.Uint64
 
 	mu      sync.Mutex
 	pending map[uint64]*gatherPending
@@ -255,7 +248,6 @@ func NewShardGather(cfg ShardGatherConfig) (*ShardGather, error) {
 	}
 	g := &ShardGather{
 		cfg:       cfg,
-		sketcher:  lsh.New(cfg.Index),
 		pending:   make(map[uint64]*gatherPending),
 		shardLens: make([]atomic.Int64, len(cfg.Shards)),
 	}
@@ -278,13 +270,6 @@ func (g *ShardGather) Close() error { return g.conn.Close() }
 // Shards returns the configured shard count.
 func (g *ShardGather) Shards() int { return len(g.cfg.Shards) }
 
-// Tables implements core.NNIndex via the local sketcher.
-func (g *ShardGather) Tables() int { return g.sketcher.Tables() }
-
-// Hash implements core.NNIndex via the local sketcher — identical
-// hyperplanes, no reference data held locally.
-func (g *ShardGather) Hash(table int, v []float32) uint64 { return g.sketcher.Hash(table, v) }
-
 // Len returns the reference-set size as last reported by the shards
 // (result frames carry each shard's item count). Zero until the first
 // gather completes.
@@ -294,23 +279,6 @@ func (g *ShardGather) Len() int {
 		n += g.shardLens[i].Load()
 	}
 	return int(n)
-}
-
-// LayoutSignature implements core.LayoutSigner: recognition-cache keys
-// minted against this gather client never alias keys minted against a
-// different shard layout (or against a monolithic index, which uses the
-// unprefixed key form).
-func (g *ShardGather) LayoutSignature() uint64 {
-	replication := 0
-	for _, reps := range g.cfg.Shards {
-		if len(reps) > replication {
-			replication = len(reps)
-		}
-	}
-	z := uint64(len(g.cfg.Shards))<<40 ^ uint64(replication)<<32 ^ uint64(g.cfg.Quorum)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Stats returns cumulative gather counters.

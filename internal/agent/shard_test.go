@@ -33,7 +33,6 @@ func startShardFleet(t *testing.T, n, dim, shards int, gcfg ShardGatherConfig) (
 	}
 	sharded := lsh.NewShardedFrom(mono, lsh.ShardConfig{Shards: shards})
 	var servers []*ShardServer
-	gcfg.Index = shardGatherCfg(dim)
 	gcfg.Shards = make([][]string, shards)
 	for s := 0; s < shards; s++ {
 		srv, err := StartShardServer(ShardServerConfig{
@@ -64,17 +63,9 @@ func TestShardGatherMatchesMonolithic(t *testing.T) {
 	mono, g, _ := startShardFleet(t, n, dim, shards, ShardGatherConfig{
 		GatherTimeout: 2 * time.Second,
 	})
-	if g.Tables() != mono.Tables() {
-		t.Fatalf("sketcher tables %d, want %d", g.Tables(), mono.Tables())
-	}
 	rng := rand.New(rand.NewSource(62))
 	for q := 0; q < 10; q++ {
 		v := randomVec(rng, dim)
-		for tb := 0; tb < mono.Tables(); tb++ {
-			if g.Hash(tb, v) != mono.Hash(tb, v) {
-				t.Fatalf("sketcher hash diverges in table %d", tb)
-			}
-		}
 		if got, want := g.Query(v, 5), mono.Query(v, 5); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: gather diverges:\n got %v\nwant %v", q, got, want)
 		}
@@ -172,7 +163,6 @@ func TestShardServerRejects(t *testing.T) {
 	// server owning shard 3: every leg must be rejected server-side.
 	g, err := NewShardGather(ShardGatherConfig{
 		Shards:        [][]string{{srv.Addr()}},
-		Index:         shardGatherCfg(dim),
 		GatherTimeout: 80 * time.Millisecond,
 	})
 	if err != nil {
@@ -188,26 +178,5 @@ func TestShardServerRejects(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Rejected == 0 || st.Queries != 0 {
 		t.Fatalf("misrouted query not rejected: %+v", st)
-	}
-}
-
-// TestShardGatherLayoutSignature: different fleet layouts must mint
-// different recognition-cache key prefixes.
-func TestShardGatherLayoutSignature(t *testing.T) {
-	cfg := shardGatherCfg(16)
-	mk := func(shards int) *ShardGather {
-		addrs := make([][]string, shards)
-		for s := range addrs {
-			addrs[s] = []string{"127.0.0.1:1"}
-		}
-		g, err := NewShardGather(ShardGatherConfig{Shards: addrs, Index: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { g.Close() })
-		return g
-	}
-	if mk(4).LayoutSignature() == mk(8).LayoutSignature() {
-		t.Fatal("4-shard and 8-shard fleets share a layout signature")
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"container/list"
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,163 +207,4 @@ func (g *FastPathGate) sweepLocked(now time.Time) {
 			delete(g.clients, id)
 		}
 	}
-}
-
-// RecognitionCacheConfig parameterizes the cross-client recognition
-// cache.
-type RecognitionCacheConfig struct {
-	// TTL bounds staleness: entries older than this are treated as
-	// misses (default 500ms — co-located clients viewing the same scene
-	// within half a second share candidates).
-	TTL time.Duration
-	// Capacity bounds the entry count; least-recently-used entries are
-	// evicted past it (default 1024).
-	Capacity int
-}
-
-func (c RecognitionCacheConfig) withDefaults() RecognitionCacheConfig {
-	if c.TTL <= 0 {
-		c.TTL = 500 * time.Millisecond
-	}
-	if c.Capacity <= 0 {
-		c.Capacity = 1024
-	}
-	return c
-}
-
-type cacheEntry struct {
-	key        string
-	candidates []Candidate
-	stored     time.Time
-}
-
-// RecognitionCache is a cross-client cache of LSH candidate lists keyed
-// by the LSH sketch of the query's Fisher vector (the concatenated
-// per-table bucket keys). Two clients looking at the same scene produce
-// Fisher vectors that land in the same buckets of every table, so the
-// sketch collides and the second client reuses the first's ranked
-// candidates without touching the index. Detections are NOT cached —
-// they are pose-dependent and cannot be shared across viewpoints.
-// Safe for concurrent use.
-type RecognitionCache struct {
-	cfg   RecognitionCacheConfig
-	index NNIndex
-	now   func() time.Time
-
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	lru     *list.List // front = most recent; values are *cacheEntry
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-// NewRecognitionCache returns a cache over index's hash functions.
-func NewRecognitionCache(cfg RecognitionCacheConfig, index NNIndex) *RecognitionCache {
-	return &RecognitionCache{
-		cfg:     cfg.withDefaults(),
-		index:   index,
-		now:     time.Now,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-	}
-}
-
-// Sketch returns the cache key of a Fisher vector: the little-endian
-// concatenation of its bucket key in every LSH table. Partitioned
-// backends prefix their layout signature, so a key minted under one
-// shard layout can never alias a key minted under another (a partial
-// gather's cached verdict must not outlive a resize). Monolithic
-// backends produce the historical unprefixed key.
-func (c *RecognitionCache) Sketch(fisher []float32) string {
-	n := c.index.Tables()
-	buf := make([]byte, 0, 8*(n+1))
-	if ls, ok := c.index.(LayoutSigner); ok {
-		buf = binary.LittleEndian.AppendUint64(buf, ls.LayoutSignature())
-	}
-	for t := 0; t < n; t++ {
-		buf = binary.LittleEndian.AppendUint64(buf, c.index.Hash(t, fisher))
-	}
-	return string(buf)
-}
-
-// Lookup returns the cached candidates for sketch. It reports false on a
-// miss or an expired entry. The returned slice is a copy the caller owns
-// (possibly empty: an empty candidate list is a valid cached result).
-func (c *RecognitionCache) Lookup(sketch string) ([]Candidate, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	el, ok := c.entries[sketch]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if c.now().Sub(e.stored) > c.cfg.TTL {
-		c.lru.Remove(el)
-		delete(c.entries, sketch)
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	out := append(make([]Candidate, 0, len(e.candidates)), e.candidates...)
-	c.mu.Unlock()
-	c.hits.Add(1)
-	return out, true
-}
-
-// Store caches candidates under sketch, evicting the least-recently-used
-// entries past Capacity. The slice is copied.
-func (c *RecognitionCache) Store(sketch string, candidates []Candidate) {
-	if c == nil {
-		return
-	}
-	cp := append([]Candidate(nil), candidates...)
-	c.mu.Lock()
-	if el, ok := c.entries[sketch]; ok {
-		e := el.Value.(*cacheEntry)
-		e.candidates = cp
-		e.stored = c.now()
-		c.lru.MoveToFront(el)
-		c.mu.Unlock()
-		return
-	}
-	el := c.lru.PushFront(&cacheEntry{key: sketch, candidates: cp, stored: c.now()})
-	c.entries[sketch] = el
-	for c.lru.Len() > c.cfg.Capacity {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.entries, back.Value.(*cacheEntry).key)
-	}
-	c.mu.Unlock()
-}
-
-// Len returns the number of live entries.
-func (c *RecognitionCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// Hits returns the total cache hits.
-func (c *RecognitionCache) Hits() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.hits.Load()
-}
-
-// Misses returns the total cache misses (including TTL expiries).
-func (c *RecognitionCache) Misses() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.misses.Load()
 }

@@ -138,105 +138,6 @@ func TestFastPathGateReusesPooledBuffer(t *testing.T) {
 	}
 }
 
-func TestRecognitionCacheTTL(t *testing.T) {
-	c := NewRecognitionCache(RecognitionCacheConfig{TTL: time.Second, Capacity: 8}, nil)
-	now := time.Unix(0, 0)
-	c.now = func() time.Time { return now }
-	c.Store("a", []Candidate{{ObjectID: 1, Dist: 0.5}})
-	if got, ok := c.Lookup("a"); !ok || len(got) != 1 || got[0].ObjectID != 1 {
-		t.Fatalf("fresh lookup = %v, %v", got, ok)
-	}
-	now = now.Add(2 * time.Second)
-	if _, ok := c.Lookup("a"); ok {
-		t.Fatal("expired entry served")
-	}
-	if c.Len() != 0 {
-		t.Errorf("expired entry retained, len = %d", c.Len())
-	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Errorf("hits=%d misses=%d, want 1/1", c.Hits(), c.Misses())
-	}
-}
-
-func TestRecognitionCacheLRUEviction(t *testing.T) {
-	c := NewRecognitionCache(RecognitionCacheConfig{TTL: time.Hour, Capacity: 2}, nil)
-	c.Store("a", []Candidate{{ObjectID: 1}})
-	c.Store("b", []Candidate{{ObjectID: 2}})
-	if _, ok := c.Lookup("a"); !ok { // touch a: b is now least recent
-		t.Fatal("a missing")
-	}
-	c.Store("c", []Candidate{{ObjectID: 3}})
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-	if _, ok := c.Lookup("b"); ok {
-		t.Error("least-recently-used entry survived eviction")
-	}
-	for _, key := range []string{"a", "c"} {
-		if _, ok := c.Lookup(key); !ok {
-			t.Errorf("entry %q evicted out of LRU order", key)
-		}
-	}
-}
-
-func TestRecognitionCacheEmptyResultIsValid(t *testing.T) {
-	c := NewRecognitionCache(RecognitionCacheConfig{}, nil)
-	c.Store("none", []Candidate{})
-	got, ok := c.Lookup("none")
-	if !ok {
-		t.Fatal("cached empty candidate list read as a miss")
-	}
-	if len(got) != 0 {
-		t.Errorf("candidates = %v", got)
-	}
-}
-
-func TestLSHServiceSharesCacheAcrossClients(t *testing.T) {
-	m, gen := trainedModel(t)
-	procs := NewProcessors(m, true, 320, 180)
-	cache := NewRecognitionCache(RecognitionCacheConfig{}, m.Index)
-	procs[wire.StepLSH].(*LSHService).Cache = cache
-
-	toLSH := func(clientID uint32) *wire.Frame {
-		fr := clientFrame(t, gen, clientID, 1, 0)
-		for fr.Step != wire.StepLSH {
-			if err := procs[fr.Step].Process(fr); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return fr
-	}
-	fa, fb := toLSH(1), toLSH(2)
-	if err := procs[wire.StepLSH].Process(fa); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Misses() != 1 || cache.Hits() != 0 || cache.Len() != 1 {
-		t.Fatalf("after first query: hits=%d misses=%d len=%d", cache.Hits(), cache.Misses(), cache.Len())
-	}
-	if err := procs[wire.StepLSH].Process(fb); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Hits() != 1 {
-		t.Fatalf("identical view from a second client missed the cache (hits=%d)", cache.Hits())
-	}
-	pa, err := DecodePayload(fa.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := DecodePayload(fb.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pa.Candidates) == 0 || len(pa.Candidates) != len(pb.Candidates) {
-		t.Fatalf("candidates: %d vs %d", len(pa.Candidates), len(pb.Candidates))
-	}
-	for i := range pa.Candidates {
-		if pa.Candidates[i] != pb.Candidates[i] {
-			t.Errorf("candidate %d differs: %+v vs %+v", i, pa.Candidates[i], pb.Candidates[i])
-		}
-	}
-}
-
 func TestMatchingMinHitsGatesDetections(t *testing.T) {
 	mm := NewMatching(nil, nil)
 	mm.SetMinHits(3)

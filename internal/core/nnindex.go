@@ -17,28 +17,4 @@ type NNIndex interface {
 	ExactNN(v []float32, k int) []lsh.Neighbor
 	// Len returns the number of stored reference items.
 	Len() int
-	// Tables returns the number of LSH hash tables.
-	Tables() int
-	// Hash returns the bucket key of v in one table — the recognition
-	// cache builds its sketch keys from these.
-	Hash(table int, v []float32) uint64
-}
-
-// LayoutSigner is implemented by NNIndex backends whose reference set is
-// partitioned into a mutable layout (shard count, replication, resize
-// epoch). The recognition cache folds the signature into its keys so an
-// entry cached under one layout can never alias an entry under another.
-type LayoutSigner interface {
-	LayoutSignature() uint64
-}
-
-// PreRanker is implemented by NNIndex backends that support bit-packed
-// Hamming pre-ranking (lsh.Index and lsh.ShardedIndex): queries cut the
-// candidate set to n·k by sketch Hamming distance before the exact
-// cosine pass. SetPreRank(0) restores exact mode — bit-identical
-// ranking of every candidate. The control plane retunes it live; the
-// remote shard-gather client does not implement it (the budget lives
-// server-side on each shard's index).
-type PreRanker interface {
-	SetPreRank(n int)
 }

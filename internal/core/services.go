@@ -12,7 +12,6 @@ import (
 	"github.com/edge-mar/scatter/internal/vision/imgproc"
 	"github.com/edge-mar/scatter/internal/vision/lsh"
 	"github.com/edge-mar/scatter/internal/vision/match"
-	"github.com/edge-mar/scatter/internal/vision/orb"
 	"github.com/edge-mar/scatter/internal/vision/pca"
 	"github.com/edge-mar/scatter/internal/vision/sift"
 	"github.com/edge-mar/scatter/internal/wire"
@@ -208,17 +207,12 @@ func grayToPayload(g *imgproc.Gray) *ImagePayload {
 // GrayToPayload converts an image for client submission.
 func GrayToPayload(g *imgproc.Gray) *ImagePayload { return grayToPayload(g) }
 
-// Extractor converts a grayscale frame into features. The default is the
-// SIFT implementation; NewFastSIFT substitutes the ORB extractor (the
-// "faster model" option the paper's §5 discusses).
-type Extractor func(img *imgproc.Gray) *Features
-
 // SIFT implements the object-detection service. In stateful (scAtteR)
 // mode it retains each frame's features in memory until matching fetches
 // them or they time out; in stateless (scAtteR++) mode the features ride
 // in the frame payload.
 type SIFT struct {
-	extract   Extractor
+	det       *sift.Detector
 	stateless bool
 
 	mu     sync.Mutex
@@ -240,90 +234,30 @@ type siftState struct {
 func NewSIFT(maxFeatures int, stateless bool) *SIFT {
 	cfg := sift.Defaults()
 	cfg.MaxFeatures = maxFeatures
-	det := sift.New(cfg)
-	return NewDetectService(func(img *imgproc.Gray) *Features {
-		feats := det.Detect(img)
-		f := &Features{
-			Keypoints:   make([]FeatureKeypoint, len(feats)),
-			Descriptors: make([]sift.Descriptor, len(feats)),
-		}
-		for i, ft := range feats {
-			f.Keypoints[i] = FeatureKeypoint{
-				X: float32(ft.X), Y: float32(ft.Y),
-				Sigma: float32(ft.Sigma), Orientation: float32(ft.Orientation),
-			}
-			f.Descriptors[i] = ft.Desc
-		}
-		return f
-	}, stateless)
-}
-
-// NewFastSIFT returns the detection service with the ORB extractor —
-// several times faster than SIFT at the cost of binary (embedded)
-// descriptors. 256-bit BRIEF descriptors are folded into the 128-d
-// descriptor space by summing ±1 bit pairs, preserving the Hamming
-// metric up to quantization so the downstream PCA/Fisher/LSH/matching
-// stages work unchanged.
-func NewFastSIFT(maxFeatures int, stateless bool) *SIFT {
-	det := orb.New(orb.Config{MaxFeatures: maxFeatures})
-	return NewDetectService(func(img *imgproc.Gray) *Features {
-		feats := det.Detect(img)
-		f := &Features{
-			Keypoints:   make([]FeatureKeypoint, len(feats)),
-			Descriptors: make([]sift.Descriptor, len(feats)),
-		}
-		for i := range feats {
-			ft := &feats[i]
-			f.Keypoints[i] = FeatureKeypoint{
-				X: float32(ft.X), Y: float32(ft.Y),
-				Sigma: 1, Orientation: float32(ft.Orientation),
-			}
-			f.Descriptors[i] = foldORB(&ft.Desc)
-		}
-		return f
-	}, stateless)
-}
-
-// foldORB folds a 256-bit ORB descriptor into the 128-d float descriptor
-// space: component k sums bits 2k and 2k+1 as ±1 and the vector is
-// L2-normalized.
-func foldORB(d *orb.Descriptor) sift.Descriptor {
-	var out sift.Descriptor
-	var norm float64
-	for k := 0; k < sift.DescriptorSize; k++ {
-		v := float32(0)
-		for _, bit := range [2]int{2 * k, 2*k + 1} {
-			if d[bit/64]&(1<<uint(bit%64)) != 0 {
-				v++
-			} else {
-				v--
-			}
-		}
-		out[k] = v
-		norm += float64(v) * float64(v)
-	}
-	if norm > 0 {
-		inv := float32(1 / math.Sqrt(norm))
-		for k := range out {
-			out[k] *= inv
-		}
-	}
-	return out
-}
-
-// NewDetectService wraps an arbitrary extractor with the detection
-// service's state semantics.
-func NewDetectService(extract Extractor, stateless bool) *SIFT {
-	if extract == nil {
-		panic("core: nil extractor")
-	}
 	return &SIFT{
-		extract:      extract,
+		det:          sift.New(cfg),
 		stateless:    stateless,
 		states:       make(map[stateKey]*siftState),
 		StateTimeout: time.Second,
 		now:          time.Now,
 	}
+}
+
+// extract converts a grayscale frame into features.
+func (s *SIFT) extract(img *imgproc.Gray) *Features {
+	feats := s.det.Detect(img)
+	f := &Features{
+		Keypoints:   make([]FeatureKeypoint, len(feats)),
+		Descriptors: make([]sift.Descriptor, len(feats)),
+	}
+	for i, ft := range feats {
+		f.Keypoints[i] = FeatureKeypoint{
+			X: float32(ft.X), Y: float32(ft.Y),
+			Sigma: float32(ft.Sigma), Orientation: float32(ft.Orientation),
+		}
+		f.Descriptors[i] = ft.Desc
+	}
+	return f
 }
 
 // Step implements Processor.
@@ -455,12 +389,6 @@ type LSHService struct {
 	index NNIndex
 	// K is how many candidates to forward (default 3).
 	K int
-	// Cache, when non-nil, short-circuits index queries through the
-	// cross-client recognition cache: the Fisher vector's LSH sketch is
-	// computed (a fraction of a full multi-probe query + exact ranking),
-	// and a fresh-enough entry from any client viewing the same scene is
-	// reused. Nil leaves Process bit-identical to a build without it.
-	Cache *RecognitionCache
 }
 
 // NewLSHService wraps a populated index backend — a monolithic
@@ -488,16 +416,6 @@ func (s *LSHService) Process(fr *wire.Frame) error {
 	if p.Fisher == nil {
 		return fmt.Errorf("%w: fisher vector at lsh", ErrMissingSection)
 	}
-	var sketch string
-	if s.Cache != nil {
-		sketch = s.Cache.Sketch(p.Fisher)
-		if cached, ok := s.Cache.Lookup(sketch); ok {
-			p.Candidates = cached
-			p.Fisher = nil
-			advance(fr, p)
-			return nil
-		}
-	}
 	neighbors := s.index.Query(p.Fisher, s.K)
 	if len(neighbors) < s.K && s.index.Len() >= s.K {
 		// Small reference sets can miss probe buckets; top up with the
@@ -507,9 +425,6 @@ func (s *LSHService) Process(fr *wire.Frame) error {
 	p.Candidates = make([]Candidate, len(neighbors))
 	for i, n := range neighbors {
 		p.Candidates[i] = Candidate{ObjectID: int32(n.ID), Dist: float32(n.Dist)}
-	}
-	if s.Cache != nil {
-		s.Cache.Store(sketch, p.Candidates)
 	}
 	p.Fisher = nil
 	advance(fr, p)
@@ -781,9 +696,6 @@ type TrainConfig struct {
 	GMMIters    int   // EM iterations (default 15)
 	MaxFeatures int   // per-image feature cap (default 150)
 	Seed        int64 // default 1
-	// FastExtractor trains with the ORB extractor instead of SIFT; the
-	// resulting model must be served by NewFastSIFT-based pipelines.
-	FastExtractor bool
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -812,35 +724,14 @@ func Train(refs []trace.ReferenceImage, cfg TrainConfig) (*Model, error) {
 	if len(refs) == 0 {
 		return nil, errors.New("core: no reference images")
 	}
-	var detect func(img *imgproc.Gray) []sift.Feature
-	if cfg.FastExtractor {
-		det := orb.New(orb.Config{MaxFeatures: cfg.MaxFeatures, Seed: cfg.Seed})
-		detect = func(img *imgproc.Gray) []sift.Feature {
-			raw := det.Detect(img)
-			out := make([]sift.Feature, len(raw))
-			for i := range raw {
-				out[i] = sift.Feature{
-					Keypoint: sift.Keypoint{
-						X: raw[i].X, Y: raw[i].Y,
-						Sigma: 1, Orientation: raw[i].Orientation,
-						Response: raw[i].Score,
-					},
-					Desc: foldORB(&raw[i].Desc),
-				}
-			}
-			return out
-		}
-	} else {
-		detCfg := sift.Defaults()
-		detCfg.MaxFeatures = cfg.MaxFeatures
-		det := sift.New(detCfg)
-		detect = det.Detect
-	}
+	detCfg := sift.Defaults()
+	detCfg.MaxFeatures = cfg.MaxFeatures
+	det := sift.New(detCfg)
 
 	var allDescs [][]float32
 	objects := make([]*ReferenceObject, 0, len(refs))
 	for _, ref := range refs {
-		feats := detect(ref.Img)
+		feats := det.Detect(ref.Img)
 		if len(feats) == 0 {
 			return nil, fmt.Errorf("core: reference image %q yields no features", ref.Name)
 		}
@@ -882,22 +773,7 @@ func Train(refs []trace.ReferenceImage, cfg TrainConfig) (*Model, error) {
 // Matching fetches directly from the returned SIFT instance (in-process
 // wiring; the distributed runtime substitutes an RPC fetcher).
 func NewProcessors(m *Model, stateless bool, analysisW, analysisH int) [wire.NumSteps]Processor {
-	return newProcessors(m, stateless, analysisW, analysisH, false)
-}
-
-// NewFastProcessors is NewProcessors with the ORB extractor at the
-// detection stage — use with a Model trained with FastExtractor.
-func NewFastProcessors(m *Model, stateless bool, analysisW, analysisH int) [wire.NumSteps]Processor {
-	return newProcessors(m, stateless, analysisW, analysisH, true)
-}
-
-func newProcessors(m *Model, stateless bool, analysisW, analysisH int, fast bool) [wire.NumSteps]Processor {
-	var s *SIFT
-	if fast {
-		s = NewFastSIFT(150, stateless)
-	} else {
-		s = NewSIFT(150, stateless)
-	}
+	s := NewSIFT(150, stateless)
 	var fetch StateFetcher
 	if !stateless {
 		fetch = s.Fetch

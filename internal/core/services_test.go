@@ -2,12 +2,10 @@ package core
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"time"
 
 	"github.com/edge-mar/scatter/internal/trace"
-	"github.com/edge-mar/scatter/internal/vision/orb"
 	"github.com/edge-mar/scatter/internal/wire"
 )
 
@@ -260,87 +258,6 @@ func BenchmarkFullPipelineStateless(b *testing.B) {
 			if err := procs[step].Process(fr); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-func TestFastExtractorPipelineRecognizes(t *testing.T) {
-	gen := trace.NewGenerator(trace.Config{W: 320, H: 180, FPS: 10, Seconds: 1, Seed: 7})
-	m, err := Train(gen.ReferenceImages(), TrainConfig{GMMK: 4, GMMIters: 8, FastExtractor: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := NewFastProcessors(m, true, 320, 180)
-	found := 0
-	for i := 0; i < 4; i++ {
-		fr := clientFrame(t, gen, 1, uint64(i+1), i)
-		p := runPipeline(t, procs, fr)
-		found += len(p.Detections)
-	}
-	if found == 0 {
-		t.Fatal("ORB-based pipeline recognized nothing")
-	}
-}
-
-func TestFastExtractorIsFaster(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison")
-	}
-	gen := trace.NewGenerator(trace.Config{W: 320, H: 180, FPS: 10, Seconds: 1, Seed: 7})
-	img := gen.GrayFrame(0)
-	payload := (&Payload{Image: GrayToPayload(img)}).Encode()
-
-	timeOne := func(s *SIFT) time.Duration {
-		fr := &wire.Frame{ClientID: 1, FrameNo: 1, Step: wire.StepSIFT, Payload: payload}
-		start := time.Now()
-		if err := s.Process(fr); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	// The margin is about a millisecond, less than one descheduling, so
-	// compare each side's best of five alternating calls, not one cold
-	// call of each.
-	siftSvc, orbSvc := NewSIFT(150, true), NewFastSIFT(150, true)
-	slow, fast := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	for i := 0; i < 5; i++ {
-		slow = min(slow, timeOne(siftSvc))
-		fast = min(fast, timeOne(orbSvc))
-	}
-	if fast >= slow {
-		t.Errorf("ORB extractor (%v) not faster than SIFT (%v)", fast, slow)
-	}
-}
-
-func TestNewDetectServicePanicsOnNil(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewDetectService(nil) did not panic")
-		}
-	}()
-	NewDetectService(nil, true)
-}
-
-func TestFoldORBPreservesScale(t *testing.T) {
-	var d orb.Descriptor
-	d[0] = 0xFFFF // 16 set bits
-	f := foldORB(&d)
-	var norm float64
-	for _, v := range f {
-		norm += float64(v) * float64(v)
-	}
-	if math.Abs(norm-1) > 1e-5 {
-		t.Errorf("folded descriptor norm² = %v", norm)
-	}
-	// All-zero and all-one descriptors fold to opposite vectors.
-	var zero, ones orb.Descriptor
-	for i := range ones {
-		ones[i] = ^uint64(0)
-	}
-	fz, fo := foldORB(&zero), foldORB(&ones)
-	for i := range fz {
-		if fz[i] != -fo[i] {
-			t.Fatal("fold not antisymmetric")
 		}
 	}
 }

@@ -189,8 +189,9 @@ func AblationStateTimeout(duration time.Duration) ([]AblationPoint, Report) {
 
 // FastExtractorProfiles returns the calibration with the detection stage
 // replaced by a faster extractor (the paper's §5 "substituting SIFT with
-// [a faster model]" discussion): roughly 2.3x faster detection, measured
-// against this repository's ORB implementation vs its SIFT.
+// [a faster model]" discussion): roughly 2.3x faster detection, a fixed
+// calibration (EXPERIMENTS.md, "Removed: ORB extractor and recognition
+// cache", records what it was measured against).
 func FastExtractorProfiles() core.Profiles {
 	p := core.DefaultProfiles()
 	p[1].CPUTime = 2 * time.Millisecond // sift step

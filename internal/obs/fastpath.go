@@ -7,20 +7,16 @@ import (
 
 // FastPathDigest is the live snapshot of the tracker-gated recognition
 // fast path on one node: frames answered from the gate vs full
-// recognitions, the shared recognition cache's hit/miss counters and
-// occupancy, and the number of clients with a live verdict.
+// recognitions, and the number of clients with a live verdict.
 type FastPathDigest struct {
-	Skips       uint64 `json:"skips"`
-	Fulls       uint64 `json:"fulls"`
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-	CacheLen    int    `json:"cache_len"`
-	Clients     int    `json:"clients"`
+	Skips   uint64 `json:"skips"`
+	Fulls   uint64 `json:"fulls"`
+	Clients int    `json:"clients"`
 }
 
 // SetFastPathSource installs the snapshot function the registry exposes
 // as scatter_fastpath_* series and in /metrics.json. Called on every
-// scrape; it should be cheap (counter loads plus two short map locks). A
+// scrape; it should be cheap (counter loads plus one short map lock). A
 // nil source removes the exposition.
 func (r *Registry) SetFastPathSource(fn func() FastPathDigest) {
 	r.fastPathSrc.Store(fastPathSource{fn})
@@ -49,12 +45,6 @@ func writeTextFastPath(w io.Writer, d FastPathDigest) {
 	fmt.Fprintf(w, "scatter_fastpath_skips_total %d\n", d.Skips)
 	fmt.Fprintf(w, "# TYPE scatter_fastpath_fulls_total counter\n")
 	fmt.Fprintf(w, "scatter_fastpath_fulls_total %d\n", d.Fulls)
-	fmt.Fprintf(w, "# TYPE scatter_fastpath_cache_hits_total counter\n")
-	fmt.Fprintf(w, "scatter_fastpath_cache_hits_total %d\n", d.CacheHits)
-	fmt.Fprintf(w, "# TYPE scatter_fastpath_cache_misses_total counter\n")
-	fmt.Fprintf(w, "scatter_fastpath_cache_misses_total %d\n", d.CacheMisses)
-	fmt.Fprintf(w, "# TYPE scatter_fastpath_cache_entries gauge\n")
-	fmt.Fprintf(w, "scatter_fastpath_cache_entries %d\n", d.CacheLen)
 	fmt.Fprintf(w, "# TYPE scatter_fastpath_clients gauge\n")
 	fmt.Fprintf(w, "scatter_fastpath_clients %d\n", d.Clients)
 }

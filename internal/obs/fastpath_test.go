@@ -13,7 +13,7 @@ func TestFastPathExposition(t *testing.T) {
 		t.Fatal("digest reported ok before a source was installed")
 	}
 	reg.SetFastPathSource(func() FastPathDigest {
-		return FastPathDigest{Skips: 90, Fulls: 10, CacheHits: 7, CacheMisses: 3, CacheLen: 2, Clients: 4}
+		return FastPathDigest{Skips: 90, Fulls: 10, Clients: 4}
 	})
 	srv := httptest.NewServer(Handler(reg, nil))
 	defer srv.Close()
@@ -25,9 +25,6 @@ func TestFastPathExposition(t *testing.T) {
 	for _, want := range []string{
 		"scatter_fastpath_skips_total 90",
 		"scatter_fastpath_fulls_total 10",
-		"scatter_fastpath_cache_hits_total 7",
-		"scatter_fastpath_cache_misses_total 3",
-		"scatter_fastpath_cache_entries 2",
 		"scatter_fastpath_clients 4",
 	} {
 		if !strings.Contains(body, want) {

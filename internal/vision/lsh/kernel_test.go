@@ -248,7 +248,7 @@ func TestShardedPreRank(t *testing.T) {
 	// A Resize after SetPreRank must keep the setting (it is part of the
 	// config future topologies are built from).
 	sx.Resize(2)
-	if got := sx.anyIndex().Config().PreRank; got != 4 {
+	if got := sx.snapshot().replicas[0][0].Config().PreRank; got != 4 {
 		t.Fatalf("PreRank after Resize = %d, want 4", got)
 	}
 }
@@ -270,7 +270,7 @@ func TestConfigReportsLivePreRank(t *testing.T) {
 		t.Fatalf("Config().PreRank after SetPreRank(-3) = %d, want 0", got)
 	}
 	sx := NewShardedFrom(New(Config{Dim: 8, PreRank: 3}), ShardConfig{Shards: 2})
-	if got := sx.anyIndex().Config().PreRank; got != 3 {
+	if got := sx.snapshot().replicas[0][0].Config().PreRank; got != 3 {
 		t.Fatalf("sharded replica PreRank = %d, want 3 inherited from source", got)
 	}
 }

@@ -61,7 +61,6 @@ type ShardStats struct {
 // shard s. Every Index in one topology is built from the same Config.
 type topology struct {
 	replicas [][]*Index
-	epoch    uint64 // bumped on every Resize; part of the layout signature
 }
 
 // ShardedIndex partitions a reference set across independent LSH shards
@@ -96,7 +95,7 @@ type ShardedIndex struct {
 func NewSharded(cfg ShardConfig) *ShardedIndex {
 	cfg = cfg.withDefaults()
 	sx := &ShardedIndex{cfg: cfg}
-	sx.topo = sx.buildTopology(cfg.Shards, 1)
+	sx.topo = sx.buildTopology(cfg.Shards)
 	return sx
 }
 
@@ -108,7 +107,7 @@ func NewShardedFrom(src *Index, cfg ShardConfig) *ShardedIndex {
 	cfg = cfg.withDefaults()
 	cfg.Index = src.Config()
 	sx := &ShardedIndex{cfg: cfg}
-	sx.topo = sx.buildTopology(cfg.Shards, 1)
+	sx.topo = sx.buildTopology(cfg.Shards)
 	src.mu.RLock()
 	src.eachLocked(func(id int, v []float32) {
 		sx.addLocked(sx.topo, id, v)
@@ -117,8 +116,8 @@ func NewShardedFrom(src *Index, cfg ShardConfig) *ShardedIndex {
 	return sx
 }
 
-func (sx *ShardedIndex) buildTopology(shards int, epoch uint64) *topology {
-	topo := &topology{replicas: make([][]*Index, shards), epoch: epoch}
+func (sx *ShardedIndex) buildTopology(shards int) *topology {
+	topo := &topology{replicas: make([][]*Index, shards)}
 	for s := range topo.replicas {
 		reps := make([]*Index, sx.cfg.Replication)
 		for r := range reps {
@@ -176,34 +175,6 @@ func (sx *ShardedIndex) SetPreRank(n int) {
 			ix.SetPreRank(n)
 		}
 	}
-}
-
-// Tables returns the number of hash tables — identical in every shard.
-func (sx *ShardedIndex) Tables() int { return sx.anyIndex().Tables() }
-
-// Hash returns the bucket key of v in the given table. All shards share
-// the same hyperplanes, so any replica answers for the whole index.
-func (sx *ShardedIndex) Hash(table int, v []float32) uint64 {
-	return sx.anyIndex().Hash(table, v)
-}
-
-func (sx *ShardedIndex) anyIndex() *Index {
-	sx.mu.RLock()
-	defer sx.mu.RUnlock()
-	return sx.topo.replicas[0][0]
-}
-
-// LayoutSignature fingerprints the shard layout: shard count, replication
-// factor, and the resize epoch. Recognition-cache keys fold it in so an
-// entry cached under one layout can never be served under another.
-func (sx *ShardedIndex) LayoutSignature() uint64 {
-	sx.mu.RLock()
-	shards, epoch := len(sx.topo.replicas), sx.topo.epoch
-	sx.mu.RUnlock()
-	z := uint64(shards)<<40 ^ uint64(sx.cfg.Replication)<<32 ^ epoch
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // SetReplicaPicker installs the per-shard replica chooser used by the
@@ -284,7 +255,7 @@ func (sx *ShardedIndex) Resize(shards int) {
 	if shards == len(sx.topo.replicas) {
 		return
 	}
-	next := sx.buildTopology(shards, sx.topo.epoch+1)
+	next := sx.buildTopology(shards)
 	for _, reps := range sx.topo.replicas {
 		src := reps[0]
 		src.mu.RLock()

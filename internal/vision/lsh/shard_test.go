@@ -199,30 +199,6 @@ func TestShardedResize(t *testing.T) {
 	}
 }
 
-func TestLayoutSignature(t *testing.T) {
-	cfg := shardTestConfig(16)
-	a := NewSharded(ShardConfig{Index: cfg, Shards: 4})
-	b := NewSharded(ShardConfig{Index: cfg, Shards: 8})
-	c := NewSharded(ShardConfig{Index: cfg, Shards: 4, Replication: 2})
-	if a.LayoutSignature() == b.LayoutSignature() {
-		t.Error("4-shard and 8-shard layouts share a signature")
-	}
-	if a.LayoutSignature() == c.LayoutSignature() {
-		t.Error("replication=1 and replication=2 layouts share a signature")
-	}
-	sig := a.LayoutSignature()
-	if sig != a.LayoutSignature() {
-		t.Error("signature not stable")
-	}
-	a.Resize(8)
-	if a.LayoutSignature() == b.LayoutSignature() {
-		t.Error("resized layout shares a signature with a fresh layout of the same shape (epoch ignored)")
-	}
-	if a.LayoutSignature() == sig {
-		t.Error("Resize did not change the layout signature")
-	}
-}
-
 // TestShardedReplicaPicker verifies the health-pick hook routes shard
 // queries to the chosen replica and that every replica holds the full
 // shard contents (hot-shard replication).
