@@ -67,6 +67,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -252,52 +253,6 @@ func parseConfig(data []byte) (nodeConfig, error) {
 		return nodeConfig{}, errors.New("trailing data after the config document")
 	}
 	return cfg, nil
-}
-
-// admissionEnforcer applies the control plane's per-service verdicts to
-// this node's live workers and snapshots the enforcement for the obs
-// endpoints. It mirrors agent.Deployer semantics: listed services take
-// the verdict, every unlisted service resets to admit — a controller
-// restart can never wedge a service shut.
-type admissionEnforcer struct {
-	byService map[string][]*agent.Worker
-}
-
-func newAdmissionEnforcer(services []serviceSpec, workers []*agent.Worker) *admissionEnforcer {
-	e := &admissionEnforcer{byService: make(map[string][]*agent.Worker)}
-	for i, svc := range services {
-		name := strings.ToLower(svc.Step)
-		e.byService[name] = append(e.byService[name], workers[i])
-	}
-	return e
-}
-
-func (e *admissionEnforcer) apply(adm []orchestrator.ServiceAdmission) {
-	verdicts := make(map[string]core.AdmitState, len(adm))
-	for _, a := range adm {
-		verdicts[a.Service] = core.ParseAdmitState(a.State)
-	}
-	for name, ws := range e.byService {
-		state := verdicts[name] // absent → AdmitOK
-		for _, w := range ws {
-			w.SetAdmitState(state)
-		}
-	}
-}
-
-func (e *admissionEnforcer) digest() obs.AdmissionDigest {
-	var d obs.AdmissionDigest
-	for name, ws := range e.byService {
-		s := obs.AdmissionServiceDigest{Service: name, State: core.AdmitOK.String()}
-		for _, w := range ws {
-			if st := w.AdmitState(); st > core.ParseAdmitState(s.State) {
-				s.State = st.String()
-			}
-			s.Drops += w.Stats().DroppedAdmission
-		}
-		d.Services = append(d.Services, s)
-	}
-	return d
 }
 
 func main() {
@@ -572,8 +527,7 @@ func main() {
 	// Admission enforcement point: verdicts arriving on heartbeat
 	// responses land on the live workers, and the enforcement state is
 	// exported as scatter_admission_* on the obs endpoints.
-	enforcer := newAdmissionEnforcer(cfg.Services, workers)
-	reg.SetAdmissionSource(enforcer.digest)
+	reg.SetAdmissionSource(func() obs.AdmissionDigest { return agent.AdmissionDigest(slices.Values(workers)) })
 
 	if cfg.ObsListen != "" {
 		srv, addr, err := obs.Serve(cfg.ObsListen, reg, nil)
@@ -603,7 +557,9 @@ func main() {
 			}
 		}
 		ctl := orchestrator.NewClient(cfg.Orchestrator, 5*time.Second)
-		ctl.SetAdmissionHandler(enforcer.apply)
+		ctl.SetAdmissionHandler(func(adm []orchestrator.ServiceAdmission) {
+			agent.ApplyAdmissions(slices.Values(workers), adm)
+		})
 		ctx, cancelHB := context.WithCancel(context.Background())
 		defer cancelHB()
 		err := ctl.StartHeartbeats(ctx, *cfg.Node, 2*time.Second, func() orchestrator.NodeStatus {

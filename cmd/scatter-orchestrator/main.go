@@ -90,13 +90,14 @@ func main() {
 			log.Error("unknown autoscale policy", "policy", *autoscale)
 			os.Exit(2)
 		}
-		as := orchestrator.NewAutoscaler(root, orchestrator.AutoscalerConfig{
-			App:              *asApp,
-			Period:           *asPeriod,
+		as := orchestrator.NewAutoscaler(root, appaware.LoopConfig{
 			Policy:           policy,
 			MaxReplicas:      *asMax,
 			MinReplicas:      *asMin,
 			AdmissionEnabled: *admission,
+		}, orchestrator.AutoscalerConfig{
+			App:    *asApp,
+			Period: *asPeriod,
 			OnAdmission: func(service string, state core.AdmitState, reason string) {
 				log.Warn("admission verdict", "service", service,
 					"state", state.String(), "reason", reason)

@@ -126,16 +126,18 @@ func TestWorkerAdmissionEnforcement(t *testing.T) {
 }
 
 // TestDeployerAppliesAndResetsAdmissions covers the node-agent side of
-// the heartbeat downlink: ApplyAdmissions pushes listed verdicts to the
-// live workers of each service, resets unlisted services to admit, and
-// later-started replicas inherit the verdict in force.
+// the heartbeat downlink — the code scatter-node runs too: ApplyAdmissions
+// pushes listed verdicts to the live workers of each service, resets
+// unlisted services to admit, and later-started replicas inherit the
+// verdict in force.
 func TestDeployerAppliesAndResetsAdmissions(t *testing.T) {
 	h := startFailoverDeployment(t, nil)
 
 	h.dep.ApplyAdmissions([]orchestrator.ServiceAdmission{
 		{Service: "sift", State: "degrade"},
 		{Service: "lsh", State: "reject"},
-		{Service: "ghost", State: "reject"}, // unknown services are ignored
+		{Service: "Matching", State: "degrade"}, // case as a config file may carry it
+		{Service: "ghost", State: "reject"},     // unknown services are ignored
 	})
 	wantState := func(key string, want core.AdmitState) {
 		t.Helper()
@@ -149,6 +151,7 @@ func TestDeployerAppliesAndResetsAdmissions(t *testing.T) {
 	}
 	wantState("scatter/sift/0", core.AdmitDegrade)
 	wantState("scatter/lsh/0", core.AdmitReject)
+	wantState("scatter/matching/0", core.AdmitDegrade)
 	wantState("scatter/primary/0", core.AdmitOK)
 
 	// A replica scheduled while a verdict is in force inherits it.
@@ -163,7 +166,7 @@ func TestDeployerAppliesAndResetsAdmissions(t *testing.T) {
 	for _, s := range dg.Services {
 		states[s.Service] = s.State
 	}
-	if states["sift"] != "degrade" || states["lsh"] != "reject" {
+	if states["sift"] != "degrade" || states["lsh"] != "reject" || states["matching"] != "degrade" {
 		t.Errorf("admission digest = %+v", dg)
 	}
 
@@ -172,5 +175,6 @@ func TestDeployerAppliesAndResetsAdmissions(t *testing.T) {
 	h.dep.ApplyAdmissions(nil)
 	wantState("scatter/sift/0", core.AdmitOK)
 	wantState("scatter/lsh/0", core.AdmitOK)
+	wantState("scatter/matching/0", core.AdmitOK)
 	wantState(inst.Key(), core.AdmitOK)
 }

@@ -512,16 +512,14 @@ func (w *Worker) onMessage(data []byte, from net.Addr) {
 	// reduced cadence). Refused frames are never acked — the upstream
 	// route window books a loss, which is the backpressure that steers
 	// stats-driven routing away.
-	if st := core.AdmitState(w.admit.Load()); st != core.AdmitOK {
-		if st == core.AdmitReject || fr.FrameNo%core.DegradeStride != 0 {
-			w.droppedAdmission.Add(1)
-			if w.live != nil {
-				w.live.AdmissionDrops.Inc()
-			}
-			w.dropSpan(fr, obs.OutcomeAdmission, now, now, now)
-			w.frames.Put(fr)
-			return
+	if st := core.AdmitState(w.admit.Load()); st != core.AdmitOK && !st.Admits(fr.FrameNo) {
+		w.droppedAdmission.Add(1)
+		if w.live != nil {
+			w.live.AdmissionDrops.Inc()
 		}
+		w.dropSpan(fr, obs.OutcomeAdmission, now, now, now)
+		w.frames.Put(fr)
+		return
 	}
 	// Ack identity, captured before envelope ownership moves to the
 	// processing goroutine or the sidecar queue. Acks are sent only on

@@ -87,10 +87,9 @@ func startAutoscaleDeployment(t *testing.T, policy appaware.Policy, maxReplicas 
 	if _, err := h.root.Deploy(sla); err != nil {
 		t.Fatal(err)
 	}
-	h.as = orchestrator.NewAutoscaler(h.root, orchestrator.AutoscalerConfig{
-		App: "scatter", Policy: policy,
-		MaxReplicas: maxReplicas, AdmissionEnabled: admission,
-	})
+	h.as = orchestrator.NewAutoscaler(h.root, appaware.LoopConfig{
+		Policy: policy, MaxReplicas: maxReplicas, AdmissionEnabled: admission,
+	}, orchestrator.AutoscalerConfig{App: "scatter"})
 	ingress, ok := dep.Addr(wire.StepPrimary)
 	if !ok {
 		t.Fatal("no primary worker")
@@ -193,7 +192,7 @@ func TestAutoscalerChaosCollapse(t *testing.T) {
 				h.as.Events(), h.dep.Stats())
 		}
 		ev := h.as.Events()
-		if ev[0].Service != "sift" || ev[0].Verb != "scale-up" {
+		if ev[0].Step != wire.StepSIFT || ev[0].Verb != appaware.VerbScaleUp {
 			t.Errorf("first action = %+v, want sift scale-up", ev[0])
 		}
 		// Let the new replica drain the backlog, then measure recovery.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"sort"
 	"sync"
 
@@ -51,7 +52,7 @@ type Deployer struct {
 	nodes   map[string]string // instance key -> node name
 	// admits holds the admission verdict per step so workers started
 	// later (scale-out, migration) inherit the verdict in force.
-	admits map[wire.Step]core.AdmitState
+	admits [wire.NumSteps]core.AdmitState
 	closed bool
 }
 
@@ -74,7 +75,6 @@ func NewDeployer(cfg DeployerConfig) (*Deployer, error) {
 		workers: make(map[string]*Worker),
 		steps:   make(map[string]wire.Step),
 		nodes:   make(map[string]string),
-		admits:  make(map[wire.Step]core.AdmitState),
 	}, nil
 }
 
@@ -124,9 +124,7 @@ func (d *Deployer) onSchedule(inst orchestrator.Instance) {
 		d.syncRoutesLocked()
 		return
 	}
-	if st := d.admits[step]; st != core.AdmitOK {
-		w.SetAdmitState(st)
-	}
+	w.SetAdmitState(d.admits[step])
 	d.workers[inst.Key()] = w
 	d.steps[inst.Key()] = step
 	d.nodes[inst.Key()] = inst.Node
@@ -238,66 +236,22 @@ func (d *Deployer) Stats() map[string]WorkerStats {
 	return out
 }
 
-// SetAdmitState pushes an admission verdict to every live worker of the
-// step and remembers it so later-started replicas inherit it.
-func (d *Deployer) SetAdmitState(step wire.Step, st core.AdmitState) {
+// ApplyAdmissions enforces a heartbeat response's verdict set on the
+// live workers (see the package-level ApplyAdmissions) and remembers it
+// so later-started replicas inherit it. Wire it as the orchestrator
+// client's admission handler (Client.SetAdmissionHandler).
+func (d *Deployer) ApplyAdmissions(adm []orchestrator.ServiceAdmission) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if st == core.AdmitOK {
-		delete(d.admits, step)
-	} else {
-		d.admits[step] = st
-	}
-	for k, w := range d.workers {
-		if d.steps[k] == step {
-			w.SetAdmitState(st)
-		}
-	}
+	d.admits = ApplyAdmissions(maps.Values(d.workers), adm)
 }
 
-// ApplyAdmissions enforces a heartbeat response's verdict set: listed
-// services get their verdict, every other step resets to admit. Wire it
-// as the orchestrator client's admission handler
-// (Client.SetAdmissionHandler).
-func (d *Deployer) ApplyAdmissions(adm []orchestrator.ServiceAdmission) {
-	want := make(map[wire.Step]core.AdmitState, len(adm))
-	for _, a := range adm {
-		step, err := wire.ParseStep(a.Service)
-		if err != nil {
-			continue
-		}
-		want[step] = core.ParseAdmitState(a.State)
-	}
-	for step := 0; step < wire.NumSteps; step++ {
-		d.SetAdmitState(wire.Step(step), want[wire.Step(step)])
-	}
-}
-
-// AdmissionDigest snapshots per-service admission state and drops for
-// the obs exposition (Registry.SetAdmissionSource).
+// AdmissionDigest snapshots the live workers' enforcement for the obs
+// exposition (Registry.SetAdmissionSource).
 func (d *Deployer) AdmissionDigest() obs.AdmissionDigest {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	drops := make(map[wire.Step]uint64)
-	seen := make(map[wire.Step]bool)
-	for k, w := range d.workers {
-		step := d.steps[k]
-		drops[step] += w.Stats().DroppedAdmission
-		seen[step] = true
-	}
-	var out obs.AdmissionDigest
-	for step := 0; step < wire.NumSteps; step++ {
-		st := wire.Step(step)
-		if !seen[st] && d.admits[st] == core.AdmitOK && drops[st] == 0 {
-			continue
-		}
-		out.Services = append(out.Services, obs.AdmissionServiceDigest{
-			Service: st.String(),
-			State:   d.admits[st].String(),
-			Drops:   drops[st],
-		})
-	}
-	return out
+	return AdmissionDigest(maps.Values(d.workers))
 }
 
 // Close stops every worker and empties the routes.

@@ -22,18 +22,20 @@ func TestSimAdmissionEscalatesAtCapAndRecovers(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		p.AddClient(core.ClientConfig{ID: uint32(i + 1), FPS: 30, Stop: load})
 	}
-	a := New(w.eng, p, w.col, QoSPolicy{}, Config{
-		Period:           4 * time.Second,
-		Hosts:            []*testbed.Machine{w.e2},
+	a := New(w.eng, p, w.col, LoopConfig{
+		Policy:           QoSPolicy{},
 		MaxReplicas:      1, // scale-out exhausted from the start
 		AdmissionEnabled: true,
+	}, Config{
+		Period: 4 * time.Second,
+		Hosts:  []*testbed.Machine{w.e2},
 	})
 	total := 80 * time.Second
 	a.Start(total)
 	w.eng.Run(total + 500*time.Millisecond)
 
 	var escalated, relaxed bool
-	var worst AdmitState
+	var worst core.AdmitState
 	var step wire.Step
 	for _, ev := range a.Events() {
 		if ev.Verb == VerbScaleUp && !ev.Admission {
@@ -45,7 +47,7 @@ func TestSimAdmissionEscalatesAtCapAndRecovers(t *testing.T) {
 		if ev.Admit > worst {
 			worst, step = ev.Admit, ev.Step
 		}
-		if ev.Admit > AdmitOK {
+		if ev.Admit > core.AdmitOK {
 			escalated = true
 		} else if escalated {
 			relaxed = true
@@ -84,7 +86,7 @@ func TestSimScaleDownRetiresIdleReplica(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.AddClient(core.ClientConfig{ID: uint32(i + 1), FPS: 30, Stop: load})
 	}
-	a := New(w.eng, p, w.col, QoSPolicy{EnableScaleDown: true}, Config{
+	a := New(w.eng, p, w.col, LoopConfig{Policy: QoSPolicy{EnableScaleDown: true}}, Config{
 		Period: 5 * time.Second,
 		Hosts:  []*testbed.Machine{w.e2},
 	})

@@ -15,17 +15,18 @@
 //     pipeline order, optionally scaling idle over-provisioned services
 //     back in.
 //
-// The decision layer here is shared by two drivers: the sim Autoscaler
-// below evaluates a policy against a simulated deployment
-// (core.Pipeline.AddReplica/RemoveReplica), and the orchestrator's live
-// controller evaluates the same policies against merged heartbeat
-// digests, acting through the scheduler and agent.Deployer. When
-// scale-out is capped or unschedulable, both escalate to admission
-// control (AdmissionPolicy): per-service admit/degrade/reject verdicts
-// enforced at the sidecar ingress before queues saturate.
+// The control loop (Loop) is written once and never reads a clock; two
+// thin drivers tick it. The sim Autoscaler below ticks it on virtual time
+// against a simulated deployment (core.Pipeline.AddReplica/
+// RemoveReplica), and orchestrator.Autoscaler ticks it on wall time
+// against merged heartbeat digests, acting through the scheduler and
+// agent.Deployer. When scale-out is capped or unschedulable, the loop
+// escalates to admission control (AdmissionPolicy): per-service
+// admit/degrade/reject verdicts enforced at the sidecar ingress before
+// queues saturate.
 //
 // Every signal a policy sees is windowed over one control period.
-// Service counters are cumulative at the source, so the drivers compute
+// Service counters are cumulative at the source, so the loop computes
 // saturating per-period deltas (robust to collector resets); machine
 // utilization is likewise windowed from the devices' busy integrals —
 // cumulative utilization would let a long-idle machine never cross a
@@ -44,17 +45,6 @@ import (
 	"github.com/edge-mar/scatter/internal/wire"
 )
 
-// AdmitState re-exports the shared admission verdict so policy consumers
-// need not import core directly.
-type AdmitState = core.AdmitState
-
-// Admission verdicts, re-exported.
-const (
-	AdmitOK      = core.AdmitOK
-	AdmitDegrade = core.AdmitDegrade
-	AdmitReject  = core.AdmitReject
-)
-
 // ServiceSignal is one service's application-level telemetry over the
 // last control period — what the extended sidecar exposes to the
 // orchestrator.
@@ -67,19 +57,16 @@ type ServiceSignal struct {
 	// control — excluded from Dropped/DropRatio so the distress signal
 	// recovers while rejection holds.
 	AdmissionDropped uint64
-	// P95Micros/P99Micros are the service-latency tail from the live
-	// digest histograms (zero when the driver has no latency source —
-	// the sim collector tracks means only).
+	// P95Micros is the service-latency tail from the live digest
+	// histograms (zero when the driver has no latency source — the sim
+	// collector tracks means only).
 	P95Micros uint64
-	P99Micros uint64
-	QueueLen  int64
 	Replicas  int
 }
 
 // Signal is the telemetry snapshot a policy decides on. All fields are
 // windowed over the last control period.
 type Signal struct {
-	Now      sim.Time
 	Services [wire.NumSteps]ServiceSignal
 	Machines []metrics.MachineUsage // windowed hardware telemetry (per-period utilization)
 }
@@ -253,15 +240,6 @@ func (p QoSPolicy) Decide(sig Signal) []Decision {
 	return nil
 }
 
-// StaticPolicy never scales — the baseline.
-type StaticPolicy struct{}
-
-// Name implements Policy.
-func (StaticPolicy) Name() string { return "static" }
-
-// Decide implements Policy.
-func (StaticPolicy) Decide(Signal) []Decision { return nil }
-
 // AdmissionPolicy maps sustained distress at the replica cap to a
 // per-service admission verdict with hysteresis: distress escalates one
 // severity level at a time (admit → degrade → reject, straight to
@@ -304,13 +282,13 @@ func (p AdmissionPolicy) withDefaults() AdmissionPolicy {
 // whether scale-out is exhausted (at the replica cap or unschedulable).
 // While scale-out can still act, admission always relaxes toward admit —
 // adding replicas is strictly preferable to turning users away.
-func (p AdmissionPolicy) Next(cur AdmitState, svc ServiceSignal, capped bool) AdmitState {
+func (p AdmissionPolicy) Next(cur core.AdmitState, svc ServiceSignal, capped bool) core.AdmitState {
 	p = p.withDefaults()
-	relax := func() AdmitState {
-		if cur > AdmitOK {
+	relax := func() core.AdmitState {
+		if cur > core.AdmitOK {
 			return cur - 1
 		}
-		return AdmitOK
+		return core.AdmitOK
 	}
 	if !capped {
 		return relax()
@@ -321,10 +299,10 @@ func (p AdmissionPolicy) Next(cur AdmitState, svc ServiceSignal, capped bool) Ad
 	}
 	switch {
 	case ratio >= p.RejectRatio:
-		return AdmitReject
+		return core.AdmitReject
 	case ratio >= p.DegradeRatio:
-		if cur < AdmitDegrade {
-			return AdmitDegrade
+		if cur < core.AdmitDegrade {
+			return core.AdmitDegrade
 		}
 		return cur
 	case ratio <= p.RecoverRatio:
@@ -385,221 +363,104 @@ func WindowMachines(prev, cur []metrics.MachineUsage, window time.Duration) []me
 	return out
 }
 
-// ScaleEvent records one applied decision — a replica added or retired,
-// or an admission verdict change (Machine empty, Admit set).
-type ScaleEvent struct {
-	At      sim.Time
-	Step    wire.Step
-	Verb    Verb
-	Machine string
-	Reason  string
-	// Admission marks an admit-state transition event; Admit is the new
-	// verdict.
-	Admission bool
-	Admit     AdmitState
-}
-
-// Config parameterizes an Autoscaler.
+// Config holds the sim driver's own settings; the loop's are LoopConfig.
 type Config struct {
-	// Period is the control-loop interval (default 5 s).
-	Period time.Duration
-	// Hosts receive new replicas, round-robin. Required.
-	Hosts []*testbed.Machine
-	// MaxReplicas caps replicas per service (default 3).
-	MaxReplicas int
-	// MinReplicas floors scale-in (default 1).
-	MinReplicas int
-	// AdmissionEnabled escalates to admission control when a scale-up
-	// decision cannot be applied (cap reached or no host fits).
-	AdmissionEnabled bool
-	// Admission tunes the escalation thresholds (defaults applied).
-	Admission AdmissionPolicy
+	Period time.Duration      // control-loop interval (default 5 s)
+	Hosts  []*testbed.Machine // receive new replicas, round-robin; required
 }
 
-// Autoscaler runs a Policy's control loop against a simulated pipeline.
-type Autoscaler struct {
-	eng    *sim.Engine
-	p      *core.Pipeline
-	col    *metrics.Collector
-	policy Policy
-	cfg    Config
+// SimTime returns the virtual time of an event the sim driver recorded:
+// it stamps events with virtual time after the zero time.Time, so sim and
+// live events share one type.
+func SimTime(at time.Time) sim.Time { return at.Sub(time.Time{}) }
 
-	lastArrived   [wire.NumSteps]uint64
-	lastDropped   [wire.NumSteps]uint64
-	lastAdmission [wire.NumSteps]uint64
-	lastMachines  []metrics.MachineUsage
-	lastEval      sim.Time
-	nextHost      int
-	events        []ScaleEvent
+// Autoscaler drives a Loop on the simulator's virtual clock.
+type Autoscaler struct {
+	eng      *sim.Engine
+	p        *core.Pipeline
+	col      *metrics.Collector
+	period   time.Duration
+	deadline sim.Time
+	loop     *Loop
 }
 
 // New wires an autoscaler. It panics on a missing policy or hosts —
 // configuration errors in experiment construction.
-func New(eng *sim.Engine, p *core.Pipeline, col *metrics.Collector, policy Policy, cfg Config) *Autoscaler {
-	if policy == nil {
-		panic("appaware: nil policy")
-	}
+func New(eng *sim.Engine, p *core.Pipeline, col *metrics.Collector, loop LoopConfig, cfg Config) *Autoscaler {
 	if len(cfg.Hosts) == 0 {
 		panic("appaware: no scale-out hosts")
 	}
 	if cfg.Period <= 0 {
 		cfg.Period = 5 * time.Second
 	}
-	if cfg.MaxReplicas <= 0 {
-		cfg.MaxReplicas = 3
+	return &Autoscaler{
+		eng:    eng,
+		p:      p,
+		col:    col,
+		period: cfg.Period,
+		loop:   NewLoop(loop, &simActuator{p: p, hosts: cfg.Hosts}),
 	}
-	if cfg.MinReplicas <= 0 {
-		cfg.MinReplicas = 1
-	}
-	cfg.Admission = cfg.Admission.withDefaults()
-	return &Autoscaler{eng: eng, p: p, col: col, policy: policy, cfg: cfg}
 }
 
-// Start schedules the control loop until the deadline.
+// Start primes the loop with the deployment as it stands, then evaluates
+// every Period until the deadline: the first decision windows one full
+// period.
 func (a *Autoscaler) Start(deadline sim.Time) {
-	var tick func()
-	tick = func() {
-		a.evaluate()
-		if a.eng.Now()+a.cfg.Period <= deadline {
-			a.eng.After(a.cfg.Period, tick)
-		}
-	}
-	a.eng.After(a.cfg.Period, tick)
+	a.deadline = deadline
+	a.tick()
 }
 
 // Events returns the applied scale and admission actions.
-func (a *Autoscaler) Events() []ScaleEvent { return a.events }
+func (a *Autoscaler) Events() []ScaleEvent { return a.loop.Events() }
 
-// signal assembles the windowed telemetry snapshot for this period.
-func (a *Autoscaler) signal() Signal {
-	now := a.eng.Now()
-	sig := Signal{Now: now}
-	for step := 0; step < wire.NumSteps; step++ {
+func (a *Autoscaler) tick() {
+	var snap Snapshot
+	for step := range snap.Services {
 		name := wire.Step(step).String()
 		arrived, _, dropped := a.col.ServiceCounters(name)
-		admissionDropped := a.col.ServiceAdmissionDrops(name)
-		dArr := WindowDelta(arrived, a.lastArrived[step])
-		dDrop := WindowDelta(dropped, a.lastDropped[step])
-		dAdm := WindowDelta(admissionDropped, a.lastAdmission[step])
-		a.lastArrived[step] = arrived
-		a.lastDropped[step] = dropped
-		a.lastAdmission[step] = admissionDropped
-		// Arrived counts every ingress request including ones admission
-		// later refused; Dropped carries distress drops only, so the
-		// ratio is the service's own health, not the controller's hand.
-		svc := ServiceSignal{
-			Step:             wire.Step(step),
-			Arrived:          dArr,
-			Dropped:          dDrop,
-			AdmissionDropped: dAdm,
+		snap.Services[step] = Sample{
+			Reported:         true,
+			Arrived:          arrived,
+			Dropped:          dropped,
+			AdmissionDropped: a.col.ServiceAdmissionDrops(name),
 			Replicas:         len(a.p.Instances(wire.Step(step))),
 		}
-		switch {
-		case dArr > 0:
-			svc.DropRatio = float64(dDrop) / float64(dArr)
-		case dDrop > 0:
-			// Drops with zero arrivals: the service worked off (and shed)
-			// backlog while admitting nothing new — full distress, not
-			// perfect health.
-			svc.DropRatio = 1
-		}
-		sig.Services[step] = svc
 	}
-	_, cum := a.p.Usage()
-	sig.Machines = WindowMachines(a.lastMachines, cum, time.Duration(now-a.lastEval))
-	a.lastMachines = cum
-	a.lastEval = now
-	return sig
-}
-
-func (a *Autoscaler) evaluate() {
-	sig := a.signal()
-
-	for _, d := range a.policy.Decide(sig) {
-		switch d.Verb {
-		case VerbScaleUp:
-			a.scaleUp(sig, d)
-		case VerbScaleDown:
-			if len(a.p.Instances(d.Step)) <= a.cfg.MinReplicas {
-				continue
-			}
-			if err := a.p.RemoveReplica(d.Step); err != nil {
-				continue
-			}
-			a.events = append(a.events, ScaleEvent{
-				At:     a.eng.Now(),
-				Step:   d.Step,
-				Verb:   VerbScaleDown,
-				Reason: d.Reason,
-			})
-		}
-	}
-
-	// Admission recovery: verdicts relax as the distress ratio falls,
-	// independent of whether the policy decided anything this period.
-	if a.cfg.AdmissionEnabled {
-		for step := 0; step < wire.NumSteps; step++ {
-			st := wire.Step(step)
-			cur := a.p.AdmitStateOf(st)
-			if cur == core.AdmitOK {
-				continue
-			}
-			capped := len(a.p.Instances(st)) >= a.cfg.MaxReplicas
-			next := a.cfg.Admission.Next(cur, sig.Services[step], capped)
-			if next != cur {
-				a.setAdmit(st, next, "windowed distress ratio recovered")
-			}
-		}
+	_, snap.Machines = a.p.Usage()
+	a.loop.Tick(time.Time{}.Add(a.eng.Now()), snap)
+	if a.eng.Now()+a.period <= a.deadline {
+		a.eng.After(a.period, a.tick)
 	}
 }
 
-// scaleUp applies one scale-out decision, trying every host round-robin;
-// when the service is capped or no host fits, it escalates to admission
-// control instead (if enabled).
-func (a *Autoscaler) scaleUp(sig Signal, d Decision) {
-	step := d.Step
-	if len(a.p.Instances(step)) >= a.cfg.MaxReplicas {
-		a.escalate(sig, step, "replica cap reached: "+d.Reason)
-		return
-	}
-	for try := 0; try < len(a.cfg.Hosts); try++ {
-		host := a.cfg.Hosts[a.nextHost%len(a.cfg.Hosts)]
-		a.nextHost++
-		if _, err := a.p.AddReplica(step, host); err != nil {
-			continue // host full; try the next
+// simActuator is the loop's hold on the simulated pipeline; ScaleUp tries
+// every host round-robin.
+type simActuator struct {
+	p        *core.Pipeline
+	hosts    []*testbed.Machine
+	nextHost int
+}
+
+func (s *simActuator) ScaleUp(step wire.Step) (string, error) {
+	var err error
+	for range s.hosts {
+		host := s.hosts[s.nextHost%len(s.hosts)]
+		s.nextHost++
+		if _, err = s.p.AddReplica(step, host); err == nil {
+			return host.Name(), nil
 		}
-		a.events = append(a.events, ScaleEvent{
-			At:      a.eng.Now(),
-			Step:    step,
-			Verb:    VerbScaleUp,
-			Machine: host.Name(),
-			Reason:  d.Reason,
-		})
-		return
 	}
-	a.escalate(sig, step, "unschedulable: "+d.Reason)
+	return "", err
 }
 
-// escalate raises a service's admission verdict when scale-out cannot
-// relieve it.
-func (a *Autoscaler) escalate(sig Signal, step wire.Step, reason string) {
-	if !a.cfg.AdmissionEnabled {
-		return
+func (s *simActuator) ScaleDown(step wire.Step) (string, error) {
+	reps := s.p.Instances(step)
+	if err := s.p.RemoveReplica(step); err != nil {
+		return "", err
 	}
-	cur := a.p.AdmitStateOf(step)
-	next := a.cfg.Admission.Next(cur, sig.Services[step], true)
-	if next != cur {
-		a.setAdmit(step, next, reason)
-	}
+	return reps[len(reps)-1].Machine().Name(), nil
 }
 
-func (a *Autoscaler) setAdmit(step wire.Step, next AdmitState, reason string) {
-	a.p.SetAdmitState(step, next)
-	a.events = append(a.events, ScaleEvent{
-		At:        a.eng.Now(),
-		Step:      step,
-		Reason:    reason,
-		Admission: true,
-		Admit:     next,
-	})
+func (s *simActuator) SetAdmit(step wire.Step, st core.AdmitState, _ string) {
+	s.p.SetAdmitState(step, st)
 }

@@ -45,7 +45,7 @@ func run(t *testing.T, mode core.Mode, policy Policy) (metrics.Summary, []ScaleE
 	}
 	var a *Autoscaler
 	if policy != nil {
-		a = New(w.eng, p, w.col, policy, Config{
+		a = New(w.eng, p, w.col, LoopConfig{Policy: policy}, Config{
 			Period: 5 * time.Second,
 			Hosts:  []*testbed.Machine{w.e2},
 		})
@@ -61,15 +61,6 @@ func run(t *testing.T, mode core.Mode, policy Policy) (metrics.Summary, []ScaleE
 	return s, events
 }
 
-func TestStaticPolicyNeverScales(t *testing.T) {
-	if d := (StaticPolicy{}).Decide(Signal{}); d != nil {
-		t.Errorf("static policy decided %v", d)
-	}
-	if (StaticPolicy{}).Name() != "static" {
-		t.Error("name")
-	}
-}
-
 func TestHardwarePolicyBlindDuringCollapse(t *testing.T) {
 	// scAtteR collapsing under 4 clients keeps hardware utilization low —
 	// the hardware policy must never fire (the paper's insight I/IV).
@@ -79,7 +70,7 @@ func TestHardwarePolicyBlindDuringCollapse(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.AddClient(core.ClientConfig{ID: uint32(i + 1), FPS: 30, Stop: 30 * time.Second})
 	}
-	a := New(w.eng, p, w.col, HardwarePolicy{}, Config{
+	a := New(w.eng, p, w.col, LoopConfig{Policy: HardwarePolicy{}}, Config{
 		Period: 5 * time.Second, Hosts: []*testbed.Machine{w.e2},
 	})
 	a.Start(30 * time.Second)
@@ -102,7 +93,7 @@ func TestQoSPolicyScalesDistressedService(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.AddClient(core.ClientConfig{ID: uint32(i + 1), FPS: 30, Stop: 40 * time.Second})
 	}
-	a := New(w.eng, p, w.col, QoSPolicy{}, Config{
+	a := New(w.eng, p, w.col, LoopConfig{Policy: QoSPolicy{}}, Config{
 		Period: 5 * time.Second, Hosts: []*testbed.Machine{w.e2},
 	})
 	a.Start(40 * time.Second)
@@ -136,10 +127,9 @@ func TestMaxReplicasCap(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.AddClient(core.ClientConfig{ID: uint32(i + 1), FPS: 30, Stop: 60 * time.Second})
 	}
-	a := New(w.eng, p, w.col, QoSPolicy{}, Config{
-		Period:      3 * time.Second,
-		Hosts:       []*testbed.Machine{w.e2},
-		MaxReplicas: 2,
+	a := New(w.eng, p, w.col, LoopConfig{Policy: QoSPolicy{}, MaxReplicas: 2}, Config{
+		Period: 3 * time.Second,
+		Hosts:  []*testbed.Machine{w.e2},
 	})
 	a.Start(60 * time.Second)
 	w.eng.Run(61 * time.Second)
@@ -154,8 +144,8 @@ func TestNewPanics(t *testing.T) {
 	w := newWorld(1)
 	p := core.NewPipeline(w.eng, w.fabric, w.col, core.PlaceAll(w.e1), core.DefaultProfiles(), core.Options{})
 	for _, f := range []func(){
-		func() { New(w.eng, p, w.col, nil, Config{Hosts: []*testbed.Machine{w.e2}}) },
-		func() { New(w.eng, p, w.col, QoSPolicy{}, Config{}) },
+		func() { New(w.eng, p, w.col, LoopConfig{}, Config{Hosts: []*testbed.Machine{w.e2}}) },
+		func() { New(w.eng, p, w.col, LoopConfig{Policy: QoSPolicy{}}, Config{}) },
 	} {
 		func() {
 			defer func() {

@@ -10,9 +10,9 @@ import (
 )
 
 // BenchmarkAutoscalePolicy is the control-loop quality headline: the same
-// 4-client saturation ramp on E1 (scAtteR++ mode) under static, hardware,
-// and qos policies, with E2 available for scale-out. Each sub-benchmark
-// reports
+// 4-client saturation ramp on E1 (scAtteR++ mode) with no loop (static)
+// and under the hardware and qos policies, with E2 available for
+// scale-out. Each sub-benchmark reports
 //
 //	fps        — delivered frames per second per client over the run
 //	             (the paper targets 30)
@@ -31,7 +31,7 @@ func BenchmarkAutoscalePolicy(b *testing.B) {
 		name   string
 		policy Policy
 	}{
-		{"static", StaticPolicy{}},
+		{"static", nil},
 		{"hardware", HardwarePolicy{}},
 		{"qos", QoSPolicy{}},
 	}
@@ -49,23 +49,30 @@ func BenchmarkAutoscalePolicy(b *testing.B) {
 						Stop:  duration,
 					})
 				}
-				a := New(w.eng, p, w.col, tc.policy, Config{
-					Period: 5 * time.Second,
-					Hosts:  []*testbed.Machine{w.e2},
-				})
-				a.Start(duration)
+				var events []ScaleEvent
+				var a *Autoscaler
+				if tc.policy != nil {
+					a = New(w.eng, p, w.col, LoopConfig{Policy: tc.policy}, Config{
+						Period: 5 * time.Second,
+						Hosts:  []*testbed.Machine{w.e2},
+					})
+					a.Start(duration)
+				}
 				w.eng.Run(duration + 500*time.Millisecond)
+				if a != nil {
+					events = a.Events()
+				}
 				_, machines := p.Usage()
 				s := w.col.Summarize(duration, 4, machines)
 				fps = s.FPSPerClient
 				react = duration.Seconds()
 				actions = 0
-				for _, ev := range a.Events() {
+				for _, ev := range events {
 					if ev.Admission || ev.Verb != VerbScaleUp {
 						continue
 					}
 					if actions == 0 {
-						react = time.Duration(ev.At).Seconds()
+						react = SimTime(ev.At).Seconds()
 					}
 					actions++
 				}

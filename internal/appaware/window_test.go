@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/edge-mar/scatter/internal/core"
 	"github.com/edge-mar/scatter/internal/metrics"
 	"github.com/edge-mar/scatter/internal/wire"
 )
@@ -154,26 +155,26 @@ func TestAdmissionPolicyHysteresis(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		cur    AdmitState
+		cur    core.AdmitState
 		svc    ServiceSignal
 		capped bool
-		want   AdmitState
+		want   core.AdmitState
 	}{
-		{"healthy stays admitted", AdmitOK, svc(100, 0, 0), true, AdmitOK},
-		{"distress escalates one level", AdmitOK, svc(100, 20, 0.2), true, AdmitDegrade},
-		{"severe goes straight to reject", AdmitOK, svc(100, 80, 0.8), true, AdmitReject},
-		{"degrade holds in the dead band", AdmitDegrade, svc(100, 5, 0.05), true, AdmitDegrade},
-		{"degrade does not re-escalate below reject", AdmitDegrade, svc(100, 20, 0.2), true, AdmitDegrade},
-		{"recovery steps down one level", AdmitReject, svc(100, 1, 0.01), true, AdmitDegrade},
-		{"recovery from degrade reaches admit", AdmitDegrade, svc(100, 0, 0), true, AdmitOK},
+		{"healthy stays admitted", core.AdmitOK, svc(100, 0, 0), true, core.AdmitOK},
+		{"distress escalates one level", core.AdmitOK, svc(100, 20, 0.2), true, core.AdmitDegrade},
+		{"severe goes straight to reject", core.AdmitOK, svc(100, 80, 0.8), true, core.AdmitReject},
+		{"degrade holds in the dead band", core.AdmitDegrade, svc(100, 5, 0.05), true, core.AdmitDegrade},
+		{"degrade does not re-escalate below reject", core.AdmitDegrade, svc(100, 20, 0.2), true, core.AdmitDegrade},
+		{"recovery steps down one level", core.AdmitReject, svc(100, 1, 0.01), true, core.AdmitDegrade},
+		{"recovery from degrade reaches admit", core.AdmitDegrade, svc(100, 0, 0), true, core.AdmitOK},
 		// Below MinSamples a window counts as recovered — an idle service
 		// must never stay rejected…
-		{"idle window relaxes despite ratio", AdmitReject, svc(4, 4, 1), true, AdmitDegrade},
+		{"idle window relaxes despite ratio", core.AdmitReject, svc(4, 4, 1), true, core.AdmitDegrade},
 		// …unless it's the zero-arrival backlog-shed distress signal.
-		{"zero-arrival distress holds", AdmitReject, svc(0, 9, 1), true, AdmitReject},
+		{"zero-arrival distress holds", core.AdmitReject, svc(0, 9, 1), true, core.AdmitReject},
 		// While scale-out can still act, admission always relaxes.
-		{"uncapped relaxes under distress", AdmitReject, svc(100, 80, 0.8), false, AdmitDegrade},
-		{"uncapped admit stays admit", AdmitOK, svc(100, 80, 0.8), false, AdmitOK},
+		{"uncapped relaxes under distress", core.AdmitReject, svc(100, 80, 0.8), false, core.AdmitDegrade},
+		{"uncapped admit stays admit", core.AdmitOK, svc(100, 80, 0.8), false, core.AdmitOK},
 	}
 	for _, c := range cases {
 		if got := p.Next(c.cur, c.svc, c.capped); got != c.want {

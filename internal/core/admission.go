@@ -64,3 +64,11 @@ func ParseAdmitState(s string) AdmitState {
 // one frame in DegradeStride is admitted (by frame number, so the kept
 // subsequence is deterministic per client).
 const DegradeStride = 2
+
+// Admits reports whether the verdict lets a frame through the ingress:
+// admit takes every frame, degrade one in DegradeStride by frame number,
+// reject none. Both data planes test st != AdmitOK before calling it, so
+// an admitted frame pays one comparison.
+func (s AdmitState) Admits(frameNo uint64) bool {
+	return s == AdmitOK || s != AdmitReject && frameNo%DegradeStride == 0
+}

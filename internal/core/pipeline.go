@@ -234,10 +234,8 @@ type Pipeline struct {
 	clients   int
 
 	// admit holds the per-service admission verdicts pushed by an
-	// application-aware controller (SetAdmitState); admissionDrops counts
-	// the frames they refused, per step.
-	admit          [wire.NumSteps]AdmitState
-	admissionDrops [wire.NumSteps]uint64
+	// application-aware controller (SetAdmitState).
+	admit [wire.NumSteps]AdmitState
 
 	// routes mirrors the runtime's per-replica statistics windows on the
 	// virtual clock (WeightedRouting); nil when routing is plain RR.
@@ -420,10 +418,6 @@ func (p *Pipeline) SetAdmitState(step wire.Step, s AdmitState) {
 // AdmitStateOf returns a service's current admission verdict.
 func (p *Pipeline) AdmitStateOf(step wire.Step) AdmitState { return p.admit[step] }
 
-// AdmissionDrops returns how many frames admission control refused at a
-// step's ingress.
-func (p *Pipeline) AdmissionDrops(step wire.Step) uint64 { return p.admissionDrops[step] }
-
 // Options returns the effective options after defaulting.
 func (p *Pipeline) Options() Options { return p.opts }
 
@@ -558,15 +552,12 @@ func (p *Pipeline) arrive(in *Instance, fr *simFrame) {
 	// to one frame in DegradeStride by frame number. Refused frames
 	// resolve their hop as lost (no ack on the real data plane) and are
 	// accounted as admission drops, not distress drops.
-	if st := p.admit[in.step]; st != AdmitOK {
-		if st == AdmitReject || fr.frameNo%DegradeStride != 0 {
-			p.routeOutcome(fr, false)
-			p.admissionDrops[in.step]++
-			p.col.ServiceAdmissionDropped(in.Name())
-			p.col.FrameDropped(metrics.DropAdmission)
-			in.recordSpan(fr, p.eng.Now(), p.eng.Now(), p.eng.Now(), obs.OutcomeAdmission)
-			return
-		}
+	if st := p.admit[in.step]; st != AdmitOK && !st.Admits(fr.frameNo) {
+		p.routeOutcome(fr, false)
+		p.col.ServiceAdmissionDropped(in.Name())
+		p.col.FrameDropped(metrics.DropAdmission)
+		in.recordSpan(fr, p.eng.Now(), p.eng.Now(), p.eng.Now(), obs.OutcomeAdmission)
+		return
 	}
 	if p.opts.Mode == ModeScatter {
 		if in.busy {

@@ -69,7 +69,7 @@ func AppAware(duration time.Duration) ([]AppAwarePoint, Report) {
 			}
 			var scaler *appaware.Autoscaler
 			if v.policy != nil {
-				scaler = appaware.New(w.Eng, p, w.Col, v.policy, appaware.Config{
+				scaler = appaware.New(w.Eng, p, w.Col, appaware.LoopConfig{Policy: v.policy}, appaware.Config{
 					Period: 5 * time.Second,
 					Hosts:  []*testbed.Machine{w.E2},
 				})
@@ -110,7 +110,7 @@ func AppAware(duration time.Duration) ([]AppAwarePoint, Report) {
 		}
 		for _, ev := range pt.Events {
 			events.Rows = append(events.Rows, []string{
-				pt.Mode.String(), f1(ev.At.Seconds()), ev.Step.String(), ev.Machine, ev.Reason,
+				pt.Mode.String(), f1(appaware.SimTime(ev.At).Seconds()), ev.Step.String(), ev.Machine, ev.Reason,
 			})
 		}
 	}

@@ -120,7 +120,7 @@ func TestAPIAutoscalerEndpoint(t *testing.T) {
 	if _, err := api.root.Deploy(scatterSLA()); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAutoscaler(api.root, AutoscalerConfig{App: "scatter", Policy: appaware.QoSPolicy{}})
+	a := NewAutoscaler(api.root, appaware.LoopConfig{Policy: appaware.QoSPolicy{}}, AutoscalerConfig{App: "scatter"})
 	api.SetAutoscaler(a)
 
 	t0 := time.Unix(100, 0)
@@ -135,15 +135,23 @@ func TestAPIAutoscalerEndpoint(t *testing.T) {
 	a.Tick(t1)
 
 	var out struct {
-		Policy   string           `json:"policy"`
-		ScaleUps uint64           `json:"scale_ups"`
-		Events   []AutoscaleEvent `json:"events"`
+		Policy   string `json:"policy"`
+		ScaleUps uint64 `json:"scale_ups"`
+		Events   []struct {
+			At      time.Time `json:"at"`
+			Service string    `json:"service"`
+			Verb    string    `json:"verb"`
+		} `json:"events"`
 	}
 	if code := doJSON(t, "GET", srv.URL+"/api/v1/autoscaler", nil, &out); code != http.StatusOK {
 		t.Fatalf("autoscaler code = %d", code)
 	}
 	if out.Policy != "qos" || out.ScaleUps != 1 || len(out.Events) != 1 {
 		t.Fatalf("autoscaler payload = %+v", out)
+	}
+	// Events keep their wire keys and wall-clock stamps.
+	if ev := out.Events[0]; !ev.At.Equal(t1) || ev.Service != "sift" || ev.Verb != "scale-up" {
+		t.Errorf("event = %+v, want sift scale-up at %v", ev, t1)
 	}
 
 	resp, err := http.Get(srv.URL + "/metrics")

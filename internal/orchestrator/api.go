@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/edge-mar/scatter/internal/appaware"
 	"github.com/edge-mar/scatter/internal/obs"
 	"github.com/edge-mar/scatter/internal/obs/routestats"
 )
@@ -192,7 +193,7 @@ func (s *APIServer) autoscalerStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, struct {
 		obs.AutoscaleDigest
-		Events []AutoscaleEvent `json:"events,omitempty"`
+		Events []appaware.ScaleEvent `json:"events,omitempty"`
 	}{s.autoscaler.Status(), s.autoscaler.Events()})
 }
 

@@ -2,7 +2,6 @@ package orchestrator
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -10,27 +9,14 @@ import (
 	"github.com/edge-mar/scatter/internal/core"
 	"github.com/edge-mar/scatter/internal/metrics"
 	"github.com/edge-mar/scatter/internal/obs"
-	"github.com/edge-mar/scatter/internal/sim"
 	"github.com/edge-mar/scatter/internal/wire"
 )
 
-// AutoscalerConfig parameterizes the live control loop.
+// AutoscalerConfig holds the live driver's own settings; the loop's are
+// appaware.LoopConfig.
 type AutoscalerConfig struct {
-	// App is the deployed application the loop manages. Required.
-	App string
-	// Period is the evaluation interval (default 2 s).
-	Period time.Duration
-	// Policy decides scaling from the windowed signal. Required.
-	Policy appaware.Policy
-	// MaxReplicas caps replicas per service (default 3).
-	MaxReplicas int
-	// MinReplicas floors scale-in (default 1).
-	MinReplicas int
-	// AdmissionEnabled escalates to admission control when scale-out is
-	// capped or unschedulable.
-	AdmissionEnabled bool
-	// Admission tunes the escalation thresholds (defaults applied).
-	Admission appaware.AdmissionPolicy
+	App    string        // the deployed application the loop manages; required
+	Period time.Duration // evaluation interval (default 2 s)
 	// OnAdmission, when set, fires on every verdict transition — the
 	// in-process downlink for deployments where the Deployer runs beside
 	// the orchestrator (remote nodes get verdicts on heartbeat responses
@@ -38,73 +24,35 @@ type AutoscalerConfig struct {
 	OnAdmission func(service string, state core.AdmitState, reason string)
 }
 
-// AutoscaleEvent is one applied control action: a replica added or
-// retired, or an admission verdict transition (Admission true).
-type AutoscaleEvent struct {
-	At        time.Time       `json:"at"`
-	Service   string          `json:"service"`
-	Verb      string          `json:"verb"`
-	Node      string          `json:"node,omitempty"`
-	Reason    string          `json:"reason"`
-	Admission bool            `json:"admission,omitempty"`
-	Admit     core.AdmitState `json:"-"`
-	AdmitStr  string          `json:"admit,omitempty"`
-}
-
-// Autoscaler is the orchestrator-side control loop that closes the
-// paper's §6 feedback path: each period it windows the merged heartbeat
-// telemetry into an appaware.Signal, lets the configured policy decide,
-// and actuates through Root.ScaleUp/ScaleDown (which fire the Deployer
-// hooks). When scale-out is exhausted it pushes admission verdicts to
-// the sidecars via heartbeat responses. Safe for concurrent use; Tick is
-// serialized internally.
+// Autoscaler drives the appaware.Loop on the wall clock, closing the
+// paper's §6 feedback path: each period it hands the loop the merged
+// heartbeat telemetry, replica counts and node gauges; the loop acts
+// through Root.ScaleUp/ScaleDown (which fire the Deployer hooks) and
+// pushes admission verdicts to the sidecars via heartbeat responses.
+// Safe for concurrent use; Tick is serialized internally.
 type Autoscaler struct {
 	root *Root
 	cfg  AutoscalerConfig
 
-	mu     sync.Mutex
-	primed bool
-	anchor time.Time
-
-	lastArrived   [wire.NumSteps]uint64
-	lastDropped   [wire.NumSteps]uint64
-	lastAdmission [wire.NumSteps]uint64
-
-	admit      [wire.NumSteps]core.AdmitState
-	lastReason [wire.NumSteps]string
-
-	evaluations uint64
-	scaleUps    uint64
-	scaleDowns  uint64
-	escalations uint64
-	relaxations uint64
-
-	lastSignal appaware.Signal
-	events     []AutoscaleEvent
+	mu   sync.Mutex
+	loop *appaware.Loop
 }
 
-// NewAutoscaler wires the live control loop. It panics on a missing app
-// or policy — configuration errors in deployment construction.
-func NewAutoscaler(root *Root, cfg AutoscalerConfig) *Autoscaler {
+// NewAutoscaler wires the live control loop. It panics on a missing root,
+// app or policy — configuration errors in deployment construction.
+func NewAutoscaler(root *Root, loop appaware.LoopConfig, cfg AutoscalerConfig) *Autoscaler {
 	if root == nil {
 		panic("orchestrator: autoscaler without root")
 	}
 	if cfg.App == "" {
 		panic("orchestrator: autoscaler without app")
 	}
-	if cfg.Policy == nil {
-		panic("orchestrator: autoscaler without policy")
-	}
 	if cfg.Period <= 0 {
 		cfg.Period = 2 * time.Second
 	}
-	if cfg.MaxReplicas <= 0 {
-		cfg.MaxReplicas = 3
-	}
-	if cfg.MinReplicas <= 0 {
-		cfg.MinReplicas = 1
-	}
-	return &Autoscaler{root: root, cfg: cfg}
+	a := &Autoscaler{root: root, cfg: cfg}
+	a.loop = appaware.NewLoop(loop, rootActuator{a})
+	return a
 }
 
 // Run evaluates every Period until the context ends.
@@ -121,9 +69,8 @@ func (a *Autoscaler) Run(ctx context.Context) {
 	}
 }
 
-// Tick runs one control-loop evaluation at now. The first call only
-// primes the counter window (the loop may attach to a long-running
-// deployment whose cumulative totals are not one period's activity).
+// Tick runs one control-loop evaluation at now; the first only primes
+// the windows.
 func (a *Autoscaler) Tick(now time.Time) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -132,198 +79,84 @@ func (a *Autoscaler) Tick(now time.Time) {
 	if err != nil {
 		return // app not deployed (yet)
 	}
-	sig := a.windowLocked(now, tel, dep)
-	a.lastSignal = sig
-	a.evaluations++
-	if !a.primed {
-		a.primed = true
-		return
-	}
-
-	for _, d := range a.cfg.Policy.Decide(sig) {
-		switch d.Verb {
-		case appaware.VerbScaleUp:
-			a.scaleUpLocked(now, sig, d)
-		case appaware.VerbScaleDown:
-			if sig.Services[d.Step].Replicas <= a.cfg.MinReplicas {
-				continue
-			}
-			inst, err := a.root.ScaleDown(a.cfg.App, d.Step.String())
-			if err != nil {
-				continue
-			}
-			a.scaleDowns++
-			a.events = append(a.events, AutoscaleEvent{
-				At: now, Service: d.Step.String(), Verb: appaware.VerbScaleDown.String(),
-				Node: inst.Node, Reason: d.Reason,
-			})
-		}
-	}
-
-	// Admission recovery: verdicts relax as the windowed distress ratio
-	// falls, independent of what the policy decided this period.
-	if a.cfg.AdmissionEnabled {
-		for step := 0; step < wire.NumSteps; step++ {
-			cur := a.admit[step]
-			if cur == core.AdmitOK {
-				continue
-			}
-			capped := sig.Services[step].Replicas >= a.cfg.MaxReplicas
-			next := a.cfg.Admission.Next(cur, sig.Services[step], capped)
-			if next != cur {
-				a.setAdmitLocked(now, wire.Step(step), next, "windowed distress ratio recovered")
-			}
-		}
-		a.publishAdmissionsLocked()
-	}
-}
-
-// windowLocked assembles the windowed policy signal from the merged
-// heartbeat telemetry and the live deployment.
-func (a *Autoscaler) windowLocked(now time.Time, tel []ServiceTelemetry, dep *Deployment) appaware.Signal {
-	if a.anchor.IsZero() {
-		a.anchor = now
-	}
-	sig := appaware.Signal{Now: sim.Time(now.Sub(a.anchor))}
-	for step := 0; step < wire.NumSteps; step++ {
-		sig.Services[step].Step = wire.Step(step)
-	}
+	var snap appaware.Snapshot
 	for _, t := range tel {
 		step, err := wire.ParseStep(t.Service)
-		if err != nil || int(step) >= wire.NumSteps {
+		if err != nil {
 			continue
 		}
-		i := int(step)
-		dArr := appaware.WindowDelta(t.Arrived, a.lastArrived[i])
-		dDrop := appaware.WindowDelta(t.Dropped, a.lastDropped[i])
-		dAdm := appaware.WindowDelta(t.AdmissionDrops, a.lastAdmission[i])
-		a.lastArrived[i] = t.Arrived
-		a.lastDropped[i] = t.Dropped
-		a.lastAdmission[i] = t.AdmissionDrops
-		svc := appaware.ServiceSignal{
-			Step:             step,
-			Arrived:          dArr,
-			Dropped:          dDrop,
-			AdmissionDropped: dAdm,
+		snap.Services[step] = appaware.Sample{
+			Reported:         true,
+			Arrived:          t.Arrived,
+			Dropped:          t.Dropped,
+			AdmissionDropped: t.AdmissionDrops,
 			P95Micros:        t.P95Micros,
-			P99Micros:        t.P99Micros,
-			QueueLen:         t.QueueLen,
 		}
-		switch {
-		case dArr > 0:
-			svc.DropRatio = float64(dDrop) / float64(dArr)
-		case dDrop > 0:
-			// Drops with zero arrivals: backlog shed while nothing was
-			// admitted — full distress, not perfect health.
-			svc.DropRatio = 1
-		}
-		sig.Services[i] = svc
 	}
 	for _, inst := range dep.Instances {
 		step, err := wire.ParseStep(inst.Service)
-		if err != nil || int(step) >= wire.NumSteps || inst.State != StateRunning {
+		if err != nil || inst.State != StateRunning {
 			continue
 		}
-		sig.Services[int(step)].Replicas++
+		snap.Services[step].Replicas++
 	}
-	// Node gauges are already instantaneous (no cumulative busy
-	// integrals), so they pass through WindowMachines untouched.
 	for _, info := range a.root.Nodes() {
 		st, err := a.root.Status(info.Name)
 		if err != nil {
 			continue
 		}
-		sig.Machines = append(sig.Machines, metrics.MachineUsage{
+		snap.Machines = append(snap.Machines, metrics.MachineUsage{
 			Machine:  info.Name,
 			CPUUtil:  st.CPUUtil,
 			GPUUtil:  st.GPUUtil,
 			MemBytes: st.MemUsed,
 		})
 	}
-	return sig
+	a.loop.Tick(now, snap)
 }
 
-// scaleUpLocked applies one scale-out decision, escalating to admission
-// control when the service is capped or unschedulable.
-func (a *Autoscaler) scaleUpLocked(now time.Time, sig appaware.Signal, d appaware.Decision) {
-	service := d.Step.String()
-	if sig.Services[d.Step].Replicas >= a.cfg.MaxReplicas {
-		a.escalateLocked(now, sig, d.Step, "replica cap reached: "+d.Reason)
-		return
-	}
-	inst, err := a.root.ScaleUp(a.cfg.App, service)
-	if err != nil {
-		a.escalateLocked(now, sig, d.Step, fmt.Sprintf("unschedulable (%v): %s", err, d.Reason))
-		return
-	}
-	a.scaleUps++
-	a.events = append(a.events, AutoscaleEvent{
-		At: now, Service: service, Verb: appaware.VerbScaleUp.String(),
-		Node: inst.Node, Reason: d.Reason,
-	})
+// rootActuator is the loop's hold on the Root. It runs inside Tick, under
+// the Autoscaler's mutex.
+type rootActuator struct{ a *Autoscaler }
+
+func (r rootActuator) ScaleUp(step wire.Step) (string, error) {
+	inst, err := r.a.root.ScaleUp(r.a.cfg.App, step.String())
+	return inst.Node, err
 }
 
-// escalateLocked raises a service's admission verdict when scale-out
-// cannot relieve it.
-func (a *Autoscaler) escalateLocked(now time.Time, sig appaware.Signal, step wire.Step, reason string) {
-	if !a.cfg.AdmissionEnabled {
-		return
-	}
-	cur := a.admit[step]
-	next := a.cfg.Admission.Next(cur, sig.Services[step], true)
-	if next != cur {
-		a.setAdmitLocked(now, step, next, reason)
-		a.publishAdmissionsLocked()
-	}
+func (r rootActuator) ScaleDown(step wire.Step) (string, error) {
+	inst, err := r.a.root.ScaleDown(r.a.cfg.App, step.String())
+	return inst.Node, err
 }
 
-func (a *Autoscaler) setAdmitLocked(now time.Time, step wire.Step, next core.AdmitState, reason string) {
-	prev := a.admit[step]
-	a.admit[step] = next
-	a.lastReason[step] = reason
-	if next > prev {
-		a.escalations++
-	} else {
-		a.relaxations++
+// SetAdmit republishes the full verdict set to the Root so the next
+// heartbeat response carries it to every node.
+func (r rootActuator) SetAdmit(step wire.Step, st core.AdmitState, reason string) {
+	if r.a.cfg.OnAdmission != nil {
+		r.a.cfg.OnAdmission(step.String(), st, reason)
 	}
-	a.events = append(a.events, AutoscaleEvent{
-		At: now, Service: step.String(), Reason: reason,
-		Admission: true, Admit: next, AdmitStr: next.String(),
-	})
-	if a.cfg.OnAdmission != nil {
-		a.cfg.OnAdmission(step.String(), next, reason)
-	}
-}
-
-// publishAdmissionsLocked pushes the full verdict set to the Root so the
-// next heartbeat response carries it to every node.
-func (a *Autoscaler) publishAdmissionsLocked() {
 	var adm []ServiceAdmission
-	for step := 0; step < wire.NumSteps; step++ {
-		if a.admit[step] == core.AdmitOK {
-			continue
+	for s := range wire.NumSteps {
+		if v, why := r.a.loop.Verdict(wire.Step(s)); v != core.AdmitOK {
+			adm = append(adm, ServiceAdmission{Service: wire.Step(s).String(), State: v.String(), Reason: why})
 		}
-		adm = append(adm, ServiceAdmission{
-			Service: wire.Step(step).String(),
-			State:   a.admit[step].String(),
-			Reason:  a.lastReason[step],
-		})
 	}
-	a.root.SetAdmissions(adm)
+	r.a.root.SetAdmissions(adm)
 }
 
 // AdmitStateOf returns the verdict currently in force for a service.
 func (a *Autoscaler) AdmitStateOf(step wire.Step) core.AdmitState {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.admit[step]
+	st, _ := a.loop.Verdict(step)
+	return st
 }
 
 // Events returns the applied control actions so far.
-func (a *Autoscaler) Events() []AutoscaleEvent {
+func (a *Autoscaler) Events() []appaware.ScaleEvent {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]AutoscaleEvent(nil), a.events...)
+	return append([]appaware.ScaleEvent(nil), a.loop.Events()...)
 }
 
 // Status snapshots the control loop for /api/v1/autoscaler and the
@@ -331,27 +164,5 @@ func (a *Autoscaler) Events() []AutoscaleEvent {
 func (a *Autoscaler) Status() obs.AutoscaleDigest {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	d := obs.AutoscaleDigest{
-		Policy:      a.cfg.Policy.Name(),
-		Evaluations: a.evaluations,
-		ScaleUps:    a.scaleUps,
-		ScaleDowns:  a.scaleDowns,
-		Escalations: a.escalations,
-		Relaxations: a.relaxations,
-	}
-	for step := 0; step < wire.NumSteps; step++ {
-		svc := a.lastSignal.Services[step]
-		if svc.Replicas == 0 && a.admit[step] == core.AdmitOK && svc.Arrived == 0 {
-			continue // service not deployed / never seen
-		}
-		d.Services = append(d.Services, obs.AutoscaleServiceDigest{
-			Service:    wire.Step(step).String(),
-			Replicas:   svc.Replicas,
-			DropRatio:  svc.DropRatio,
-			P95Micros:  svc.P95Micros,
-			Admit:      a.admit[step].String(),
-			LastReason: a.lastReason[step],
-		})
-	}
-	return d
+	return a.loop.Digest()
 }

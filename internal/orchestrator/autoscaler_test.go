@@ -38,9 +38,11 @@ func beat(t *testing.T, r *Root, at time.Time, svc string, arrived, dropped uint
 func TestNewAutoscalerPanics(t *testing.T) {
 	r := newTestRoot(t)
 	for name, f := range map[string]func(){
-		"nil root":   func() { NewAutoscaler(nil, AutoscalerConfig{App: "a", Policy: appaware.QoSPolicy{}}) },
-		"no app":     func() { NewAutoscaler(r, AutoscalerConfig{Policy: appaware.QoSPolicy{}}) },
-		"nil policy": func() { NewAutoscaler(r, AutoscalerConfig{App: "a"}) },
+		"nil root": func() {
+			NewAutoscaler(nil, appaware.LoopConfig{Policy: appaware.QoSPolicy{}}, AutoscalerConfig{App: "a"})
+		},
+		"no app":     func() { NewAutoscaler(r, appaware.LoopConfig{Policy: appaware.QoSPolicy{}}, AutoscalerConfig{}) },
+		"nil policy": func() { NewAutoscaler(r, appaware.LoopConfig{}, AutoscalerConfig{App: "a"}) },
 	} {
 		func() {
 			defer func() {
@@ -60,7 +62,7 @@ func TestNewAutoscalerPanics(t *testing.T) {
 // ratio bug — and a counter reset windows saturating instead of wrapping.
 func TestAutoscalerWindowsCountersAndScalesUp(t *testing.T) {
 	r := deployScatter(t)
-	a := NewAutoscaler(r, AutoscalerConfig{App: "scatter", Policy: appaware.QoSPolicy{}})
+	a := NewAutoscaler(r, appaware.LoopConfig{Policy: appaware.QoSPolicy{}}, AutoscalerConfig{App: "scatter"})
 	t0 := time.Unix(100, 0)
 
 	// Priming tick: huge cumulative totals with an awful lifetime ratio
@@ -76,7 +78,7 @@ func TestAutoscalerWindowsCountersAndScalesUp(t *testing.T) {
 	beat(t, r, t1, "sift", 10_300, 5_150)
 	a.Tick(t1)
 	ev := a.Events()
-	if len(ev) != 1 || ev[0].Service != "sift" || ev[0].Verb != "scale-up" {
+	if len(ev) != 1 || ev[0].Step != wire.StepSIFT || ev[0].Verb != appaware.VerbScaleUp {
 		t.Fatalf("events = %+v, want one sift scale-up", ev)
 	}
 	d, err := r.Deployment("scatter")
@@ -102,7 +104,7 @@ func TestAutoscalerWindowsCountersAndScalesUp(t *testing.T) {
 	beat(t, r, t3, "sift", 50, 40)
 	a.Tick(t3)
 	ev = a.Events()
-	if len(ev) != 2 || ev[1].Verb != "scale-up" {
+	if len(ev) != 2 || ev[1].Verb != appaware.VerbScaleUp {
 		t.Fatalf("events after reset = %+v, want second scale-up", ev)
 	}
 	st := a.Status()
@@ -111,11 +113,44 @@ func TestAutoscalerWindowsCountersAndScalesUp(t *testing.T) {
 	}
 }
 
+// TestAutoscalerAbsentServiceKeepsWindow: a service missing from one
+// heartbeat merge keeps its window anchor, so when it returns its
+// lifetime totals are not read as one period's burst.
+func TestAutoscalerAbsentServiceKeepsWindow(t *testing.T) {
+	r := deployScatter(t)
+	a := NewAutoscaler(r, appaware.LoopConfig{Policy: appaware.QoSPolicy{}}, AutoscalerConfig{App: "scatter"})
+	t0 := time.Unix(100, 0)
+	beat(t, r, t0, "sift", 10_000, 5_000) // awful lifetime ratio
+	a.Tick(t0)
+
+	// sift drops out of the merge for one period: its node reports lsh only.
+	t1 := t0.Add(2 * time.Second)
+	beat(t, r, t1, "lsh", 100, 0)
+	a.Tick(t1)
+
+	// It returns after a healthy stretch: +300 arrivals, no new drops.
+	// Windowed from zero this would read 5 000 drops over 10 300 arrivals.
+	t2 := t1.Add(2 * time.Second)
+	beat(t, r, t2, "sift", 10_300, 5_000)
+	a.Tick(t2)
+	if ev := a.Events(); len(ev) != 0 {
+		t.Fatalf("returning service read its lifetime total as one window: %+v", ev)
+	}
+
+	// The anchor is live: a bad period after the return still scales out.
+	t3 := t2.Add(2 * time.Second)
+	beat(t, r, t3, "sift", 10_600, 5_150)
+	a.Tick(t3)
+	if ev := a.Events(); len(ev) != 1 || ev[0].Step != wire.StepSIFT || ev[0].Verb != appaware.VerbScaleUp {
+		t.Fatalf("events = %+v, want one sift scale-up", ev)
+	}
+}
+
 // TestAutoscalerZeroArrivalDistress covers the DropRatio bugfix at the
 // live loop: a window with drops but no arrivals is full distress.
 func TestAutoscalerZeroArrivalDistress(t *testing.T) {
 	r := deployScatter(t)
-	a := NewAutoscaler(r, AutoscalerConfig{App: "scatter", Policy: appaware.QoSPolicy{}})
+	a := NewAutoscaler(r, appaware.LoopConfig{Policy: appaware.QoSPolicy{}}, AutoscalerConfig{App: "scatter"})
 	t0 := time.Unix(100, 0)
 	beat(t, r, t0, "lsh", 500, 10)
 	a.Tick(t0)
@@ -124,7 +159,7 @@ func TestAutoscalerZeroArrivalDistress(t *testing.T) {
 	beat(t, r, t1, "lsh", 500, 60)
 	a.Tick(t1)
 	ev := a.Events()
-	if len(ev) != 1 || ev[0].Service != "lsh" || ev[0].Verb != "scale-up" {
+	if len(ev) != 1 || ev[0].Step != wire.StepLSH || ev[0].Verb != appaware.VerbScaleUp {
 		t.Fatalf("events = %+v, want lsh scale-up on zero-arrival drops", ev)
 	}
 }
@@ -136,9 +171,10 @@ func TestAutoscalerZeroArrivalDistress(t *testing.T) {
 func TestAutoscalerCapEscalatesAndRecovers(t *testing.T) {
 	r := deployScatter(t)
 	var transitions []string
-	a := NewAutoscaler(r, AutoscalerConfig{
-		App: "scatter", Policy: appaware.QoSPolicy{},
-		MaxReplicas: 1, AdmissionEnabled: true,
+	a := NewAutoscaler(r, appaware.LoopConfig{
+		Policy: appaware.QoSPolicy{}, MaxReplicas: 1, AdmissionEnabled: true,
+	}, AutoscalerConfig{
+		App: "scatter",
 		OnAdmission: func(svc string, st core.AdmitState, reason string) {
 			transitions = append(transitions, svc+":"+st.String())
 		},
@@ -211,9 +247,8 @@ func TestAutoscalerScaleDownFloor(t *testing.T) {
 	if _, err := r.ScaleUp("scatter", "encoding"); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAutoscaler(r, AutoscalerConfig{
-		App: "scatter", Policy: appaware.QoSPolicy{EnableScaleDown: true},
-	})
+	a := NewAutoscaler(r, appaware.LoopConfig{Policy: appaware.QoSPolicy{EnableScaleDown: true}},
+		AutoscalerConfig{App: "scatter"})
 	t0 := time.Unix(100, 0)
 	beat(t, r, t0, "encoding", 100, 0)
 	a.Tick(t0)
@@ -243,7 +278,7 @@ func TestAutoscalerScaleDownFloor(t *testing.T) {
 // gauge fires it.
 func TestAutoscalerHardwarePolicyReadsLiveGauges(t *testing.T) {
 	r := deployScatter(t)
-	a := NewAutoscaler(r, AutoscalerConfig{App: "scatter", Policy: appaware.HardwarePolicy{}})
+	a := NewAutoscaler(r, appaware.LoopConfig{Policy: appaware.HardwarePolicy{}}, AutoscalerConfig{App: "scatter"})
 	t0 := time.Unix(100, 0)
 	hb := func(at time.Time, gpu float64, arrived, dropped uint64) {
 		t.Helper()
@@ -269,7 +304,7 @@ func TestAutoscalerHardwarePolicyReadsLiveGauges(t *testing.T) {
 	hb(t2, 0.95, 1600, 200)
 	a.Tick(t2)
 	ev := a.Events()
-	if len(ev) != 1 || ev[0].Service != "sift" || ev[0].Verb != "scale-up" {
+	if len(ev) != 1 || ev[0].Step != wire.StepSIFT || ev[0].Verb != appaware.VerbScaleUp {
 		t.Fatalf("events = %+v, want sift scale-up on hot GPU", ev)
 	}
 }
