@@ -32,6 +32,8 @@ test:
 	$(GO) test -run '^$$' -bench 'AutoscalePolicy' -benchtime=1x ./internal/appaware
 	$(GO) test -run '^$$' -bench 'Sharding' -benchtime=1x ./internal/vision/lsh
 	$(GO) test -run '^$$' -bench 'KernelRank|KernelRatio' -benchtime=1x ./internal/vision/lsh ./internal/vision/match
+	$(GO) test -run '^$$' -bench 'Kernels' -benchtime=1x ./internal/vision/simd
+	$(GO) test -run '^$$' -bench 'DetectClip|Detect320x180' -benchtime=1x ./internal/vision/sift
 
 race:
 	$(GO) test -race ./...
@@ -55,13 +57,18 @@ ledger:
 	$(GO) run ./bench
 
 # CPU-profiles the vision kernel benchmarks for flamegraph inspection
-# (see EXPERIMENTS.md): writes cpu_lsh.pprof / cpu_match.pprof; open
-# with `go tool pprof -http=: cpu_lsh.pprof`.
+# (see EXPERIMENTS.md): writes cpu_lsh.pprof / cpu_match.pprof, and
+# cpu_full.pprof of one whole recognition frame (primary → sift →
+# encoding → lsh → matching, BenchmarkFastPathFrame/full) — the split
+# EXPERIMENTS and ROADMAP quote. Open with `go tool pprof -http=:
+# cpu_full.pprof`.
 profile-vision:
 	$(GO) test -run '^$$' -bench 'Kernel' -benchtime 20x -cpuprofile cpu_lsh.pprof \
 		-o /dev/null ./internal/vision/lsh
 	$(GO) test -run '^$$' -bench 'Kernel' -cpuprofile cpu_match.pprof \
 		-o /dev/null ./internal/vision/match
+	$(GO) test -run '^$$' -bench 'FastPathFrame/full' -cpuprofile cpu_full.pprof \
+		-o /dev/null ./internal/core
 
 # Smoke-runs every vision kernel benchmark once at 1, 4, and 8 cores.
 # Worker pools size themselves from GOMAXPROCS, so each -cpu row measures

@@ -274,14 +274,6 @@ func Resize(src *Gray, w, h int) *Gray {
 	return out
 }
 
-// Gradient computes central-difference gradient magnitude and orientation
-// (radians in [-pi, pi]) at (x, y).
-func Gradient(g *Gray, x, y int) (mag, theta float64) {
-	dx := float64(g.At(x+1, y) - g.At(x-1, y))
-	dy := float64(g.At(x, y+1) - g.At(x, y-1))
-	return math.Hypot(dx, dy), math.Atan2(dy, dx)
-}
-
 // RGB is an 8-bit three-channel image used by the synthetic trace renderer.
 // Pixel (x, y) occupies Pix[3*(y*W+x) : 3*(y*W+x)+3].
 type RGB struct {

@@ -212,23 +212,6 @@ func TestBilinearAtInterpolates(t *testing.T) {
 	}
 }
 
-func TestGradientOnRamp(t *testing.T) {
-	// Horizontal ramp: gradient should point along +x with theta ~ 0.
-	g := NewGray(9, 9)
-	for y := 0; y < 9; y++ {
-		for x := 0; x < 9; x++ {
-			g.Set(x, y, float32(x)*0.1)
-		}
-	}
-	mag, theta := Gradient(g, 4, 4)
-	if math.Abs(mag-0.2) > 1e-5 {
-		t.Errorf("ramp gradient magnitude = %v, want 0.2", mag)
-	}
-	if math.Abs(theta) > 1e-5 {
-		t.Errorf("ramp gradient angle = %v, want 0", theta)
-	}
-}
-
 func TestGrayscaleWeights(t *testing.T) {
 	m := NewRGB(1, 1)
 	m.Set(0, 0, 255, 0, 0)

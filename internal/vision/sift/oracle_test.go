@@ -184,6 +184,31 @@ func refScanExtrema(cfg Config, p *refPyramid) []candidate {
 	return cands
 }
 
+// refGradient is the central-difference gradient magnitude and orientation
+// (radians in [-pi, pi]) at (x, y), over clamped reads.
+func refGradient(g *imgproc.Gray, x, y int) (mag, theta float64) {
+	dx := float64(g.At(x+1, y) - g.At(x-1, y))
+	dy := float64(g.At(x, y+1) - g.At(x, y-1))
+	return math.Hypot(dx, dy), math.Atan2(dy, dx)
+}
+
+func TestGradientOnRamp(t *testing.T) {
+	// Horizontal ramp: gradient should point along +x with theta ~ 0.
+	g := imgproc.NewGray(9, 9)
+	for y := 0; y < 9; y++ {
+		for x := 0; x < 9; x++ {
+			g.Set(x, y, float32(x)*0.1)
+		}
+	}
+	mag, theta := refGradient(g, 4, 4)
+	if math.Abs(mag-0.2) > 1e-5 {
+		t.Errorf("ramp gradient magnitude = %v, want 0.2", mag)
+	}
+	if math.Abs(theta) > 1e-5 {
+		t.Errorf("ramp gradient angle = %v, want 0", theta)
+	}
+}
+
 func refDominantOrientations(img *imgproc.Gray, x, y int, sigma float64) []float64 {
 	var hist [orientationBins]float64
 	radius := int(math.Round(3 * 1.5 * sigma))
@@ -198,7 +223,7 @@ func refDominantOrientations(img *imgproc.Gray, x, y int, sigma float64) []float
 			if px < 1 || px >= img.W-1 || py < 1 || py >= img.H-1 {
 				continue
 			}
-			mag, theta := imgproc.Gradient(img, px, py)
+			mag, theta := refGradient(img, px, py)
 			if mag == 0 {
 				continue
 			}
@@ -283,7 +308,7 @@ func refComputeDescriptor(img *imgproc.Gray, x, y int, sigma, orientation float6
 			if bx <= -1 || bx >= descGrid || by <= -1 || by >= descGrid {
 				continue
 			}
-			mag, theta := imgproc.Gradient(img, px, py)
+			mag, theta := refGradient(img, px, py)
 			if mag == 0 {
 				continue
 			}

@@ -13,11 +13,13 @@ package sift
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
 	"github.com/edge-mar/scatter/internal/vision/imgproc"
 	"github.com/edge-mar/scatter/internal/vision/parallel"
+	"github.com/edge-mar/scatter/internal/vision/simd"
 )
 
 // DescriptorSize is the dimensionality of a SIFT descriptor:
@@ -309,8 +311,18 @@ const (
 // concatenated in chunk order, so the result matches the serial
 // octave→level→row→column scan order exactly. The scan visits interior
 // pixels only, so neighbours are read straight out of the three slices.
+// simd.Extrema applies the contrast and extremum tests eight pixels at a
+// time, its mask bits walked in x order; the fewer than eight pixels a
+// row leaves over take the same tests one by one. On vector units a whole
+// 320×180 scan is shorter than waking the second core (EXPERIMENTS.md,
+// "Fourth purchase"), so, like the vector convolution passes, it runs on
+// the caller; chunking is the same either way.
 func (d *Detector) scanExtrema(p *pyramid) []candidate {
 	cfg := d.cfg
+	workers := cfg.Workers
+	if simd.Vector() {
+		workers = 1
+	}
 	var cands []candidate
 	for o := range p.dog {
 		dogs := p.dog[o]
@@ -322,25 +334,38 @@ func (d *Detector) scanExtrema(p *pyramid) []candidate {
 				continue
 			}
 			parts := make([][]candidate, parallel.Chunks(rows, scanGrain))
-			parallel.For(cfg.Workers, rows, scanGrain, func(chunk, start, end int) {
+			parallel.For(workers, rows, scanGrain, func(chunk, start, end int) {
 				var out []candidate
-				for y := start + 1; y < end+1; y++ {
-					for x := 1; x < w-1; x++ {
-						i := y*w + x
-						response := math.Abs(float64(cur[i]))
-						if response < cfg.ContrastThreshold {
-							continue
-						}
-						if !isExtremum(below, cur, above, w, i) {
-							continue
-						}
-						if edgeLike(cur, w, i, cfg.EdgeThreshold) {
-							continue
-						}
+				// keep appends extremum (x, y) unless it lies on an edge.
+				keep := func(x, y int) {
+					i := y*w + x
+					if !edgeLike(cur, w, i, cfg.EdgeThreshold) {
 						out = append(out, candidate{
 							octave: o, level: l, x: x, y: y,
-							response: response,
+							response: math.Abs(float64(cur[i])),
 						})
+					}
+				}
+				var mask [64]uint8
+				for y := start + 1; y < end+1; y++ {
+					x := 1
+					for x+8 <= w-1 {
+						m := mask[:min((w-1-x)/8, len(mask))]
+						at, n := (y-1)*w+x-1, 2*w+8*len(m)+2
+						simd.Extrema(m, below[at:at+n], cur[at:at+n], above[at:at+n], w, cfg.ContrastThreshold)
+						for k, set := range m {
+							for ; set != 0; set &= set - 1 {
+								keep(x+8*k+bits.TrailingZeros8(set), y)
+							}
+						}
+						x += 8 * len(m)
+					}
+					for ; x < w-1; x++ {
+						i := y*w + x
+						if math.Abs(float64(cur[i])) < cfg.ContrastThreshold || !isExtremum(below, cur, above, w, i) {
+							continue
+						}
+						keep(x, y)
 					}
 				}
 				parts[chunk] = out
@@ -393,12 +418,7 @@ func (pt *gradPatch) fill(img *imgproc.Gray, x, y, radius int) {
 		clear(mag[:lo-left])
 		clear(mag[hi-left+1:])
 		up, cur, down := img.Pix[(py-1)*w:][:w], img.Pix[py*w:][:w], img.Pix[(py+1)*w:][:w]
-		for px := lo; px <= hi; px++ {
-			gx := float64(cur[px+1] - cur[px-1])
-			gy := float64(down[px] - up[px])
-			mag[px-left] = math.Hypot(gx, gy)
-			theta[px-left] = math.Atan2(gy, gx)
-		}
+		simd.Grad(mag[lo-left:hi-left+1], theta[lo-left:hi-left+1], up[lo:hi+1], cur[lo-1:hi+2], down[lo:hi+1])
 	}
 }
 

@@ -316,3 +316,18 @@ func BenchmarkDetect320x180(b *testing.B) {
 		d.Detect(img)
 	}
 }
+
+// BenchmarkDetectClip is Detect as the sift service runs it: clip frame 0,
+// capped at 150 features. Unlike testPattern's flat squares, the clip has
+// texture, so the extrema scan and the gradient patches do real work.
+func BenchmarkDetectClip(b *testing.B) {
+	img := clipFrames(b)[0]
+	cfg := Defaults()
+	cfg.MaxFeatures = 150
+	d := New(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Detect(img)
+	}
+}

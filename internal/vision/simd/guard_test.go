@@ -3,6 +3,7 @@
 package simd_test
 
 import (
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"syscall"
@@ -12,21 +13,21 @@ import (
 	"github.com/edge-mar/scatter/internal/vision/simd"
 )
 
-// guarded hands out float32 slices that sit flush against an inaccessible
-// page: one past the end of the slice (or one before its start) faults.
+// guarded hands out slices that sit flush against an inaccessible page:
+// one past the end of the slice (or one before its start) faults.
 type guarded struct {
 	t    *testing.T
 	page int
 	rng  *rand.Rand
 }
 
-// slice maps three pages, makes the outer two inaccessible and returns n
-// awkward values ending exactly at the upper boundary (atEnd) or starting
-// exactly at the lower one.
-func (g *guarded) slice(n int, atEnd bool) []float32 {
+// bytes maps three pages, makes the outer two inaccessible and returns n
+// bytes ending exactly at the upper boundary (atEnd) or starting exactly
+// at the lower one.
+func (g *guarded) bytes(n int, atEnd bool) []byte {
 	g.t.Helper()
-	if 4*n > g.page {
-		g.t.Fatalf("%d floats do not fit a %d-byte page", n, g.page)
+	if n > g.page {
+		g.t.Fatalf("%d bytes do not fit a %d-byte page", n, g.page)
 	}
 	mem, err := syscall.Mmap(-1, 0, 3*g.page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
@@ -40,14 +41,35 @@ func (g *guarded) slice(n int, atEnd bool) []float32 {
 	}
 	start := g.page
 	if atEnd {
-		start = 2*g.page - 4*n
+		start = 2*g.page - n
 	}
+	return mem[start:][:n:n]
+}
+
+// slice is bytes holding n awkward float32 values.
+func (g *guarded) slice(n int, atEnd bool) []float32 {
+	g.t.Helper()
+	mem := g.bytes(4*n, atEnd)
 	if n == 0 {
 		return nil
 	}
-	s := unsafe.Slice((*float32)(unsafe.Pointer(&mem[start])), n)
+	s := unsafe.Slice((*float32)(unsafe.Pointer(&mem[0])), n)
 	for i := range s {
 		s[i] = awkward(g.rng)
+	}
+	return s
+}
+
+// slice64 is bytes holding n NaN float64 values.
+func (g *guarded) slice64(n int, atEnd bool) []float64 {
+	g.t.Helper()
+	mem := g.bytes(8*n, atEnd)
+	if n == 0 {
+		return nil
+	}
+	s := unsafe.Slice((*float64)(unsafe.Pointer(&mem[0])), n)
+	for i := range s {
+		s[i] = math.NaN()
 	}
 	return s
 }
@@ -91,6 +113,29 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 			a, b, dst := g.slice(n, atEnd), g.slice(n, atEnd), g.slice(n, atEnd)
 			run("Sub", func() { simd.Sub(dst, a, b) })
 			run("Sub in place", func() { simd.Sub(a, a, b) })
+			up, cur, down := g.slice(n, atEnd), g.slice(n+2, atEnd), g.slice(n, atEnd)
+			for _, s := range [][]float32{up, cur, down} {
+				for i, v := range s {
+					if math.IsInf(float64(v), 0) { // keep every group on the vector path
+						s[i] = 1
+					}
+				}
+			}
+			mag, theta := g.slice64(n, atEnd), g.slice64(n, atEnd)
+			run("Grad", func() { simd.Grad(mag, theta, up, cur, down) })
+		}
+		for _, groups := range []int{1, 2, 3, 8, 39} {
+			// Rows exactly as wide as the pixels and their two neighbours,
+			// and rows with more to their right.
+			for _, w := range []int{8*groups + 2, 8*groups + 9} {
+				n := 2*w + 8*groups + 2
+				if 4*n > g.page {
+					continue
+				}
+				below, cur, above := g.slice(n, atEnd), g.slice(n, atEnd), g.slice(n, atEnd)
+				mask := g.bytes(groups, atEnd)
+				run("Extrema", func() { simd.Extrema(mask, below, cur, above, w, 0.03) })
+			}
 		}
 		for _, dim := range []int{1, 3, 4, 5, 128, 385} {
 			q := g.slice(dim, atEnd)

@@ -1,7 +1,8 @@
-// Package simd holds the repo's only assembly: AVX2 forms of the three
-// float32 inner loops the frame ledger is spent on — the separable
-// convolution of the SIFT pyramid, the ratio test's squared distances and
-// the LSH ranking's dot products.
+// Package simd holds the repo's only assembly: AVX2 forms of the five
+// inner loops the frame ledger is spent on — three from SIFT (the
+// separable convolution of the pyramid, the DoG extrema scan and the
+// gradient patch around each keypoint), the ratio test's squared
+// distances and the LSH ranking's dot products.
 //
 // Every exported function has exactly one meaning, given by a pure-Go
 // twin in this file. The twin is the fallback (other architectures, amd64
@@ -17,13 +18,29 @@
 // under that setting instead of the outputs drifting apart). The twins
 // are written as that plain expression, like the loops around them, so
 // on an architecture whose compiler does fuse (arm64) twin, remainder
-// loops and test references are all fused alike. Which path ran is
-// therefore invisible in the output, and there is nothing to configure:
-// it is picked once at start-up from CPUID.
+// loops and test references are all fused alike.
+//
+// The same argument covers the rest of what the kernels do. Division and
+// square root are correctly rounded in IEEE 754, max, min and compares are
+// exact, and a blend only picks one of two values already rounded: none
+// of them depends on how many lanes run at once. So a kernel that performs
+// the twin's operations on the same operands in the same order, with each
+// branch turned into a compare and a blend, holds in every lane what the
+// twin computes for that pixel. Grad replays two standard-library
+// functions that way: math.Hypot, which on amd64 is the archHypot
+// assembly, and math.Atan2, which is pure Go (atan2, atan, satan, xatan).
+// Its twin calls them, so should a Go release change either — a constant,
+// the order of an operation, a new assembly Atan2 — the oracle tests fail
+// instead of the two paths drifting apart. Inputs that take the library's
+// infinity and NaN cases go to the twin.
+//
+// Which path ran is therefore invisible in the output, and there is
+// nothing to configure: it is picked once at start-up from CPUID.
 package simd
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 )
 
@@ -192,4 +209,125 @@ func requireRows(rows *[16]*float32) {
 			panic(fmt.Sprintf("simd: row %d of 16 is nil", r))
 		}
 	}
+}
+
+// Grad computes the central-difference gradient of one image row: for
+// each j < len(mag), with gx = float64(cur[j+2]-cur[j]) and gy =
+// float64(down[j]-up[j]) (each difference taken in float32), it writes
+// mag[j] = math.Hypot(gx, gy) and theta[j] = math.Atan2(gy, gx). theta, up
+// and down must have len(mag) elements and cur two more; the outputs must
+// not overlap the inputs.
+func Grad(mag, theta []float64, up, cur, down []float32) {
+	n := len(mag)
+	if len(theta) != n || len(up) != n || len(down) != n || len(cur) != n+2 {
+		panic(fmt.Sprintf("simd: Grad of %d pixels with %d angles, rows of %d, %d and %d",
+			n, len(theta), len(up), len(cur), len(down)))
+	}
+	if !useAVX2 || n < 4 {
+		gradGo(mag, theta, up, cur, down, 0, n)
+		return
+	}
+	for done := 0; done < n; {
+		// A short last group moves back to end at n: lanes are
+		// independent, so the pixels it repeats get the same bits again.
+		start := min(done, n-4)
+		end := start + (n-start)&^3
+		done = start + gradAVX2(&mag[start], &theta[start], &up[start], &cur[start], &down[start], end-start)
+		if done < end {
+			// The kernel stops at a group with a non-finite difference:
+			// math returns its own NaN and has Inf cases of its own.
+			gradGo(mag, theta, up, cur, down, done, done+4)
+			done += 4
+		}
+	}
+}
+
+// gradGo is Grad over pixels from..to-1.
+func gradGo(mag, theta []float64, up, cur, down []float32, from, to int) {
+	for j := from; j < to; j++ {
+		gx := float64(cur[j+2] - cur[j])
+		gy := float64(down[j] - up[j])
+		mag[j] = math.Hypot(gx, gy)
+		theta[j] = math.Atan2(gy, gx)
+	}
+}
+
+// Extrema scans 8·len(mask) consecutive pixels of one DoG row for SIFT
+// extrema: bit b of mask[k] is set when pixel p = 8k+b, of value v, passes
+// the contrast test — math.Abs(float64(v)) < threshold is false — and is a
+// strict maximum or strict minimum of its 26 neighbours in the levels
+// below, at and above it. Neighbours are compared with ordered >= and <=,
+// so a NaN on either side of a comparison disqualifies nothing. below, cur
+// and above are windows of the three levels with row stride w, at least
+// the pixels and their left and right neighbours: each starts at the
+// upper-left neighbour of pixel 0, which is therefore at index w+1, and
+// holds exactly 2w+8·len(mask)+2 elements.
+func Extrema(mask []uint8, below, cur, above []float32, w int, threshold float64) {
+	n := 2*w + 8*len(mask) + 2
+	if w < 8*len(mask)+2 || len(below) != n || len(cur) != n || len(above) != n {
+		panic(fmt.Sprintf("simd: Extrema of %d pixels at stride %d over windows of %d, %d and %d",
+			8*len(mask), w, len(below), len(cur), len(above)))
+	}
+	if len(mask) == 0 {
+		return
+	}
+	if useAVX2 {
+		extremaAVX2(&mask[0], len(mask), &below[0], &cur[0], &above[0], w, ceil32(threshold))
+		return
+	}
+	extremaGo(mask, below, cur, above, w, threshold)
+}
+
+// ceil32 is the least float32 not below t. For every float32 a,
+// float64(a) < t exactly when a < ceil32(t): a float32 below ceil32(t) is
+// at most its predecessor, which is below t, and one at or above it is at
+// least t. A NaN t converts to NaN, and both comparisons always fail.
+func ceil32(t float64) float32 {
+	f := float32(t)
+	if float64(f) < t {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
+
+// extremaGo is Extrema one pixel at a time.
+func extremaGo(mask []uint8, below, cur, above []float32, w int, threshold float64) {
+	for k := range mask {
+		var m uint8
+		for b := 0; b < 8; b++ {
+			i := w + 1 + 8*k + b
+			if math.Abs(float64(cur[i])) < threshold {
+				continue
+			}
+			if extremum(below, cur, above, w, i) {
+				m |= 1 << b
+			}
+		}
+		mask[k] = m
+	}
+}
+
+// extremum reports whether cur[i] is a strict maximum or minimum of the 26
+// pixels at offsets dy·w+dx (dy, dx in -1..1) from i in the three levels,
+// the centre itself excepted.
+func extremum(below, cur, above []float32, w, i int) bool {
+	v := cur[i]
+	isMax, isMin := true, true
+	for l, img := range [3][]float32{below, cur, above} {
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				if l == 1 && dy == 0 && dx == 0 {
+					continue
+				}
+				n := img[i+dy*w+dx]
+				if n >= v {
+					isMax = false
+				}
+				if n <= v {
+					isMin = false
+				}
+			}
+		}
+	}
+	return isMax || isMin
 }

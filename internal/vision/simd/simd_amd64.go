@@ -47,3 +47,16 @@ func sqDist16AVX2(out *[16]float64, q *float32, rows *[16]*float32, blocks int)
 //
 //go:noescape
 func dot16AVX2(out *[16]float64, q *float32, rows *[16]*float32, blocks int)
+
+// gradAVX2 is Grad over the first n pixels, n a multiple of 4, four at a
+// time. It stops before the first group of four with a non-finite
+// difference and returns the number of pixels written.
+//
+//go:noescape
+func gradAVX2(mag, theta *float64, up, cur, down *float32, n int) int
+
+// extremaAVX2 is Extrema over groups·8 pixels, groups positive, with the
+// threshold already rounded up to float32 by ceil32.
+//
+//go:noescape
+func extremaAVX2(mask *uint8, groups int, below, cur, above *float32, w int, min float32)

@@ -4,8 +4,10 @@
 // by VADDPS/VADDPD — never a fused multiply-add), zeroes its accumulators
 // with VXORPS and adds terms in ascending tap/dimension order, so a lane
 // holds exactly what the scalar loop in simd.go computes for that pixel or
-// row. Each ends with VZEROUPPER so the SSE code around it pays no
-// transition penalty.
+// row. The gradient kernel adds division, square root, max, min, compares
+// and blends, each as exact per lane as its scalar form, and the extrema
+// kernel only compares. Each ends with VZEROUPPER so the SSE code around
+// it pays no transition penalty.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -237,5 +239,279 @@ dotdone:
 	VMOVUPD Y13, 32(DI)
 	VMOVUPD Y14, 64(DI)
 	VMOVUPD Y15, 96(DI)
+	VZEROUPPER
+	RET
+
+// The gradient kernel replays, one pixel per float64 lane, the exact
+// operation sequences of the standard library on amd64: math.Hypot is the
+// archHypot assembly (math/hypot_amd64.s) and math.Atan2 the pure-Go
+// atan2 → atan → satan → xatan chain (math/atan2.go, math/atan.go). Every
+// step is one IEEE operation — add, sub, mul, div, sqrt, max, min — on the
+// same operands in the same order, and every branch becomes a compare and
+// a blend, so each lane rounds exactly where the scalar code does. Lanes
+// whose inputs are not finite never get here (see gradAVX2).
+//
+// Each constant is stored four times so that it serves as a 256-bit
+// memory operand; the bits are those of the Go constants.
+#define KCONST(off, bits) \
+	DATA gradK<>+(off)(SB)/8, $bits; \
+	DATA gradK<>+(off+8)(SB)/8, $bits; \
+	DATA gradK<>+(off+16)(SB)/8, $bits; \
+	DATA gradK<>+(off+24)(SB)/8, $bits
+
+KCONST(0, 0x7fffffffffffffff)   // ABS: clears the sign
+KCONST(32, 0x8000000000000000)  // SIGN
+KCONST(64, 0x3ff0000000000000)  // 1
+KCONST(96, 0x3fe51eb851eb851f)  // 0.66, satan's first range limit
+KCONST(128, 0x4003504f333f9de6) // Tan3pio8
+KCONST(160, 0xbfec007fa1f72594) // xatan's P0..P4
+KCONST(192, 0xc03028545b6b807a)
+KCONST(224, 0xc052c08c36880273)
+KCONST(256, 0xc05eb8bf2d05ba25)
+KCONST(288, 0xc0503669fd28ec8e)
+KCONST(320, 0x4038dbc45b14603c) // xatan's Q0..Q4
+KCONST(352, 0x4064a0dd43b8fa25)
+KCONST(384, 0x407b0e18d2e2be3b)
+KCONST(416, 0x407e563f13b049ea)
+KCONST(448, 0x4068519efbbd62ec)
+KCONST(480, 0x400921fb54442d18) // Pi
+KCONST(512, 0x3ff921fb54442d18) // Pi/2
+KCONST(544, 0x3fe921fb54442d18) // Pi/4
+KCONST(576, 0x3c91a62633145c07) // Morebits
+KCONST(608, 0x3c81a62633145c07) // 0.5*Morebits
+KCONST(640, 0x7ff0000000000000) // +Inf
+GLOBL gradK<>(SB), RODATA|NOPTR, $672
+
+#define ABS gradK<>+0(SB)
+#define SIGN gradK<>+32(SB)
+#define ONE gradK<>+64(SB)
+#define R066 gradK<>+96(SB)
+#define TAN3PIO8 gradK<>+128(SB)
+#define P0 gradK<>+160(SB)
+#define P1 gradK<>+192(SB)
+#define P2 gradK<>+224(SB)
+#define P3 gradK<>+256(SB)
+#define P4 gradK<>+288(SB)
+#define Q0 gradK<>+320(SB)
+#define Q1 gradK<>+352(SB)
+#define Q2 gradK<>+384(SB)
+#define Q3 gradK<>+416(SB)
+#define Q4 gradK<>+448(SB)
+#define PI gradK<>+480(SB)
+#define PIO2 gradK<>+512(SB)
+#define PIO4 gradK<>+544(SB)
+#define MOREBITS gradK<>+576(SB)
+#define HALFMOREBITS gradK<>+608(SB)
+#define INF gradK<>+640(SB)
+
+// VCMPPD/VCMPPS predicates. The ordered ones are false when either operand
+// is NaN, as Go's < <= == >= > are; NLT_UQ is Go's !(a < b).
+#define EQ_OQ $0x00
+#define NLT_UQ $0x15
+#define LT_OQ $0x11
+#define LE_OQ $0x12
+#define GE_OQ $0x1d
+#define GT_OQ $0x1e
+
+// func gradAVX2(mag, theta *float64, up, cur, down *float32, n int) int
+//
+// AX counts pixels; Y0 = gx and Y1 = gy for the four in hand, Y7 = 0.
+TEXT ·gradAVX2(SB), NOSPLIT, $0-56
+	MOVQ mag+0(FP), DI
+	MOVQ theta+8(FP), R8
+	MOVQ up+16(FP), SI
+	MOVQ cur+24(FP), DX
+	MOVQ down+32(FP), R9
+	MOVQ n+40(FP), CX
+	XORQ AX, AX
+	VXORPD Y7, Y7, Y7
+
+grad4:
+	CMPQ AX, CX
+	JGE  graddone
+	VMOVUPS 8(DX)(AX*4), X0
+	VSUBPS  (DX)(AX*4), X0, X0
+	VMOVUPS (R9)(AX*4), X1
+	VSUBPS  (SI)(AX*4), X1, X1
+	VCVTPS2PD X0, Y0
+	VCVTPS2PD X1, Y1
+
+	// Stop at a group with an Inf or NaN: |g| < Inf fails for both.
+	VANDPD ABS, Y0, Y2
+	VANDPD ABS, Y1, Y3
+	VCMPPD LT_OQ, INF, Y2, Y4
+	VCMPPD LT_OQ, INF, Y3, Y5
+	VANDPD Y5, Y4, Y4
+	VMOVMSKPD Y4, BX
+	CMPQ BX, $15
+	JNE  graddone
+
+	// archHypot: p, q = |gx|, |gy|; max·sqrt(1 + (min/max)²), or 0 when
+	// max is 0 (both are; the quotient is then NaN and blended away).
+	VMAXPD  Y3, Y2, Y4
+	VMINPD  Y3, Y2, Y5
+	VDIVPD  Y4, Y5, Y6
+	VMULPD  Y6, Y6, Y6
+	VADDPD  ONE, Y6, Y6
+	VSQRTPD Y6, Y6
+	VMULPD  Y6, Y4, Y6
+	VCMPPD  EQ_OQ, Y7, Y4, Y5
+	VANDNPD Y6, Y5, Y6
+	VMOVUPD Y6, (DI)(AX*8)
+
+	// atan2's general case: q = Atan(v) for v = gy/gx. Atan is v for
+	// v = ±0 and otherwise ±satan(|v|); satan(t) ≥ +0 and satan(0) = +0,
+	// so q is satan(t) with v's sign bit.
+	VDIVPD Y0, Y1, Y2                // v
+	VANDPD ABS, Y2, Y3               // t
+	// satan's ranges, as one quotient r = n/d into xatan: (t, 1) for
+	// t ≤ 0.66, (1, t) above Tan3pio8, (t-1, t+1) between.
+	VCMPPD    LE_OQ, R066, Y3, Y4    // small
+	VCMPPD    GT_OQ, TAN3PIO8, Y3, Y5 // big
+	VSUBPD    ONE, Y3, Y6
+	VADDPD    ONE, Y3, Y8
+	VBLENDVPD Y5, ONE, Y6, Y6
+	VBLENDVPD Y5, Y3, Y8, Y8
+	VBLENDVPD Y4, Y3, Y6, Y6
+	VBLENDVPD Y4, ONE, Y8, Y8
+	VDIVPD    Y8, Y6, Y6             // r
+	// xatan(r): z = r²; z = z·P(z) / Q(z), Horner from P0 and from z+Q0;
+	// r·z + r.
+	VMULPD Y6, Y6, Y8
+	VMULPD P0, Y8, Y9
+	VADDPD P1, Y9, Y9
+	VMULPD Y8, Y9, Y9
+	VADDPD P2, Y9, Y9
+	VMULPD Y8, Y9, Y9
+	VADDPD P3, Y9, Y9
+	VMULPD Y8, Y9, Y9
+	VADDPD P4, Y9, Y9
+	VADDPD Q0, Y8, Y10
+	VMULPD Y8, Y10, Y10
+	VADDPD Q1, Y10, Y10
+	VMULPD Y8, Y10, Y10
+	VADDPD Q2, Y10, Y10
+	VMULPD Y8, Y10, Y10
+	VADDPD Q3, Y10, Y10
+	VMULPD Y8, Y10, Y10
+	VADDPD Q4, Y10, Y10
+	VMULPD Y9, Y8, Y8
+	VDIVPD Y10, Y8, Y8
+	VMULPD Y6, Y8, Y8
+	VADDPD Y6, Y8, Y8                // xatan(r)
+	// (Pi/2 − z) + Morebits above Tan3pio8, (Pi/4 + z) + 0.5·Morebits
+	// between, z itself up to 0.66.
+	VMOVUPD   PIO2, Y9
+	VSUBPD    Y8, Y9, Y9
+	VADDPD    MOREBITS, Y9, Y9
+	VADDPD    PIO4, Y8, Y10
+	VADDPD    HALFMOREBITS, Y10, Y10
+	VBLENDVPD Y5, Y9, Y10, Y10
+	VBLENDVPD Y4, Y8, Y10, Y10       // satan(t)
+	VANDPD    SIGN, Y2, Y9
+	VORPD     Y9, Y10, Y10           // q
+	// gx < 0: q + Pi if q ≤ 0, else q − Pi. gx is not zero here (that
+	// case is blended over below), so its sign bit says gx < 0.
+	VADDPD    PI, Y10, Y11
+	VSUBPD    PI, Y10, Y12
+	VCMPPD    LE_OQ, Y7, Y10, Y13
+	VBLENDVPD Y13, Y11, Y12, Y11
+	VBLENDVPD Y0, Y11, Y10, Y10
+	// atan2's special cases, the later taking precedence: gx == 0 gives
+	// Pi/2 with gy's sign; gy == 0 gives gy itself when gx's sign bit is
+	// clear, else Pi with gy's sign.
+	VANDPD    SIGN, Y1, Y9
+	VORPD     PIO2, Y9, Y11
+	VCMPPD    EQ_OQ, Y7, Y0, Y12
+	VBLENDVPD Y12, Y11, Y10, Y10
+	VORPD     PI, Y9, Y11
+	VBLENDVPD Y0, Y11, Y1, Y11
+	VCMPPD    EQ_OQ, Y7, Y1, Y12
+	VBLENDVPD Y12, Y11, Y10, Y10
+	VMOVUPD   Y10, (R8)(AX*8)
+
+	ADDQ $4, AX
+	JMP  grad4
+
+graddone:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// NEIGHBOUR compares the eight centres in Y0 with the eight pixels at
+// addr, and ORs "some neighbour ≥ v" into Y2 and "some neighbour ≤ v"
+// into Y3 — isExtremum's n >= v and n <= v, as v <= n and v >= n.
+#define NEIGHBOUR(addr) \
+	VMOVUPS addr, Y4; \
+	VCMPPS  LE_OQ, Y4, Y0, Y5; \
+	VCMPPS  GE_OQ, Y4, Y0, Y6; \
+	VORPS   Y5, Y2, Y2; \
+	VORPS   Y6, Y3, Y3
+
+// NEIGHBOURS9 is NEIGHBOUR over the 3×3 block whose top-left pixel lines up
+// with pixel 0 at base: rows at offsets 0, AX and DX (one and two strides).
+#define NEIGHBOURS9(base) \
+	NEIGHBOUR(0(base)); \
+	NEIGHBOUR(4(base)); \
+	NEIGHBOUR(8(base)); \
+	NEIGHBOUR(0(base)(AX*1)); \
+	NEIGHBOUR(4(base)(AX*1)); \
+	NEIGHBOUR(8(base)(AX*1)); \
+	NEIGHBOUR(0(base)(DX*1)); \
+	NEIGHBOUR(4(base)(DX*1)); \
+	NEIGHBOUR(8(base)(DX*1))
+
+// func extremaAVX2(mask *uint8, groups int, below, cur, above *float32, w int, min float32)
+//
+// R8, R11 and R14 point at the three windows, advanced by eight pixels per
+// group; AX is the row stride in bytes and DX twice that. The centres are
+// at 4(R11)(AX*1). Y14 = the float32 abs mask, Y15 = min in every lane.
+TEXT ·extremaAVX2(SB), NOSPLIT, $0-52
+	MOVQ mask+0(FP), DI
+	MOVQ groups+8(FP), CX
+	MOVQ below+16(FP), R8
+	MOVQ cur+24(FP), R11
+	MOVQ above+32(FP), R14
+	MOVQ w+40(FP), AX
+	SHLQ $2, AX
+	LEAQ (AX)(AX*1), DX
+	VBROADCASTSS min+48(FP), Y15
+	VPCMPEQD Y14, Y14, Y14
+	VPSRLD   $1, Y14, Y14
+
+ext8:
+	VMOVUPS 4(R11)(AX*1), Y0
+	// Contrast: !(|v| < min). A group with no pixel left skips the 26
+	// comparisons.
+	VANDPS    Y14, Y0, Y1
+	VCMPPS    NLT_UQ, Y15, Y1, Y1
+	VMOVMSKPS Y1, BX
+	TESTQ     BX, BX
+	JZ        ext8store
+	VXORPS    Y2, Y2, Y2
+	VXORPS    Y3, Y3, Y3
+	NEIGHBOURS9(R8)
+	NEIGHBOUR(0(R11))
+	NEIGHBOUR(4(R11))
+	NEIGHBOUR(8(R11))
+	NEIGHBOUR(0(R11)(AX*1))
+	NEIGHBOUR(8(R11)(AX*1))
+	NEIGHBOUR(0(R11)(DX*1))
+	NEIGHBOUR(4(R11)(DX*1))
+	NEIGHBOUR(8(R11)(DX*1))
+	NEIGHBOURS9(R14)
+	// An extremum is not (some neighbour ≥ v and some neighbour ≤ v).
+	VANDPS    Y3, Y2, Y2
+	VANDNPS   Y1, Y2, Y1
+	VMOVMSKPS Y1, BX
+
+ext8store:
+	MOVB BX, (DI)
+	INCQ DI
+	ADDQ $32, R8
+	ADDQ $32, R11
+	ADDQ $32, R14
+	DECQ CX
+	JNZ  ext8
 	VZEROUPPER
 	RET

@@ -22,3 +22,11 @@ func sqDist16AVX2(out *[16]float64, q *float32, rows *[16]*float32, blocks int) 
 func dot16AVX2(out *[16]float64, q *float32, rows *[16]*float32, blocks int) {
 	panic("simd: no vector kernels on this architecture")
 }
+
+func gradAVX2(mag, theta *float64, up, cur, down *float32, n int) int {
+	panic("simd: no vector kernels on this architecture")
+}
+
+func extremaAVX2(mask *uint8, groups int, below, cur, above *float32, w int, min float32) {
+	panic("simd: no vector kernels on this architecture")
+}

@@ -80,11 +80,11 @@ func requireSame32(t *testing.T, what string, got, want []float32) {
 	}
 }
 
-func requireSame64(t *testing.T, what string, got, want *[16]float64) {
+func requireSame64(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {
 		if !same64(got[i], want[i]) {
-			t.Fatalf("%s: row %d = %x (%g), want %x (%g)", what, i,
+			t.Fatalf("%s: [%d] = %x (%g), want %x (%g)", what, i,
 				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
 		}
 	}
@@ -215,12 +215,12 @@ func check16(t *testing.T, what string, q []float32, rows [][]float32) {
 			got[r] = math.NaN()
 		}
 		kernel.run(&got, q, &ptrs)
-		requireSame64(t, kernel.name+" "+what, &got, kernel.want)
+		requireSame64(t, kernel.name+" "+what, got[:], kernel.want[:])
 		for r := range got {
 			got[r] = math.NaN()
 		}
 		simd.GoOnly(func() { kernel.run(&got, q, &ptrs) })
-		requireSame64(t, kernel.name+" (Go twin) "+what, &got, kernel.want)
+		requireSame64(t, kernel.name+" (Go twin) "+what, got[:], kernel.want[:])
 	}
 }
 
@@ -287,6 +287,299 @@ func TestBlurMatchesTwin(t *testing.T) {
 	}
 }
 
+// refGrad is Grad by its definition, straight onto the standard library.
+func refGrad(up, cur, down []float32) (mag, theta []float64) {
+	mag, theta = make([]float64, len(up)), make([]float64, len(up))
+	for j := range up {
+		gx := float64(cur[j+2] - cur[j])
+		gy := float64(down[j] - up[j])
+		mag[j], theta[j] = math.Hypot(gx, gy), math.Atan2(gy, gx)
+	}
+	return mag, theta
+}
+
+func nans64(n, shift int) []float64 {
+	s := make([]float64, n+shift)[shift:]
+	for i := range s {
+		s[i] = math.NaN()
+	}
+	return s
+}
+
+// checkGrad runs Grad on both paths into NaN-filled outputs and requires
+// each to equal math.Hypot and math.Atan2 bit for bit.
+func checkGrad(t *testing.T, what string, up, cur, down []float32, shift int) {
+	t.Helper()
+	wantMag, wantTheta := refGrad(up, cur, down)
+	for _, path := range []struct {
+		name string
+		run  func(f func())
+	}{{"", func(f func()) { f() }}, {" (Go twin)", simd.GoOnly}} {
+		mag, theta := nans64(len(up), shift), nans64(len(up), shift+1)
+		path.run(func() { simd.Grad(mag, theta, up, cur, down) })
+		requireSame64(t, what+path.name+" mag", mag, wantMag)
+		requireSame64(t, what+path.name+" theta", theta, wantTheta)
+	}
+}
+
+// sparse is awkward with the specials one draw in rarity, and NaN and
+// values near the float32 limit (whose differences overflow to ±Inf) among
+// them; ordinary draws span magnitudes from 2^-60 to 2^60.
+func sparse(rng *rand.Rand, rarity int) float32 {
+	switch rng.Intn(rarity) {
+	case 0:
+		return nan32
+	case 1:
+		return float32(1-2*rng.Intn(2)) * math.MaxFloat32 * (1 - rng.Float32()/4)
+	case 2:
+		return awkward(rng)
+	}
+	return float32(rng.NormFloat64() * math.Ldexp(1, rng.Intn(121)-60))
+}
+
+// gradPairs lays (gx, gy) pairs out as Grad operands: up is zero, down is
+// gy, and cur is zero at pixels j ≡ 0, 1 (mod 4) and gx[j-2] at the other
+// two, so pixels j ≡ 0, 1 see (gx[j], gy[j]) and pixels j ≡ 2, 3 see
+// (0 − gx[j-2], gy[j]).
+func gradPairs(gx, gy []float32, shift int) (up, cur, down []float32) {
+	n := len(gx)
+	up, cur, down = make([]float32, n+shift)[shift:], make([]float32, n+2+shift)[shift:], make([]float32, n+shift)[shift:]
+	copy(down, gy)
+	for j := range gx {
+		if j%4 < 2 {
+			cur[j+2] = gx[j]
+		}
+	}
+	return up, cur, down
+}
+
+func TestGradMatchesTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	widths := []int{320}
+	for w := 0; w <= 67; w++ {
+		widths = append(widths, w)
+	}
+	for _, w := range widths {
+		for _, rarity := range []int{4, 40, 4000} {
+			shift := 1 + (w+rarity)%7
+			up, down := make([]float32, w+shift)[shift:], make([]float32, w+shift)[shift:]
+			cur := make([]float32, w+2+shift)[shift:]
+			for _, s := range [][]float32{up, cur, down} {
+				for i := range s {
+					s[i] = sparse(rng, rarity)
+				}
+			}
+			checkGrad(t, fmt.Sprintf("w=%d rarity=%d", w, rarity), up, cur, down, shift)
+		}
+	}
+}
+
+// TestGradBranches puts gradients where atan2, satan and archHypot branch:
+// |gy/gx| on both sides of 0.66 and of tan(3π/8) (and on 0.66 exactly:
+// 66/100 rounds to the constant), gx or gy zero with either sign, both
+// zero, subnormal and infinite components, in every quadrant.
+func TestGradBranches(t *testing.T) {
+	ulps := func(f float32, k int) float32 {
+		for ; k > 0; k-- {
+			f = math.Nextafter32(f, float32(math.Inf(1)))
+		}
+		for ; k < 0; k++ {
+			f = math.Nextafter32(f, float32(math.Inf(-1)))
+		}
+		return f
+	}
+	negZero := float32(math.Copysign(0, -1))
+	sub := math.Float32frombits(3)
+	inf := float32(math.Inf(1))
+	var gx, gy []float32
+	pair := func(x, y float32) {
+		for _, sx := range []float32{1, -1} {
+			for _, sy := range []float32{1, -1} {
+				gx, gy = append(gx, sx*x), append(gy, sy*y)
+			}
+		}
+	}
+	for k := -3; k <= 3; k++ {
+		pair(100, ulps(66, k))
+		pair(1, ulps(0.66, k))
+		pair(1, ulps(float32(2.41421356237309504880), k))
+		pair(ulps(0.41421356, k), 1)
+		pair(3, ulps(3*2.41421356, k))
+		pair(ulps(1, k), 1) // t near 1: (t−1)/(t+1) near zero
+	}
+	for _, v := range []float32{1, 0.25, 3e38, sub, 7 * sub, inf, nan32} {
+		pair(0, v)
+		pair(negZero, v)
+		pair(v, 0)
+		pair(v, negZero)
+	}
+	pair(0, 0)
+	pair(negZero, negZero)
+	pair(sub, 1)
+	pair(1, sub)
+	pair(sub, 2*sub)
+	pair(3e38, sub)
+	pair(inf, inf)
+	pair(inf, 1)
+	pair(1, inf)
+	pair(nan32, 1)
+	// Groups of four sharing one special, and the same pairs shifted by
+	// every offset so each lands in each lane.
+	for shift := 0; shift < 4; shift++ {
+		up, cur, down := gradPairs(gx[shift:], gy[shift:], shift+1)
+		checkGrad(t, fmt.Sprintf("branch pairs from %d", shift), up, cur, down, shift+1)
+	}
+	// Random pairs around the two range limits, both quadrant signs.
+	rng := rand.New(rand.NewSource(8))
+	gx, gy = gx[:0], gy[:0]
+	for i := 0; i < 1<<14; i++ {
+		x := float32(rng.NormFloat64() * math.Ldexp(1, rng.Intn(41)-20))
+		r := [...]float64{0.66, 2.41421356237309504880, 1}[i%3] * (1 + (rng.Float64()-0.5)*1e-6)
+		gx, gy = append(gx, x), append(gy, float32(float64(x)*r)*float32(1-2*rng.Intn(2)))
+	}
+	up, cur, down := gradPairs(gx, gy, 3)
+	checkGrad(t, "random pairs near the range limits", up, cur, down, 3)
+}
+
+// refExtrema is Extrema by its definition, one pixel at a time.
+func refExtrema(below, cur, above []float32, w, pixels int, threshold float64) []uint8 {
+	mask := make([]uint8, pixels/8)
+	for p := 0; p < pixels; p++ {
+		c := w + 1 + p
+		v := cur[c]
+		if math.Abs(float64(v)) < threshold {
+			continue
+		}
+		ge, le := 0, 0 // neighbours with n >= v, with n <= v
+		for l, img := range [][]float32{below, cur, above} {
+			for _, off := range []int{-w - 1, -w, -w + 1, -1, 0, 1, w - 1, w, w + 1} {
+				if l == 1 && off == 0 {
+					continue
+				}
+				if img[c+off] >= v {
+					ge++
+				}
+				if img[c+off] <= v {
+					le++
+				}
+			}
+		}
+		if ge == 0 || le == 0 {
+			mask[p/8] |= 1 << (p % 8)
+		}
+	}
+	return mask
+}
+
+// checkExtrema runs Extrema on both paths into dirty masks and requires
+// each to equal the reference.
+func checkExtrema(t *testing.T, what string, below, cur, above []float32, w, groups int, threshold float64) {
+	t.Helper()
+	want := refExtrema(below, cur, above, w, 8*groups, threshold)
+	for _, path := range []struct {
+		name string
+		run  func(f func())
+	}{{"", func(f func()) { f() }}, {" (Go twin)", simd.GoOnly}} {
+		got := make([]uint8, groups)
+		for i := range got {
+			got[i] = 0xa5
+		}
+		path.run(func() { simd.Extrema(got, below, cur, above, w, threshold) })
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s%s: mask[%d] = %08b, want %08b", what, path.name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// dogWindows returns three windows of stride w for groups·8 pixels, drawn
+// from a few levels so plateaus and ties with the centre are common, with
+// planted strict extrema, ties planted beside some of them, and NaN
+// centres and neighbours one draw in nanRarity.
+func dogWindows(rng *rand.Rand, w, groups, nanRarity, shift int) (below, cur, above []float32) {
+	n := 2*w + 8*groups + 2
+	levels := [...]float32{-1, -0.5, 0, float32(math.Copysign(0, -1)), 0.5, 1, 0.03}
+	win := func() []float32 {
+		s := make([]float32, n+shift)[shift:]
+		for i := range s {
+			s[i] = levels[rng.Intn(len(levels))] * float32(1+rng.Intn(2))
+			if rng.Intn(nanRarity) == 0 {
+				s[i] = nan32
+			}
+		}
+		return s
+	}
+	below, cur, above = win(), win(), win()
+	for p := 0; p < 8*groups; p++ {
+		if rng.Intn(3) != 0 {
+			continue
+		}
+		c := w + 1 + p
+		cur[c] = float32(3 * (1 - 2*rng.Intn(2)))
+		if l, off := rng.Intn(3), (rng.Intn(3)-1)*w+rng.Intn(3)-1; rng.Intn(3) == 0 && (l != 1 || off != 0) {
+			[][]float32{below, cur, above}[l][c+off] = cur[c] // a tie with the centre
+		}
+	}
+	return below, cur, above
+}
+
+func TestExtremaMatchesTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, groups := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 40} {
+		for _, extra := range []int{0, 1, 5, 13} {
+			w := 8*groups + 2 + extra
+			for _, nanRarity := range []int{8, 1000} {
+				shift := 1 + (groups+extra)%7
+				below, cur, above := dogWindows(rng, w, groups, nanRarity, shift)
+				for _, thr := range []float64{0, 0.03, 0.5, 1, 2.5, 3, 4, math.Inf(1), math.NaN()} {
+					checkExtrema(t, fmt.Sprintf("groups=%d w=%d nan 1/%d threshold %g", groups, w, nanRarity, thr),
+						below, cur, above, w, groups, thr)
+				}
+			}
+		}
+	}
+}
+
+// TestExtremaContrastAtFloat32Boundary: the vector path compares |v| with
+// the least float32 not below the threshold; that must decide exactly as
+// math.Abs(float64(v)) < threshold does, for thresholds on, just above and
+// just below a float32, and centres on and either side of it.
+func TestExtremaContrastAtFloat32Boundary(t *testing.T) {
+	const groups = 3
+	w := 8*groups + 2
+	for _, f := range []float32{0.03, 1, math.SmallestNonzeroFloat32, math.MaxFloat32} {
+		f64 := float64(f)
+		next := float64(math.Nextafter32(f, float32(math.Inf(1))))
+		thresholds := []float64{
+			f64, math.Nextafter(f64, math.Inf(1)), math.Nextafter(f64, math.Inf(-1)),
+			(f64 + next) / 2, math.Nextafter(next, math.Inf(-1)), next,
+		}
+		centres := []float32{f, math.Nextafter32(f, 0), math.Nextafter32(f, float32(math.Inf(1)))}
+		for _, thr := range thresholds {
+			below, cur, above := make([]float32, 2*w+8*groups+2), make([]float32, 2*w+8*groups+2), make([]float32, 2*w+8*groups+2)
+			// Isolated centres over zero neighbours: every one is a strict
+			// extremum, so the contrast test alone decides.
+			for p := 0; p < 8*groups; p += 2 {
+				c := centres[(p/2)%len(centres)]
+				if p%4 == 2 {
+					c = -c
+				}
+				cur[w+1+p] = c
+			}
+			want := refExtrema(below, cur, above, w, 8*groups, thr)
+			for p := 0; p < 8*groups; p += 2 {
+				if v := cur[w+1+p]; v != 0 {
+					if got := want[p/8]>>(p%8)&1 == 1; got != !(math.Abs(float64(v)) < thr) {
+						t.Fatalf("reference: centre %g, threshold %v: %v", v, thr, got)
+					}
+				}
+			}
+			checkExtrema(t, fmt.Sprintf("float32 %g, threshold %v", f, thr), below, cur, above, w, groups, thr)
+		}
+	}
+}
+
 func mustPanic(t *testing.T, what string, f func()) {
 	t.Helper()
 	defer func() {
@@ -301,6 +594,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 // in Go before the call, on both paths.
 func TestWrappersRefuse(t *testing.T) {
 	f := func(n int) []float32 { return make([]float32, n) }
+	f64 := func(n int) []float64 { return make([]float64, n) }
 	var out [16]float64
 	var full [16]*float32
 	for r := range full {
@@ -328,6 +622,17 @@ func TestWrappersRefuse(t *testing.T) {
 		{"SqDist16: last row nil", func() { simd.SqDist16(&out, f(8), missing(15)) }},
 		{"Dot16: first row nil", func() { simd.Dot16(&out, f(8), missing(0)) }},
 		{"Dot16: last row nil", func() { simd.Dot16(&out, f(8), missing(15)) }},
+		{"Grad: theta one short", func() { simd.Grad(f64(9), f64(8), f(9), f(11), f(9)) }},
+		{"Grad: up one short", func() { simd.Grad(f64(9), f64(9), f(8), f(11), f(9)) }},
+		{"Grad: down one long", func() { simd.Grad(f64(9), f64(9), f(9), f(11), f(10)) }},
+		{"Grad: cur one short", func() { simd.Grad(f64(9), f64(9), f(9), f(10), f(9)) }},
+		{"Grad: cur one long", func() { simd.Grad(f64(9), f64(9), f(9), f(12), f(9)) }},
+		{"Grad: cur empty for no pixels", func() { simd.Grad(nil, nil, nil, nil, nil) }},
+		{"Extrema: below one short", func() { simd.Extrema(make([]uint8, 2), f(2*18+17), f(2*18+18), f(2*18+18), 18, 0.03) }},
+		{"Extrema: cur one long", func() { simd.Extrema(make([]uint8, 2), f(2*18+18), f(2*18+19), f(2*18+18), 18, 0.03) }},
+		{"Extrema: above one short", func() { simd.Extrema(make([]uint8, 2), f(2*18+18), f(2*18+18), f(2*18+17), 18, 0.03) }},
+		{"Extrema: stride one narrower than the pixels", func() { simd.Extrema(make([]uint8, 2), f(2*17+18), f(2*17+18), f(2*17+18), 17, 0.03) }},
+		{"Extrema: negative stride", func() { simd.Extrema(nil, f(0), f(0), f(0), -1, 0.03) }},
 	}
 	for _, c := range cases {
 		mustPanic(t, c.what, c.call)
@@ -340,6 +645,10 @@ func TestWrappersRefuse(t *testing.T) {
 	simd.Sub(nil, nil, nil)
 	simd.SqDist16(&out, nil, &full)
 	simd.Dot16(&out, nil, &full)
+	simd.Grad(f64(9), f64(9), f(9), f(11), f(9))
+	simd.Grad(nil, nil, nil, f(2), nil)
+	simd.Extrema(make([]uint8, 2), f(2*18+18), f(2*18+18), f(2*18+18), 18, 0.03)
+	simd.Extrema(nil, f(6), f(6), f(6), 2, 0.03)
 }
 
 func TestWrappersDoNotAllocate(t *testing.T) {
@@ -355,11 +664,17 @@ func TestWrappersDoNotAllocate(t *testing.T) {
 		rows[r] = &unaligned(rng, 130, 0)[0]
 	}
 	var out [16]float64
+	mag, theta := make([]float64, 67), make([]float64, 67)
+	const groups, w = 8, 8*8 + 2
+	win := unaligned(rng, 2*w+8*groups+2, 0)
 	calls := func() {
 		simd.Conv(dst, src, offs, k)
 		simd.Sub(dst, src[:67], src[12:])
 		simd.SqDist16(&out, q, &rows)
 		simd.Dot16(&out, q, &rows)
+		simd.Grad(mag, theta, src[:67], src[1:70], src[12:79])
+		var mask [groups]uint8
+		simd.Extrema(mask[:], win, win, win, w, 0.03)
 	}
 	if n := testing.AllocsPerRun(50, calls); n != 0 {
 		t.Errorf("vector path: %v allocations per run, want 0", n)
@@ -372,7 +687,8 @@ func TestWrappersDoNotAllocate(t *testing.T) {
 }
 
 // BenchmarkKernels times each wrapper on the shapes the pipeline gives it
-// (a 320-pixel row under 13 taps, 128-dimensional descriptors), vector
+// (a 320-pixel row under 13 taps, 128-dimensional descriptors, a 45-pixel
+// gradient-patch row, the extrema scan over a 320-pixel DoG row), vector
 // path against Go twin.
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
@@ -394,6 +710,20 @@ func BenchmarkKernels(b *testing.B) {
 		rows[r] = &ordinary(128)[0]
 	}
 	var out [16]float64
+	const patch = 45
+	mag, theta := make([]float64, patch), make([]float64, patch)
+	// A DoG-like row: small values, about one pixel in twenty past the
+	// contrast threshold, as on a clip frame.
+	const w, groups = 320, (320 - 2) / 8
+	dog := func() []float32 {
+		s := make([]float32, 2*w+8*groups+2)
+		for i := range s {
+			s[i] = float32(rng.NormFloat64() * 0.016)
+		}
+		return s
+	}
+	below, cur, above := dog(), dog(), dog()
+	var mask [groups]uint8
 	kernels := []struct {
 		name string
 		call func()
@@ -402,6 +732,8 @@ func BenchmarkKernels(b *testing.B) {
 		{"Sub", func() { simd.Sub(dst, src[:320], src[12:]) }},
 		{"SqDist16", func() { simd.SqDist16(&out, q, &rows) }},
 		{"Dot16", func() { simd.Dot16(&out, q, &rows) }},
+		{"Grad", func() { simd.Grad(mag, theta, src[:patch], src[1:patch+3], src[12:patch+12]) }},
+		{"Extrema", func() { simd.Extrema(mask[:], below, cur, above, w, 0.03) }},
 	}
 	for _, kn := range kernels {
 		loop := func(b *testing.B) {
