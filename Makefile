@@ -21,19 +21,24 @@ vet:
 
 # The concurrent layers (live registry, span recorder, runtime workers,
 # fault-injection transport, parallel vision kernels) always get a race
-# pass. The 1-iteration bench smoke keeps the data-plane, routing,
-# autoscaling and kernel benchmarks compiling and running without paying
-# full measurement time; the allocation budgets themselves are plain
-# tests (internal/wire, internal/transport, internal/agent alloc_test.go).
+# pass. The vision and core oracle tests run a second time with every
+# internal/vision/simd kernel on its pure-Go twin (a link-time poke at an
+# unexported variable, not a setting), so the fallback an AVX2 host never
+# takes stays bit-identical too. The 1-iteration bench smoke keeps the
+# data-plane, routing, autoscaling and kernel benchmarks compiling and
+# running without paying full measurement time; the allocation budgets
+# themselves are plain tests (internal/wire, internal/transport,
+# internal/agent alloc_test.go).
 test:
 	$(GO) test ./...
+	$(GO) test -ldflags '-X github.com/edge-mar/scatter/internal/vision/simd.forceGo=1' ./internal/vision/... ./internal/core
 	$(GO) test -race ./internal/core ./internal/obs/... ./internal/agent ./internal/transport ./internal/netem ./internal/vision/... ./internal/appaware ./internal/orchestrator ./internal/wire
 	$(GO) test -run '^$$' -bench 'WorkerHop|DataplaneEncode|ReplicaPick' -benchtime=1x ./internal/agent
 	$(GO) test -run '^$$' -bench 'AutoscalePolicy' -benchtime=1x ./internal/appaware
 	$(GO) test -run '^$$' -bench 'Sharding' -benchtime=1x ./internal/vision/lsh
 	$(GO) test -run '^$$' -bench 'KernelRank|KernelRatio' -benchtime=1x ./internal/vision/lsh ./internal/vision/match
 	$(GO) test -run '^$$' -bench 'Kernels' -benchtime=1x ./internal/vision/simd
-	$(GO) test -run '^$$' -bench 'DetectClip|Detect320x180' -benchtime=1x ./internal/vision/sift
+	$(GO) test -run '^$$' -bench 'DetectClip|DescribeClip|Detect320x180' -benchtime=1x ./internal/vision/sift
 
 race:
 	$(GO) test -race ./...

@@ -330,7 +330,7 @@ func refComputeDescriptor(img *imgproc.Gray, x, y int, sigma, orientation float6
 
 // refTrilinearAccumulate distributes weight across the neighbouring
 // spatial and orientation bins (standard SIFT trilinear interpolation) —
-// the loop computeDescriptor now spells out cell by cell.
+// the loop simd.DescRow's twin spells out cell by cell.
 func refTrilinearAccumulate(desc *Descriptor, bx, by, ob float64, weight float64) {
 	x0 := int(math.Floor(bx))
 	y0 := int(math.Floor(by))

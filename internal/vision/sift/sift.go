@@ -90,9 +90,11 @@ type Detector struct {
 	// the incremental blur from level i-1 to level i.
 	sigmas  []float64
 	kernels [][]float32
-	// oriWeight[l] and descWeight[l] are the Gaussian windows of the
-	// orientation histogram and of the descriptor at level l, indexed by
-	// the squared pixel distance dx²+dy² from the keypoint.
+	// oriWeight[l] is the Gaussian window of the orientation histogram at
+	// level l, indexed by the squared pixel distance dx²+dy² from the
+	// keypoint. descWeight[l] is the descriptor's, laid out as the square
+	// it covers, (dy+radius)·(2·radius+1) + dx+radius, so that one row of
+	// it is one slice.
 	oriWeight, descWeight [][]float64
 }
 
@@ -143,7 +145,14 @@ func New(cfg Config) *Detector {
 	for l := 1; l <= c.Levels; l++ {
 		sigma := d.sigmas[l]
 		d.oriWeight[l] = gaussianWindow(orientationRadius(sigma), 1.5*sigma)
-		d.descWeight[l] = gaussianWindow(descriptorRadius(sigma), descGrid*descBinWidth(sigma)/2)
+		radius := descriptorRadius(sigma)
+		byDist := gaussianWindow(radius, descGrid*descBinWidth(sigma)/2)
+		side := 2*radius + 1
+		d.descWeight[l] = make([]float64, side*side)
+		for i := range d.descWeight[l] {
+			dy, dx := i/side-radius, i%side-radius
+			d.descWeight[l][i] = byDist[dx*dx+dy*dy]
+		}
 	}
 	return d
 }
@@ -584,99 +593,41 @@ func descriptorRadius(sigma float64) int {
 
 // computeDescriptor samples the patch's gradients in a 16×16 (scaled by
 // sigma) window rotated to the keypoint orientation and accumulates them,
-// Gaussian-weighted (weight, from gaussianWindow), into the 4×4×8
-// histogram grid, then applies L2 normalization with the 0.2 clamp.
+// Gaussian-weighted (weight, the descriptor's square window), into the
+// 4×4×8 histogram grid, then applies L2 normalization with the 0.2 clamp.
 //
 // The rotation's four products are hoisted — per column into the patch's
-// tables, per row into two locals — and the trilinear spread over the
-// neighbouring spatial and orientation bins is written out: the bin
-// coordinates lie in (-1, 4), so a floor is a truncation or -1, the
-// orientation bin wraps with a mask, and each of the (up to) eight cells
-// receives the product weight·wy·wx·wo associated in that order.
+// tables, per row into two values — and simd.DescRow adds one patch row at
+// a time into a simd.DescGrid: the 4×4 cells with a ring of one cell
+// around them, which takes the trilinear spread's shares for cells outside
+// the grid so that no pixel tests for them. Every inner bin gets the adds
+// it would get without the ring, in the same order; the descriptor is the
+// inner cells, copied out row by row.
 func computeDescriptor(pt *gradPatch, sigma, orientation float64, weight []float64) Descriptor {
-	var desc Descriptor
 	binWidth := descBinWidth(sigma)
 	radius := descriptorRadius(sigma)
 	cosT := math.Cos(-orientation)
 	sinT := math.Sin(-orientation)
-	side := 2*pt.radius + 1
-	if cap(pt.colCos) < 2*radius+1 {
-		pt.colCos = make([]float64, 2*radius+1)
-		pt.colSin = make([]float64, 2*radius+1)
+	side, n := 2*pt.radius+1, 2*radius+1
+	if cap(pt.colCos) < n {
+		pt.colCos = make([]float64, n)
+		pt.colSin = make([]float64, n)
 	}
-	colCos, colSin := pt.colCos[:2*radius+1], pt.colSin[:2*radius+1]
+	colCos, colSin := pt.colCos[:n], pt.colSin[:n]
 	for dx := -radius; dx <= radius; dx++ {
 		colCos[dx+radius] = cosT * float64(dx)
 		colSin[dx+radius] = sinT * float64(dx)
 	}
+	var grid simd.DescGrid
 	for dy := -radius; dy <= radius; dy++ {
-		row := (dy+pt.radius)*side + pt.radius
-		mags := pt.mag[row-radius:][:2*radius+1]
-		thetas := pt.theta[row-radius:][:2*radius+1]
-		rowSin, rowCos := sinT*float64(dy), cosT*float64(dy)
-		dy2 := dy * dy
-		for i, mag := range mags {
-			if mag == 0 {
-				continue
-			}
-			// Rotate the offset into the keypoint frame.
-			rx := (colCos[i] - rowSin) / binWidth
-			ry := (colSin[i] + rowCos) / binWidth
-			// Continuous bin coordinates in [0, 4).
-			bx := rx + float64(descGrid)/2 - 0.5
-			by := ry + float64(descGrid)/2 - 0.5
-			if bx <= -1 || bx >= descGrid || by <= -1 || by >= descGrid {
-				continue
-			}
-			rel := thetas[i] - orientation
-			for rel < 0 {
-				rel += 2 * math.Pi
-			}
-			for rel >= 2*math.Pi {
-				rel -= 2 * math.Pi
-			}
-			ob := rel / (2 * math.Pi) * descOriBins
-
-			x0, y0 := int(bx), int(by)
-			if bx < 0 {
-				x0 = -1
-			}
-			if by < 0 {
-				y0 = -1
-			}
-			o0 := int(ob)
-			fx := bx - float64(x0)
-			fy := by - float64(y0)
-			fo := ob - float64(o0)
-			o0, o1 := o0&(descOriBins-1), (o0+1)&(descOriBins-1)
-			dx := i - radius
-			w := mag * weight[dx*dx+dy2]
-			// spread adds a spatial cell's share wx to its two orientation
-			// bins.
-			spread := func(cell int, wx float64) {
-				bins := desc[cell*descOriBins:][:descOriBins]
-				bins[o0] += float32(wx * (1 - fo))
-				bins[o1] += float32(wx * fo)
-			}
-			if y0 >= 0 {
-				wy := w * (1 - fy)
-				if x0 >= 0 {
-					spread(y0*descGrid+x0, wy*(1-fx))
-				}
-				if x0 < descGrid-1 {
-					spread(y0*descGrid+x0+1, wy*fx)
-				}
-			}
-			if y0 < descGrid-1 {
-				wy := w * fy
-				if x0 >= 0 {
-					spread((y0+1)*descGrid+x0, wy*(1-fx))
-				}
-				if x0 < descGrid-1 {
-					spread((y0+1)*descGrid+x0+1, wy*fx)
-				}
-			}
-		}
+		row := (dy+pt.radius)*side + pt.radius - radius
+		simd.DescRow(&grid, pt.mag[row:][:n], pt.theta[row:][:n], weight[(dy+radius)*n:][:n], colCos, colSin,
+			sinT*float64(dy), cosT*float64(dy), binWidth, orientation)
+	}
+	var desc Descriptor
+	const rowBins = descGrid * descOriBins
+	for y := 0; y < descGrid; y++ {
+		copy(desc[y*rowBins:][:rowBins], grid[((y+1)*(descGrid+2)+1)*descOriBins:])
 	}
 	normalizeDescriptor(&desc)
 	return desc

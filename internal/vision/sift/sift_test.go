@@ -246,8 +246,8 @@ func TestNormalizeZeroDescriptor(t *testing.T) {
 }
 
 // Property: trilinear accumulation conserves total weight when bins are
-// interior (no boundary clipping). computeDescriptor spells the spread
-// out inline and normalizes, so the property is checked on the reference
+// interior (no boundary clipping). computeDescriptor spreads through
+// simd.DescRow and normalizes, so the property is checked on the reference
 // loop that TestDescribeMatchesReference pins it to.
 func TestTrilinearConservesWeight(t *testing.T) {
 	f := func(seed int64) bool {
@@ -330,4 +330,23 @@ func BenchmarkDetectClip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Detect(img)
 	}
+}
+
+// BenchmarkDescribeClip is describe alone — orientations and descriptors
+// for every candidate of clip frame 0 — as Detect runs it; ns/desc is the
+// time per descriptor.
+func BenchmarkDescribeClip(b *testing.B) {
+	img := clipFrames(b)[0]
+	cfg := Defaults()
+	cfg.MaxFeatures = 150
+	d := New(cfg)
+	p := d.buildPyramid(img)
+	cands := d.scanExtrema(p)
+	descs := len(d.describe(p, cands))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.describe(p, cands)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*descs), "ns/desc")
 }

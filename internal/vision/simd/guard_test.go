@@ -123,6 +123,15 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 			}
 			mag, theta := g.slice64(n, atEnd), g.slice64(n, atEnd)
 			run("Grad", func() { simd.Grad(mag, theta, up, cur, down) })
+			// A descriptor row whose pixels all fall inside the window, so
+			// that every group reaches the grid, itself guarded.
+			weight, colCos, colSin := g.slice64(n, atEnd), g.slice64(n, atEnd), g.slice64(n, atEnd)
+			for i := range mag {
+				mag[i], theta[i], weight[i] = 1+float64(i%3), float64(i%7)-3, 0.5
+				colCos[i], colSin[i] = float64(i%40-20)/10, float64(i%9-4)/4
+			}
+			grid := (*simd.DescGrid)(unsafe.Pointer(&g.bytes(int(unsafe.Sizeof(simd.DescGrid{})), atEnd)[0]))
+			run("DescRow", func() { simd.DescRow(grid, mag, theta, weight, colCos, colSin, 0.1, -0.2, 1, 0.5) })
 		}
 		for _, groups := range []int{1, 2, 3, 8, 39} {
 			// Rows exactly as wide as the pixels and their two neighbours,

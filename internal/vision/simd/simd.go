@@ -1,8 +1,8 @@
-// Package simd holds the repo's only assembly: AVX2 forms of the five
-// inner loops the frame ledger is spent on — three from SIFT (the
-// separable convolution of the pyramid, the DoG extrema scan and the
-// gradient patch around each keypoint), the ratio test's squared
-// distances and the LSH ranking's dot products.
+// Package simd holds the repo's only assembly: AVX2 forms of the six
+// inner loops the frame ledger is spent on — four from SIFT (the separable
+// convolution of the pyramid, the DoG extrema scan, the gradient patch
+// around each keypoint and the descriptor's trilinear spread), the ratio
+// test's squared distances and the LSH ranking's dot products.
 //
 // Every exported function has exactly one meaning, given by a pure-Go
 // twin in this file. The twin is the fallback (other architectures, amd64
@@ -33,6 +33,16 @@
 // the order of an operation, a new assembly Atan2 — the oracle tests fail
 // instead of the two paths drifting apart. Inputs that take the library's
 // infinity and NaN cases go to the twin.
+//
+// DescRow adds more than its twin does, and still gets the same bits. Its
+// twin skips a pixel outside the descriptor window and a cell outside the
+// 4×4 grid; the kernel instead adds +0 for such a pixel, and lets a ring
+// of cells around the grid take the shares of outside cells. x + (+0) = x
+// for every float32 x except −0 (−0 + +0 = +0), and no bin is ever −0: it
+// starts at +0, and a sum is −0 only when both terms are. Every bin
+// therefore ends with the adds the twin makes, in the same pixel order;
+// each pixel adds to a bin at most once, so the order of one pixel's
+// adds does not matter.
 //
 // Which path ran is therefore invisible in the output, and there is
 // nothing to configure: it is picked once at start-up from CPUID.
@@ -304,6 +314,107 @@ func extremaGo(mask []uint8, below, cur, above []float32, w int, threshold float
 			}
 		}
 		mask[k] = m
+	}
+}
+
+// DescGrid is the cell grid of a SIFT descriptor, 4×4 cells of 8
+// orientation bins, with a ring of one cell around it: cell (cy, cx), for
+// cy and cx in -1..4, holds bins ((cy+1)·6 + cx+1)·8 to that plus 7. The
+// ring takes the shares the trilinear spread gives to cells outside the
+// 4×4 grid, so no pixel needs a test for them; the descriptor is the inner
+// 16 cells and the ring is thrown away.
+type DescGrid [6 * 6 * 8]float32
+
+// DescRow adds one row of gradient-patch pixels to a SIFT descriptor: for
+// each pixel i with mag[i] ≠ 0 it rotates the pixel's offset (colCos[i] −
+// rowSin, colSin[i] + rowCos) into the keypoint frame, divides it by
+// binWidth into bin coordinates and, if they lie inside the window, spreads
+// mag[i]·weight[i] trilinearly over the two nearest cells in each direction
+// and the two nearest of the 8 orientation bins of theta[i] − orientation.
+// Each of the (up to) eight bins a pixel reaches gets one float32 add, in
+// pixel order. All six slices must have the same length, and grid must
+// hold no −0 (a zeroed grid holds none, and no add makes one), since the
+// vector path adds +0 where the twin adds nothing (see the package
+// comment). The twin, descRowGo, is the loop body computeDescriptor in
+// package sift had before this kernel, and defines every rounding.
+func DescRow(grid *DescGrid, mag, theta, weight, colCos, colSin []float64, rowSin, rowCos, binWidth, orientation float64) {
+	n := len(mag)
+	if len(theta) != n || len(weight) != n || len(colCos) != n || len(colSin) != n {
+		panic(fmt.Sprintf("simd: DescRow of %d pixels with %d angles, %d weights and %d and %d column terms",
+			n, len(theta), len(weight), len(colCos), len(colSin)))
+	}
+	done := 0
+	for useAVX2 && done < n {
+		done += descRowAVX2(grid, &mag[done], &theta[done], &weight[done], &colCos[done], &colSin[done], n-done,
+			rowSin, rowCos, binWidth, orientation)
+		if done < n {
+			// The kernel stops at a group it cannot replay: a non-finite
+			// operand, or an angle the twin would wrap more than once.
+			next := min(done+4, n)
+			descRowGo(grid, mag, theta, weight, colCos, colSin, rowSin, rowCos, binWidth, orientation, done, next)
+			done = next
+		}
+	}
+	descRowGo(grid, mag, theta, weight, colCos, colSin, rowSin, rowCos, binWidth, orientation, done, n)
+}
+
+// descRowGo is DescRow over pixels from..to-1.
+func descRowGo(grid *DescGrid, mag, theta, weight, colCos, colSin []float64, rowSin, rowCos, binWidth, orientation float64, from, to int) {
+	const grid4, bins = 4, 8
+	for i := from; i < to; i++ {
+		m := mag[i]
+		if m == 0 {
+			continue
+		}
+		// Rotate the offset into the keypoint frame; continuous bin
+		// coordinates in (-1, 4).
+		rx := (colCos[i] - rowSin) / binWidth
+		ry := (colSin[i] + rowCos) / binWidth
+		bx := rx + grid4/2 - 0.5
+		by := ry + grid4/2 - 0.5
+		if bx <= -1 || bx >= grid4 || by <= -1 || by >= grid4 {
+			continue
+		}
+		rel := theta[i] - orientation
+		for rel < 0 {
+			rel += 2 * math.Pi
+		}
+		for rel >= 2*math.Pi {
+			rel -= 2 * math.Pi
+		}
+		ob := rel / (2 * math.Pi) * bins
+		// A floor is a truncation or -1; the orientation bin wraps with a
+		// mask.
+		x0, y0 := int(bx), int(by)
+		if bx < 0 {
+			x0 = -1
+		}
+		if by < 0 {
+			y0 = -1
+		}
+		o0 := int(ob)
+		fx := bx - float64(x0)
+		fy := by - float64(y0)
+		fo := ob - float64(o0)
+		o0, o1 := o0&(bins-1), (o0+1)&(bins-1)
+		w := m * weight[i]
+		// Cell (y0, x0) and its neighbours right, below and below right;
+		// each gets the product w·wy·wx·wo, associated in that order.
+		c := ((y0+1)*6 + x0 + 1) * bins
+		wy := w * (1 - fy)
+		wx := wy * (1 - fx)
+		grid[c+o0] += float32(wx * (1 - fo))
+		grid[c+o1] += float32(wx * fo)
+		wx = wy * fx
+		grid[c+bins+o0] += float32(wx * (1 - fo))
+		grid[c+bins+o1] += float32(wx * fo)
+		wy = w * fy
+		wx = wy * (1 - fx)
+		grid[c+6*bins+o0] += float32(wx * (1 - fo))
+		grid[c+6*bins+o1] += float32(wx * fo)
+		wx = wy * fx
+		grid[c+7*bins+o0] += float32(wx * (1 - fo))
+		grid[c+7*bins+o1] += float32(wx * fo)
 	}
 }
 

@@ -60,3 +60,11 @@ func gradAVX2(mag, theta *float64, up, cur, down *float32, n int) int
 //
 //go:noescape
 func extremaAVX2(mask *uint8, groups int, below, cur, above *float32, w int, min float32)
+
+// descRowAVX2 is DescRow over the first n pixels, n positive, four at a
+// time, the last group reading only the pixels that are left. It stops
+// before the first group it cannot replay and returns the number of
+// pixels added.
+//
+//go:noescape
+func descRowAVX2(grid *DescGrid, mag, theta, weight, colCos, colSin *float64, n int, rowSin, rowCos, binWidth, orientation float64) int

@@ -4,10 +4,13 @@
 // by VADDPS/VADDPD — never a fused multiply-add), zeroes its accumulators
 // with VXORPS and adds terms in ascending tap/dimension order, so a lane
 // holds exactly what the scalar loop in simd.go computes for that pixel or
-// row. The gradient kernel adds division, square root, max, min, compares
-// and blends, each as exact per lane as its scalar form, and the extrema
-// kernel only compares. Each ends with VZEROUPPER so the SSE code around
-// it pays no transition penalty.
+// row. The gradient and descriptor kernels add division, square root,
+// max, min, rounding to an integer, compares and blends, each as exact
+// per lane as its scalar form, and the extrema kernel only compares. Each
+// ends with VZEROUPPER so the SSE code around it pays no transition
+// penalty, and uses no legacy-SSE instruction inside (VMOVQ, not MOVQ, to
+// reach an X register): with the upper YMM halves dirty, one MOVQ per
+// group made the descriptor kernel five times slower.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -513,5 +516,285 @@ ext8store:
 	ADDQ $32, R14
 	DECQ CX
 	JNZ  ext8
+	VZEROUPPER
+	RET
+
+// The descriptor kernel's constants, four float64 (or int64) lanes each,
+// then two four-lane int32 vectors.
+#define DCONST(off, bits) \
+	DATA descK<>+(off)(SB)/8, $bits; \
+	DATA descK<>+(off+8)(SB)/8, $bits; \
+	DATA descK<>+(off+16)(SB)/8, $bits; \
+	DATA descK<>+(off+24)(SB)/8, $bits
+
+DCONST(0, 0x4000000000000000)   // 2
+DCONST(32, 0x3fe0000000000000)  // 0.5
+DCONST(64, 0xbff0000000000000)  // -1
+DCONST(96, 0x4010000000000000)  // 4
+DCONST(128, 0x401921fb54442d18) // 2·Pi
+DCONST(160, 0x4020000000000000) // 8
+DCONST(192, 0x4018000000000000) // 6
+DATA descK<>+224(SB)/8, $0      // lane numbers 0..3
+DATA descK<>+232(SB)/8, $1
+DATA descK<>+240(SB)/8, $2
+DATA descK<>+248(SB)/8, $3
+DATA descK<>+256(SB)/8, $0x0000000100000001 // int32 1
+DATA descK<>+264(SB)/8, $0x0000000100000001
+DATA descK<>+272(SB)/8, $0x0000000700000007 // int32 7
+DATA descK<>+280(SB)/8, $0x0000000700000007
+GLOBL descK<>(SB), RODATA|NOPTR, $288
+
+#define TWO descK<>+0(SB)
+#define HALF descK<>+32(SB)
+#define NEGONE descK<>+64(SB)
+#define FOUR descK<>+96(SB)
+#define TWOPI descK<>+128(SB)
+#define EIGHT descK<>+160(SB)
+#define SIX descK<>+192(SB)
+#define LANES descK<>+224(SB)
+#define ONE32 descK<>+256(SB)
+#define SEVEN32 descK<>+272(SB)
+
+#define NEQ_UQ $0x04
+
+// The group in hand is written to the buffer at R13, the one before it
+// is added from R14: 0..127 its shares, 16 bytes per kind, 128 and 144
+// the bin indices cell·8 + o0 and cell·8 + o1, 160 the mask of the
+// pixels it adds (0: nothing to add).
+
+// SHARES stores the float32 shares wx·(1 − fo) and wx·fo of the four
+// pixels, wx in Y4, at off(R13) and off+16(R13). Y9 = 1 − fo, Y1 = fo.
+#define SHARES(off) \
+	VMULPD     Y9, Y4, Y5; \
+	VCVTPD2PSY Y5, X5; \
+	VMOVUPS    X5, off(R13); \
+	VMULPD     Y1, Y4, Y5; \
+	VCVTPD2PSY Y5, X5; \
+	VMOVUPS    X5, off+16(R13)
+
+// BIN adds the float32 at share(R14) to bin idx of the cell off bytes on.
+#define BIN(idx, off, share) \
+	VMOVSS off(DI)(idx*4), X0; \
+	VADDSS share(R14), X0, X0; \
+	VMOVSS X0, off(DI)(idx*4)
+
+// PIXEL adds lane's eight shares (lane = 4·pixel, a byte offset into each
+// 16-byte row): the cell itself, the one right of it (+8 bins), below
+// (+48) and below right (+56), each at o0 (R11) and o1 (R12).
+#define PIXEL(lane) \
+	MOVL 128+lane(R14), R11; \
+	MOVL 144+lane(R14), R12; \
+	BIN(R11, 0, lane); \
+	BIN(R12, 0, lane+16); \
+	BIN(R11, 32, lane+32); \
+	BIN(R12, 32, lane+48); \
+	BIN(R11, 192, lane+64); \
+	BIN(R12, 192, lane+80); \
+	BIN(R11, 224, lane+96); \
+	BIN(R12, 224, lane+112)
+
+// ADDGROUP adds the group at R14, unless it adds nothing; skip is the
+// label after it.
+#define ADDGROUP(skip) \
+	CMPQ 160(R14), $0; \
+	JEQ  skip; \
+	PIXEL(0); \
+	PIXEL(4); \
+	PIXEL(8); \
+	PIXEL(12)
+
+// func descRowAVX2(grid *DescGrid, mag, theta, weight, colCos, colSin *float64, n int, rowSin, rowCos, binWidth, orientation float64) int
+//
+// Four pixels per group, one per float64 lane, AX the first of them; a
+// short last group loads only the CX−AX pixels left (VMASKMOVPD), the
+// others reading as zero magnitude. The lanes replay descRowGo up to its
+// eight float32 shares, which go to a buffer; the shares are added one
+// pixel after another once the next group has been computed, so that the
+// next group's arithmetic overlaps the adds, which wait on each other
+// through memory when neighbouring pixels share a bin. A pixel the twin
+// skips adds +0 to the bins of cell 0, which changes no bin: none is ever
+// −0. Y15..Y12 = rowSin, rowCos, binWidth, orientation; Y11 = 0 after the
+// loads.
+TEXT ·descRowAVX2(SB), NOSPLIT, $384-96
+	MOVQ grid+0(FP), DI
+	MOVQ mag+8(FP), SI
+	MOVQ theta+16(FP), DX
+	MOVQ weight+24(FP), R8
+	MOVQ colCos+32(FP), R9
+	MOVQ colSin+40(FP), R10
+	MOVQ n+48(FP), CX
+	VBROADCASTSD rowSin+56(FP), Y15
+	VBROADCASTSD rowCos+64(FP), Y14
+	VBROADCASTSD binWidth+72(FP), Y13
+	VBROADCASTSD orientation+80(FP), Y12
+	LEAQ 0(SP), R13
+	LEAQ 192(SP), R14
+	MOVQ $0, 160(R14) // no group before the first
+	XORQ AX, AX
+
+desc4:
+	CMPQ AX, CX
+	JGE  descend
+	MOVQ CX, BX
+	SUBQ AX, BX
+	CMPQ BX, $4
+	JLT  descshort
+	VMOVUPD (SI)(AX*8), Y0  // mag
+	VMOVUPD (DX)(AX*8), Y1  // theta
+	VMOVUPD (R9)(AX*8), Y2  // colCos
+	VMOVUPD (R10)(AX*8), Y3 // colSin
+	VMOVUPD (R8)(AX*8), Y8  // weight
+	JMP     descloaded
+
+descshort:
+	VMOVQ        BX, X11
+	VPBROADCASTQ X11, Y11
+	VPCMPGTQ     LANES, Y11, Y11 // the lanes left
+	VMASKMOVPD   (SI)(AX*8), Y11, Y0
+	VMASKMOVPD   (DX)(AX*8), Y11, Y1
+	VMASKMOVPD   (R9)(AX*8), Y11, Y2
+	VMASKMOVPD   (R10)(AX*8), Y11, Y3
+	VMASKMOVPD   (R8)(AX*8), Y11, Y8
+
+descloaded:
+	VXORPD Y11, Y11, Y11
+
+	// bx = ((colCos − rowSin)/binWidth + 2) − 0.5, by from colSin + rowCos.
+	VSUBPD Y15, Y2, Y2
+	VDIVPD Y13, Y2, Y2
+	VADDPD TWO, Y2, Y2
+	VSUBPD HALF, Y2, Y2
+	VADDPD Y14, Y3, Y3
+	VDIVPD Y13, Y3, Y3
+	VADDPD TWO, Y3, Y3
+	VSUBPD HALF, Y3, Y3
+
+	// Stop at a group with an Inf or NaN among mag, theta, bx and by.
+	VANDPD    ABS, Y0, Y4
+	VCMPPD    LT_OQ, INF, Y4, Y4
+	VANDPD    ABS, Y1, Y5
+	VCMPPD    LT_OQ, INF, Y5, Y5
+	VANDPD    Y5, Y4, Y4
+	VANDPD    ABS, Y2, Y5
+	VCMPPD    LT_OQ, INF, Y5, Y5
+	VANDPD    Y5, Y4, Y4
+	VANDPD    ABS, Y3, Y5
+	VCMPPD    LT_OQ, INF, Y5, Y5
+	VANDPD    Y5, Y4, Y4
+	VMOVMSKPD Y4, BX
+	CMPQ      BX, $15
+	JNE       descstop
+
+	// Y4 = the pixels the twin adds: mag ≠ 0 and -1 < bx, by < 4. A group
+	// with none adds nothing.
+	VCMPPD    NEQ_UQ, Y11, Y0, Y4
+	VCMPPD    GT_OQ, NEGONE, Y2, Y5
+	VANDPD    Y5, Y4, Y4
+	VCMPPD    LT_OQ, FOUR, Y2, Y5
+	VANDPD    Y5, Y4, Y4
+	VCMPPD    GT_OQ, NEGONE, Y3, Y5
+	VANDPD    Y5, Y4, Y4
+	VCMPPD    LT_OQ, FOUR, Y3, Y5
+	VANDPD    Y5, Y4, Y4
+	VMOVMSKPD Y4, BX
+	MOVQ      BX, 160(R13)
+	TESTQ     BX, BX
+	JZ        descadd
+
+	// rel = theta − orientation, + 2·Pi once if below 0, then − 2·Pi once
+	// if not below 2·Pi. Stop when an added pixel's twin would loop again.
+	VSUBPD    Y12, Y1, Y1
+	VCMPPD    LT_OQ, Y11, Y1, Y5
+	VADDPD    TWOPI, Y1, Y6
+	VBLENDVPD Y5, Y6, Y1, Y1
+	VCMPPD    GE_OQ, Y11, Y1, Y7
+	VCMPPD    GE_OQ, TWOPI, Y1, Y5
+	VSUBPD    TWOPI, Y1, Y6
+	VBLENDVPD Y5, Y6, Y1, Y1
+	VCMPPD    LT_OQ, TWOPI, Y1, Y5
+	VANDPD    Y5, Y7, Y7
+	VANDPD    Y4, Y7, Y7
+	VMOVMSKPD Y7, R11
+	CMPQ      R11, BX
+	JNE       descstop
+	VDIVPD    TWOPI, Y1, Y1
+	VMULPD    EIGHT, Y1, Y1 // ob
+
+	// x0, y0 = floor(bx), floor(by) — in (-1, 4) the twin's truncation
+	// or -1 — and o0 = trunc(ob); + 0 makes a −0 the +0 of float64(int).
+	// Then fx, fy, fo.
+	VROUNDPD $1, Y2, Y5
+	VADDPD   Y11, Y5, Y5
+	VROUNDPD $1, Y3, Y6
+	VADDPD   Y11, Y6, Y6
+	VROUNDPD $3, Y1, Y7
+	VADDPD   Y11, Y7, Y7
+	VSUBPD   Y5, Y2, Y2
+	VSUBPD   Y6, Y3, Y3
+	VSUBPD   Y7, Y1, Y1
+
+	// Bin indices: cell·8 = ((y0 + 1)·6 + x0 + 1)·8, exact in float64, and
+	// o0, o1 = o0 & 7, (o0 + 1) & 7, in int32 lanes. A pixel not added
+	// gets cell 0.
+	VADDPD      ONE, Y6, Y6
+	VMULPD      SIX, Y6, Y6
+	VADDPD      Y5, Y6, Y6
+	VADDPD      ONE, Y6, Y6
+	VMULPD      EIGHT, Y6, Y6
+	VANDPD      Y4, Y6, Y6
+	VCVTTPD2DQY Y6, X6
+	VANDPD      Y4, Y7, Y7
+	VCVTTPD2DQY Y7, X7
+	VPADDD      ONE32, X7, X5
+	VPAND       SEVEN32, X7, X7
+	VPAND       SEVEN32, X5, X5
+	VPADDD      X6, X7, X7
+	VPADDD      X6, X5, X5
+	VMOVDQU     X7, 128(R13)
+	VMOVDQU     X5, 144(R13)
+
+	// w = mag·weight; a pixel not added has w, fx, fy, fo = +0, so all its
+	// shares are +0.
+	VMULPD Y8, Y0, Y0
+	VANDPD Y4, Y0, Y0
+	VANDPD Y4, Y2, Y2
+	VANDPD Y4, Y3, Y3
+	VANDPD Y4, Y1, Y1
+
+	// wy = w·(1 − fy) and w·fy, wx = wy·(1 − fx) and wy·fx, then the
+	// shares wx·(1 − fo) and wx·fo.
+	VMOVUPD ONE, Y9
+	VSUBPD  Y3, Y9, Y10
+	VMULPD  Y10, Y0, Y10
+	VMULPD  Y3, Y0, Y3
+	VSUBPD  Y2, Y9, Y0
+	VSUBPD  Y1, Y9, Y9
+	VMULPD  Y0, Y10, Y4
+	SHARES(0)
+	VMULPD  Y2, Y10, Y4
+	SHARES(32)
+	VMULPD  Y0, Y3, Y4
+	SHARES(64)
+	VMULPD  Y2, Y3, Y4
+	SHARES(96)
+
+descadd:
+	ADDGROUP(descadded)
+
+descadded:
+	XCHGQ R13, R14
+	ADDQ  $4, AX
+	JMP   desc4
+
+descend:
+	// The last group may have been short.
+	CMPQ    AX, CX
+	CMOVQGT CX, AX
+
+descstop:
+	ADDGROUP(descdone)
+
+descdone:
+	MOVQ AX, ret+88(FP)
 	VZEROUPPER
 	RET

@@ -30,3 +30,7 @@ func gradAVX2(mag, theta *float64, up, cur, down *float32, n int) int {
 func extremaAVX2(mask *uint8, groups int, below, cur, above *float32, w int, min float32) {
 	panic("simd: no vector kernels on this architecture")
 }
+
+func descRowAVX2(grid *DescGrid, mag, theta, weight, colCos, colSin *float64, n int, rowSin, rowCos, binWidth, orientation float64) int {
+	panic("simd: no vector kernels on this architecture")
+}

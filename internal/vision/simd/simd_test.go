@@ -580,6 +580,132 @@ func TestExtremaContrastAtFloat32Boundary(t *testing.T) {
 	}
 }
 
+// descRow is one row of DescRow operands.
+type descRow struct {
+	mag, theta, weight, colCos, colSin    []float64
+	rowSin, rowCos, binWidth, orientation float64
+}
+
+func (r *descRow) add(grid *simd.DescGrid) {
+	simd.DescRow(grid, r.mag, r.theta, r.weight, r.colCos, r.colSin, r.rowSin, r.rowCos, r.binWidth, r.orientation)
+}
+
+// patchRow is row dy of a descriptor window of the given radius around a
+// keypoint at orientation ori, as computeDescriptor hands it over, with
+// every fifth magnitude zero; the slices start shift elements into their
+// allocations.
+func patchRow(rng *rand.Rand, radius, dy int, sigma, ori float64, shift int) *descRow {
+	n := 2*radius + 1
+	f := func() []float64 { return make([]float64, n+shift)[shift:] }
+	r := &descRow{mag: f(), theta: f(), weight: f(), colCos: f(), colSin: f(), binWidth: 3 * sigma, orientation: ori}
+	cosT, sinT := math.Cos(-ori), math.Sin(-ori)
+	r.rowSin, r.rowCos = sinT*float64(dy), cosT*float64(dy)
+	for i := range r.mag {
+		dx := i - radius
+		r.colCos[i], r.colSin[i] = cosT*float64(dx), sinT*float64(dx)
+		if rng.Intn(5) != 0 {
+			r.mag[i] = rng.ExpFloat64()
+		}
+		r.theta[i] = (2*rng.Float64() - 1) * math.Pi
+		r.weight[i] = math.Exp(-float64(dx*dx+dy*dy) / (2 * 36 * sigma * sigma))
+	}
+	return r
+}
+
+// dirtyGrid is a grid that already holds sums: non-negative and negative
+// values and +0, never −0.
+func dirtyGrid(rng *rand.Rand) *simd.DescGrid {
+	var g simd.DescGrid
+	for i := range g {
+		if rng.Intn(4) != 0 {
+			g[i] = float32(rng.NormFloat64())
+		}
+	}
+	return &g
+}
+
+// checkDescRow adds the rows to copies of one dirty grid on both paths and
+// requires the same bits.
+func checkDescRow(t *testing.T, what string, start *simd.DescGrid, rows ...*descRow) {
+	t.Helper()
+	want, got := *start, *start
+	simd.GoOnly(func() {
+		for _, r := range rows {
+			r.add(&want)
+		}
+	})
+	for _, r := range rows {
+		r.add(&got)
+	}
+	requireSame32(t, what, got[:], want[:])
+}
+
+var descOrientations = []float64{0, math.Pi, -math.Pi, math.Pi / 2, -math.Pi / 2, 1e-9, -3, 0.7}
+
+func TestDescRowMatchesTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for radius := 0; radius <= 33; radius++ {
+		for _, ori := range descOrientations {
+			sigma := 0.5 + rng.Float64()*3
+			start := dirtyGrid(rng)
+			// A whole window, row after row, into one grid.
+			var rows []*descRow
+			for dy := -radius; dy <= radius; dy++ {
+				rows = append(rows, patchRow(rng, radius, dy, sigma, ori, 1+(radius+dy+33)%7))
+			}
+			checkDescRow(t, fmt.Sprintf("radius %d orientation %v", radius, ori), start, rows...)
+		}
+	}
+}
+
+// TestDescRowBranches puts pixels where descRowGo branches or rounds at
+// a boundary: bin coordinates on and one ulp either side of -1, 0, 3 and 4,
+// angles that land rel on 0, −0, just below 0, on 2·Pi and just below it,
+// orientations ±Pi, zero magnitudes of either sign inside the window, and
+// the groups the kernel hands to the twin — non-finite magnitudes and
+// angles, infinite offsets, angles that wrap more than once — each shifted
+// through every lane.
+func TestDescRowBranches(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	type pixel struct{ mag, theta, colCos, colSin float64 }
+	var edges []float64 // colCos or colSin giving these bin coordinates at binWidth 1, dy 0
+	for _, b := range []float64{-1, 0, 3, 4, 1.5, -0.5, 3.5} {
+		c := b - 1.5
+		edges = append(edges, c, math.Nextafter(c, math.Inf(1)), math.Nextafter(c, math.Inf(-1)))
+	}
+	for _, ori := range descOrientations {
+		thetas := []float64{ori, math.Copysign(0, -1), 0, math.Pi, -math.Pi,
+			math.Nextafter(ori, math.Inf(1)), math.Nextafter(ori, math.Inf(-1)), ori - 1e-300, ori + 1e-17}
+		var ps []pixel
+		for _, cx := range edges {
+			for _, cy := range edges {
+				ps = append(ps, pixel{rng.ExpFloat64(), thetas[rng.Intn(len(thetas))], cx, cy})
+			}
+		}
+		for _, th := range thetas {
+			ps = append(ps, pixel{1, th, 0.25, -0.75})
+		}
+		nan, inf := math.NaN(), math.Inf(1)
+		ps = append(ps,
+			pixel{0, 1, 0, 0}, pixel{math.Copysign(0, -1), 1, 0, 0},
+			pixel{nan, 1, 0, 0}, pixel{inf, 1, 0, 0}, pixel{-inf, 1, 0.5, 0.5},
+			pixel{1, nan, 0, 0}, pixel{0, inf, 0, 0}, pixel{0, -inf, 0, 0},
+			pixel{1, 0, inf, 0}, pixel{1, 0, 0, -inf},
+			pixel{1, ori + 20, 0, 0}, pixel{1, ori - 20, 1, 1}, pixel{2, ori + 4*math.Pi, -1, 0},
+			pixel{1e-310, 0.3, 0, 0}, pixel{-2, 0.3, 0, 0})
+		for shift := 0; shift < 4; shift++ {
+			n := len(ps) - shift
+			row := &descRow{mag: make([]float64, n), theta: make([]float64, n), weight: make([]float64, n),
+				colCos: make([]float64, n), colSin: make([]float64, n), binWidth: 1, orientation: ori}
+			for i, p := range ps[shift:] {
+				row.mag[i], row.theta[i], row.colCos[i], row.colSin[i] = p.mag, p.theta, p.colCos, p.colSin
+				row.weight[i] = 0.25 + rng.Float64()
+			}
+			checkDescRow(t, fmt.Sprintf("orientation %v from %d", ori, shift), dirtyGrid(rng), row)
+		}
+	}
+}
+
 func mustPanic(t *testing.T, what string, f func()) {
 	t.Helper()
 	defer func() {
@@ -596,6 +722,7 @@ func TestWrappersRefuse(t *testing.T) {
 	f := func(n int) []float32 { return make([]float32, n) }
 	f64 := func(n int) []float64 { return make([]float64, n) }
 	var out [16]float64
+	var grid simd.DescGrid
 	var full [16]*float32
 	for r := range full {
 		full[r] = &f(8)[0]
@@ -633,6 +760,11 @@ func TestWrappersRefuse(t *testing.T) {
 		{"Extrema: above one short", func() { simd.Extrema(make([]uint8, 2), f(2*18+18), f(2*18+18), f(2*18+17), 18, 0.03) }},
 		{"Extrema: stride one narrower than the pixels", func() { simd.Extrema(make([]uint8, 2), f(2*17+18), f(2*17+18), f(2*17+18), 17, 0.03) }},
 		{"Extrema: negative stride", func() { simd.Extrema(nil, f(0), f(0), f(0), -1, 0.03) }},
+		{"DescRow: theta one short", func() { simd.DescRow(&grid, f64(9), f64(8), f64(9), f64(9), f64(9), 0, 0, 1, 0) }},
+		{"DescRow: weight one long", func() { simd.DescRow(&grid, f64(9), f64(9), f64(10), f64(9), f64(9), 0, 0, 1, 0) }},
+		{"DescRow: colCos one short", func() { simd.DescRow(&grid, f64(9), f64(9), f64(9), f64(8), f64(9), 0, 0, 1, 0) }},
+		{"DescRow: colSin one long", func() { simd.DescRow(&grid, f64(9), f64(9), f64(9), f64(9), f64(10), 0, 0, 1, 0) }},
+		{"DescRow: mag empty", func() { simd.DescRow(&grid, nil, f64(1), f64(1), f64(1), f64(1), 0, 0, 1, 0) }},
 	}
 	for _, c := range cases {
 		mustPanic(t, c.what, c.call)
@@ -649,6 +781,8 @@ func TestWrappersRefuse(t *testing.T) {
 	simd.Grad(nil, nil, nil, f(2), nil)
 	simd.Extrema(make([]uint8, 2), f(2*18+18), f(2*18+18), f(2*18+18), 18, 0.03)
 	simd.Extrema(nil, f(6), f(6), f(6), 2, 0.03)
+	simd.DescRow(&grid, f64(9), f64(9), f64(9), f64(9), f64(9), 0, 0, 1, 0)
+	simd.DescRow(&grid, nil, nil, nil, nil, nil, 0, 0, 1, 0)
 }
 
 func TestWrappersDoNotAllocate(t *testing.T) {
@@ -667,7 +801,10 @@ func TestWrappersDoNotAllocate(t *testing.T) {
 	mag, theta := make([]float64, 67), make([]float64, 67)
 	const groups, w = 8, 8*8 + 2
 	win := unaligned(rng, 2*w+8*groups+2, 0)
+	row := patchRow(rng, 27, 5, 3.2, 0.7, 0)
+	var grid simd.DescGrid
 	calls := func() {
+		row.add(&grid)
 		simd.Conv(dst, src, offs, k)
 		simd.Sub(dst, src[:67], src[12:])
 		simd.SqDist16(&out, q, &rows)
@@ -688,8 +825,8 @@ func TestWrappersDoNotAllocate(t *testing.T) {
 
 // BenchmarkKernels times each wrapper on the shapes the pipeline gives it
 // (a 320-pixel row under 13 taps, 128-dimensional descriptors, a 45-pixel
-// gradient-patch row, the extrema scan over a 320-pixel DoG row), vector
-// path against Go twin.
+// gradient-patch row, the extrema scan over a 320-pixel DoG row, a
+// 55-pixel descriptor row), vector path against Go twin.
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	ordinary := func(n int) []float32 { // no denormals or infinities: those time the microcode
@@ -724,6 +861,9 @@ func BenchmarkKernels(b *testing.B) {
 	}
 	below, cur, above := dog(), dog(), dog()
 	var mask [groups]uint8
+	// Row 5 of the widest descriptor window (sigma 3.2, radius 27).
+	row := patchRow(rng, 27, 5, 3.2, 0.7, 0)
+	var grid simd.DescGrid
 	kernels := []struct {
 		name string
 		call func()
@@ -734,6 +874,7 @@ func BenchmarkKernels(b *testing.B) {
 		{"Dot16", func() { simd.Dot16(&out, q, &rows) }},
 		{"Grad", func() { simd.Grad(mag, theta, src[:patch], src[1:patch+3], src[12:patch+12]) }},
 		{"Extrema", func() { simd.Extrema(mask[:], below, cur, above, w, 0.03) }},
+		{"DescRow", func() { row.add(&grid) }},
 	}
 	for _, kn := range kernels {
 		loop := func(b *testing.B) {
