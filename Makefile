@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench ledger bench-vision profile-vision fuzz figures examples chaos clean
+.PHONY: all build vet test race cover bench ledger bench-vision profile-vision fuzz figures examples chaos handover clean
 
 all: build test
 
@@ -36,7 +36,8 @@ test:
 	$(GO) test -run '^$$' -bench 'WorkerHop|DataplaneEncode|ReplicaPick' -benchtime=1x ./internal/agent
 	$(GO) test -run '^$$' -bench 'AutoscalePolicy' -benchtime=1x ./internal/appaware
 	$(GO) test -run '^$$' -bench 'Sharding' -benchtime=1x ./internal/vision/lsh
-	$(GO) test -run '^$$' -bench 'KernelRank|KernelRatio' -benchtime=1x ./internal/vision/lsh ./internal/vision/match
+	$(GO) test -run '^$$' -bench 'KernelRank|KernelRatio|RANSACClip' -benchtime=1x ./internal/vision/lsh ./internal/vision/match
+	$(GO) test -run '^$$' -bench 'EncodingClip' -benchtime=1x ./internal/core
 	$(GO) test -run '^$$' -bench 'Kernels' -benchtime=1x ./internal/vision/simd
 	$(GO) test -run '^$$' -bench 'DetectClip|DescribeClip|Detect320x180' -benchtime=1x ./internal/vision/sift
 
@@ -100,6 +101,15 @@ examples:
 	$(GO) run ./examples/multiclient
 	$(GO) run ./examples/netem
 	$(GO) run ./examples/failover
+
+# The hand-over check: lists every process a build, test, example or
+# ledger run can leave behind (the runtime binaries, go run/test/build and
+# their /exe/ children, test binaries, bench/run.sh and its .bench_build
+# binaries) and fails if one is still running. Empty quotes split the
+# pattern so this recipe's own shell command line cannot match it.
+handover:
+	@if pgrep -fa '\.bench''_build/|scatter''-(node|orchestrator|client|bench|spans)|\.test( |$$)|/ex''e/|bench/run\.sh|go (run|test|build) '; then \
+		echo "make handover: the processes above are still running"; exit 1; fi
 
 clean:
 	$(GO) clean ./...

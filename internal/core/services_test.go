@@ -261,3 +261,23 @@ func BenchmarkFullPipelineStateless(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEncodingClip is the encoding service's work on clip frame 0
+// (trace seed 7, 320x180) under the model a node trains (TrainConfig
+// defaults: PCA to 24, 8 mixture components): every descriptor projected,
+// then the Fisher vector — core.encoding.proc_ms without the payload
+// decode and encode.
+func BenchmarkEncodingClip(b *testing.B) {
+	gen := trace.NewGenerator(trace.Config{W: 320, H: 180, FPS: 10, Seconds: 1, Seed: 7})
+	m, err := Train(gen.ReferenceImages(), TrainConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc := NewEncoding(m.PCA, m.Encoder)
+	f := NewSIFT(150, true).extract(gen.GrayFrame(0))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc.encodeFeatures(f)
+	}
+}

@@ -281,14 +281,21 @@ func (g *GMM) posteriorsInto(x []float32, out []float64) {
 			maxLog = out[c]
 		}
 	}
+	normalizePosteriors(out, maxLog)
+}
+
+// normalizePosteriors turns the per-component log posteriors in out, whose
+// largest is maxLog, into responsibilities summing to one; uniform when
+// every component is excluded.
+func normalizePosteriors(out []float64, maxLog float64) {
 	if math.IsInf(maxLog, -1) {
 		for c := range out {
-			out[c] = 1 / float64(g.K)
+			out[c] = 1 / float64(len(out))
 		}
 		return
 	}
 	var sum float64
-	for c := 0; c < g.K; c++ {
+	for c := range out {
 		out[c] = math.Exp(out[c] - maxLog)
 		sum += out[c]
 	}
@@ -336,18 +343,65 @@ func (g *GMM) LogLikelihood(data [][]float32) float64 {
 // concurrent use.
 type Encoder struct {
 	gmm *GMM
+	// Per-component terms the encoding would otherwise recompute for
+	// every descriptor, each tabulated once from the expression the
+	// per-descriptor loop used, so the encoding keeps its bits: logW[c]
+	// is math.Log(w_c), and at c*Dim+j logNorm holds
+	// math.Log(2π·var_cj) and sd math.Sqrt(var_cj).
+	logW, logNorm, sd []float64
 	// Workers bounds the worker pool sharding descriptors during Encode.
 	// Zero uses GOMAXPROCS; one forces the serial path. The encoding is
 	// bit-identical at any setting.
 	Workers int
 }
 
-// NewEncoder returns an Encoder over the fitted mixture model.
+// NewEncoder returns an Encoder over the fitted mixture model. The
+// encoder reads the model as it is now; later changes to g do not reach
+// it.
 func NewEncoder(g *GMM) *Encoder {
 	if g == nil {
 		panic("fisher: nil GMM")
 	}
-	return &Encoder{gmm: g}
+	e := &Encoder{
+		gmm:     g,
+		logW:    make([]float64, g.K),
+		logNorm: make([]float64, g.K*g.Dim),
+		sd:      make([]float64, g.K*g.Dim),
+	}
+	for c := 0; c < g.K; c++ {
+		e.logW[c] = math.Log(g.Weights[c])
+		for j := 0; j < g.Dim; j++ {
+			v := g.Vars[c][j]
+			e.logNorm[c*g.Dim+j] = math.Log(2 * math.Pi * v)
+			e.sd[c*g.Dim+j] = math.Sqrt(v)
+		}
+	}
+	return e
+}
+
+// posteriorsInto is GMM.posteriorsInto over the encoder's tables: the
+// same sums in the same order, with the logarithms looked up.
+func (e *Encoder) posteriorsInto(x []float32, out []float64) {
+	g := e.gmm
+	maxLog := math.Inf(-1)
+	for c := 0; c < g.K; c++ {
+		if g.Weights[c] <= 0 {
+			out[c] = math.Inf(-1)
+			continue
+		}
+		mean, vars := g.Means[c][:len(x)], g.Vars[c][:len(x)]
+		logNorm := e.logNorm[c*g.Dim : c*g.Dim+len(x)]
+		acc := 0.0
+		for j, v := range x {
+			d := float64(v) - mean[j]
+			acc += d*d/vars[j] + logNorm[j]
+		}
+		out[c] = e.logW[c] + -0.5*acc
+		if out[c] > maxLog {
+			maxLog = out[c]
+		}
+	}
+	normalizePosteriors(out, maxLog)
 }
 
 // Size returns the Fisher vector dimensionality: 2 × K × Dim (mean and
@@ -386,20 +440,20 @@ func (e *Encoder) encodeInto(descs [][]float32, fv []float64) []float32 {
 		resp := f64Pool.Get(g.K)
 		for i := start; i < end; i++ {
 			x := descs[i]
-			g.posteriorsInto(x, resp)
+			e.posteriorsInto(x, resp)
 			for c := 0; c < g.K; c++ {
 				r := resp[c]
 				if r < 1e-12 {
 					continue
 				}
-				mean, vars := g.Means[c], g.Vars[c]
-				muOff := c * g.Dim
-				sigOff := (g.K + c) * g.Dim
+				off := c * g.Dim
+				mean, sd := g.Means[c][:len(x)], e.sd[off:off+len(x)]
+				mu := part[off : off+len(x)]
+				sig := part[(g.K+c)*g.Dim : (g.K+c)*g.Dim+len(x)]
 				for j, v := range x {
-					sd := math.Sqrt(vars[j])
-					u := (float64(v) - mean[j]) / sd
-					part[muOff+j] += r * u
-					part[sigOff+j] += r * (u*u - 1)
+					u := (float64(v) - mean[j]) / sd[j]
+					mu[j] += r * u
+					sig[j] += r * (u*u - 1)
 				}
 			}
 		}

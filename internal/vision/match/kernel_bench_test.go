@@ -33,3 +33,28 @@ func BenchmarkKernelRatioTest(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRANSACClip is RANSAC as the matching service runs it
+// (matchingRANSAC: 400 iterations, threshold 5, at least 5 inliers) over
+// the recorded clip's correspondences, every frame and object with four
+// pairs or more per op; ns/call is the time per EstimateHomographyRANSAC
+// call, the shape vision.match.ransac_ms sees.
+func BenchmarkRANSACClip(b *testing.B) {
+	var sets []correspondences
+	for _, c := range clipCorrespondences(b) {
+		if len(c.src) >= 4 {
+			sets = append(sets, c)
+		}
+	}
+	if len(sets) == 0 {
+		b.Fatal("the clip yields no correspondence set RANSAC can run on")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range sets {
+			_, _ = EstimateHomographyRANSAC(c.src, c.dst, matchingRANSAC)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sets)), "ns/call")
+}

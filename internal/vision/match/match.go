@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"github.com/edge-mar/scatter/internal/vision/parallel"
 	"github.com/edge-mar/scatter/internal/vision/sift"
@@ -196,15 +197,20 @@ var ErrDegenerate = errors.New("match: degenerate correspondence set")
 
 // solveLinear solves the 8×8 system a·x = b by Gaussian elimination with
 // partial pivoting, overwriting a and b. It reports false if the system is
-// singular.
+// singular. A pivot swap exchanges row pointers, not rows, so on return
+// a's rows are reduced but not in pivot order.
 func solveLinear(a *[8][8]float64, b *[8]float64) (x [8]float64, ok bool) {
 	const n = 8
+	var rows [n]*[n]float64
+	for i := range rows {
+		rows[i] = &a[i]
+	}
 	for col := 0; col < n; col++ {
 		// Pivot.
 		pivot := col
-		maxAbs := math.Abs(a[col][col])
+		maxAbs := math.Abs(rows[col][col])
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a[r][col]); v > maxAbs {
+			if v := math.Abs(rows[r][col]); v > maxAbs {
 				maxAbs = v
 				pivot = r
 			}
@@ -215,12 +221,12 @@ func solveLinear(a *[8][8]float64, b *[8]float64) (x [8]float64, ok bool) {
 		if !(maxAbs >= 1e-12) {
 			return x, false
 		}
-		a[col], a[pivot] = a[pivot], a[col]
+		rows[col], rows[pivot] = rows[pivot], rows[col]
 		b[col], b[pivot] = b[pivot], b[col]
 		// Eliminate.
-		prow := &a[col]
+		prow := rows[col]
 		for r := col + 1; r < n; r++ {
-			row := &a[r]
+			row := rows[r]
 			f := row[col] / prow[col]
 			if f == 0 {
 				continue
@@ -232,11 +238,12 @@ func solveLinear(a *[8][8]float64, b *[8]float64) (x [8]float64, ok bool) {
 		}
 	}
 	for r := n - 1; r >= 0; r-- {
+		row := rows[r]
 		s := b[r]
 		for c := r + 1; c < n; c++ {
-			s -= a[r][c] * x[c]
+			s -= row[c] * x[c]
 		}
-		x[r] = s / a[r][r]
+		x[r] = s / row[r]
 	}
 	return x, true
 }
@@ -255,28 +262,78 @@ func homographyFromPairs(src, dst []Point) (Homography, error) {
 	nSrc := normalizePoints(src)
 	nDst := normalizePoints(dst)
 
-	// Build the 2n×8 design matrix rows; solve least squares via normal
-	// equations AtA x = Atb (8×8).
-	var ata [8][8]float64
-	var atb [8]float64
-	addRow := func(row *[8]float64, rhs float64) {
-		for i, ri := range row {
-			if ri == 0 {
-				continue
-			}
-			for j, rj := range row {
-				ata[i][j] += ri * rj
-			}
-			atb[i] += ri * rhs
-		}
-	}
+	// Solve least squares via the normal equations AᵀA·h = Aᵀb (8×8) of
+	// the 2n×8 design matrix, whose rows per point are
+	//
+	//	[x y 1 0 0 0 -ux -uy] = u
+	//	[0 0 0 x y 1 -vx -vy] = v
+	//
+	// built straight-line: the 21 distinct products of AᵀA's upper
+	// triangle and the 8 of Aᵀb, each summed over the points in order,
+	// the first row's product before the second's. The 3–5 block repeats
+	// the 0–2 block (same products in the same order), the lower
+	// triangle mirrors the upper (multiplication commutes), and the
+	// products left out are the ±0 ones a row's structural zeros make:
+	// adding ±0 to a sum that starts at +0 leaves its bits alone, and a
+	// non-finite coordinate ends in ErrDegenerate whatever the solve
+	// does, because it makes that point set's normalization non-finite.
+	var s00, s01, s02, s11, s12, s22 float64 // x, y, 1 by themselves
+	var s06, s07, s16, s17, s26, s27 float64 // x, y, 1 by -ux, -uy
+	var s36, s37, s46, s47, s56, s57 float64 // x, y, 1 by -vx, -vy
+	var s66, s67, s77 float64
+	var b0, b1, b2, b3, b4, b5, b6, b7 float64
 	for i := 0; i < n; i++ {
 		p, q := nSrc.apply(src[i]), nDst.apply(dst[i])
 		x, y := p.X, p.Y
 		u, v := q.X, q.Y
-		addRow(&[8]float64{x, y, 1, 0, 0, 0, -u * x, -u * y}, u)
-		addRow(&[8]float64{0, 0, 0, x, y, 1, -v * x, -v * y}, v)
+		ux, uy := -u*x, -u*y
+		vx, vy := -v*x, -v*y
+		s00 += x * x
+		s01 += x * y
+		s02 += x
+		s11 += y * y
+		s12 += y
+		s22++
+		s06 += x * ux
+		s07 += x * uy
+		s16 += y * ux
+		s17 += y * uy
+		s26 += ux
+		s27 += uy
+		s36 += x * vx
+		s37 += x * vy
+		s46 += y * vx
+		s47 += y * vy
+		s56 += vx
+		s57 += vy
+		s66 += ux * ux
+		s66 += vx * vx
+		s67 += ux * uy
+		s67 += vx * vy
+		s77 += uy * uy
+		s77 += vy * vy
+		b0 += x * u
+		b1 += y * u
+		b2 += u
+		b3 += x * v
+		b4 += y * v
+		b5 += v
+		b6 += ux * u
+		b6 += vx * v
+		b7 += uy * u
+		b7 += vy * v
 	}
+	ata := [8][8]float64{
+		{s00, s01, s02, 0, 0, 0, s06, s07},
+		{s01, s11, s12, 0, 0, 0, s16, s17},
+		{s02, s12, s22, 0, 0, 0, s26, s27},
+		{0, 0, 0, s00, s01, s02, s36, s37},
+		{0, 0, 0, s01, s11, s12, s46, s47},
+		{0, 0, 0, s02, s12, s22, s56, s57},
+		{s06, s16, s26, s36, s46, s56, s66, s67},
+		{s07, s17, s27, s37, s47, s57, s67, s77},
+	}
+	atb := [8]float64{b0, b1, b2, b3, b4, b5, b6, b7}
 	sol, ok := solveLinear(&ata, &atb)
 	if !ok {
 		return Identity(), ErrDegenerate
@@ -379,6 +436,11 @@ type RANSACConfig struct {
 	MinInliers int     // minimum inliers to accept (default 8)
 }
 
+// rngPool holds RANSAC's random sources. Seeding a pooled one replays the
+// sequence rand.New(rand.NewSource(seed)) would, without allocating the
+// source's ~4.9 KB of state on every call.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
 // EstimateHomographyRANSAC robustly fits a homography src -> dst. It
 // returns ErrDegenerate when no model reaches MinInliers.
 func EstimateHomographyRANSAC(src, dst []Point, cfg RANSACConfig) (*RANSACResult, error) {
@@ -398,7 +460,9 @@ func EstimateHomographyRANSAC(src, dst []Point, cfg RANSACConfig) (*RANSACResult
 	if n < 4 || len(dst) != n {
 		return nil, fmt.Errorf("%w: %d correspondences", ErrDegenerate, n)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(cfg.Seed)
 	thresholdSq := cfg.Threshold * cfg.Threshold
 
 	// Two inlier buffers: the running best and the one being filled,
@@ -435,14 +499,18 @@ func EstimateHomographyRANSAC(src, dst []Point, cfg RANSACConfig) (*RANSACResult
 		}
 		inliers = inliers[:0]
 		for i := 0; i < n; i++ {
-			p := h.Apply(src[i])
-			if math.IsNaN(p.X) {
-				continue
+			if p := h.Apply(src[i]); !math.IsNaN(p.X) {
+				dx := p.X - dst[i].X
+				dy := p.Y - dst[i].Y
+				if dx*dx+dy*dy <= thresholdSq {
+					inliers = append(inliers, i)
+					continue
+				}
 			}
-			dx := p.X - dst[i].X
-			dy := p.Y - dst[i].Y
-			if dx*dx+dy*dy <= thresholdSq {
-				inliers = append(inliers, i)
+			// Once even an inlier at every index left could not beat the
+			// best, this model can no longer change anything.
+			if len(inliers)+n-1-i <= len(bestInliers) {
+				break
 			}
 		}
 		if len(inliers) > len(bestInliers) {

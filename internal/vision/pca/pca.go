@@ -203,7 +203,27 @@ func (p *Projection) ProjectInto(dst, v []float32) {
 	for i, x := range v {
 		centered[i] = float64(x) - p.Mean[i]
 	}
-	for c, comp := range p.Components {
+	// Four components per pass over centered, one accumulator each: every
+	// dot product is still summed over i in order, so each keeps its own
+	// sequential chain and its bits, and the four chains overlap.
+	comps := p.Components
+	c := 0
+	for ; c+4 <= len(comps); c += 4 {
+		c0 := comps[c][:len(centered)]
+		c1 := comps[c+1][:len(centered)]
+		c2 := comps[c+2][:len(centered)]
+		c3 := comps[c+3][:len(centered)]
+		var d0, d1, d2, d3 float64
+		for i, x := range centered {
+			d0 += x * c0[i]
+			d1 += x * c1[i]
+			d2 += x * c2[i]
+			d3 += x * c3[i]
+		}
+		dst[c], dst[c+1], dst[c+2], dst[c+3] = float32(d0), float32(d1), float32(d2), float32(d3)
+	}
+	for ; c < len(comps); c++ {
+		comp := comps[c][:len(centered)]
 		var dot float64
 		for i, x := range centered {
 			dot += x * comp[i]
