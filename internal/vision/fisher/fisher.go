@@ -157,7 +157,9 @@ func trainGMM(data [][]float32, k, iters int, seed int64, workers int) (*GMM, er
 	}
 	accLen := k + 2*k*dim
 	parts := make([][]float64, parallel.Chunks(n, emGrain))
+	logs := newLogTables(g)
 	for it := 0; it < iters; it++ {
+		logs.fill(g)
 		for c := 0; c < k; c++ {
 			nk[c] = 0
 			for j := 0; j < dim; j++ {
@@ -170,7 +172,7 @@ func trainGMM(data [][]float32, k, iters int, seed int64, workers int) (*GMM, er
 			resp := f64Pool.Get(k)
 			for i := start; i < end; i++ {
 				row := data[i]
-				g.posteriorsInto(row, resp)
+				g.posteriorsInto(logs, row, resp)
 				for c := 0; c < k; c++ {
 					r := resp[c]
 					if r == 0 {
@@ -266,36 +268,58 @@ func (g *GMM) logGaussian(x []float32, c int) float64 {
 	return -0.5 * acc
 }
 
+// logTables holds the per-component logarithms the posterior loop would
+// otherwise recompute for every sample, each from the expression
+// logGaussian uses, so the posteriors keep their bits: logW[c] is
+// math.Log(w_c) and, at c*Dim+j, logNorm holds math.Log(2π·var_cj).
+type logTables struct {
+	logW, logNorm []float64
+}
+
+func newLogTables(g *GMM) *logTables {
+	return &logTables{logW: make([]float64, g.K), logNorm: make([]float64, g.K*g.Dim)}
+}
+
+// fill tabulates g's current weights and variances.
+func (t *logTables) fill(g *GMM) {
+	for c := 0; c < g.K; c++ {
+		t.logW[c] = math.Log(g.Weights[c])
+		for j := 0; j < g.Dim; j++ {
+			t.logNorm[c*g.Dim+j] = math.Log(2 * math.Pi * g.Vars[c][j])
+		}
+	}
+}
+
 // posteriorsInto computes p(c | x) for each component into out (length K),
-// using the log-sum-exp trick for numerical stability.
-func (g *GMM) posteriorsInto(x []float32, out []float64) {
+// using the log-sum-exp trick for numerical stability. logs must have been
+// filled from g's current weights and variances.
+func (g *GMM) posteriorsInto(logs *logTables, x []float32, out []float64) {
 	maxLog := math.Inf(-1)
 	for c := 0; c < g.K; c++ {
-		w := g.Weights[c]
-		if w <= 0 {
+		if g.Weights[c] <= 0 {
 			out[c] = math.Inf(-1)
 			continue
 		}
-		out[c] = math.Log(w) + g.logGaussian(x, c)
+		mean, vars := g.Means[c][:len(x)], g.Vars[c][:len(x)]
+		logNorm := logs.logNorm[c*g.Dim : c*g.Dim+len(x)]
+		acc := 0.0
+		for j, v := range x {
+			d := float64(v) - mean[j]
+			acc += d*d/vars[j] + logNorm[j]
+		}
+		out[c] = logs.logW[c] + -0.5*acc
 		if out[c] > maxLog {
 			maxLog = out[c]
 		}
 	}
-	normalizePosteriors(out, maxLog)
-}
-
-// normalizePosteriors turns the per-component log posteriors in out, whose
-// largest is maxLog, into responsibilities summing to one; uniform when
-// every component is excluded.
-func normalizePosteriors(out []float64, maxLog float64) {
 	if math.IsInf(maxLog, -1) {
 		for c := range out {
-			out[c] = 1 / float64(len(out))
+			out[c] = 1 / float64(g.K)
 		}
 		return
 	}
 	var sum float64
-	for c := range out {
+	for c := 0; c < g.K; c++ {
 		out[c] = math.Exp(out[c] - maxLog)
 		sum += out[c]
 	}
@@ -309,8 +333,10 @@ func (g *GMM) Posteriors(x []float32) []float64 {
 	if len(x) != g.Dim {
 		panic(fmt.Sprintf("fisher: posterior dim %d, want %d", len(x), g.Dim))
 	}
+	logs := newLogTables(g)
+	logs.fill(g)
 	out := make([]float64, g.K)
-	g.posteriorsInto(x, out)
+	g.posteriorsInto(logs, x, out)
 	return out
 }
 
@@ -342,13 +368,11 @@ func (g *GMM) LogLikelihood(data [][]float32) float64 {
 // Encoder aggregates descriptor sets into Fisher vectors. It is safe for
 // concurrent use.
 type Encoder struct {
-	gmm *GMM
-	// Per-component terms the encoding would otherwise recompute for
-	// every descriptor, each tabulated once from the expression the
-	// per-descriptor loop used, so the encoding keeps its bits: logW[c]
-	// is math.Log(w_c), and at c*Dim+j logNorm holds
-	// math.Log(2π·var_cj) and sd math.Sqrt(var_cj).
-	logW, logNorm, sd []float64
+	gmm  *GMM
+	logs *logTables
+	// sd holds math.Sqrt(var_cj) at c*Dim+j, tabulated once rather than
+	// recomputed for every descriptor.
+	sd []float64
 	// Workers bounds the worker pool sharding descriptors during Encode.
 	// Zero uses GOMAXPROCS; one forces the serial path. The encoding is
 	// bit-identical at any setting.
@@ -356,52 +380,19 @@ type Encoder struct {
 }
 
 // NewEncoder returns an Encoder over the fitted mixture model. The
-// encoder reads the model as it is now; later changes to g do not reach
-// it.
+// encoder assumes g is not modified after NewEncoder.
 func NewEncoder(g *GMM) *Encoder {
 	if g == nil {
 		panic("fisher: nil GMM")
 	}
-	e := &Encoder{
-		gmm:     g,
-		logW:    make([]float64, g.K),
-		logNorm: make([]float64, g.K*g.Dim),
-		sd:      make([]float64, g.K*g.Dim),
-	}
+	e := &Encoder{gmm: g, logs: newLogTables(g), sd: make([]float64, g.K*g.Dim)}
+	e.logs.fill(g)
 	for c := 0; c < g.K; c++ {
-		e.logW[c] = math.Log(g.Weights[c])
 		for j := 0; j < g.Dim; j++ {
-			v := g.Vars[c][j]
-			e.logNorm[c*g.Dim+j] = math.Log(2 * math.Pi * v)
-			e.sd[c*g.Dim+j] = math.Sqrt(v)
+			e.sd[c*g.Dim+j] = math.Sqrt(g.Vars[c][j])
 		}
 	}
 	return e
-}
-
-// posteriorsInto is GMM.posteriorsInto over the encoder's tables: the
-// same sums in the same order, with the logarithms looked up.
-func (e *Encoder) posteriorsInto(x []float32, out []float64) {
-	g := e.gmm
-	maxLog := math.Inf(-1)
-	for c := 0; c < g.K; c++ {
-		if g.Weights[c] <= 0 {
-			out[c] = math.Inf(-1)
-			continue
-		}
-		mean, vars := g.Means[c][:len(x)], g.Vars[c][:len(x)]
-		logNorm := e.logNorm[c*g.Dim : c*g.Dim+len(x)]
-		acc := 0.0
-		for j, v := range x {
-			d := float64(v) - mean[j]
-			acc += d*d/vars[j] + logNorm[j]
-		}
-		out[c] = e.logW[c] + -0.5*acc
-		if out[c] > maxLog {
-			maxLog = out[c]
-		}
-	}
-	normalizePosteriors(out, maxLog)
 }
 
 // Size returns the Fisher vector dimensionality: 2 × K × Dim (mean and
@@ -440,7 +431,7 @@ func (e *Encoder) encodeInto(descs [][]float32, fv []float64) []float32 {
 		resp := f64Pool.Get(g.K)
 		for i := start; i < end; i++ {
 			x := descs[i]
-			e.posteriorsInto(x, resp)
+			g.posteriorsInto(e.logs, x, resp)
 			for c := 0; c < g.K; c++ {
 				r := resp[c]
 				if r < 1e-12 {

@@ -1,11 +1,12 @@
 package fisher
 
-// Exact-equality oracle for Encode. refEncodeInto and refPosteriorsInto are
-// the bodies the package shipped before the encoder tabulated its
-// per-component logarithms and square roots, kept verbatim; the tests
-// demand every output bit equal on the recorded clip's descriptors and on
-// random models that reach the excluded-component and negligible-
-// responsibility paths, at one and two workers.
+// Exact-equality oracle for Encode and EM's E-step. refEncodeInto and
+// refPosteriorsInto are the bodies the package shipped before the
+// posterior loop read tabulated logarithms and the encoder tabulated its
+// square roots, kept verbatim; the tests demand every output bit equal on
+// the recorded clip's descriptors and on random models that reach the
+// excluded-component and negligible-responsibility paths, at one and two
+// workers, and every posterior equal at each EM iteration.
 
 import (
 	"fmt"
@@ -141,7 +142,7 @@ func sameEncoding(t *testing.T, what string, g *GMM, descs [][]float32) {
 	e := NewEncoder(g)
 	got, want := make([]float64, g.K), make([]float64, g.K)
 	for n, x := range descs {
-		e.posteriorsInto(x, got)
+		g.posteriorsInto(e.logs, x, got)
 		refPosteriorsInto(g, x, want)
 		for c := range want {
 			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
@@ -161,6 +162,47 @@ func sameEncoding(t *testing.T, what string, g *GMM, descs [][]float32) {
 			if math.Float64bits(gotFV[i]) != math.Float64bits(wantFV[i]) || math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("%s workers %d: fv[%d] = %v (%v), reference %v (%v)", what, workers, i, got[i], gotFV[i], want[i], wantFV[i])
 			}
+		}
+	}
+}
+
+// sameEStep compares, at every EM iteration of training data into k
+// components, the posteriors the E-step computes for each sample with the
+// reference. Training for it iterations leaves the model the E-step of
+// iteration it+1 reads, so checking it = 0..iters-1 covers every E-step of
+// a run of iters.
+func sameEStep(t *testing.T, what string, data [][]float32, k, iters int, seed int64) {
+	t.Helper()
+	got, want := make([]float64, k), make([]float64, k)
+	for it := 0; it < iters; it++ {
+		g, err := trainGMM(data, k, it, seed, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs := newLogTables(g)
+		logs.fill(g)
+		for n, x := range data {
+			g.posteriorsInto(logs, x, got)
+			refPosteriorsInto(g, x, want)
+			for c := range want {
+				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+					t.Fatalf("%s: iteration %d sample %d posterior %d = %v, reference %v", what, it, n, c, got[c], want[c])
+				}
+			}
+		}
+	}
+}
+
+// TestEStepMatchesReference covers EM's E-step on random data with more
+// components than clusters. The excluded-component and negligible-
+// responsibility states are covered through sameEncoding's posterior
+// check.
+func TestEStepMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for _, dim := range []int{1, 3, 7, 24} {
+		for _, k := range []int{1, 2, 5, 8} {
+			data := twoClusters(rng, 90, dim)
+			sameEStep(t, fmt.Sprintf("dim %d k %d", dim, k), data, k, 8, int64(dim*10+k))
 		}
 	}
 }
@@ -185,7 +227,11 @@ func TestEncodeMatchesReferenceOnClip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := TrainGMM(proj.ProjectAll(refs), 8, 15, 1)
+	train := proj.ProjectAll(refs)
+	if !testing.Short() {
+		sameEStep(t, "clip", train, 8, 15, 1)
+	}
+	g, err := TrainGMM(train, 8, 15, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +281,7 @@ func TestEncodeMatchesReferenceOnRandomModels(t *testing.T) {
 			for j := range h.Means[0] {
 				h.Means[0][j] = 1e3
 			}
-			resp := make([]float64, k)
-			h.posteriorsInto(data[0], resp)
+			resp := h.Posteriors(data[0])
 			if !(resp[0] < 1e-12) {
 				t.Fatalf("%s: the parked component's responsibility is %v, not under 1e-12", what, resp[0])
 			}
