@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench ledger bench-vision profile-vision fuzz figures examples chaos handover clean
+.PHONY: all build vet test reach race cover bench ledger bench-vision profile-vision fuzz figures examples chaos handover clean
 
 all: build test
 
@@ -28,18 +28,25 @@ vet:
 # data-plane, routing, autoscaling and kernel benchmarks compiling and
 # running without paying full measurement time; the allocation budgets
 # themselves are plain tests (internal/wire, internal/transport,
-# internal/agent alloc_test.go).
+# internal/agent alloc_test.go). The last line is the reachability gate.
 test:
 	$(GO) test ./...
 	$(GO) test -ldflags '-X github.com/edge-mar/scatter/internal/vision/simd.forceGo=1' ./internal/vision/... ./internal/core
 	$(GO) test -race ./internal/core ./internal/obs/... ./internal/agent ./internal/transport ./internal/netem ./internal/vision/... ./internal/appaware ./internal/orchestrator ./internal/wire
 	$(GO) test -run '^$$' -bench 'WorkerHop|DataplaneEncode|ReplicaPick' -benchtime=1x ./internal/agent
 	$(GO) test -run '^$$' -bench 'AutoscalePolicy' -benchtime=1x ./internal/appaware
-	$(GO) test -run '^$$' -bench 'Sharding' -benchtime=1x ./internal/vision/lsh
 	$(GO) test -run '^$$' -bench 'KernelRank|KernelRatio|RANSACClip' -benchtime=1x ./internal/vision/lsh ./internal/vision/match
 	$(GO) test -run '^$$' -bench 'EncodingClip' -benchtime=1x ./internal/core
 	$(GO) test -run '^$$' -bench 'Kernels' -benchtime=1x ./internal/vision/simd
 	$(GO) test -run '^$$' -bench 'DetectClip|DescribeClip|Detect320x180' -benchtime=1x ./internal/vision/sift
+	$(GO) run ./internal/tools/reach
+
+# Lists every function no binary links (cmd/*, examples/*, bench), built
+# without inlining and read with go tool nm; prints nothing and passes
+# when the only ones are in internal/tools/reach/allowlist.txt, each with
+# its reason.
+reach:
+	$(GO) run ./internal/tools/reach
 
 race:
 	$(GO) test -race ./...

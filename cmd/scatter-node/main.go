@@ -26,7 +26,6 @@
 //	  "route_stats": {"enabled": true, "ack_timeout_ms": 250},
 //	  "fast_path": {"enabled": true, "refresh_every": 30, "min_confidence": 0.5},
 //	  "lsh": {"pre_rank": 4},
-//	  "sharding": {"enabled": true, "shards": 4, "replication": 1},
 //	  "fault": {"packet_loss": 0.01, "delay_ms": 5, "seed": 42}
 //	}
 //
@@ -42,15 +41,10 @@
 // frames answered at primary from matching's published verdicts, skipping
 // sift→matching; scatter_fastpath_* series on the obs endpoints); lsh
 // arms bit-packed Hamming pre-ranking on the reference index (pre_rank n
-// cuts the exact cosine pass to n·k candidates; 0/omitted is exact mode,
-// and the budget propagates into shard replicas); sharding partitions
-// the lsh reference database across shard replicas with scatter/gather
-// top-k merge — bit-identical results, O(N/shards) per-replica query
-// cost (scatter_shard_* series on the obs endpoints; see shardingSpec
-// for serving and remote-gather deployments); fault (all fields
-// optional) injects drops, compounding per-fragment loss, delay,
-// jitter, and duplication on this node's outbound traffic for chaos
-// experiments.
+// cuts the exact cosine pass to n·k candidates; 0/omitted is exact
+// mode); fault (all fields optional) injects drops, compounding
+// per-fragment loss, delay, jitter, and duplication on this node's
+// outbound traffic for chaos experiments.
 //
 // Split deployments run scatter-node on several machines with routes
 // pointing across hosts, exactly as the paper pins services to E1/E2.
@@ -79,7 +73,6 @@ import (
 	"github.com/edge-mar/scatter/internal/orchestrator"
 	"github.com/edge-mar/scatter/internal/trace"
 	"github.com/edge-mar/scatter/internal/transport"
-	"github.com/edge-mar/scatter/internal/vision/lsh"
 	"github.com/edge-mar/scatter/internal/wire"
 )
 
@@ -135,35 +128,9 @@ type fastPathSpec struct {
 // (default) is exact mode — every candidate cosine-ranked, bit-identical
 // results. 4 is the recommended trimming setting (recall@10 ≥ 0.95 on
 // clustered reference sets; see EXPERIMENTS.md, "Distance kernels &
-// Hamming pre-ranking"). The setting
-// propagates into shard replicas when sharding is enabled.
+// Hamming pre-ranking").
 type lshSpec struct {
 	PreRank int `json:"pre_rank,omitempty"`
-}
-
-// shardServeSpec exposes one of this node's database partitions to
-// remote gather clients on its own listen address.
-type shardServeSpec struct {
-	Shard  int    `json:"shard"`
-	Listen string `json:"listen"`
-}
-
-// shardingSpec partitions the lsh reference database. With enabled=true
-// alone, the node's lsh service queries an in-process sharded index
-// (scatter/gather across partitions of the trained model, bit-identical
-// to the monolithic index). serve additionally publishes partitions to
-// the network for remote gathers; gather makes the lsh service scatter
-// to a remote shard fleet instead of its local partitions (outer index
-// = shard number, inner = replica addresses). Either way
-// scatter_shard_* series appear on the obs endpoints.
-type shardingSpec struct {
-	Enabled         bool             `json:"enabled"`
-	Shards          int              `json:"shards,omitempty"`      // default 4
-	Replication     int              `json:"replication,omitempty"` // default 1
-	Serve           []shardServeSpec `json:"serve,omitempty"`
-	Gather          [][]string       `json:"gather,omitempty"`
-	GatherTimeoutMs int              `json:"gather_timeout_ms,omitempty"`
-	Quorum          int              `json:"quorum,omitempty"` // default: all shards
 }
 
 // routeStatsSpec arms stats-driven routing. Zero fields take the
@@ -234,9 +201,6 @@ type nodeConfig struct {
 	// LSH tunes the recognition index's ranking kernels (Hamming
 	// pre-ranking budget; see lshSpec).
 	LSH *lshSpec `json:"lsh,omitempty"`
-	// Sharding partitions the lsh reference database across shard
-	// replicas with scatter/gather top-k merge (see shardingSpec).
-	Sharding *shardingSpec `json:"sharding,omitempty"`
 }
 
 // parseConfig decodes a node deployment document. Keys it does not know
@@ -323,66 +287,10 @@ func main() {
 			"ack_timeout", statsRouter.AckTimeout())
 	}
 
-	// Optional Hamming pre-ranking on the recognition index. Set before
-	// sharding so NewShardedFrom inherits the budget into every replica
-	// (and shard servers serve with it).
+	// Optional Hamming pre-ranking on the recognition index.
 	if cfg.LSH != nil && cfg.LSH.PreRank > 0 {
 		model.Index.SetPreRank(cfg.LSH.PreRank)
 		log.Info("lsh pre-ranking armed", "pre_rank", cfg.LSH.PreRank)
-	}
-
-	// Optional database sharding: the lsh service queries partitions of
-	// the trained reference index instead of the monolith — in-process by
-	// default, a remote shard fleet when gather addresses are configured.
-	// Results stay bit-identical to the monolithic index (same seed, same
-	// hyperplanes; the gather merges per-shard top-k under a total order).
-	var lshIndex core.NNIndex = model.Index
-	var sharded *lsh.ShardedIndex
-	var shardGather *agent.ShardGather
-	var shardServers []*agent.ShardServer
-	if cfg.Sharding != nil && cfg.Sharding.Enabled {
-		sharded = lsh.NewShardedFrom(model.Index, lsh.ShardConfig{
-			Shards:      cfg.Sharding.Shards,
-			Replication: cfg.Sharding.Replication,
-		})
-		lshIndex = sharded
-		for _, sv := range cfg.Sharding.Serve {
-			if sv.Shard < 0 || sv.Shard >= sharded.Shards() {
-				log.Error("shard serve out of range", "shard", sv.Shard, "shards", sharded.Shards())
-				os.Exit(2)
-			}
-			srv, err := agent.StartShardServer(agent.ShardServerConfig{
-				Index:      sharded.Replica(sv.Shard, 0),
-				Shard:      sv.Shard,
-				ListenAddr: sv.Listen,
-				Network:    cfg.Network,
-			})
-			if err != nil {
-				log.Error("start shard server", "shard", sv.Shard, "err", err)
-				os.Exit(1)
-			}
-			defer srv.Close()
-			shardServers = append(shardServers, srv)
-			log.Info("shard server up", "shard", sv.Shard, "addr", srv.Addr())
-		}
-		if len(cfg.Sharding.Gather) > 0 {
-			g, err := agent.NewShardGather(agent.ShardGatherConfig{
-				Shards:        cfg.Sharding.Gather,
-				Network:       cfg.Network,
-				GatherTimeout: time.Duration(cfg.Sharding.GatherTimeoutMs) * time.Millisecond,
-				Quorum:        cfg.Sharding.Quorum,
-			})
-			if err != nil {
-				log.Error("shard gather", "err", err)
-				os.Exit(1)
-			}
-			defer g.Close()
-			shardGather = g
-			lshIndex = g
-		}
-		log.Info("sharding armed", "shards", sharded.Shards(),
-			"replication", sharded.Replication(),
-			"serving", len(shardServers), "remote_gather", shardGather != nil)
 	}
 
 	// Optional tracker-gated fast path: the gate is shared by the primary
@@ -440,22 +348,6 @@ func main() {
 			}
 		})
 	}
-	if sharded != nil {
-		reg.SetShardSource(func() obs.ShardDigest {
-			if shardGather != nil {
-				return shardGather.Digest()
-			}
-			// In-process sharding: every scatter completes, so fan-outs and
-			// gathers come straight off the index counters.
-			st := sharded.Stats()
-			return obs.ShardDigest{
-				Shards:      sharded.Shards(),
-				Replication: sharded.Replication(),
-				FanOuts:     st.ShardQueries,
-				Gathers:     st.Queries,
-			}
-		})
-	}
 	hostLabel := ""
 	if cfg.Node != nil {
 		hostLabel = cfg.Node.Name
@@ -480,7 +372,7 @@ func main() {
 		case wire.StepEncoding:
 			proc = core.NewEncoding(model.PCA, model.Encoder)
 		case wire.StepLSH:
-			proc = core.NewLSHService(lshIndex, 3)
+			proc = core.NewLSHService(model.Index, 3)
 		case wire.StepMatching:
 			var fetch core.StateFetcher
 			if !stateless {

@@ -31,13 +31,14 @@ func TestParseConfigAcceptsDeployFiles(t *testing.T) {
 	}
 }
 
-// TestParseConfigRejectsUnknownKeys covers the removed batching and
-// recognition-cache keys, a typo inside a nested block, and trailing
-// data: each must fail at parse with the offending key named.
+// TestParseConfigRejectsUnknownKeys covers the removed batching,
+// recognition-cache and sharding keys, a typo inside a nested block, and
+// trailing data: each must fail at parse with the offending key named.
 func TestParseConfigRejectsUnknownKeys(t *testing.T) {
 	for _, tc := range []struct{ doc, want string }{
 		{`{"mode": "scatter++", "batch_max": 4}`, "batch_max"},
 		{`{"mode": "scatter++", "recognition_cache": {"enabled": true}}`, "recognition_cache"},
+		{`{"mode": "scatter++", "sharding": {"enabled": true, "shards": 4}}`, "sharding"},
 		{`{"route_stats": {"enabeld": true}}`, "enabeld"},
 		{`{"mode": "scatter"} {"mode": "scatter++"}`, "trailing"},
 	} {

@@ -14,9 +14,8 @@ import (
 // workers, keyed by each worker's configured step: listed services take
 // their verdict, every other worker resets to admit — a controller
 // restart can never wedge a service shut. Service names match
-// case-insensitively; unknown ones are ignored. It returns the verdict
-// per step.
-func ApplyAdmissions(workers iter.Seq[*Worker], adm []orchestrator.ServiceAdmission) [wire.NumSteps]core.AdmitState {
+// case-insensitively; unknown ones are ignored.
+func ApplyAdmissions(workers iter.Seq[*Worker], adm []orchestrator.ServiceAdmission) {
 	var want [wire.NumSteps]core.AdmitState
 	for _, a := range adm {
 		if step, err := wire.ParseStep(strings.ToLower(a.Service)); err == nil {
@@ -26,7 +25,6 @@ func ApplyAdmissions(workers iter.Seq[*Worker], adm []orchestrator.ServiceAdmiss
 	for w := range workers {
 		w.SetAdmitState(want[w.cfg.Step])
 	}
-	return want
 }
 
 // AdmissionDigest snapshots the workers' enforcement per step — the

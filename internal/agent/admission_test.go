@@ -126,14 +126,14 @@ func TestWorkerAdmissionEnforcement(t *testing.T) {
 }
 
 // TestDeployerAppliesAndResetsAdmissions covers the node-agent side of
-// the heartbeat downlink — the code scatter-node runs too: ApplyAdmissions
-// pushes listed verdicts to the live workers of each service, resets
-// unlisted services to admit, and later-started replicas inherit the
-// verdict in force.
+// the heartbeat downlink, the code scatter-node runs, over a deployment's
+// live workers: ApplyAdmissions pushes listed verdicts to the live
+// workers of each service and resets unlisted services to admit, and
+// AdmissionDigest reports the verdicts in force.
 func TestDeployerAppliesAndResetsAdmissions(t *testing.T) {
 	h := startFailoverDeployment(t, nil)
 
-	h.dep.ApplyAdmissions([]orchestrator.ServiceAdmission{
+	ApplyAdmissions(h.dep.liveWorkers(), []orchestrator.ServiceAdmission{
 		{Service: "sift", State: "degrade"},
 		{Service: "lsh", State: "reject"},
 		{Service: "Matching", State: "degrade"}, // case as a config file may carry it
@@ -154,14 +154,7 @@ func TestDeployerAppliesAndResetsAdmissions(t *testing.T) {
 	wantState("scatter/matching/0", core.AdmitDegrade)
 	wantState("scatter/primary/0", core.AdmitOK)
 
-	// A replica scheduled while a verdict is in force inherits it.
-	inst, err := h.root.ScaleUp("scatter", "lsh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantState(inst.Key(), core.AdmitReject)
-
-	dg := h.dep.AdmissionDigest()
+	dg := AdmissionDigest(h.dep.liveWorkers())
 	states := map[string]string{}
 	for _, s := range dg.Services {
 		states[s.Service] = s.State
@@ -172,9 +165,8 @@ func TestDeployerAppliesAndResetsAdmissions(t *testing.T) {
 
 	// An empty verdict set resets everything — a controller restart can
 	// never wedge a service shut.
-	h.dep.ApplyAdmissions(nil)
+	ApplyAdmissions(h.dep.liveWorkers(), nil)
 	wantState("scatter/sift/0", core.AdmitOK)
 	wantState("scatter/lsh/0", core.AdmitOK)
 	wantState("scatter/matching/0", core.AdmitOK)
-	wantState(inst.Key(), core.AdmitOK)
 }

@@ -37,7 +37,7 @@ type Router interface {
 }
 
 // RouteUpdater is a Router whose replica table a control plane can
-// replace at runtime. StaticRouter and StatsRouter both implement it.
+// replace at runtime. StaticRouter implements it; the Deployer drives it.
 type RouteUpdater interface {
 	Router
 	// SetRoutes atomically replaces the step→replica-addresses table.
@@ -905,16 +905,9 @@ func stateFetchHandler(s *core.SIFT) rpc.Handler {
 	}
 }
 
-// RPCStateFetcher returns a core.StateFetcher that queries a sift
+// RPCStateFetcherContext returns a core.StateFetcher that queries a sift
 // worker's state RPC endpoint — matching's half of the dependency loop.
-// Fetches are bounded by the per-call timeout only; callers that need to
-// abort in-flight fetches on shutdown use RPCStateFetcherContext.
-func RPCStateFetcher(addr string, timeout time.Duration) core.StateFetcher {
-	return RPCStateFetcherContext(context.Background(), addr, timeout)
-}
-
-// RPCStateFetcherContext is RPCStateFetcher with a caller-owned context:
-// every fetch aborts when ctx is cancelled, in addition to the per-call
+// Every fetch aborts when ctx is cancelled, in addition to the per-call
 // timeout, so a matching worker shutting down mid-fetch (or a dead sift
 // peer) releases its processing goroutine immediately instead of riding
 // out the full timeout.

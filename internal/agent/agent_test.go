@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -74,7 +75,7 @@ func testDeploymentNet(t *testing.T, mode core.Mode, network string) (ingress st
 		if rpcAddr == "" || rpcAddr == "127.0.0.1:0" {
 			t.Fatal("sift RPC address not resolvable; see Worker.RPCAddr")
 		}
-		fetch = RPCStateFetcher(rpcAddr, time.Second)
+		fetch = RPCStateFetcherContext(context.Background(), rpcAddr, time.Second)
 	}
 	matching := core.NewMatching(model.Objects, fetch)
 	mw, err := StartWorker(WorkerConfig{

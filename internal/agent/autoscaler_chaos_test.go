@@ -109,8 +109,8 @@ func startAutoscaleDeployment(t *testing.T, policy appaware.Policy, maxReplicas 
 // controlTick plays one heartbeat round trip: nodes report app digests
 // with LOW hardware gauges (the collapse is processing-cost-induced, so
 // CPU/GPU stay cool — exactly the telemetry today's orchestrators see),
-// the loop evaluates, and the response verdicts land on the Deployer the
-// way a heartbeat response would.
+// the loop evaluates, and the response verdicts land on the live workers
+// the way a heartbeat response would.
 func (h *autoscaleHarness) controlTick(t *testing.T) {
 	t.Helper()
 	now := time.Now()
@@ -127,7 +127,7 @@ func (h *autoscaleHarness) controlTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.as.Tick(now)
-	h.dep.ApplyAdmissions(h.root.Admissions())
+	ApplyAdmissions(h.dep.liveWorkers(), h.root.Admissions())
 }
 
 // fps drains stale results, then measures delivered frames per second
@@ -157,7 +157,13 @@ func (h *autoscaleHarness) siftReplicas(t *testing.T) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(d.InstancesOf("sift"))
+	n := 0
+	for _, in := range d.Instances {
+		if in.Service == "sift" {
+			n++
+		}
+	}
+	return n
 }
 
 // TestAutoscalerChaosCollapse is the closed-loop e2e: a processing-cost
@@ -240,7 +246,10 @@ func TestAutoscalerChaosCollapse(t *testing.T) {
 		for i := 0; i < 24 && !engaged; i++ {
 			time.Sleep(500 * time.Millisecond)
 			h.controlTick(t)
-			engaged = h.as.AdmitStateOf(wire.StepSIFT) != core.AdmitOK
+			// The root lists only verdicts other than admit.
+			for _, a := range h.root.Admissions() {
+				engaged = engaged || a.Service == wire.StepSIFT.String()
+			}
 		}
 		if !engaged {
 			t.Fatalf("admission never engaged; events: %+v", h.as.Events())
@@ -266,7 +275,7 @@ func TestAutoscalerChaosCollapse(t *testing.T) {
 		}
 		// The refusals surface in the node's admission digest, not as
 		// distress.
-		dg := h.dep.AdmissionDigest()
+		dg := AdmissionDigest(h.dep.liveWorkers())
 		found := false
 		for _, s := range dg.Services {
 			if s.Service == "sift" && s.Drops > 0 {

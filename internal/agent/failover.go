@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"maps"
 	"sort"
 	"sync"
 
 	"github.com/edge-mar/scatter/internal/core"
-	"github.com/edge-mar/scatter/internal/obs"
 	"github.com/edge-mar/scatter/internal/orchestrator"
 	"github.com/edge-mar/scatter/internal/wire"
 )
@@ -50,10 +48,7 @@ type Deployer struct {
 	workers map[string]*Worker // instance key -> running worker
 	steps   map[string]wire.Step
 	nodes   map[string]string // instance key -> node name
-	// admits holds the admission verdict per step so workers started
-	// later (scale-out, migration) inherit the verdict in force.
-	admits [wire.NumSteps]core.AdmitState
-	closed bool
+	closed  bool
 }
 
 // NewDeployer validates the configuration and returns a Deployer.
@@ -124,7 +119,6 @@ func (d *Deployer) onSchedule(inst orchestrator.Instance) {
 		d.syncRoutesLocked()
 		return
 	}
-	w.SetAdmitState(d.admits[step])
 	d.workers[inst.Key()] = w
 	d.steps[inst.Key()] = step
 	d.nodes[inst.Key()] = inst.Node
@@ -186,32 +180,6 @@ func (d *Deployer) Kill(node string) int {
 	return n
 }
 
-// Addr returns the ingress address of a live worker serving step (the
-// first in deterministic order), or false when none runs.
-func (d *Deployer) Addr(step wire.Step) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	keys := make([]string, 0, len(d.workers))
-	for k := range d.workers {
-		if d.steps[k] == step {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		return "", false
-	}
-	sort.Strings(keys)
-	return d.workers[keys[0]].Addr(), true
-}
-
-// Worker returns the live worker for an instance key.
-func (d *Deployer) Worker(key string) (*Worker, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	w, ok := d.workers[key]
-	return w, ok
-}
-
 // Stats sums worker counters per service across live instances.
 func (d *Deployer) Stats() map[string]WorkerStats {
 	d.mu.Lock()
@@ -234,24 +202,6 @@ func (d *Deployer) Stats() map[string]WorkerStats {
 		out[d.steps[k].String()] = agg
 	}
 	return out
-}
-
-// ApplyAdmissions enforces a heartbeat response's verdict set on the
-// live workers (see the package-level ApplyAdmissions) and remembers it
-// so later-started replicas inherit it. Wire it as the orchestrator
-// client's admission handler (Client.SetAdmissionHandler).
-func (d *Deployer) ApplyAdmissions(adm []orchestrator.ServiceAdmission) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.admits = ApplyAdmissions(maps.Values(d.workers), adm)
-}
-
-// AdmissionDigest snapshots the live workers' enforcement for the obs
-// exposition (Registry.SetAdmissionSource).
-func (d *Deployer) AdmissionDigest() obs.AdmissionDigest {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return AdmissionDigest(maps.Values(d.workers))
 }
 
 // Close stops every worker and empties the routes.

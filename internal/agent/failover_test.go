@@ -1,6 +1,10 @@
 package agent
 
 import (
+	"iter"
+	"maps"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -223,4 +227,37 @@ func TestDeployerCloseStopsWorkers(t *testing.T) {
 	if _, ok := h.dep.Addr(wire.StepSIFT); ok {
 		t.Error("worker started after Close")
 	}
+}
+
+// Addr returns the ingress address of a live worker serving step (the
+// first in deterministic order), or false when none runs.
+func (d *Deployer) Addr(step wire.Step) (string, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	keys := make([]string, 0, len(d.workers))
+	for k := range d.workers {
+		if d.steps[k] == step {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) == 0 {
+		return "", false
+	}
+	sort.Strings(keys)
+	return d.workers[keys[0]].Addr(), true
+}
+
+// Worker returns the live worker for an instance key.
+func (d *Deployer) Worker(key string) (*Worker, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	w, ok := d.workers[key]
+	return w, ok
+}
+
+// liveWorkers snapshots the deployer's running workers.
+func (d *Deployer) liveWorkers() iter.Seq[*Worker] {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return slices.Values(slices.Collect(maps.Values(d.workers)))
 }

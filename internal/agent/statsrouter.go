@@ -2,7 +2,6 @@ package agent
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/edge-mar/scatter/internal/obs/routestats"
@@ -28,28 +27,23 @@ type ReplicaPicker interface {
 // StatsRouter routes like StaticRouter until its statistics windows are
 // warm, then switches to power-of-two-choices over live weights. The
 // round-robin fallback is bit-identical to StaticRouter — same sorted
-// table, same per-step cursor, same cursor reset on SetRoutes — so a
-// deployment with stats disabled (or still cold) behaves exactly like
-// one routed by StaticRouter.
+// table, same per-step cursor — so a deployment whose windows are still
+// cold behaves exactly like one routed by StaticRouter.
 type StatsRouter struct {
-	mu      sync.Mutex
-	hops    map[wire.Step][]string
-	index   map[wire.Step]int
-	table   *routestats.Table
-	enabled atomic.Bool
+	mu    sync.Mutex
+	hops  map[wire.Step][]string
+	index map[wire.Step]int
+	table *routestats.Table
 }
 
 // NewStatsRouter builds a stats-driven router over a step→replicas table
-// with the given window configuration (zero Config = defaults). The
-// router starts enabled; SetEnabled(false) pins it to the deterministic
-// round-robin while keeping the windows fed.
+// with the given window configuration (zero Config = defaults).
 func NewStatsRouter(hops map[wire.Step][]string, cfg routestats.Config) *StatsRouter {
 	r := &StatsRouter{
 		hops:  make(map[wire.Step][]string, len(hops)),
 		index: make(map[wire.Step]int),
 		table: routestats.New(cfg),
 	}
-	r.enabled.Store(true)
 	r.setRoutesLocked(hops)
 	return r
 }
@@ -58,25 +52,8 @@ func NewStatsRouter(hops map[wire.Step][]string, cfg routestats.Config) *StatsRo
 // registry's route source and heartbeat digests read.
 func (r *StatsRouter) Table() *routestats.Table { return r.table }
 
-// SetEnabled toggles stats-driven selection. Disabled, the router is a
-// plain deterministic round-robin; the windows keep accumulating, so a
-// re-enable starts warm.
-func (r *StatsRouter) SetEnabled(on bool) { r.enabled.Store(on) }
-
-// Enabled reports whether stats-driven selection is on.
-func (r *StatsRouter) Enabled() bool { return r.enabled.Load() }
-
 // AckTimeout implements ReplicaPicker.
 func (r *StatsRouter) AckTimeout() time.Duration { return r.table.Config().AckTimeout }
-
-// SetRoutes atomically replaces the routing table, resetting the
-// round-robin cursors exactly like StaticRouter.SetRoutes. Statistics
-// windows of replicas that keep their address survive the swap.
-func (r *StatsRouter) SetRoutes(hops map[wire.Step][]string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.setRoutesLocked(hops)
-}
 
 func (r *StatsRouter) setRoutesLocked(hops map[wire.Step][]string) {
 	cp := make(map[wire.Step][]string, len(hops))
@@ -111,14 +88,12 @@ func (r *StatsRouter) Next(step wire.Step) (string, bool) {
 }
 
 // PickReplica implements ReplicaPicker: p2c over live weights when
-// enabled and warm, the deterministic round-robin otherwise. The
+// warm, the deterministic round-robin otherwise. The
 // fallback still resolves the replica window, so round-robin traffic is
 // what warms a cold table.
 func (r *StatsRouter) PickReplica(step wire.Step) (string, *routestats.Replica, bool) {
-	if r.enabled.Load() {
-		if rep, _, ok := r.table.Pick(step); ok {
-			return rep.Addr(), rep, true
-		}
+	if rep, _, ok := r.table.Pick(step); ok {
+		return rep.Addr(), rep, true
 	}
 	addr, ok := r.nextRR(step)
 	if !ok {

@@ -68,8 +68,10 @@ func TestSimAdmissionEscalatesAtCapAndRecovers(t *testing.T) {
 	if !relaxed {
 		t.Error("verdict never stepped back down after the load stopped")
 	}
+	// The loop's verdict in force is what its actuator last pushed to the
+	// pipeline.
 	for s := 0; s < wire.NumSteps; s++ {
-		if st := p.AdmitStateOf(wire.Step(s)); st != core.AdmitOK {
+		if st, _ := a.loop.Verdict(wire.Step(s)); st != core.AdmitOK {
 			t.Errorf("%s still %v long after the load stopped", wire.Step(s), st)
 		}
 	}

@@ -35,14 +35,6 @@ func NewFabric(eng *sim.Engine) *Fabric {
 // IsClient reports whether the endpoint name denotes a client host.
 func IsClient(name string) bool { return strings.HasPrefix(name, "client") }
 
-// SetLink overrides the link configuration in both directions.
-func (f *Fabric) SetLink(a, b string, cfg netem.LinkConfig) {
-	f.overrides[a+"->"+b] = cfg
-	f.overrides[b+"->"+a] = cfg
-	delete(f.links, a+"->"+b)
-	delete(f.links, b+"->"+a)
-}
-
 // SetClientAccess overrides the access link used between every client and
 // every machine (both directions).
 func (f *Fabric) SetClientAccess(cfg netem.LinkConfig) {
@@ -106,13 +98,4 @@ func (f *Fabric) defaultFor(from, to string) netem.LinkConfig {
 		return netem.CloudWANTransit()
 	}
 	return netem.EdgeLAN()
-}
-
-// Stats returns per-link statistics keyed by "from->to".
-func (f *Fabric) Stats() map[string]netem.Stats {
-	out := make(map[string]netem.Stats, len(f.links))
-	for k, l := range f.links {
-		out[k] = l.Stats()
-	}
-	return out
 }

@@ -107,3 +107,20 @@ func TestIsClient(t *testing.T) {
 		t.Error("IsClient misclassifies")
 	}
 }
+
+// SetLink overrides the link configuration in both directions.
+func (f *Fabric) SetLink(a, b string, cfg netem.LinkConfig) {
+	f.overrides[a+"->"+b] = cfg
+	f.overrides[b+"->"+a] = cfg
+	delete(f.links, a+"->"+b)
+	delete(f.links, b+"->"+a)
+}
+
+// Stats returns per-link statistics keyed by "from->to".
+func (f *Fabric) Stats() map[string]netem.Stats {
+	out := make(map[string]netem.Stats, len(f.links))
+	for k, l := range f.links {
+		out[k] = l.Stats()
+	}
+	return out
+}

@@ -160,16 +160,6 @@ func (g *FastPathGate) Publish(clientID uint32, frameNo uint64, confidence float
 	g.mu.Unlock()
 }
 
-// EndSession drops the verdict for clientID.
-func (g *FastPathGate) EndSession(clientID uint32) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	delete(g.clients, clientID)
-	g.mu.Unlock()
-}
-
 // ClientCount returns the number of clients with a live verdict.
 func (g *FastPathGate) ClientCount() int {
 	if g == nil {

@@ -296,7 +296,7 @@ func BenchmarkFastPathFrame(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fr := src.Clone()
+			fr := copyClientFrame(src)
 			fr.FrameNo = uint64(i + 1)
 			for fr.Step != wire.StepDone {
 				if err := procs[fr.Step].Process(fr); err != nil {
@@ -318,7 +318,7 @@ func BenchmarkFastPathFrame(b *testing.B) {
 		// Warm the gate with full passes until it starts skipping.
 		warm := clientFrame(b, gen, 1, 0, 0)
 		for i := 0; i < 8; i++ {
-			fr := warm.Clone()
+			fr := copyClientFrame(warm)
 			fr.FrameNo = uint64(i + 1)
 			for fr.Step != wire.StepDone {
 				if err := procs[fr.Step].Process(fr); err != nil {
@@ -330,7 +330,7 @@ func BenchmarkFastPathFrame(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fr := src.Clone()
+			fr := copyClientFrame(src)
 			fr.FrameNo = uint64(i + 100)
 			for fr.Step != wire.StepDone {
 				if err := procs[fr.Step].Process(fr); err != nil {
@@ -365,7 +365,7 @@ func TestFullPassAllocBudget(t *testing.T) {
 	src := clientFrame(t, gen, 1, 1, 0)
 	frameNo := uint64(0)
 	allocs := testing.AllocsPerRun(5, func() {
-		fr := src.Clone()
+		fr := copyClientFrame(src)
 		frameNo++
 		fr.FrameNo = frameNo
 		runPipeline(t, procs, fr)
@@ -373,4 +373,34 @@ func TestFullPassAllocBudget(t *testing.T) {
 	if allocs > budget {
 		t.Errorf("full pass allocates %v times, budget %d", allocs, budget)
 	}
+}
+
+// EndSession drops the tracker and fast-path verdict for a client whose
+// session ended, so its next stream starts from a clean tracking state
+// instead of stale tracks (and so churning clients don't leak trackers).
+func (s *Matching) EndSession(clientID uint32) {
+	s.mu.Lock()
+	if ct, ok := s.trackers[clientID]; ok {
+		ct.tr.Reset()
+		delete(s.trackers, clientID)
+	}
+	s.mu.Unlock()
+	s.gate.EndSession(clientID)
+}
+
+// TrackerCount returns the number of live per-client trackers.
+func (s *Matching) TrackerCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.trackers)
+}
+
+// EndSession drops the verdict for clientID.
+func (g *FastPathGate) EndSession(clientID uint32) {
+	if g == nil {
+		return
+	}
+	g.mu.Lock()
+	delete(g.clients, clientID)
+	g.mu.Unlock()
 }

@@ -212,12 +212,6 @@ func (in *Instance) Name() string { return in.step.String() }
 // Machine returns the hosting machine.
 func (in *Instance) Machine() *testbed.Machine { return in.machine }
 
-// QueueLen returns the sidecar queue length (scAtteR++).
-func (in *Instance) QueueLen() int { return len(in.queue) }
-
-// StateCount returns the number of held frame states (sift, scAtteR).
-func (in *Instance) StateCount() int { return len(in.states) }
-
 // Pipeline wires clients, service instances, and the network fabric into
 // one simulated deployment.
 type Pipeline struct {
@@ -414,12 +408,6 @@ func (p *Pipeline) SetAdmitState(step wire.Step, s AdmitState) {
 	}
 	p.admit[step] = s
 }
-
-// AdmitStateOf returns a service's current admission verdict.
-func (p *Pipeline) AdmitStateOf(step wire.Step) AdmitState { return p.admit[step] }
-
-// Options returns the effective options after defaulting.
-func (p *Pipeline) Options() Options { return p.opts }
 
 // SetTracer attaches a span recorder: every frame's passage through every
 // service — both modes, all five stages, including drops — is recorded as
@@ -875,9 +863,6 @@ func (p *Pipeline) AddClient(cfg ClientConfig) {
 	}
 	p.eng.At(cfg.Start, emit)
 }
-
-// Clients returns the number of clients added.
-func (p *Pipeline) Clients() int { return p.clients }
 
 // ServiceUsage is the per-service resource view of a run: resident memory
 // (baseline + held state across replicas) and CPU/GPU utilization

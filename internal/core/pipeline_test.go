@@ -336,3 +336,12 @@ func TestModeString(t *testing.T) {
 		t.Error("mode names wrong")
 	}
 }
+
+// QueueLen returns the sidecar queue length (scAtteR++).
+func (in *Instance) QueueLen() int { return len(in.queue) }
+
+// StateCount returns the number of held frame states (sift, scAtteR).
+func (in *Instance) StateCount() int { return len(in.states) }
+
+// Options returns the effective options after defaulting.
+func (p *Pipeline) Options() Options { return p.opts }

@@ -263,16 +263,6 @@ func (s *SIFT) extract(img *imgproc.Gray) *Features {
 // Step implements Processor.
 func (s *SIFT) Step() wire.Step { return wire.StepSIFT }
 
-// Stateless reports the configured mode.
-func (s *SIFT) Stateless() bool { return s.stateless }
-
-// StateCount returns the number of retained frame states.
-func (s *SIFT) StateCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.states)
-}
-
 // Process implements Processor.
 func (s *SIFT) Process(fr *wire.Frame) error {
 	if err := checkStep(fr, wire.StepSIFT); err != nil {
@@ -386,15 +376,13 @@ func (s *Encoding) encodeFeatures(f *Features) []float32 {
 
 // LSHService implements nearest-neighbour lookup over reference images.
 type LSHService struct {
-	index NNIndex
+	index *lsh.Index
 	// K is how many candidates to forward (default 3).
 	K int
 }
 
-// NewLSHService wraps a populated index backend — a monolithic
-// *lsh.Index, an in-process *lsh.ShardedIndex, or a remote shard-gather
-// client.
-func NewLSHService(index NNIndex, k int) *LSHService {
+// NewLSHService wraps a populated reference index.
+func NewLSHService(index *lsh.Index, k int) *LSHService {
 	if index == nil {
 		panic("core: NewLSHService with nil index")
 	}
@@ -518,26 +506,6 @@ func (s *Matching) SetTrackerIdleTimeout(d time.Duration) {
 // SetFastPath installs the gate that Matching publishes its per-client
 // verdict into after every full recognition pass.
 func (s *Matching) SetFastPath(g *FastPathGate) { s.gate = g }
-
-// EndSession drops the tracker and fast-path verdict for a client whose
-// session ended, so its next stream starts from a clean tracking state
-// instead of stale tracks (and so churning clients don't leak trackers).
-func (s *Matching) EndSession(clientID uint32) {
-	s.mu.Lock()
-	if ct, ok := s.trackers[clientID]; ok {
-		ct.tr.Reset()
-		delete(s.trackers, clientID)
-	}
-	s.mu.Unlock()
-	s.gate.EndSession(clientID)
-}
-
-// TrackerCount returns the number of live per-client trackers.
-func (s *Matching) TrackerCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.trackers)
-}
 
 // Process implements Processor.
 func (s *Matching) Process(fr *wire.Frame) error {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -30,6 +31,15 @@ func clientFrame(t testing.TB, gen *trace.Generator, clientID uint32, frameNo ui
 		Step:     wire.StepPrimary,
 		Payload:  p.Encode(),
 	}
+}
+
+// copyClientFrame returns a copy of a clientFrame frame with its own
+// payload: the processors rewrite a frame in place, so a benchmark hands
+// every pass a fresh copy.
+func copyClientFrame(fr *wire.Frame) *wire.Frame {
+	c := *fr
+	c.Payload = bytes.Clone(fr.Payload)
+	return &c
 }
 
 // runPipeline pushes a frame through all five processors in order.
@@ -252,7 +262,7 @@ func BenchmarkFullPipelineStateless(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fr := src.Clone()
+		fr := copyClientFrame(src)
 		fr.FrameNo = uint64(i + 1)
 		for step := 0; step < wire.NumSteps; step++ {
 			if err := procs[step].Process(fr); err != nil {
@@ -280,4 +290,11 @@ func BenchmarkEncodingClip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		enc.encodeFeatures(f)
 	}
+}
+
+// StateCount returns the number of retained frame states.
+func (s *SIFT) StateCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.states)
 }

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/edge-mar/scatter/internal/core"
 	"github.com/edge-mar/scatter/internal/orchestrator"
-	"github.com/edge-mar/scatter/internal/sim"
+	"github.com/edge-mar/scatter/internal/testbed"
 	"github.com/edge-mar/scatter/internal/wire"
 )
 
@@ -91,5 +92,108 @@ func TestMachineByName(t *testing.T) {
 	if _, ok := w.MachineByName("nope"); ok {
 		t.Error("unknown machine found")
 	}
-	_ = sim.New // keep import shape stable
+}
+
+// The functions below are the fixtures that let a root orchestrator
+// schedule the simulated testbed: register its machines, build the
+// scAtteR SLA, and turn the resulting deployment into a sim placement.
+
+// timeZero is the registration timestamp used for simulated testbeds;
+// the simulator does not exercise wall-clock heartbeat expiry.
+var timeZero = time.Unix(0, 0)
+
+// MachineByName resolves a testbed machine from its node name.
+func (w *World) MachineByName(name string) (*testbed.Machine, bool) {
+	switch name {
+	case w.E1.Name():
+		return w.E1, true
+	case w.E2.Name():
+		return w.E2, true
+	case w.Cloud.Name():
+		return w.Cloud, true
+	default:
+		return nil, false
+	}
+}
+
+// RegisterTestbed registers the world's machines with a root
+// orchestrator, using the machines' own capability profiles.
+func (w *World) RegisterTestbed(root *orchestrator.Root) error {
+	for _, m := range []*testbed.Machine{w.E1, w.E2, w.Cloud} {
+		cfg := m.Config()
+		info := orchestrator.NodeInfo{
+			Name:     cfg.Name,
+			Cluster:  cfg.Cluster,
+			CPUCores: cfg.CPUCores,
+			GPUs:     cfg.GPUs,
+			GPUArch:  string(cfg.GPUArch),
+			MemBytes: cfg.MemBytes,
+		}
+		if err := root.RegisterNode(info, timeZero); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// PlacementFromDeployment converts an orchestrator scheduling outcome
+// into a simulator placement. The SLA's microservice names must be the
+// five pipeline step names, and every scheduled node must be one of the
+// world's machines.
+func (w *World) PlacementFromDeployment(d *orchestrator.Deployment) (core.Placement, error) {
+	var p core.Placement
+	for step := 0; step < wire.NumSteps; step++ {
+		name := wire.Step(step).String()
+		var insts []orchestrator.Instance
+		for _, in := range d.Instances {
+			if in.Service == name {
+				insts = append(insts, in)
+			}
+		}
+		if len(insts) == 0 {
+			return p, fmt.Errorf("experiments: deployment %s has no %s instances", d.App, name)
+		}
+		for _, inst := range insts {
+			m, ok := w.MachineByName(inst.Node)
+			if !ok {
+				return p, fmt.Errorf("experiments: deployment schedules %s on unknown node %s",
+					inst.Key(), inst.Node)
+			}
+			p[step] = append(p[step], m)
+		}
+	}
+	return p, nil
+}
+
+// ScatterSLA builds the scAtteR application SLA with the calibrated
+// memory demands and GPU constraints, optionally pinning each service to
+// machines (nil entries leave the scheduler free). replicas[i] <= 0
+// means one replica.
+func ScatterSLA(replicas [wire.NumSteps]int, pins [wire.NumSteps][]string) orchestrator.SLA {
+	profiles := core.DefaultProfiles()
+	gpuArchs := []string{
+		string(testbed.ArchGeForceRTX), string(testbed.ArchAmpere), string(testbed.ArchTesla),
+	}
+	sla := orchestrator.SLA{AppName: "scatter"}
+	for step := 0; step < wire.NumSteps; step++ {
+		n := replicas[step]
+		if n <= 0 {
+			n = 1
+		}
+		ms := orchestrator.ServiceSLA{
+			Name:     wire.Step(step).String(),
+			Image:    "scatter/" + wire.Step(step).String(),
+			Replicas: n,
+			Requirements: orchestrator.Requirements{
+				MemBytes: profiles[step].BaselineMem,
+				Machines: pins[step],
+			},
+		}
+		if profiles[step].UsesGPU() {
+			ms.Requirements.NeedsGPU = true
+			ms.Requirements.GPUArchIn = gpuArchs
+		}
+		sla.Microservices = append(sla.Microservices, ms)
+	}
+	return sla
 }

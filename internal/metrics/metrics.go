@@ -6,10 +6,8 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -124,9 +122,6 @@ func (c *Collector) ServiceProcessed(name string, queue, proc time.Duration) {
 	s.procSum += proc
 }
 
-// ServiceDropped records a request dropped at a service ingress.
-func (c *Collector) ServiceDropped(name string) { c.service(name).Dropped++ }
-
 // ServiceAdmissionDropped records a request refused by admission control
 // at a service ingress. Deliberately not folded into Dropped: admission
 // drops are the controller's own doing, and counting them as distress
@@ -160,40 +155,6 @@ func (c *Collector) ServiceDroppedAt(name string, at time.Duration) {
 	s := c.service(name)
 	s.Dropped++
 	s.dropTime = append(s.dropTime, at)
-}
-
-// Merge folds other's records into c — the real runtime keeps one
-// collector per goroutine and merges at the end. Counters and sums add;
-// sample slices concatenate. Jitter chains are per-collector: a client's
-// deliveries must all land on the same collector for merged output to
-// equal sequential recording (no jitter sample bridges the merge
-// boundary). other is left unchanged.
-func (c *Collector) Merge(other *Collector) {
-	if other == nil {
-		return
-	}
-	c.sent += other.sent
-	c.delivered += other.delivered
-	for k, v := range other.dropped {
-		c.dropped[k] += v
-	}
-	c.e2e = append(c.e2e, other.e2e...)
-	c.jitterAbs = append(c.jitterAbs, other.jitterAbs...)
-	for id, last := range other.lastE2E {
-		c.lastE2E[id] = last
-	}
-	c.stateAllocFailures += other.stateAllocFailures
-	for name, ost := range other.services {
-		s := c.service(name)
-		s.Processed += ost.Processed
-		s.Dropped += ost.Dropped
-		s.Arrived += ost.Arrived
-		s.AdmissionDropped += ost.AdmissionDropped
-		s.queueSum += ost.queueSum
-		s.procSum += ost.procSum
-		s.arriveTime = append(s.arriveTime, ost.arriveTime...)
-		s.dropTime = append(s.dropTime, ost.dropTime...)
-	}
 }
 
 // MachineUsage is a utilization snapshot of one machine. CPUUtil/GPUUtil
@@ -401,63 +362,3 @@ func percentileDuration(ds []time.Duration, p float64) time.Duration {
 	frac := rank - float64(lo)
 	return sorted[lo] + time.Duration(frac*float64(sorted[hi]-sorted[lo])+0.5)
 }
-
-// DropsTotal sums the drops over all reasons.
-func (s Summary) DropsTotal() uint64 {
-	var total uint64
-	for _, v := range s.Drops {
-		total += v
-	}
-	return total
-}
-
-// String renders a single-line digest useful in harness output, including
-// total drops and (when present) state-allocation failures.
-func (s Summary) String() string {
-	out := fmt.Sprintf("clients=%d fps/client=%.1f e2e=%.1fms svc=%.1fms success=%.0f%% jitter=%.2fms drops=%d",
-		s.Clients, s.FPSPerClient, ms(s.E2EMean), ms(s.ServiceLatMean), s.SuccessRate*100, ms(s.JitterMean),
-		s.DropsTotal())
-	if s.StateAllocFailures > 0 {
-		out += fmt.Sprintf(" state_alloc_fail=%d", s.StateAllocFailures)
-	}
-	return out
-}
-
-// Table renders a multi-line digest: the headline QoS, frame accounting
-// with drops broken down by reason, and one row per service in name
-// order. Useful when a single String() line is too dense to read.
-func (s Summary) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "run: %v, %d clients\n", s.Duration, s.Clients)
-	fmt.Fprintf(&b, "frames: sent=%d ok=%d success=%.1f%% fps/client=%.2f\n",
-		s.FramesSent, s.FramesOK, s.SuccessRate*100, s.FPSPerClient)
-	fmt.Fprintf(&b, "latency: e2e mean=%.1fms p50=%.1fms p95=%.1fms service=%.1fms jitter=%.2fms\n",
-		ms(s.E2EMean), ms(s.E2EP50), ms(s.E2EP95), ms(s.ServiceLatMean), ms(s.JitterMean))
-	fmt.Fprintf(&b, "drops: total=%d", s.DropsTotal())
-	reasons := make([]string, 0, len(s.Drops))
-	for r := range s.Drops {
-		reasons = append(reasons, string(r))
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		fmt.Fprintf(&b, " %s=%d", r, s.Drops[DropReason(r)])
-	}
-	if s.StateAllocFailures > 0 {
-		fmt.Fprintf(&b, " state_alloc_fail=%d", s.StateAllocFailures)
-	}
-	b.WriteByte('\n')
-	names := make([]string, 0, len(s.Services))
-	for name := range s.Services {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		svc := s.Services[name]
-		fmt.Fprintf(&b, "  %-9s arrived=%-6d processed=%-6d dropped=%-5d drop=%.1f%% queue=%.1fms proc=%.1fms ingress=%.1f/s\n",
-			name, svc.Arrived, svc.Processed, svc.Dropped, svc.DropRatio*100,
-			ms(svc.MeanQueue), ms(svc.MeanProc), svc.IngressFPS)
-	}
-	return b.String()
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -70,14 +70,6 @@ type Stats struct {
 	Dropped uint64
 }
 
-// DropRate returns Dropped/Sent, or 0 when nothing was sent.
-func (s Stats) DropRate() float64 {
-	if s.Sent == 0 {
-		return 0
-	}
-	return float64(s.Dropped) / float64(s.Sent)
-}
-
 // Link is a directional emulated link. It is not safe for concurrent use;
 // the simulation engine serializes access.
 type Link struct {
@@ -101,7 +93,8 @@ func NewLink(cfg LinkConfig, rng *rand.Rand) *Link {
 // Config returns the link's configuration.
 func (l *Link) Config() LinkConfig { return l.cfg }
 
-// Stats returns cumulative counters.
+// Stats returns cumulative counters. Test tooling: no binary reads it;
+// the netem and core tests check the loss models through it.
 func (l *Link) Stats() Stats { return l.stats }
 
 // Transit decides the fate of one datagram of the given size: either it

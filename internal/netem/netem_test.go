@@ -194,3 +194,11 @@ func TestTransitDelayFloorProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// DropRate returns Dropped/Sent, or 0 when nothing was sent.
+func (s Stats) DropRate() float64 {
+	if s.Sent == 0 {
+		return 0
+	}
+	return float64(s.Dropped) / float64(s.Sent)
+}

@@ -145,3 +145,7 @@ func TestNormalize(t *testing.T) {
 		t.Error("Normalize(nil) != nil")
 	}
 }
+
+// Dropped reports whether the outcome is terminal for the frame at this
+// service.
+func (o Outcome) Dropped() bool { return o != OutcomeOK }

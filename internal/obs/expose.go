@@ -120,9 +120,6 @@ func writeTextMetrics(w http.ResponseWriter, reg *Registry) {
 	if d, ok := reg.AdmissionDigest(); ok {
 		writeTextAdmission(w, d)
 	}
-	if d, ok := reg.ShardDigest(); ok {
-		writeTextShard(w, d)
-	}
 }
 
 func writeTextHistogram(w http.ResponseWriter, metric, service string, h *Histogram) {
@@ -152,7 +149,6 @@ type jsonSnapshot struct {
 	Routes          []routestats.RouteDigest `json:"routes,omitempty"`
 	FastPath        *FastPathDigest          `json:"fastpath,omitempty"`
 	Admission       *AdmissionDigest         `json:"admission,omitempty"`
-	Shard           *ShardDigest             `json:"shard,omitempty"`
 }
 
 type jsonServiceSnap struct {
@@ -183,9 +179,6 @@ func jsonMetrics(reg *Registry) jsonSnapshot {
 	}
 	if d, ok := reg.AdmissionDigest(); ok {
 		snap.Admission = &d
-	}
-	if d, ok := reg.ShardDigest(); ok {
-		snap.Shard = &d
 	}
 	return snap
 }

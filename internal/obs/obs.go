@@ -64,10 +64,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// Dropped reports whether the outcome is terminal for the frame at this
-// service.
-func (o Outcome) Dropped() bool { return o != OutcomeOK }
-
 // Span is one service's handling of one frame: when the frame reached
 // the service ingress (EnqueueAt), when processing began (StartAt) and
 // ended (EndAt), the derived queue-wait and processing segments, and how
@@ -143,17 +139,6 @@ func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.spans)
-}
-
-// Dropped returns how many spans exceeded the bound. Safe on a nil
-// receiver.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
 
 // Reset discards all spans. Safe on a nil receiver.

@@ -10,9 +10,6 @@ import (
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ v atomic.Uint64 }
 
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
@@ -24,9 +21,6 @@ type Gauge struct{ v atomic.Int64 }
 
 // Set stores the gauge value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current gauge reading.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -73,15 +67,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the total of all observed samples.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
-
-// Mean returns the average sample, or zero when empty.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(uint64(h.sumNs.Load()) / n)
-}
 
 // Quantile estimates the p-quantile (p in [0, 1]) from the bucket counts.
 // Within the target bucket the estimate interpolates linearly between the
@@ -197,9 +182,6 @@ type Registry struct {
 	// (SetAdmissionSource); nil-fn until an admission enforcement point
 	// is wired in.
 	admissionSrc atomic.Value
-	// shardSrc holds the installed shardSource (SetShardSource); nil-fn
-	// until a sharded reference database is wired in.
-	shardSrc atomic.Value
 }
 
 // NewRegistry returns an empty registry anchored at now.
@@ -210,9 +192,6 @@ func NewRegistry() *Registry {
 // Start returns the registry's creation time (the run origin real-mode
 // spans are offset from).
 func (r *Registry) Start() time.Time { return r.start }
-
-// Since returns the offset of t from the run origin.
-func (r *Registry) Since(t time.Time) time.Duration { return t.Sub(r.start) }
 
 // Service returns the instrument set for name, creating it on first use.
 // Safe for concurrent use.

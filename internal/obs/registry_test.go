@@ -173,3 +173,26 @@ func TestRecorderConcurrent(t *testing.T) {
 		t.Errorf("len = %d, want 4000", r.Len())
 	}
 }
+
+// Dropped returns how many spans exceeded the bound. Safe on a nil
+// receiver.
+func (r *Recorder) Dropped() uint64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
+
+// Add increments the counter by n.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
+
+// Mean returns the average sample, or zero when empty.
+func (h *Histogram) Mean() time.Duration {
+	n := h.count.Load()
+	if n == 0 {
+		return 0
+	}
+	return time.Duration(uint64(h.sumNs.Load()) / n)
+}

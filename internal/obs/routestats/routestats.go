@@ -220,9 +220,6 @@ func (r *Replica) Addr() string { return r.addr }
 // State returns the replica's current health state.
 func (r *Replica) State() State { return State(r.state.Load()) }
 
-// Inflight returns the number of frames sent and not yet resolved.
-func (r *Replica) Inflight() int64 { return r.inflight.Load() }
-
 // Begin records a send to this replica; every Begin must be resolved by
 // exactly one Outcome/OutcomeSendError call.
 func (r *Replica) Begin() {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -171,5 +172,27 @@ func TestAPIRejectsUnknownFields(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field code = %d", resp.StatusCode)
+	}
+
+	// The removed shard keys of an SLA fail the deploy with the key named.
+	for _, key := range []string{"shards", "shard_replication"} {
+		doc := `{"app_name":"app","microservices":[{"microservice_name":"lsh","image":"x","replicas":2,"` +
+			key + `":2,"requirements":{}}]}`
+		resp, err := http.Post(srv.URL+"/api/v1/apps", "application/json", bytes.NewBufferString(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body apiError
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: code = %d, want 400", key, resp.StatusCode)
+		}
+		if !strings.Contains(body.Error, `"`+key+`"`) {
+			t.Errorf("%s: error %q does not name the key", key, body.Error)
+		}
 	}
 }

@@ -144,14 +144,6 @@ func (r rootActuator) SetAdmit(step wire.Step, st core.AdmitState, reason string
 	r.a.root.SetAdmissions(adm)
 }
 
-// AdmitStateOf returns the verdict currently in force for a service.
-func (a *Autoscaler) AdmitStateOf(step wire.Step) core.AdmitState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st, _ := a.loop.Verdict(step)
-	return st
-}
-
 // Events returns the applied control actions so far.
 func (a *Autoscaler) Events() []appaware.ScaleEvent {
 	a.mu.Lock()

@@ -85,7 +85,7 @@ func TestAutoscalerWindowsCountersAndScalesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(d.InstancesOf("sift")); n != 2 {
+	if n := len(instancesOf(d, "sift")); n != 2 {
 		t.Fatalf("sift replicas = %d after scale-up", n)
 	}
 
@@ -261,7 +261,7 @@ func TestAutoscalerScaleDownFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(d.InstancesOf("encoding")); n != 1 {
+	if n := len(instancesOf(d, "encoding")); n != 1 {
 		t.Errorf("encoding replicas = %d, want scale-in to the floor of 1", n)
 	}
 	if len(removed) != 1 || removed[0].Service != "encoding" {
@@ -336,4 +336,12 @@ func TestRootScaleAPIErrors(t *testing.T) {
 	if down.Key() != inst.Key() {
 		t.Errorf("scale-down removed %s, want the newest replica %s", down.Key(), inst.Key())
 	}
+}
+
+// AdmitStateOf returns the verdict currently in force for a service.
+func (a *Autoscaler) AdmitStateOf(step wire.Step) core.AdmitState {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	st, _ := a.loop.Verdict(step)
+	return st
 }

@@ -21,6 +21,24 @@ func twoNodeRoot(t *testing.T, memA, memB int64, opts ...Option) *Root {
 	return r
 }
 
+// booked is what the Root has committed across its nodes.
+type booked struct {
+	ReservedMem int64
+	Instances   int
+}
+
+// reservations sums the Root's committed reservations over every node.
+func reservations(r *Root) booked {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var b booked
+	for _, n := range r.nodes {
+		b.ReservedMem += n.reservedMem
+		b.Instances += n.instances
+	}
+	return b
+}
+
 // TestFailoverConservesReservedMem is the regression test for the
 // DetectFailures bookkeeping bug: the migration target got instances++
 // but never reservedMem += the service's memory, so every failover
@@ -35,7 +53,7 @@ func TestFailoverConservesReservedMem(t *testing.T) {
 	if _, err := r.Deploy(sla); err != nil {
 		t.Fatal(err)
 	}
-	if res := r.ClusterResources("edge"); res.ReservedMem != mem || res.Instances != 1 {
+	if res := reservations(r); res.ReservedMem != mem || res.Instances != 1 {
 		t.Fatalf("after deploy: %+v", res)
 	}
 	// A goes silent; the pin must be widened or the migration has nowhere
@@ -51,7 +69,7 @@ func TestFailoverConservesReservedMem(t *testing.T) {
 	if len(migrated) != 1 || migrated[0].Node != "B" {
 		t.Fatalf("migrated = %+v", migrated)
 	}
-	res := r.ClusterResources("edge")
+	res := reservations(r)
 	if res.ReservedMem != mem {
 		t.Errorf("reserved mem after failover = %d, want %d (conserved)", res.ReservedMem, mem)
 	}
@@ -89,7 +107,7 @@ func TestFailoverCannotOvercommit(t *testing.T) {
 	if len(migrated) != 1 {
 		t.Fatalf("migrated %d services onto a node with room for 1", len(migrated))
 	}
-	res := r.ClusterResources("edge")
+	res := reservations(r)
 	if res.ReservedMem != mem {
 		t.Errorf("reserved mem = %d, want %d (B must not overcommit)", res.ReservedMem, mem)
 	}
@@ -132,13 +150,13 @@ func TestUndeployAfterFailedMigration(t *testing.T) {
 	if err := r.Undeploy("app"); err != nil {
 		t.Fatal(err)
 	}
-	res := r.ClusterResources("edge")
+	res := reservations(r)
 	if res.ReservedMem != 0 || res.Instances != 0 {
 		t.Errorf("after undeploy: reserved=%d instances=%d, want 0/0", res.ReservedMem, res.Instances)
 	}
 }
 
-// TestPlaceDoesNotMutateCandidates pins the Scheduler contract: Place is
+// TestPlaceDoesNotMutateCandidates pins the placement contract: place is
 // pure and the Root alone commits reservations.
 func TestPlaceDoesNotMutateCandidates(t *testing.T) {
 	mkNodes := func() []*node {
@@ -149,27 +167,25 @@ func TestPlaceDoesNotMutateCandidates(t *testing.T) {
 	}
 	svc := ServiceSLA{Name: "svc", Image: "x", Replicas: 3,
 		Requirements: Requirements{MemBytes: 1 << 30}}
-	for _, sched := range []Scheduler{SpreadScheduler{}, BestFitScheduler{}} {
-		nodes := mkNodes()
-		first, err := sched.Place(svc, nodes)
-		if err != nil {
-			t.Fatalf("%T: %v", sched, err)
+	nodes := mkNodes()
+	first, err := place(svc, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		if n.reservedMem != 0 || n.instances != 0 {
+			t.Errorf("place mutated candidate %s: reserved=%d instances=%d",
+				n.info.Name, n.reservedMem, n.instances)
 		}
-		for _, n := range nodes {
-			if n.reservedMem != 0 || n.instances != 0 {
-				t.Errorf("%T mutated candidate %s: reserved=%d instances=%d",
-					sched, n.info.Name, n.reservedMem, n.instances)
-			}
-		}
-		// Purity implies the same call repeats identically.
-		second, err := sched.Place(svc, nodes)
-		if err != nil {
-			t.Fatalf("%T second call: %v", sched, err)
-		}
-		for i := range first {
-			if first[i] != second[i] {
-				t.Errorf("%T is not deterministic across identical calls", sched)
-			}
+	}
+	// Purity implies the same call repeats identically.
+	second, err := place(svc, nodes)
+	if err != nil {
+		t.Fatalf("second call: %v", err)
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Error("place is not deterministic across identical calls")
 		}
 	}
 }
@@ -183,9 +199,7 @@ func TestPlaceInPassMemoryAccounting(t *testing.T) {
 	}
 	svc := ServiceSLA{Name: "svc", Image: "x", Replicas: 3,
 		Requirements: Requirements{MemBytes: 1 << 30}}
-	for _, sched := range []Scheduler{SpreadScheduler{}, BestFitScheduler{}} {
-		if _, err := sched.Place(svc, nodes); err == nil {
-			t.Errorf("%T placed 3 GiB of replicas onto a 2 GiB node", sched)
-		}
+	if _, err := place(svc, nodes); err == nil {
+		t.Error("placed 3 GiB of replicas onto a 2 GiB node")
 	}
 }

@@ -98,36 +98,6 @@ func (c *Client) Heartbeat(ctx context.Context, nodeName string, status NodeStat
 // admit. Install before StartHeartbeats.
 func (c *Client) SetAdmissionHandler(fn func([]ServiceAdmission)) { c.onAdmission = fn }
 
-// Nodes lists the registered nodes.
-func (c *Client) Nodes(ctx context.Context) ([]NodeInfo, error) {
-	var out []NodeInfo
-	err := c.do(ctx, http.MethodGet, "/api/v1/nodes", nil, &out)
-	return out, err
-}
-
-// Deploy schedules an SLA and returns the placement.
-func (c *Client) Deploy(ctx context.Context, sla SLA) (*Deployment, error) {
-	var out Deployment
-	if err := c.do(ctx, http.MethodPost, "/api/v1/apps", sla, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// GetDeployment fetches the current instances of an app.
-func (c *Client) GetDeployment(ctx context.Context, app string) (*Deployment, error) {
-	var out Deployment
-	if err := c.do(ctx, http.MethodGet, "/api/v1/apps/"+app, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Undeploy tears an app down.
-func (c *Client) Undeploy(ctx context.Context, app string) error {
-	return c.do(ctx, http.MethodDelete, "/api/v1/apps/"+app, nil, nil)
-}
-
 // StartHeartbeats registers the node and sends telemetry on the interval
 // until ctx is cancelled. status is sampled on every beat. Errors are
 // delivered to onErr (which may be nil).

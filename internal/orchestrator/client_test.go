@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
@@ -25,15 +26,15 @@ func TestClientRegisterAndNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nodes, err := c.Nodes(ctx)
-	if err != nil {
+	var nodes []NodeInfo
+	if err := c.do(ctx, http.MethodGet, "/api/v1/nodes", nil, &nodes); err != nil {
 		t.Fatal(err)
 	}
 	if len(nodes) != 3 {
 		t.Errorf("nodes = %d", len(nodes))
 	}
 	// Duplicate registration surfaces the server error.
-	err = c.Register(ctx, testbedNodes()[0])
+	err := c.Register(ctx, testbedNodes()[0])
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate err = %v", err)
 	}
@@ -47,24 +48,24 @@ func TestClientDeployLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, err := c.Deploy(ctx, scatterSLA())
-	if err != nil {
+	var d Deployment
+	if err := c.do(ctx, http.MethodPost, "/api/v1/apps", scatterSLA(), &d); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Instances) != 5 {
 		t.Errorf("instances = %d", len(d.Instances))
 	}
-	got, err := c.GetDeployment(ctx, "scatter")
-	if err != nil {
+	var got Deployment
+	if err := c.do(ctx, http.MethodGet, "/api/v1/apps/scatter", nil, &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Instances) != 5 {
 		t.Errorf("fetched = %d", len(got.Instances))
 	}
-	if err := c.Undeploy(ctx, "scatter"); err != nil {
+	if err := c.do(ctx, http.MethodDelete, "/api/v1/apps/scatter", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetDeployment(ctx, "scatter"); err == nil {
+	if err := c.do(ctx, http.MethodGet, "/api/v1/apps/scatter", nil, &got); err == nil {
 		t.Error("deployment survives undeploy")
 	}
 }
@@ -101,7 +102,7 @@ func TestClientHeartbeatLoop(t *testing.T) {
 
 func TestClientConnectionError(t *testing.T) {
 	c := NewClient("http://127.0.0.1:1", 200*time.Millisecond)
-	if _, err := c.Nodes(context.Background()); err == nil {
+	if err := c.Register(context.Background(), testbedNodes()[0]); err == nil {
 		t.Error("call to closed port succeeded")
 	}
 }

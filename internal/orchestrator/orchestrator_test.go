@@ -58,15 +58,30 @@ func TestRegisterNodeValidation(t *testing.T) {
 	}
 }
 
+// instancesOf returns the deployed replicas of one microservice, in
+// deployment order.
+func instancesOf(d *Deployment, service string) []Instance {
+	var out []Instance
+	for _, in := range d.Instances {
+		if in.Service == service {
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
 func TestClustersAndNodes(t *testing.T) {
 	r := newTestRoot(t)
-	cs := r.Clusters()
-	if len(cs) != 2 || cs[0] != "cloud" || cs[1] != "edge" {
-		t.Errorf("clusters = %v", cs)
-	}
 	ns := r.Nodes()
 	if len(ns) != 3 {
-		t.Errorf("nodes = %v", ns)
+		t.Fatalf("nodes = %v", ns)
+	}
+	clusters := map[string]bool{}
+	for _, n := range ns {
+		clusters[n.Cluster] = true
+	}
+	if len(clusters) != 2 || !clusters["cloud"] || !clusters["edge"] {
+		t.Errorf("clusters = %v", clusters)
 	}
 }
 
@@ -86,7 +101,7 @@ func TestDeployPinnedPlacement(t *testing.T) {
 		t.Fatalf("instances = %d", len(d.Instances))
 	}
 	for i, svc := range []string{"primary", "sift", "encoding", "lsh", "matching"} {
-		insts := d.InstancesOf(svc)
+		insts := instancesOf(d, svc)
 		if len(insts) != 1 || insts[0].Node != pins[i] {
 			t.Errorf("%s placed on %+v, want %s", svc, insts, pins[i])
 		}
@@ -156,7 +171,7 @@ func TestDeployPinnedReplicaOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	insts := d.InstancesOf("sift")
+	insts := instancesOf(d, "sift")
 	if insts[0].Node != "E2" || insts[1].Node != "E1" {
 		t.Errorf("pinned replica order = %s,%s want E2,E1", insts[0].Node, insts[1].Node)
 	}
@@ -299,73 +314,6 @@ func TestDetectFailuresNoDeadNodes(t *testing.T) {
 	}
 	if migrated := r.DetectFailures(time.Unix(10, 0)); migrated != nil {
 		t.Errorf("migrated = %v with healthy nodes", migrated)
-	}
-}
-
-func TestBalancerRoundRobin(t *testing.T) {
-	r := newTestRoot(t)
-	sla := SLA{AppName: "app", Microservices: []ServiceSLA{{
-		Name: "svc", Image: "x", Replicas: 3,
-		Requirements: Requirements{},
-	}}}
-	if _, err := r.Deploy(sla); err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.Balancer("app", "svc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 3 {
-		t.Fatalf("balancer len = %d", b.Len())
-	}
-	first := b.Next()
-	second := b.Next()
-	third := b.Next()
-	fourth := b.Next()
-	if first.Replica == second.Replica || first.Replica != fourth.Replica {
-		t.Errorf("rotation broken: %d %d %d %d", first.Replica, second.Replica, third.Replica, fourth.Replica)
-	}
-	// Balancer is cached: rotation state persists.
-	b2, err := r.Balancer("app", "svc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2.Next().Replica != second.Replica {
-		t.Error("balancer state not shared across lookups")
-	}
-	if _, err := r.Balancer("app", "ghost"); err == nil {
-		t.Error("balancer for unknown service succeeded")
-	}
-	if _, err := r.Balancer("ghost", "svc"); !errors.Is(err, ErrUnknownApp) {
-		t.Errorf("balancer for unknown app err = %v", err)
-	}
-}
-
-func TestParseSLA(t *testing.T) {
-	doc := []byte(`{
-		"app_name": "scatter",
-		"microservices": [
-			{"microservice_name": "primary", "image": "scatter/primary", "replicas": 1,
-			 "requirements": {"mem_bytes": 1024}},
-			{"microservice_name": "sift", "image": "scatter/sift", "replicas": 2,
-			 "requirements": {"mem_bytes": 2048, "needs_gpu": true, "gpu_arch_in": ["ampere"]}}
-		]
-	}`)
-	sla, err := ParseSLA(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sla.AppName != "scatter" || len(sla.Microservices) != 2 {
-		t.Errorf("parsed = %+v", sla)
-	}
-	if !sla.Microservices[1].Requirements.NeedsGPU {
-		t.Error("needs_gpu lost in parsing")
-	}
-	if _, err := ParseSLA([]byte(`{"app_name": ""}`)); err == nil {
-		t.Error("invalid SLA parsed")
-	}
-	if _, err := ParseSLA([]byte(`not json`)); err == nil {
-		t.Error("garbage parsed")
 	}
 }
 

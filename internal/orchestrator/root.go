@@ -21,15 +21,13 @@ type Hooks struct {
 	OnRemove func(Instance)
 }
 
-// Root is the root orchestrator: the top of the Oakestra hierarchy. It is
-// safe for concurrent use.
+// Root is the root orchestrator: the control plane every node registers
+// with. It is safe for concurrent use.
 type Root struct {
-	mu        sync.Mutex
-	clusters  map[string]map[string]*node // cluster -> node name -> node
-	nodes     map[string]*node
-	deployed  map[string]*appState // app -> state
-	scheduler Scheduler
-	hooks     Hooks
+	mu       sync.Mutex
+	nodes    map[string]*node
+	deployed map[string]*appState // app -> state
+	hooks    Hooks
 	// HeartbeatTimeout marks nodes dead when exceeded (default 3 s).
 	heartbeatTimeout time.Duration
 	// admissions holds the admission verdicts the control loop pushes to
@@ -40,14 +38,10 @@ type Root struct {
 type appState struct {
 	sla       SLA
 	instances map[string]*Instance // key -> instance
-	balancers map[string]*RoundRobin
 }
 
 // Option configures a Root.
 type Option func(*Root)
-
-// WithScheduler overrides the default SpreadScheduler.
-func WithScheduler(s Scheduler) Option { return func(r *Root) { r.scheduler = s } }
 
 // WithHooks installs lifecycle hooks.
 func WithHooks(h Hooks) Option { return func(r *Root) { r.hooks = h } }
@@ -60,10 +54,8 @@ func WithHeartbeatTimeout(d time.Duration) Option {
 // NewRoot creates a root orchestrator.
 func NewRoot(opts ...Option) *Root {
 	r := &Root{
-		clusters:         make(map[string]map[string]*node),
 		nodes:            make(map[string]*node),
 		deployed:         make(map[string]*appState),
-		scheduler:        SpreadScheduler{},
 		heartbeatTimeout: 3 * time.Second,
 	}
 	for _, o := range opts {
@@ -80,9 +72,8 @@ var (
 	ErrUnknownApp    = errors.New("orchestrator: unknown app")
 )
 
-// RegisterNode adds a worker node under its cluster orchestrator,
-// creating the cluster on first use (clusters in Oakestra register with
-// the root dynamically).
+// RegisterNode adds a worker node (in Oakestra, nodes register with the
+// root dynamically through their cluster orchestrator).
 func (r *Root) RegisterNode(info NodeInfo, now time.Time) error {
 	if err := info.Validate(); err != nil {
 		return err
@@ -94,25 +85,7 @@ func (r *Root) RegisterNode(info NodeInfo, now time.Time) error {
 	}
 	n := &node{info: info, alive: true, status: NodeStatus{LastHeartbeat: now}}
 	r.nodes[info.Name] = n
-	cl, ok := r.clusters[info.Cluster]
-	if !ok {
-		cl = make(map[string]*node)
-		r.clusters[info.Cluster] = cl
-	}
-	cl[info.Name] = n
 	return nil
-}
-
-// Clusters returns the cluster names, sorted.
-func (r *Root) Clusters() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.clusters))
-	for c := range r.clusters {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Nodes returns the registered node infos, sorted by name.
@@ -157,7 +130,6 @@ func (r *Root) Deploy(sla SLA) (*Deployment, error) {
 	state := &appState{
 		sla:       sla,
 		instances: make(map[string]*Instance),
-		balancers: make(map[string]*RoundRobin),
 	}
 	var placed []Instance
 	var reservations []func() // rollbacks
@@ -169,13 +141,9 @@ func (r *Root) Deploy(sla SLA) (*Deployment, error) {
 		return nil, err
 	}
 	for _, svc := range sla.Microservices {
-		nodes, err := r.scheduler.Place(svc, candidates)
+		nodes, err := place(svc, candidates)
 		if err != nil {
 			return fail(err)
-		}
-		if len(nodes) != svc.Replicas {
-			return fail(fmt.Errorf("orchestrator: scheduler returned %d placements for %d replicas of %s",
-				len(nodes), svc.Replicas, svc.Name))
 		}
 		for replica, n := range nodes {
 			// The Root commits all bookkeeping; Place is pure.
@@ -191,7 +159,6 @@ func (r *Root) Deploy(sla SLA) (*Deployment, error) {
 				App:     sla.AppName,
 				Service: svc.Name,
 				Replica: replica,
-				Shard:   svc.ShardOf(replica),
 				Node:    n.info.Name,
 				State:   StateRunning,
 			}
@@ -463,7 +430,7 @@ func (r *Root) DetectFailures(now time.Time) []Instance {
 		}
 		one := m.svc
 		one.Replicas = 1
-		nodes, err := r.scheduler.Place(one, candidates)
+		nodes, err := place(one, candidates)
 		if err != nil {
 			m.inst.State = StateFailed
 			continue
@@ -492,63 +459,4 @@ func (r *Root) DetectFailures(now time.Time) []Instance {
 		}
 	}
 	return migrated
-}
-
-// Balancer returns the round-robin semantic-address balancer for one
-// microservice of a deployed app. Balancers are cached per service so
-// rotation state persists across calls.
-func (r *Root) Balancer(app, service string) (*RoundRobin, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	state, ok := r.deployed[app]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownApp, app)
-	}
-	if b, ok := state.balancers[service]; ok {
-		return b, nil
-	}
-	var insts []Instance
-	for _, inst := range state.instances {
-		if inst.Service == service {
-			insts = append(insts, *inst)
-		}
-	}
-	if len(insts) == 0 {
-		return nil, fmt.Errorf("orchestrator: app %s has no service %s", app, service)
-	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i].Replica < insts[j].Replica })
-	b := NewRoundRobin(insts)
-	state.balancers[service] = b
-	return b, nil
-}
-
-// RoundRobin rotates over a microservice's replicas — Oakestra's semantic
-// addressing (a ServiceIP that balances across instances). Safe for
-// concurrent use.
-type RoundRobin struct {
-	mu    sync.Mutex
-	insts []Instance
-	next  int
-}
-
-// NewRoundRobin builds a balancer over instances (order preserved).
-func NewRoundRobin(insts []Instance) *RoundRobin {
-	cp := append([]Instance(nil), insts...)
-	return &RoundRobin{insts: cp}
-}
-
-// Next returns the next instance in rotation.
-func (b *RoundRobin) Next() Instance {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	inst := b.insts[b.next%len(b.insts)]
-	b.next++
-	return inst
-}
-
-// Len returns the number of balanced replicas.
-func (b *RoundRobin) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.insts)
 }

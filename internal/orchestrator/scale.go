@@ -44,7 +44,7 @@ func (r *Root) ScaleUp(app, service string) (Instance, error) {
 	}
 	one := svc
 	one.Replicas = 1
-	nodes, err := r.scheduler.Place(one, r.candidatesLocked())
+	nodes, err := place(one, r.candidatesLocked())
 	if err != nil {
 		r.mu.Unlock()
 		return Instance{}, err
@@ -56,14 +56,10 @@ func (r *Root) ScaleUp(app, service string) (Instance, error) {
 		App:     app,
 		Service: service,
 		Replica: next,
-		Shard:   svc.ShardOf(next),
 		Node:    n.info.Name,
 		State:   StateRunning,
 	}
 	state.instances[inst.Key()] = &inst
-	// Invalidate the cached balancer so semantic addressing sees the new
-	// replica immediately.
-	delete(state.balancers, service)
 	r.mu.Unlock()
 
 	if r.hooks.OnSchedule != nil {
@@ -107,7 +103,6 @@ func (r *Root) ScaleDown(app, service string) (Instance, error) {
 		n.instances--
 		n.reservedMem -= r.memOfLocked(state.sla, service)
 	}
-	delete(state.balancers, service)
 	r.mu.Unlock()
 
 	if r.hooks.OnRemove != nil {

@@ -75,40 +75,28 @@ func (n *node) feasible(r Requirements, extraMem int64) bool {
 	return true
 }
 
-// Scheduler places microservice replicas onto nodes. Implementations must
-// be deterministic for a given input, so experiment placements reproduce.
-type Scheduler interface {
-	// Place returns one node per replica (a node may repeat). It must not
-	// mutate the candidates: the Root alone commits reservations
-	// (instances, reserved memory) once a placement is accepted, so a
-	// rejected or partially failed placement leaves no residue. Replicas
-	// placed earlier in the same call must be tracked locally when judging
-	// feasibility of later ones.
-	Place(svc ServiceSLA, candidates []*node) ([]*node, error)
-}
-
-// SpreadScheduler is the default placement policy, mirroring Oakestra's
-// resource-aware behaviour: filter infeasible nodes, then for each
-// replica pick the feasible node with (a) the fewest scheduled instances
-// and (b) the most free memory, preferring pinned machine order when the
-// SLA pins machines. Replicas of one service spread across distinct nodes
-// when possible.
-type SpreadScheduler struct{}
-
-// Place implements Scheduler.
-func (SpreadScheduler) Place(svc ServiceSLA, candidates []*node) ([]*node, error) {
+// place is the placement policy, mirroring Oakestra's resource-aware
+// behaviour: filter infeasible nodes, then for each replica pick the
+// feasible node with (a) the fewest scheduled instances and (b) the most
+// free memory, preferring pinned machine order when the SLA pins
+// machines. Replicas of one service spread across distinct nodes when
+// possible.
+//
+// It returns one node per replica (a node may repeat) and is
+// deterministic for a given input, so experiment placements reproduce. It
+// does not mutate the candidates: the Root alone commits reservations
+// (instances, reserved memory) once a placement is accepted, so a
+// rejected or partially failed placement leaves no residue. Replicas
+// placed earlier in the same call are tracked locally when judging the
+// feasibility of later ones.
+func place(svc ServiceSLA, candidates []*node) ([]*node, error) {
 	r := svc.Requirements
 	var out []*node
 	// Track per-call placements locally so multiple replicas spread and
 	// memory feasibility accounts for them — candidates stay unmutated.
 	extra := make(map[*node]int)
 	extraMem := make(map[*node]int64)
-	// For sharded services, additionally track which shards each node
-	// already hosts this call: co-locating two replicas of the same shard
-	// wastes the replication (one node failure still kills the shard).
-	sameShard := make(map[*node]map[int]int)
 	for replica := 0; replica < svc.Replicas; replica++ {
-		shard := svc.ShardOf(replica)
 		var feasible []*node
 		for _, n := range candidates {
 			if n.feasible(r, extraMem[n]) {
@@ -132,14 +120,6 @@ func (SpreadScheduler) Place(svc ServiceSLA, candidates []*node) ([]*node, error
 			// machines in priority order.
 			if pa, pb := pinRank(a), pinRank(b); pa != pb {
 				return pa < pb
-			}
-			// Shard anti-affinity dominates general spreading: a replica
-			// prefers any node not yet hosting its shard.
-			if svc.Shards > 1 {
-				as, bs := sameShard[a][shard], sameShard[b][shard]
-				if as != bs {
-					return as < bs
-				}
 			}
 			ai := a.instances + extra[a]
 			bi := b.instances + extra[b]
@@ -174,12 +154,6 @@ func (SpreadScheduler) Place(svc ServiceSLA, candidates []*node) ([]*node, error
 		}
 		extraMem[pick] += r.MemBytes
 		extra[pick]++
-		if svc.Shards > 1 {
-			if sameShard[pick] == nil {
-				sameShard[pick] = make(map[int]int)
-			}
-			sameShard[pick][shard]++
-		}
 		out = append(out, pick)
 	}
 	return out, nil

@@ -22,7 +22,7 @@ func TestSpreadPinFallThrough(t *testing.T) {
 		Name: "sift", Image: "x", Replicas: 3,
 		Requirements: Requirements{MemBytes: 1 << 30, Machines: []string{"E1", "E2", "E3"}},
 	}
-	nodes, err := SpreadScheduler{}.Place(svc, []*node{e1, e2, e3})
+	nodes, err := place(svc, []*node{e1, e2, e3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSpreadPinFallThroughWraps(t *testing.T) {
 		Name: "sift", Image: "x", Replicas: 3,
 		Requirements: Requirements{MemBytes: 1 << 30, Machines: []string{"E1", "E2", "E3"}},
 	}
-	nodes, err := SpreadScheduler{}.Place(svc, []*node{e1, e2, e3})
+	nodes, err := place(svc, []*node{e1, e2, e3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSpreadPlaceLeavesCandidatesUnmutated(t *testing.T) {
 		Name: "sift", Image: "x", Replicas: 4,
 		Requirements: Requirements{MemBytes: 1 << 30, Machines: []string{"E1", "E2"}},
 	}
-	if _, err := (SpreadScheduler{}).Place(svc, []*node{e1, e2}); err != nil {
+	if _, err := place(svc, []*node{e1, e2}); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []*node{e1, e2} {

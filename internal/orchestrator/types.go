@@ -1,8 +1,8 @@
-// Package orchestrator implements an Oakestra-style hierarchical edge
-// orchestration framework: a root orchestrator federating per-cluster
-// orchestrators, worker nodes with heterogeneous capabilities (CPU, GPU
-// count and architecture, memory), SLA-driven service deployment with
-// hardware constraints, round-robin semantic addressing across replicas,
+// Package orchestrator implements an Oakestra-style edge orchestration
+// framework: a root orchestrator over worker nodes, grouped by cluster,
+// with heterogeneous capabilities (CPU, GPU count and architecture,
+// memory), SLA-driven service deployment with hardware constraints,
+// replica placement pushed to the runtime through lifecycle hooks,
 // heartbeat-based failure detection with automatic re-deployment, and
 // hardware-level resource monitoring.
 //
@@ -18,7 +18,6 @@
 package orchestrator
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -200,27 +199,10 @@ type Requirements struct {
 
 // ServiceSLA describes one microservice in an application SLA.
 type ServiceSLA struct {
-	Name     string `json:"microservice_name"`
-	Image    string `json:"image"`
-	Replicas int    `json:"replicas"`
-	// Shards partitions the service's reference database by hash space:
-	// replica r serves shard r mod Shards, so consecutive replica
-	// indices rotate across shards and scaling up thickens shards in
-	// round-robin order. Zero or one means unsharded.
-	Shards int `json:"shards,omitempty"`
-	// ShardReplication, when set, demands exactly that many replicas per
-	// shard: Replicas must equal Shards*ShardReplication.
-	ShardReplication int          `json:"shard_replication,omitempty"`
-	Requirements     Requirements `json:"requirements"`
-}
-
-// ShardOf maps a replica index to the shard it serves (always 0 for
-// unsharded services).
-func (s ServiceSLA) ShardOf(replica int) int {
-	if s.Shards <= 1 {
-		return 0
-	}
-	return replica % s.Shards
+	Name         string       `json:"microservice_name"`
+	Image        string       `json:"image"`
+	Replicas     int          `json:"replicas"`
+	Requirements Requirements `json:"requirements"`
 }
 
 // Validate reports SLA errors.
@@ -233,30 +215,6 @@ func (s ServiceSLA) Validate() error {
 	}
 	if s.Requirements.MemBytes < 0 {
 		return fmt.Errorf("orchestrator: microservice %q has negative memory demand", s.Name)
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("orchestrator: microservice %q has %d shards", s.Name, s.Shards)
-	}
-	if s.ShardReplication < 0 {
-		return fmt.Errorf("orchestrator: microservice %q has negative shard replication", s.Name)
-	}
-	if s.ShardReplication > 0 && s.Shards == 0 {
-		return fmt.Errorf("orchestrator: microservice %q sets shard replication without shards", s.Name)
-	}
-	if s.Shards > 1 {
-		// Every shard must be covered, or gathers can never reach quorum.
-		if s.Replicas < s.Shards {
-			return fmt.Errorf("orchestrator: microservice %q has %d replicas for %d shards (shards would be uncovered)",
-				s.Name, s.Replicas, s.Shards)
-		}
-		if s.Replicas%s.Shards != 0 {
-			return fmt.Errorf("orchestrator: microservice %q: %d replicas do not divide evenly over %d shards",
-				s.Name, s.Replicas, s.Shards)
-		}
-		if s.ShardReplication > 0 && s.Replicas != s.Shards*s.ShardReplication {
-			return fmt.Errorf("orchestrator: microservice %q: %d replicas != %d shards x %d replication",
-				s.Name, s.Replicas, s.Shards, s.ShardReplication)
-		}
 	}
 	return nil
 }
@@ -288,18 +246,6 @@ func (s SLA) Validate() error {
 	return nil
 }
 
-// ParseSLA decodes a JSON SLA document and validates it.
-func ParseSLA(data []byte) (SLA, error) {
-	var s SLA
-	if err := json.Unmarshal(data, &s); err != nil {
-		return SLA{}, fmt.Errorf("orchestrator: parse SLA: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return SLA{}, err
-	}
-	return s, nil
-}
-
 // InstanceState tracks an instance through its lifecycle.
 type InstanceState string
 
@@ -312,14 +258,11 @@ const (
 
 // Instance is one scheduled replica of a microservice.
 type Instance struct {
-	App     string `json:"app"`
-	Service string `json:"service"`
-	Replica int    `json:"replica"`
-	// Shard is the database partition this replica serves — meaningful
-	// only when the owning SLA declares Shards > 1 (otherwise 0).
-	Shard int           `json:"shard,omitempty"`
-	Node  string        `json:"node"`
-	State InstanceState `json:"state"`
+	App     string        `json:"app"`
+	Service string        `json:"service"`
+	Replica int           `json:"replica"`
+	Node    string        `json:"node"`
+	State   InstanceState `json:"state"`
 }
 
 // Key uniquely identifies the instance slot.
@@ -331,16 +274,4 @@ func (i Instance) Key() string {
 type Deployment struct {
 	App       string     `json:"app"`
 	Instances []Instance `json:"instances"`
-}
-
-// InstancesOf returns the deployed replicas of one microservice, ordered
-// by replica index.
-func (d *Deployment) InstancesOf(service string) []Instance {
-	var out []Instance
-	for _, in := range d.Instances {
-		if in.Service == service {
-			out = append(out, in)
-		}
-	}
-	return out
 }

@@ -328,14 +328,3 @@ func (c *Client) drop(id uint64) {
 	delete(c.pending, id)
 	c.mu.Unlock()
 }
-
-// Close tears down the connection; in-flight calls fail.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	conn := c.conn
-	c.mu.Unlock()
-	if conn != nil {
-		c.failAll(conn, ErrClosed)
-	}
-	return nil
-}

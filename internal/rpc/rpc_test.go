@@ -218,3 +218,14 @@ func BenchmarkCall(b *testing.B) {
 		}
 	}
 }
+
+// Close tears down the connection; in-flight calls fail.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	conn := c.conn
+	c.mu.Unlock()
+	if conn != nil {
+		c.failAll(conn, ErrClosed)
+	}
+	return nil
+}

@@ -31,9 +31,6 @@ type Event struct {
 // already-cancelled event is a no-op.
 func (ev *Event) Cancel() { ev.cancelled = true }
 
-// Cancelled reports whether Cancel was called.
-func (ev *Event) Cancelled() bool { return ev.cancelled }
-
 // Engine is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; the simulation world runs entirely inside event
 // callbacks on one goroutine.
@@ -56,9 +53,6 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's seeded PRNG. All model randomness (loss,
 // jitter, noise) must flow from here to keep runs reproducible.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Dispatched returns the number of events executed so far.
-func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // At schedules fn at absolute virtual time t. Times in the past are
 // clamped to Now (the event fires after currently pending events at Now).
@@ -114,15 +108,6 @@ func (e *Engine) Run(until Time) {
 		e.now = until
 	}
 }
-
-// RunAll dispatches every remaining event.
-func (e *Engine) RunAll() {
-	for e.Step() {
-	}
-}
-
-// Pending returns the number of queued (possibly cancelled) events.
-func (e *Engine) Pending() int { return e.queue.Len() }
 
 // eventHeap orders events by (time, sequence).
 type eventHeap []*Event

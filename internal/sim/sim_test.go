@@ -229,3 +229,18 @@ func BenchmarkScheduleDispatch(b *testing.B) {
 	}
 	e.RunAll()
 }
+
+// Cancelled reports whether Cancel was called.
+func (ev *Event) Cancelled() bool { return ev.cancelled }
+
+// Dispatched returns the number of events executed so far.
+func (e *Engine) Dispatched() uint64 { return e.dispatched }
+
+// RunAll dispatches every remaining event.
+func (e *Engine) RunAll() {
+	for e.Step() {
+	}
+}
+
+// Pending returns the number of queued (possibly cancelled) events.
+func (e *Engine) Pending() int { return e.queue.Len() }

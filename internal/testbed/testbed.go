@@ -126,14 +126,6 @@ func Cloud() MachineConfig {
 	}
 }
 
-// ClientNUC is an Intel NUC client host (no GPU).
-func ClientNUC(i int) MachineConfig {
-	return MachineConfig{
-		Name: fmt.Sprintf("nuc-%d", i), CPUCores: 4, GPUs: 0, GPUArch: ArchNone,
-		MemBytes: 32 << 30, CPUFactor: 1.3, GPUFactor: 0, Cluster: "clients",
-	}
-}
-
 // Device is a pool of identical execution slots (CPU cores or GPUs) with
 // a FIFO wait queue and a busy-time integral for utilization accounting.
 type Device struct {
@@ -150,15 +142,6 @@ type Device struct {
 func newDevice(name string, capacity int, eng *sim.Engine) *Device {
 	return &Device{name: name, capacity: capacity, eng: eng}
 }
-
-// Capacity returns the number of slots.
-func (d *Device) Capacity() int { return d.capacity }
-
-// InUse returns the number of currently held slots.
-func (d *Device) InUse() int { return d.inUse }
-
-// QueueLen returns the number of waiting acquisitions.
-func (d *Device) QueueLen() int { return len(d.waiters) }
 
 func (d *Device) accumulate() {
 	now := d.eng.Now()

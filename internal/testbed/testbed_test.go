@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -48,7 +49,8 @@ func TestDeviceAcquireRelease(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		m.GPU.Acquire(func() { granted++ })
 	}
-	eng.RunAll()
+	for eng.Step() {
+	}
 	// E1 has 2 GPUs: two grants immediate, one queued.
 	if granted != 2 {
 		t.Fatalf("granted = %d, want 2", granted)
@@ -57,7 +59,8 @@ func TestDeviceAcquireRelease(t *testing.T) {
 		t.Fatalf("queue = %d, want 1", m.GPU.QueueLen())
 	}
 	m.GPU.Release()
-	eng.RunAll()
+	for eng.Step() {
+	}
 	if granted != 3 {
 		t.Errorf("granted after release = %d, want 3", granted)
 	}
@@ -78,10 +81,12 @@ func TestDeviceFIFO(t *testing.T) {
 		i := i
 		m.GPU.Acquire(func() { order = append(order, i) })
 	}
-	eng.RunAll()
+	for eng.Step() {
+	}
 	for i := 0; i < 3; i++ {
 		m.GPU.Release()
-		eng.RunAll()
+		for eng.Step() {
+		}
 	}
 	if len(order) != 4 {
 		t.Fatalf("order = %v", order)
@@ -109,7 +114,8 @@ func TestZeroCapacityNeverGrants(t *testing.T) {
 	m := NewMachine(ClientNUC(1), eng) // no GPU
 	granted := false
 	m.GPU.Acquire(func() { granted = true })
-	eng.RunAll()
+	for eng.Step() {
+	}
 	if granted {
 		t.Error("zero-capacity GPU granted a slot")
 	}
@@ -229,3 +235,17 @@ func TestNewMachinePanicsOnBadConfig(t *testing.T) {
 	}()
 	NewMachine(MachineConfig{}, sim.New(1))
 }
+
+// ClientNUC is an Intel NUC client host (no GPU).
+func ClientNUC(i int) MachineConfig {
+	return MachineConfig{
+		Name: fmt.Sprintf("nuc-%d", i), CPUCores: 4, GPUs: 0, GPUArch: ArchNone,
+		MemBytes: 32 << 30, CPUFactor: 1.3, GPUFactor: 0, Cluster: "clients",
+	}
+}
+
+// InUse returns the number of currently held slots.
+func (d *Device) InUse() int { return d.inUse }
+
+// QueueLen returns the number of waiting acquisitions.
+func (d *Device) QueueLen() int { return len(d.waiters) }

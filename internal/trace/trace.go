@@ -138,12 +138,6 @@ func NewGenerator(cfg Config) *Generator {
 // NumFrames returns the total frame count of the clip.
 func (g *Generator) NumFrames() int { return g.cfg.FPS * g.cfg.Seconds }
 
-// FPS returns the clip frame rate.
-func (g *Generator) FPS() int { return g.cfg.FPS }
-
-// Size returns the frame dimensions.
-func (g *Generator) Size() (w, h int) { return g.cfg.W, g.cfg.H }
-
 // camera returns the camera transform for frame i: world point (wx, wy)
 // appears at pixel ((wx-cx)*zoom + W/2, (wy-cy)*zoom + H/2).
 func (g *Generator) camera(i int) (cx, cy, zoom float64) {

@@ -256,3 +256,9 @@ func TestMotionProfiles(t *testing.T) {
 		t.Error("shaky profile does not move more than smooth")
 	}
 }
+
+// FPS returns the clip frame rate.
+func (g *Generator) FPS() int { return g.cfg.FPS }
+
+// Size returns the frame dimensions.
+func (g *Generator) Size() (w, h int) { return g.cfg.W, g.cfg.H }

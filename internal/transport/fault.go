@@ -14,8 +14,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"github.com/edge-mar/scatter/internal/netem"
 )
 
 // faultMTU is the fragment size used for per-packet loss compounding,
@@ -60,19 +58,6 @@ func (p FaultPolicy) Validate() error {
 
 // active reports whether the policy injects anything at all.
 func (p FaultPolicy) active() bool { return p != (FaultPolicy{}) }
-
-// PolicyFromLink converts a netem link configuration into the equivalent
-// injection policy: one-way delay (RTT/2), jitter, and both loss models.
-// Bandwidth serialization and mobility oscillation have no real-socket
-// counterpart here and are folded into jitter-free delay only.
-func PolicyFromLink(cfg netem.LinkConfig) FaultPolicy {
-	return FaultPolicy{
-		Drop:       cfg.Loss,
-		PacketLoss: cfg.PacketLoss,
-		Delay:      cfg.RTT / 2,
-		Jitter:     cfg.Jitter,
-	}
-}
 
 // FaultStats are cumulative injection counters.
 type FaultStats struct {
@@ -121,7 +106,9 @@ func NewFaultyEndpoint(inner Endpoint, def FaultPolicy, seed int64) *FaultyEndpo
 	}
 }
 
-// SetPeerPolicy overrides the policy for one destination address.
+// SetPeerPolicy overrides the policy for one destination address. Like
+// the partition controls below, it is test tooling: no binary calls it,
+// and the transport and agent chaos tests drive faults through it.
 func (f *FaultyEndpoint) SetPeerPolicy(addr string, p FaultPolicy) {
 	if err := p.Validate(); err != nil {
 		panic(err)
@@ -132,34 +119,38 @@ func (f *FaultyEndpoint) SetPeerPolicy(addr string, p FaultPolicy) {
 }
 
 // ClearPeerPolicy removes a peer override; the default applies again.
+// Test tooling (see SetPeerPolicy).
 func (f *FaultyEndpoint) ClearPeerPolicy(addr string) {
 	f.mu.Lock()
 	delete(f.perPeer, addr)
 	f.mu.Unlock()
 }
 
-// Partition blackholes all messages to addr until Heal.
+// Partition blackholes all messages to addr until Heal. Test tooling
+// (see SetPeerPolicy).
 func (f *FaultyEndpoint) Partition(addr string) {
 	f.mu.Lock()
 	f.cut[addr] = true
 	f.mu.Unlock()
 }
 
-// Heal re-admits messages to addr.
+// Heal re-admits messages to addr. Test tooling (see SetPeerPolicy).
 func (f *FaultyEndpoint) Heal(addr string) {
 	f.mu.Lock()
 	delete(f.cut, addr)
 	f.mu.Unlock()
 }
 
-// PartitionAll blackholes every destination until HealAll.
+// PartitionAll blackholes every destination until HealAll. Test tooling
+// (see SetPeerPolicy).
 func (f *FaultyEndpoint) PartitionAll() {
 	f.mu.Lock()
 	f.cutAll = true
 	f.mu.Unlock()
 }
 
-// HealAll lifts a PartitionAll (per-peer partitions remain).
+// HealAll lifts a PartitionAll (per-peer partitions remain). Test
+// tooling (see SetPeerPolicy).
 func (f *FaultyEndpoint) HealAll() {
 	f.mu.Lock()
 	f.cutAll = false
@@ -175,9 +166,6 @@ func (f *FaultyEndpoint) Stats() FaultStats {
 
 // LocalAddr implements Endpoint.
 func (f *FaultyEndpoint) LocalAddr() string { return f.inner.LocalAddr() }
-
-// Inner returns the wrapped endpoint.
-func (f *FaultyEndpoint) Inner() Endpoint { return f.inner }
 
 // Close stops the wrapper, cancels in-flight delayed messages (the
 // network "loses" them), and closes the inner endpoint.

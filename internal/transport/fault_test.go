@@ -271,3 +271,16 @@ func TestFaultPolicyFromLink(t *testing.T) {
 func TestFaultEndpointInterface(t *testing.T) {
 	var _ Endpoint = (*FaultyEndpoint)(nil)
 }
+
+// PolicyFromLink converts a netem link configuration into the equivalent
+// injection policy: one-way delay (RTT/2), jitter, and both loss models.
+// Bandwidth serialization and mobility oscillation have no real-socket
+// counterpart here and are folded into jitter-free delay only.
+func PolicyFromLink(cfg netem.LinkConfig) FaultPolicy {
+	return FaultPolicy{
+		Drop:       cfg.Loss,
+		PacketLoss: cfg.PacketLoss,
+		Delay:      cfg.RTT / 2,
+		Jitter:     cfg.Jitter,
+	}
+}

@@ -163,9 +163,6 @@ func Listen(addr string, handler Handler) (*Conn, error) {
 	return c, nil
 }
 
-// Addr returns the bound UDP address.
-func (c *Conn) Addr() *net.UDPAddr { return c.pc.LocalAddr().(*net.UDPAddr) }
-
 // LocalAddr implements Endpoint.
 func (c *Conn) LocalAddr() string { return c.pc.LocalAddr().String() }
 
@@ -198,12 +195,6 @@ func (c *Conn) Close() error {
 	close(c.done)
 	c.mu.Unlock()
 	return c.pc.Close()
-}
-
-// SendTo fragments data and transmits it to the destination address.
-func (c *Conn) SendTo(dst *net.UDPAddr, data []byte) error {
-	ap := dst.AddrPort()
-	return c.sendTo(netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), data)
 }
 
 // SendToAddr resolves a "host:port" destination and sends. Resolved
@@ -316,8 +307,8 @@ func (c *Conn) ingest(pkt []byte, from netip.AddrPort, addr *net.UDPAddr) {
 		return
 	}
 	// Contiguous reassembly relies on fixed fragment geometry: every
-	// non-final fragment carries exactly maxChunk bytes (as SendTo
-	// produces), the final one at most that.
+	// non-final fragment carries exactly maxChunk bytes (as the send
+	// path produces), the final one at most that.
 	if len(chunk) > maxChunk || (idx < total-1 && len(chunk) != maxChunk) {
 		c.countDrop(from, DropMalformed, &c.stats.FragmentsMalformed)
 		return
@@ -448,12 +439,4 @@ func (c *Conn) gcLoop() {
 			}
 		}
 	}
-}
-
-// PendingReassemblies reports the number of incomplete messages (for
-// tests and monitoring).
-func (c *Conn) PendingReassemblies() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.reasm)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -244,4 +245,21 @@ func BenchmarkSend180KB(b *testing.B) {
 		}
 		<-done
 	}
+}
+
+// Addr returns the bound UDP address.
+func (c *Conn) Addr() *net.UDPAddr { return c.pc.LocalAddr().(*net.UDPAddr) }
+
+// SendTo fragments data and transmits it to the destination address.
+func (c *Conn) SendTo(dst *net.UDPAddr, data []byte) error {
+	ap := dst.AddrPort()
+	return c.sendTo(netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), data)
+}
+
+// PendingReassemblies reports the number of incomplete messages (for
+// tests and monitoring).
+func (c *Conn) PendingReassemblies() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.reasm)
 }

@@ -257,21 +257,11 @@ func normalizeWeights(w []float64) {
 	}
 }
 
-// logGaussian returns the log density of x under component c.
-func (g *GMM) logGaussian(x []float32, c int) float64 {
-	mean, vars := g.Means[c], g.Vars[c]
-	acc := 0.0
-	for j, v := range x {
-		d := float64(v) - mean[j]
-		acc += d*d/vars[j] + math.Log(2*math.Pi*vars[j])
-	}
-	return -0.5 * acc
-}
-
 // logTables holds the per-component logarithms the posterior loop would
-// otherwise recompute for every sample, each from the expression
-// logGaussian uses, so the posteriors keep their bits: logW[c] is
-// math.Log(w_c) and, at c*Dim+j, logNorm holds math.Log(2π·var_cj).
+// otherwise recompute for every sample, each from the expression the
+// reference logGaussian (fisher_test.go) uses, so the posteriors keep
+// their bits: logW[c] is math.Log(w_c) and, at c*Dim+j, logNorm holds
+// math.Log(2π·var_cj).
 type logTables struct {
 	logW, logNorm []float64
 }
@@ -326,43 +316,6 @@ func (g *GMM) posteriorsInto(logs *logTables, x []float32, out []float64) {
 	for c := range out {
 		out[c] /= sum
 	}
-}
-
-// Posteriors returns the responsibility of each component for x.
-func (g *GMM) Posteriors(x []float32) []float64 {
-	if len(x) != g.Dim {
-		panic(fmt.Sprintf("fisher: posterior dim %d, want %d", len(x), g.Dim))
-	}
-	logs := newLogTables(g)
-	logs.fill(g)
-	out := make([]float64, g.K)
-	g.posteriorsInto(logs, x, out)
-	return out
-}
-
-// LogLikelihood returns the mean per-sample log-likelihood of data under
-// the model — used to verify that EM iterations improve the fit.
-func (g *GMM) LogLikelihood(data [][]float32) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	var total float64
-	for _, x := range data {
-		maxLog := math.Inf(-1)
-		logs := make([]float64, g.K)
-		for c := 0; c < g.K; c++ {
-			logs[c] = math.Log(g.Weights[c]+1e-300) + g.logGaussian(x, c)
-			if logs[c] > maxLog {
-				maxLog = logs[c]
-			}
-		}
-		var s float64
-		for _, l := range logs {
-			s += math.Exp(l - maxLog)
-		}
-		total += maxLog + math.Log(s)
-	}
-	return total / float64(len(data))
 }
 
 // Encoder aggregates descriptor sets into Fisher vectors. It is safe for

@@ -2,6 +2,7 @@ package fisher
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -375,4 +376,52 @@ func BenchmarkTrainGMM(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// logGaussian returns the log density of x under component c.
+func (g *GMM) logGaussian(x []float32, c int) float64 {
+	mean, vars := g.Means[c], g.Vars[c]
+	acc := 0.0
+	for j, v := range x {
+		d := float64(v) - mean[j]
+		acc += d*d/vars[j] + math.Log(2*math.Pi*vars[j])
+	}
+	return -0.5 * acc
+}
+
+// Posteriors returns the responsibility of each component for x.
+func (g *GMM) Posteriors(x []float32) []float64 {
+	if len(x) != g.Dim {
+		panic(fmt.Sprintf("fisher: posterior dim %d, want %d", len(x), g.Dim))
+	}
+	logs := newLogTables(g)
+	logs.fill(g)
+	out := make([]float64, g.K)
+	g.posteriorsInto(logs, x, out)
+	return out
+}
+
+// LogLikelihood returns the mean per-sample log-likelihood of data under
+// the model — used to verify that EM iterations improve the fit.
+func (g *GMM) LogLikelihood(data [][]float32) float64 {
+	if len(data) == 0 {
+		return 0
+	}
+	var total float64
+	for _, x := range data {
+		maxLog := math.Inf(-1)
+		logs := make([]float64, g.K)
+		for c := 0; c < g.K; c++ {
+			logs[c] = math.Log(g.Weights[c]+1e-300) + g.logGaussian(x, c)
+			if logs[c] > maxLog {
+				maxLog = logs[c]
+			}
+		}
+		var s float64
+		for _, l := range logs {
+			s += math.Exp(l - maxLog)
+		}
+		total += maxLog + math.Log(s)
+	}
+	return total / float64(len(data))
 }

@@ -67,13 +67,6 @@ func (g *Gray) Set(x, y int, v float32) {
 	g.Pix[y*g.W+x] = v
 }
 
-// Clone returns a deep copy of the image.
-func (g *Gray) Clone() *Gray {
-	out := NewGray(g.W, g.H)
-	copy(out.Pix, g.Pix)
-	return out
-}
-
 // BilinearAt samples the image at a sub-pixel location with bilinear
 // interpolation, clamping at the borders.
 func (g *Gray) BilinearAt(x, y float64) float32 {
@@ -189,22 +182,6 @@ func convolveV(dst, src *Gray, k []float32, workers int) {
 			simd.Conv(dst.Pix[y*w:(y+1)*w], src.Pix, offs, k)
 		}
 	})
-}
-
-// GaussianBlur returns a new image blurred with a separable Gaussian of the
-// given sigma. The source image is not modified.
-func GaussianBlur(src *Gray, sigma float64) *Gray {
-	return GaussianBlurWorkers(src, sigma, 0)
-}
-
-// GaussianBlurWorkers is GaussianBlur with an explicit worker count for
-// the row-parallel convolution passes (0 = GOMAXPROCS, 1 = serial). The
-// result is bit-identical at any setting — each output pixel is computed
-// independently.
-func GaussianBlurWorkers(src *Gray, sigma float64, workers int) *Gray {
-	dst := NewGray(src.W, src.H)
-	BlurInto(dst, NewGray(src.W, src.H), src, GaussianKernel(sigma), workers)
-	return dst
 }
 
 // BlurInto convolves src with the separable kernel k (GaussianKernel) into

@@ -290,3 +290,26 @@ func TestDownsampleRangeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Clone returns a deep copy of the image.
+func (g *Gray) Clone() *Gray {
+	out := NewGray(g.W, g.H)
+	copy(out.Pix, g.Pix)
+	return out
+}
+
+// GaussianBlur returns a new image blurred with a separable Gaussian of the
+// given sigma. The source image is not modified.
+func GaussianBlur(src *Gray, sigma float64) *Gray {
+	return GaussianBlurWorkers(src, sigma, 0)
+}
+
+// GaussianBlurWorkers is GaussianBlur with an explicit worker count for
+// the row-parallel convolution passes (0 = GOMAXPROCS, 1 = serial). The
+// result is bit-identical at any setting — each output pixel is computed
+// independently.
+func GaussianBlurWorkers(src *Gray, sigma float64, workers int) *Gray {
+	dst := NewGray(src.W, src.H)
+	BlurInto(dst, NewGray(src.W, src.H), src, GaussianKernel(sigma), workers)
+	return dst
+}

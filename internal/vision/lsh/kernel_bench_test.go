@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -36,7 +37,7 @@ func BenchmarkKernelRank(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		ix, queries := kernelBenchIndex(b, n)
 		neighbors := make([]Neighbor, n)
-		b.Run("n="+itoa(n), func(b *testing.B) {
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
 			ix.mu.RLock()
 			defer ix.mu.RUnlock()
 			b.ReportAllocs()
@@ -56,7 +57,7 @@ func BenchmarkKernelRank(b *testing.B) {
 func BenchmarkKernelQuery(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		ix, queries := kernelBenchIndex(b, n)
-		b.Run("n="+itoa(n), func(b *testing.B) {
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ix.Query(queries[i%len(queries)], 10)
@@ -111,7 +112,7 @@ func BenchmarkKernelPreRank(b *testing.B) {
 			total += len(exact[q])
 		}
 		recall := float64(hits) / float64(total)
-		b.Run("n="+itoa(n)+"/pr="+itoa(pr), func(b *testing.B) {
+		b.Run("n="+strconv.Itoa(n)+"/pr="+strconv.Itoa(pr), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -121,4 +122,30 @@ func BenchmarkKernelPreRank(b *testing.B) {
 		})
 	}
 	ix.SetPreRank(0)
+}
+
+// BenchmarkSortAndTrim compares the bounded quickselect top-k
+// against the full sort it replaced, at query-sized candidate counts.
+func BenchmarkSortAndTrim(b *testing.B) {
+	rng := rand.New(rand.NewSource(40))
+	const n, k = 30_000, 10
+	base := make([]Neighbor, n)
+	for i := range base {
+		base[i] = Neighbor{ID: i, Dist: rng.Float64()}
+	}
+	scratch := make([]Neighbor, n)
+	b.Run("quickselect", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(scratch, base)
+			sortAndTrim(scratch, k)
+		}
+	})
+	b.Run("fullsort", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(scratch, base)
+			referenceSortAndTrim(scratch, k)
+		}
+	})
 }

@@ -86,10 +86,11 @@ func TestRankZeroVectors(t *testing.T) {
 }
 
 // TestNormCacheInvalidation exercises every path that moves or replaces
-// arena slots — Add-replace (same id, new vector), Remove (swap-move of
-// the last slot into the hole), and sharded Resize (full repartition) —
-// and checks distances stay exactly CosineDistance of the live vectors,
-// i.e. no stale cached norm or stale arena row survives.
+// arena slots — Add-replace (same id, new vector) and Remove (swap-move
+// of the last slot into the hole) — and checks distances stay exactly
+// CosineDistance of the live vectors, i.e. no stale cached norm or stale
+// arena row survives. (Its third leg, a sharded Resize, went with the
+// sharded index.)
 func TestNormCacheInvalidation(t *testing.T) {
 	const dim, n = 16, 60
 	ix, vecs := kernelIndex(t, 45, n, dim, Config{Tables: 4, Bits: 8, Seed: 7, Workers: 1})
@@ -105,35 +106,25 @@ func TestNormCacheInvalidation(t *testing.T) {
 		ix.Remove(id)
 		vecs[id] = nil
 	}
-	check := func(t *testing.T, query func(v []float32, k int) []Neighbor) {
-		t.Helper()
-		q := randomUnit(rng, dim)
-		got := query(q, n)
-		live := 0
-		for _, v := range vecs {
-			if v != nil {
-				live++
-			}
-		}
-		if len(got) != live {
-			t.Fatalf("got %d results, want %d live ids", len(got), live)
-		}
-		for _, nb := range got {
-			if vecs[nb.ID] == nil {
-				t.Fatalf("removed id %d still ranked", nb.ID)
-			}
-			if want := CosineDistance(q, vecs[nb.ID]); nb.Dist != want {
-				t.Fatalf("id %d dist = %v, want %v (stale norm or arena row)", nb.ID, nb.Dist, want)
-			}
+	q := randomUnit(rng, dim)
+	got := ix.ExactNN(q, n)
+	live := 0
+	for _, v := range vecs {
+		if v != nil {
+			live++
 		}
 	}
-	check(t, ix.ExactNN)
-
-	// Resize repartitions through eachLocked: the rebuilt shards must
-	// carry the post-replace vectors, not originals.
-	sx := NewShardedFrom(ix, ShardConfig{Shards: 3, Workers: 1})
-	sx.Resize(5)
-	check(t, sx.ExactNN)
+	if len(got) != live {
+		t.Fatalf("got %d results, want %d live ids", len(got), live)
+	}
+	for _, nb := range got {
+		if vecs[nb.ID] == nil {
+			t.Fatalf("removed id %d still ranked", nb.ID)
+		}
+		if want := CosineDistance(q, vecs[nb.ID]); nb.Dist != want {
+			t.Fatalf("id %d dist = %v, want %v (stale norm or arena row)", nb.ID, nb.Dist, want)
+		}
+	}
 }
 
 // TestPreRankDegeneratesToExact pins the contract that a PreRank·k cut
@@ -204,74 +195,6 @@ func TestPreRankRecall(t *testing.T) {
 	recall := float64(hits) / float64(total)
 	if recall < 0.95 {
 		t.Fatalf("PreRank=4 recall@%d = %.3f, want >= 0.95", k, recall)
-	}
-}
-
-// TestShardedPreRank covers pre-ranking through the scatter/gather
-// layer: a degenerate budget equals exact mode bit for bit, and the
-// trimming budget still returns a full, correctly ordered top-k whose
-// distances are exact (pre-rank only selects — the cosine pass
-// overwrites every kept candidate's distance).
-func TestShardedPreRank(t *testing.T) {
-	ix, vecs := kernelIndex(t, 50, 500, 16, Config{Tables: 6, Bits: 6, Probes: 2, Seed: 17, Workers: 1})
-	sx := NewShardedFrom(ix, ShardConfig{Shards: 4, Workers: 1})
-	rng := rand.New(rand.NewSource(51))
-	const k = 5
-	for trial := 0; trial < 10; trial++ {
-		q := randomUnit(rng, 16)
-		sx.SetPreRank(0)
-		exact := sx.Query(q, k)
-		sx.SetPreRank(1000) // pr·k far beyond any shard's candidate count
-		got := sx.Query(q, k)
-		if len(got) != len(exact) {
-			t.Fatalf("degenerate sharded PreRank: %d results, exact %d", len(got), len(exact))
-		}
-		for i := range exact {
-			if got[i] != exact[i] {
-				t.Fatalf("degenerate sharded PreRank result %d = %+v, exact %+v", i, got[i], exact[i])
-			}
-		}
-		sx.SetPreRank(4)
-		trimmed := sx.Query(q, k)
-		if len(trimmed) != k {
-			t.Fatalf("sharded PreRank=4 returned %d results, want %d", len(trimmed), k)
-		}
-		for i, nb := range trimmed {
-			if i > 0 && neighborLess(nb, trimmed[i-1]) {
-				t.Fatalf("sharded PreRank results out of order at %d: %+v", i, trimmed)
-			}
-			if want := CosineDistance(q, vecs[nb.ID]); nb.Dist != want {
-				t.Fatalf("sharded PreRank dist for id %d = %v, want exact %v", nb.ID, nb.Dist, want)
-			}
-		}
-	}
-	// A Resize after SetPreRank must keep the setting (it is part of the
-	// config future topologies are built from).
-	sx.Resize(2)
-	if got := sx.snapshot().replicas[0][0].Config().PreRank; got != 4 {
-		t.Fatalf("PreRank after Resize = %d, want 4", got)
-	}
-}
-
-// TestConfigReportsLivePreRank pins Config() folding in the live
-// (atomically retuned) PreRank value — NewShardedFrom relies on it to
-// propagate the setting into shard replicas.
-func TestConfigReportsLivePreRank(t *testing.T) {
-	ix := New(Config{Dim: 8, PreRank: 2})
-	if got := ix.Config().PreRank; got != 2 {
-		t.Fatalf("Config().PreRank = %d, want 2", got)
-	}
-	ix.SetPreRank(7)
-	if got := ix.Config().PreRank; got != 7 {
-		t.Fatalf("Config().PreRank after SetPreRank(7) = %d, want 7", got)
-	}
-	ix.SetPreRank(-3)
-	if got := ix.Config().PreRank; got != 0 {
-		t.Fatalf("Config().PreRank after SetPreRank(-3) = %d, want 0", got)
-	}
-	sx := NewShardedFrom(New(Config{Dim: 8, PreRank: 3}), ShardConfig{Shards: 2})
-	if got := sx.snapshot().replicas[0][0].Config().PreRank; got != 3 {
-		t.Fatalf("sharded replica PreRank = %d, want 3 inherited from source", got)
 	}
 }
 

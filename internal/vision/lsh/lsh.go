@@ -156,21 +156,8 @@ func tableSeed(seed int64, table int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Tables returns the number of hash tables (after defaulting).
-func (ix *Index) Tables() int { return ix.cfg.Tables }
-
 // Dim returns the configured vector dimensionality.
 func (ix *Index) Dim() int { return ix.cfg.Dim }
-
-// Config returns the index's effective configuration (after defaulting,
-// with the live PreRank setting). Two indexes built from equal configs
-// draw identical hyperplanes — the property sharding relies on for
-// bit-identity.
-func (ix *Index) Config() Config {
-	cfg := ix.cfg
-	cfg.PreRank = int(ix.preRank.Load())
-	return cfg
-}
 
 // SetPreRank retunes the Hamming pre-ranking budget on a live index
 // (see Config.PreRank). Zero restores exact mode. Sketches are always
@@ -216,9 +203,9 @@ func (ix *Index) checkDim(v []float32) {
 }
 
 // normSq accumulates the squared L2 norm in index order — the exact
-// float64 addition sequence CosineDistance's per-vector reduction uses,
-// which is what lets Add-time caching stay bit-identical to computing
-// the norm inside the distance call.
+// float64 addition sequence the reference CosineDistance (lsh_test.go)
+// uses per vector, which is what lets Add-time caching stay
+// bit-identical to computing the norm inside the distance call.
 func normSq(v []float32) float64 {
 	var n float64
 	for _, x := range v {
@@ -367,32 +354,6 @@ func (ix *Index) removeSlotLocked(id, slot int) {
 	delete(ix.slots, id)
 }
 
-// eachLocked calls f with every stored (id, vector) pair in slot order.
-// The vector slice aliases the arena: callers must hold at least a read
-// lock for the duration and must not retain or mutate it.
-func (ix *Index) eachLocked(f func(id int, v []float32)) {
-	dim := ix.cfg.Dim
-	for s, id := range ix.slotIDs {
-		f(id, ix.arena[s*dim:(s+1)*dim])
-	}
-}
-
-// CosineDistance returns 1 - cos(a, b), in [0, 2]. Zero vectors are at
-// distance 1 from everything (undefined angle treated as orthogonal).
-func CosineDistance(a, b []float32) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		x, y := float64(a[i]), float64(b[i])
-		dot += x * y
-		na += x * x
-		nb += y * y
-	}
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	return 1 - dot/math.Sqrt(na*nb)
-}
-
 // rankGrain is the candidate granularity of parallel distance ranking.
 const rankGrain = 32
 
@@ -436,7 +397,8 @@ func dot1(v, r []float32) (d float64) {
 // Add-time norm cache and the hoisted query norm qn, then the slot is
 // rewritten to the public id. Every form accumulates a row's dot in index
 // order and the norms accumulate per vector in index order — the same
-// three float64 reduction sequences CosineDistance runs in one loop — so
+// three float64 reduction sequences the reference CosineDistance runs in
+// one loop — so
 // the distance is bit-identical to the fused computation.
 func (ix *Index) rankRange(v []float32, qn float64, neighbors []Neighbor, start, end int) {
 	dim := ix.cfg.Dim

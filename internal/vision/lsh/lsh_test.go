@@ -382,3 +382,20 @@ func BenchmarkQuery1000(b *testing.B) {
 		ix.Query(q, 5)
 	}
 }
+
+// CosineDistance returns 1 - cos(a, b), in [0, 2], in one fused loop:
+// the reference the ranking kernels must match bit for bit. Zero vectors are at
+// distance 1 from everything (undefined angle treated as orthogonal).
+func CosineDistance(a, b []float32) float64 {
+	var dot, na, nb float64
+	for i := range a {
+		x, y := float64(a[i]), float64(b[i])
+		dot += x * y
+		na += x * x
+		nb += y * y
+	}
+	if na == 0 || nb == 0 {
+		return 1
+	}
+	return 1 - dot/math.Sqrt(na*nb)
+}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -237,5 +238,46 @@ func TestQueryMatchesReferenceUnderChurn(t *testing.T) {
 		}
 		close(stop)
 		wg.Wait()
+	}
+}
+
+// referenceSortAndTrim is the pre-quickselect implementation kept as the
+// equality oracle.
+func referenceSortAndTrim(neighbors []Neighbor, k int) []Neighbor {
+	sort.Slice(neighbors, func(i, j int) bool {
+		if neighbors[i].Dist != neighbors[j].Dist {
+			return neighbors[i].Dist < neighbors[j].Dist
+		}
+		return neighbors[i].ID < neighbors[j].ID
+	})
+	if len(neighbors) > k {
+		neighbors = neighbors[:k]
+	}
+	return neighbors
+}
+
+// TestSortAndTrimMatchesFullSort regresses the quickselect top-k against
+// the full sort it replaced, including duplicate distances (tie-broken
+// by ID) and every boundary k.
+func TestSortAndTrimMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(400)
+		base := make([]Neighbor, n)
+		for i := range base {
+			// Quantized distances force ties so the ID tiebreak is hit.
+			base[i] = Neighbor{ID: i, Dist: float64(rng.Intn(50)) / 50}
+		}
+		rng.Shuffle(n, func(i, j int) { base[i], base[j] = base[j], base[i] })
+		for _, k := range []int{0, 1, 2, n / 2, n - 1, n, n + 10} {
+			if k < 0 {
+				continue
+			}
+			got := sortAndTrim(append([]Neighbor(nil), base...), k)
+			want := referenceSortAndTrim(append([]Neighbor(nil), base...), k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d k=%d: quickselect diverges from full sort\n got %v\nwant %v", n, k, got, want)
+			}
+		}
 	}
 }

@@ -26,7 +26,7 @@ func referenceRatioTest(query, train []sift.Feature, ratio float64) []Match {
 		best, second := math.Inf(1), math.Inf(1)
 		bestIdx := -1
 		for ti := range train {
-			d := sift.L2(&query[qi].Desc, &train[ti].Desc)
+			d := math.Sqrt(sift.L2Sq(&query[qi].Desc, &train[ti].Desc))
 			if d < best {
 				second = best
 				best = d

@@ -152,27 +152,6 @@ func (t *Tracker) snapshot() []Track {
 	return out
 }
 
-// Confidence returns the tracker's aggregate confidence: the minimum
-// confidence across live tracks, or 0 with no tracks. Taking the minimum
-// means a single newly-appeared or poorly-supported object keeps full
-// recognition running even while other objects are stably tracked — the
-// conservative signal the recognition fast path gates on.
-func (t *Tracker) Confidence() float64 {
-	if len(t.tracks) == 0 {
-		return 0
-	}
-	min := math.MaxFloat64
-	for _, tr := range t.tracks {
-		if tr.Confidence < min {
-			min = tr.Confidence
-		}
-	}
-	return min
-}
-
-// LastFrame returns the highest frame number ingested so far.
-func (t *Tracker) LastFrame() uint64 { return t.lastFrame }
-
 // Len returns the number of live tracks.
 func (t *Tracker) Len() int { return len(t.tracks) }
 

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"math"
 	"testing"
 )
 
@@ -205,3 +206,23 @@ func TestTrackerResetClearsFrameCursor(t *testing.T) {
 		t.Errorf("LastFrame after Reset+Update = %d, want 1", tr.LastFrame())
 	}
 }
+
+// Confidence returns the tracker's aggregate confidence: the minimum
+// confidence across live tracks, or 0 with no tracks. Taking the minimum
+// means a single newly-appeared or poorly-supported object keeps full
+// recognition running even while other objects are stably tracked.
+func (t *Tracker) Confidence() float64 {
+	if len(t.tracks) == 0 {
+		return 0
+	}
+	min := math.MaxFloat64
+	for _, tr := range t.tracks {
+		if tr.Confidence < min {
+			min = tr.Confidence
+		}
+	}
+	return min
+}
+
+// LastFrame returns the highest frame number ingested so far.
+func (t *Tracker) LastFrame() uint64 { return t.lastFrame }

@@ -2,6 +2,7 @@ package pca
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -275,4 +276,39 @@ func BenchmarkProject128To32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Project(v)
 	}
+}
+
+// Reconstruct maps k-dimensional coefficients back to the input space —
+// used by tests to verify reconstruction error decreases with k.
+func (p *Projection) Reconstruct(coeffs []float32) []float32 {
+	if len(coeffs) != p.K {
+		panic(fmt.Sprintf("pca: reconstruct dim %d, want %d", len(coeffs), p.K))
+	}
+	out := make([]float32, p.Dim)
+	for i := 0; i < p.Dim; i++ {
+		acc := p.Mean[i]
+		for c := range p.Components {
+			acc += float64(coeffs[c]) * p.Components[c][i]
+		}
+		out[i] = float32(acc)
+	}
+	return out
+}
+
+// ExplainedVariance returns the fraction of total variance captured by the
+// kept components. Requires the caller to pass the total variance of the
+// training data (sum of all eigenvalues, i.e. trace of covariance).
+func (p *Projection) ExplainedVariance(totalVariance float64) float64 {
+	if totalVariance <= 0 {
+		return 0
+	}
+	var kept float64
+	for _, ev := range p.Eigenvalues {
+		kept += ev
+	}
+	frac := kept / totalVariance
+	if frac > 1 {
+		frac = 1
+	}
+	return frac
 }

@@ -664,11 +664,6 @@ func normalizeDescriptor(d *Descriptor) {
 	}
 }
 
-// L2 returns the Euclidean distance between two descriptors.
-func L2(a, b *Descriptor) float64 {
-	return math.Sqrt(L2Sq(a, b))
-}
-
 // L2Sq returns the squared Euclidean distance between two descriptors.
 // Sqrt is monotone, so nearest-neighbour selection over L2Sq picks the
 // same winners as over L2 — the ratio-test kernels select on L2Sq and

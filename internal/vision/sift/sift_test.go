@@ -127,9 +127,9 @@ func TestDetectionDeterministic(t *testing.T) {
 // invariance from normalization).
 func TestIlluminationInvariance(t *testing.T) {
 	img := testPattern(96, 96)
-	bright := img.Clone()
-	for i := range bright.Pix {
-		bright.Pix[i] = bright.Pix[i] * 0.7
+	bright := imgproc.NewGray(img.W, img.H)
+	for i, v := range img.Pix {
+		bright.Pix[i] = v * 0.7
 	}
 	a := New(Defaults()).Detect(img)
 	b := New(Defaults()).Detect(bright)
@@ -349,4 +349,9 @@ func BenchmarkDescribeClip(b *testing.B) {
 		d.describe(p, cands)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*descs), "ns/desc")
+}
+
+// L2 returns the Euclidean distance between two descriptors.
+func L2(a, b *Descriptor) float64 {
+	return math.Sqrt(L2Sq(a, b))
 }

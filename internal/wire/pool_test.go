@@ -165,45 +165,6 @@ func TestCloneExactAndNilPreserving(t *testing.T) {
 	}
 }
 
-func TestCloneInto(t *testing.T) {
-	f := spanFrame()
-	var dst Frame
-	f.CloneInto(&dst)
-	if !reflect.DeepEqual(f, &dst) {
-		t.Fatalf("CloneInto diverged: %+v vs %+v", dst, f)
-	}
-	dst.Payload[0] ^= 1
-	if f.Payload[0] == dst.Payload[0] {
-		t.Error("CloneInto shares payload storage")
-	}
-	// Cloning into a frame with existing capacity must reuse it.
-	dst.Reset()
-	before := &dst.Payload[:1][0]
-	f.CloneInto(&dst)
-	if &dst.Payload[0] != before {
-		t.Error("CloneInto reallocated despite sufficient capacity")
-	}
-}
-
-func BenchmarkFrameClone(b *testing.B) {
-	f := spanFrame()
-	f.Payload = make([]byte, 180<<10)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = f.Clone()
-	}
-}
-
-func BenchmarkFrameCloneInto(b *testing.B) {
-	f := spanFrame()
-	f.Payload = make([]byte, 180<<10)
-	var dst Frame
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.CloneInto(&dst)
-	}
-}
-
 func BenchmarkMarshalPooled(b *testing.B) {
 	f := sampleFrame()
 	f.Payload = make([]byte, 180<<10)
@@ -234,4 +195,24 @@ func BenchmarkUnmarshalNoCopy(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Clone returns a deep copy of the frame, so a test can keep the
+// original beside a copy it mutates. Slices are allocated at their exact
+// lengths (nil stays nil).
+func (f *Frame) Clone() *Frame {
+	out := *f
+	if f.Payload != nil {
+		out.Payload = make([]byte, len(f.Payload))
+		copy(out.Payload, f.Payload)
+	}
+	if f.Stages != nil {
+		out.Stages = make([]StageRecord, len(f.Stages))
+		copy(out.Stages, f.Stages)
+	}
+	if f.Spans != nil {
+		out.Spans = make([]SpanRecord, len(f.Spans))
+		copy(out.Spans, f.Spans)
+	}
+	return &out
 }

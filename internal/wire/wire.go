@@ -440,38 +440,6 @@ func (f *Frame) AddSpan(s SpanRecord) {
 	f.Spans = append(f.Spans, s)
 }
 
-// Clone returns a deep copy of the frame. Slices are allocated at their
-// exact lengths in one pass (no append growth, nil stays nil). Clone is
-// reserved for genuine fan-out — duplicating a frame to two downstream
-// consumers; the worker hot path re-encodes in place and never clones
-// (see DESIGN.md "Buffer ownership & pooling").
-func (f *Frame) Clone() *Frame {
-	out := *f
-	if f.Payload != nil {
-		out.Payload = make([]byte, len(f.Payload))
-		copy(out.Payload, f.Payload)
-	}
-	if f.Stages != nil {
-		out.Stages = make([]StageRecord, len(f.Stages))
-		copy(out.Stages, f.Stages)
-	}
-	if f.Spans != nil {
-		out.Spans = make([]SpanRecord, len(f.Spans))
-		copy(out.Spans, f.Spans)
-	}
-	return &out
-}
-
-// CloneInto deep-copies f into dst, reusing dst's Payload/Stages/Spans
-// capacity — the zero-allocation fan-out path for pooled frames.
-func (f *Frame) CloneInto(dst *Frame) {
-	payload, stages, spans := dst.Payload, dst.Stages, dst.Spans
-	*dst = *f
-	dst.Payload = append(payload[:0], f.Payload...)
-	dst.Stages = append(stages[:0], f.Stages...)
-	dst.Spans = append(spans[:0], f.Spans...)
-}
-
 // Reset clears the frame for reuse, keeping Payload/Stages/Spans capacity
 // so the next decode or clone into it does not reallocate.
 func (f *Frame) Reset() {

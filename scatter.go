@@ -1,7 +1,7 @@
 // Package scatter is the public API of the scAtteR / scAtteR++
 // reproduction: a distributed stream-processing augmented-reality
 // pipeline (primary → sift → encoding → lsh → matching), an
-// Oakestra-style hierarchical edge orchestrator, a real UDP/RPC runtime
+// Oakestra-style edge orchestrator, a real UDP/RPC runtime
 // executing pure-Go vision algorithms, and a deterministic edge-cloud
 // testbed simulator that regenerates every figure of the CoNEXT 2023
 // paper "Characterizing Distributed Mobile Augmented Reality
@@ -25,8 +25,8 @@
 //   - Simulated testbed: RunExperiment on the paper's placements,
 //     machine profiles and network links.
 //
-// The figure runners, autoscaling policies, sharded index and the rest
-// of the implementation live in the internal packages; cmd/scatter-bench
+// The figure runners, autoscaling policies and the rest of the
+// implementation live in the internal packages; cmd/scatter-bench
 // regenerates the paper's evaluation. See examples/ for runnable entry
 // points and EXPERIMENTS.md for the paper-versus-measured record.
 package scatter
