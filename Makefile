@@ -91,11 +91,12 @@ bench-vision:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -cpu 1,4,8 ./internal/vision/...
 	$(GO) test -run '^$$' -bench Primary720p -benchtime=1x -cpu 1,4,8 ./internal/core
 
-# Short fuzzing passes over the wire/payload decoders.
+# Short fuzzing passes over the wire/payload decoders and UDP reassembly.
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalBinary -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzDecodePayload -fuzztime 30s
 	$(GO) test ./internal/vision/lsh -fuzz FuzzSketchMatchesHash -fuzztime 30s
+	$(GO) test ./internal/transport -fuzz FuzzReassembly -fuzztime 30s
 
 # Chaos suite: fault-injected transports, mid-run partitions, machine
 # kills, and the end-to-end failover/recovery acceptance run — all under
@@ -120,5 +121,5 @@ handover:
 
 clean:
 	$(GO) clean ./...
-	rm -rf internal/wire/testdata internal/core/testdata internal/vision/lsh/testdata
+	rm -rf internal/wire/testdata internal/core/testdata internal/vision/lsh/testdata internal/transport/testdata
 	rm -rf .bench_build bench/out

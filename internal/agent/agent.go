@@ -167,10 +167,12 @@ type WorkerConfig struct {
 	// Log defaults to slog.Default().
 	Log *slog.Logger
 
-	// framePool overrides the worker's envelope pool. In-package tests
-	// inject a counting pool here to assert release-exactly-once across
-	// the processed/threshold-drop/shutdown-drain exits.
+	// framePool overrides the worker's envelope pool and wrapOwner wraps
+	// its receive handler. In-package tests inject counting versions to
+	// assert that every envelope and every receive buffer is released
+	// exactly once, on every exit.
 	framePool framePool
+	wrapOwner func(transport.OwningHandler) transport.OwningHandler
 }
 
 // framePool is the frame-envelope recycling contract the worker's data
@@ -180,13 +182,26 @@ type framePool interface {
 	Put(*wire.Frame)
 }
 
-// listenEndpoint opens the configured transport.
+// listenEndpoint opens the configured transport with a borrowing handler.
 func listenEndpoint(network, addr string, handler transport.Handler) (transport.Endpoint, error) {
 	switch network {
 	case "", "udp":
 		return transport.Listen(addr, handler)
 	case "tcp":
 		return transport.ListenTCP(addr, handler)
+	default:
+		return nil, fmt.Errorf("agent: unknown network %q", network)
+	}
+}
+
+// listenOwning opens the configured transport with a handler that keeps
+// the receive buffers it is handed.
+func listenOwning(network, addr string, owner transport.OwningHandler) (transport.Endpoint, error) {
+	switch network {
+	case "", "udp":
+		return transport.ListenOwning(addr, owner)
+	case "tcp":
+		return transport.ListenTCPOwning(addr, owner)
 	default:
 		return nil, fmt.Errorf("agent: unknown network %q", network)
 	}
@@ -227,7 +242,8 @@ type Worker struct {
 	admit atomic.Int32
 
 	// Steady-state pools (DESIGN.md "Buffer ownership & pooling"): every
-	// inbound frame decodes into a recycled envelope and every outbound
+	// inbound frame decodes without a copy into a recycled envelope whose
+	// payload aliases the endpoint's receive buffer, and every outbound
 	// frame encodes into recycled scratch, so the per-frame hot path
 	// allocates nothing once capacities warm up. frames is an interface
 	// only so tests can substitute a counting pool; production workers
@@ -265,6 +281,15 @@ const maxClientAddrCacheEntries = 4096
 type queuedItem struct {
 	fr *wire.Frame
 	at time.Time
+	rx rxBuf
+}
+
+// rxBuf is a receive buffer the worker owns: the frame decoded from it
+// aliases its payload, so it goes back to the endpoint only together
+// with the frame (recycle).
+type rxBuf struct {
+	data []byte
+	rel  transport.Releaser
 }
 
 // StartWorker binds the worker's sockets and begins serving.
@@ -337,7 +362,11 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		}
 		w.rpcAddr = addr
 	}
-	conn, err := listenEndpoint(cfg.Network, cfg.ListenAddr, w.onMessage)
+	onMessage := transport.OwningHandler(w.onMessage)
+	if cfg.wrapOwner != nil {
+		onMessage = cfg.wrapOwner(onMessage)
+	}
+	conn, err := listenOwning(cfg.Network, cfg.ListenAddr, onMessage)
 	if err != nil {
 		if w.rpc != nil {
 			w.rpc.Close()
@@ -398,7 +427,7 @@ func (w *Worker) Close() error {
 					w.live.Dropped.Inc()
 				}
 				w.dropSpan(item.fr, obs.OutcomeShutdown, item.at, now, now)
-				w.frames.Put(item.fr)
+				w.recycle(item.fr, item.rx)
 			default:
 				if w.live != nil {
 					w.live.QueueLen.Set(0)
@@ -481,20 +510,22 @@ func (w *Worker) onTransportDrop(from, reason string) {
 	})
 }
 
-// onMessage is the transport receive handler. data is only borrowed
-// (transport.Handler contract), so the frame is decoded with the
-// copying decoder into a pooled envelope; ownership of that envelope
-// transfers to whichever path consumes it — the processing goroutine
-// (scAtteR), the sidecar queue (scAtteR++), or a drop path — and the
-// consumer returns it to the pool.
-func (w *Worker) onMessage(data []byte, from net.Addr) {
+// onMessage is the transport's owning receive handler. The worker owns
+// data until it releases it (transport.OwningHandler contract), so the
+// frame is decoded without a copy into a pooled envelope whose payload
+// aliases data. Envelope and buffer travel together to whichever path
+// consumes them — the processing goroutine (scAtteR), the sidecar queue
+// (scAtteR++), or a drop path — and the consumer recycles both.
+func (w *Worker) onMessage(data []byte, from net.Addr, rel transport.Releaser) {
+	rx := rxBuf{data: data, rel: rel}
 	if wire.IsAck(data) {
 		w.onAck(data)
+		rel.Release(data)
 		return
 	}
 	fr := w.frames.Get()
-	if err := fr.UnmarshalBinary(data); err != nil {
-		w.frames.Put(fr)
+	if err := fr.UnmarshalBinaryNoCopy(data); err != nil {
+		w.recycle(fr, rx)
 		w.errorsCount.Add(1)
 		if w.live != nil {
 			w.live.Errors.Inc()
@@ -518,7 +549,7 @@ func (w *Worker) onMessage(data []byte, from net.Addr) {
 			w.live.AdmissionDrops.Inc()
 		}
 		w.dropSpan(fr, obs.OutcomeAdmission, now, now, now)
-		w.frames.Put(fr)
+		w.recycle(fr, rx)
 		return
 	}
 	// Ack identity, captured before envelope ownership moves to the
@@ -537,7 +568,7 @@ func (w *Worker) onMessage(data []byte, from net.Addr) {
 				w.live.Dropped.Inc()
 			}
 			w.dropSpan(fr, obs.OutcomeBusy, now, now, now)
-			w.frames.Put(fr)
+			w.recycle(fr, rx)
 			return
 		}
 		if ackWanted {
@@ -548,11 +579,11 @@ func (w *Worker) onMessage(data []byte, from net.Addr) {
 			defer w.wg.Done()
 			defer w.busy.Store(false)
 			w.process(fr, now, 0)
-			w.frames.Put(fr)
+			w.recycle(fr, rx)
 		}()
 	case core.ModeScatterPP:
 		select {
-		case w.queue <- queuedItem{fr: fr, at: now}:
+		case w.queue <- queuedItem{fr: fr, at: now, rx: rx}:
 			if w.live != nil {
 				w.live.QueueLen.Set(int64(len(w.queue)))
 			}
@@ -565,11 +596,21 @@ func (w *Worker) onMessage(data []byte, from net.Addr) {
 				w.live.Dropped.Inc()
 			}
 			w.dropSpan(fr, obs.OutcomeOverflow, now, now, now)
-			w.frames.Put(fr)
+			w.recycle(fr, rx)
 		}
 	default:
-		w.frames.Put(fr)
+		w.recycle(fr, rx)
 	}
+}
+
+// recycle ends a frame's life at this worker, on every exit and exactly
+// once: the envelope goes back to the pool with its payload cut loose
+// first — it may alias the receive buffer, which must never become pooled
+// envelope capacity — and the buffer goes back to its endpoint.
+func (w *Worker) recycle(fr *wire.Frame, rx rxBuf) {
+	fr.Payload = nil
+	w.frames.Put(fr)
+	rx.rel.Release(rx.data)
 }
 
 // sendAck returns a hop acknowledgement to the previous hop. Only UDP
@@ -667,11 +708,11 @@ func (w *Worker) sidecarLoop() {
 				}
 				now := time.Now()
 				w.dropSpan(item.fr, obs.OutcomeThreshold, item.at, now, now)
-				w.frames.Put(item.fr)
+				w.recycle(item.fr, item.rx)
 				continue
 			}
 			w.process(item.fr, item.at, wait)
-			w.frames.Put(item.fr)
+			w.recycle(item.fr, item.rx)
 		}
 	}
 }

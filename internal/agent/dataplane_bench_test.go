@@ -16,10 +16,15 @@ import (
 // worker delivers it straight back to the client address. It isolates the
 // data-plane cost of a worker hop (decode → process → re-encode →
 // forward) from the vision kernels, which have their own benchmarks.
-// delay, when set, makes it a slow service for the sidecar contract tests.
+// delay, when set, makes it a slow service for the sidecar contract tests;
+// replace, when set, swaps the payload for a fresh copy of its first
+// replace bytes, as the real processors swap in their encoded output; err,
+// when set, fails every frame.
 type hopProcessor struct {
-	step  wire.Step
-	delay time.Duration
+	step    wire.Step
+	delay   time.Duration
+	replace int
+	err     error
 }
 
 func (p hopProcessor) Step() wire.Step { return p.step }
@@ -28,14 +33,25 @@ func (p hopProcessor) Process(fr *wire.Frame) error {
 	if p.delay > 0 {
 		time.Sleep(p.delay)
 	}
+	if p.err != nil {
+		return p.err
+	}
+	if p.replace > 0 {
+		fr.Payload = append([]byte(nil), fr.Payload[:p.replace]...)
+	}
 	fr.Step = wire.StepDone
 	return nil
 }
 
-// hopPayloadSizes are the paper's frame sizes: ~4 KiB for a compressed
-// control/result frame, ~180 KiB for a stateful grayscale frame, and
-// ~480 KiB for the scAtteR++ stateless frame with sift state riding along.
-var hopPayloadSizes = []int{4 << 10, 180 << 10, 480 << 10}
+// ledgerIngressSize is the frame ledger's 720p ingress payload: 921 646
+// bytes, 16 fragments on the UDP transport.
+const ledgerIngressSize = 921_646
+
+// hopPayloadSizes are the paper's frame sizes — ~4 KiB for a compressed
+// control/result frame, ~180 KiB for a stateful grayscale frame, ~480 KiB
+// for the scAtteR++ stateless frame with sift state riding along — and
+// the ledger's 720p ingress.
+var hopPayloadSizes = []int{4 << 10, 180 << 10, 480 << 10, ledgerIngressSize}
 
 // sinkBoundFrame builds a frame addressed back to the sink endpoint so a
 // hopProcessor worker delivers it there.

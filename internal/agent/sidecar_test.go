@@ -11,14 +11,15 @@ import (
 	"github.com/edge-mar/scatter/internal/wire"
 )
 
-// startHopRig starts a scAtteR++ primary worker on loopback UDP, filling
-// in cfg's step, mode, listen address and router, together with a sink
-// the worker delivers finished frames to (onDeliver may be nil). send
-// fires n 4 KiB frames numbered from 1 at the worker. The worker is NOT
-// closed on cleanup: the tests here assert on what Close leaves behind.
+// startHopRig starts a primary worker in cfg's mode on loopback over
+// cfg's network, filling in cfg's step, listen address and router,
+// together with a sink the worker delivers finished frames to (onDeliver
+// may be nil). send fires n 4 KiB frames numbered from 1 at the worker.
+// The worker is NOT closed on cleanup: the tests here assert on what
+// Close leaves behind.
 func startHopRig(t *testing.T, cfg WorkerConfig, onDeliver func(*wire.Frame)) (w *Worker, send func(n int)) {
 	t.Helper()
-	sink, err := listenEndpoint("udp", "127.0.0.1:0", func(data []byte, from net.Addr) {
+	sink, err := listenEndpoint(cfg.Network, "127.0.0.1:0", func(data []byte, from net.Addr) {
 		if onDeliver == nil {
 			return
 		}
@@ -31,14 +32,13 @@ func startHopRig(t *testing.T, cfg WorkerConfig, onDeliver func(*wire.Frame)) (w
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sink.Close() })
-	src, err := listenEndpoint("udp", "127.0.0.1:0", func([]byte, net.Addr) {})
+	src, err := listenEndpoint(cfg.Network, "127.0.0.1:0", func([]byte, net.Addr) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { src.Close() })
 
 	cfg.Step = wire.StepPrimary
-	cfg.Mode = core.ModeScatterPP
 	cfg.ListenAddr = "127.0.0.1:0"
 	cfg.Router = NewStaticRouter(nil)
 	w, err = StartWorker(cfg)
@@ -73,6 +73,7 @@ func TestSidecarNeverAdmitsPastThreshold(t *testing.T) {
 	var mu sync.Mutex
 	var waits []time.Duration
 	w, send := startHopRig(t, WorkerConfig{
+		Mode:      core.ModeScatterPP,
 		Processor: hopProcessor{step: wire.StepPrimary, delay: 30 * time.Millisecond},
 		Threshold: threshold,
 		QueueCap:  32,
@@ -121,6 +122,7 @@ func TestSidecarNeverAdmitsPastThreshold(t *testing.T) {
 func TestSidecarShutdownDropSpans(t *testing.T) {
 	rec := obs.NewRecorder(0)
 	w, send := startHopRig(t, WorkerConfig{
+		Mode:       core.ModeScatterPP,
 		Processor:  hopProcessor{step: wire.StepPrimary, delay: 50 * time.Millisecond},
 		Threshold:  10 * time.Second,
 		QueueCap:   32,

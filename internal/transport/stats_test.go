@@ -165,3 +165,25 @@ func TestReassemblyTableBounded(t *testing.T) {
 		t.Error("ReassemblyOverCap not counted")
 	}
 }
+
+// TestStatsInconsistentTotalIsMalformed: a fragment whose total disagrees
+// with its message in progress is inconsistent geometry — counted and
+// reported like any malformed fragment — while a duplicate stays silent.
+func TestStatsInconsistentTotalIsMalformed(t *testing.T) {
+	c, rec, recv := statsConn(t)
+	raw := rawSender(t, c)
+	chunk := bytes.Repeat([]byte{3}, maxChunk)
+	send(t, raw, frag(3, 0, 3, chunk), frag(3, 1, 4, chunk))
+	waitFor(t, "malformed counter", func() bool { return c.Stats().FragmentsMalformed == 1 })
+	if rec.count(DropMalformed) != 1 {
+		t.Errorf("malformed hook fired %d times, want 1", rec.count(DropMalformed))
+	}
+	// A duplicate, then the rest of the message: it completes, and the
+	// duplicate counted nothing.
+	send(t, raw, frag(3, 0, 3, chunk), frag(3, 1, 3, chunk), frag(3, 2, 3, []byte("end")))
+	want := append(bytes.Repeat([]byte{3}, 2*maxChunk), "end"...)
+	expectMessage(t, recv, want)
+	if s := c.Stats(); s.FragmentsMalformed != 1 || rec.count(DropMalformed) != 1 {
+		t.Errorf("malformed %d, hook %d after a duplicate; want 1 each", s.FragmentsMalformed, rec.count(DropMalformed))
+	}
+}

@@ -66,8 +66,10 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // delivery is reliable and ordered per peer — losses become latency
 // instead of missing frames.
 type TCPConn struct {
-	ln      net.Listener
+	ln net.Listener
+	// Exactly one of handler (borrowing) and owner (owning) is set.
 	handler Handler
+	owner   OwningHandler
 	opts    TCPOptions
 
 	mu      sync.Mutex
@@ -77,7 +79,7 @@ type TCPConn struct {
 	done    chan struct{}
 	wg      sync.WaitGroup
 
-	readPool wire.BufPool // per-frame receive buffers, released after each handler call
+	readPool wire.BufPool // per-frame receive buffers, back after the handler returns or on Release
 }
 
 type tcpPeer struct {
@@ -100,6 +102,20 @@ func ListenTCPOpts(addr string, handler Handler, opts TCPOptions) (*TCPConn, err
 	if handler == nil {
 		return nil, errors.New("transport: nil handler")
 	}
+	return listenTCP(addr, handler, nil, opts)
+}
+
+// ListenTCPOwning is ListenTCP for a handler that keeps what it receives:
+// each message's pooled read buffer is handed over and comes back through
+// Release.
+func ListenTCPOwning(addr string, owner OwningHandler) (*TCPConn, error) {
+	if owner == nil {
+		return nil, errors.New("transport: nil handler")
+	}
+	return listenTCP(addr, nil, owner, TCPOptions{})
+}
+
+func listenTCP(addr string, handler Handler, owner OwningHandler, opts TCPOptions) (*TCPConn, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen tcp %s: %w", addr, err)
@@ -107,6 +123,7 @@ func ListenTCPOpts(addr string, handler Handler, opts TCPOptions) (*TCPConn, err
 	c := &TCPConn{
 		ln:      ln,
 		handler: handler,
+		owner:   owner,
 		opts:    opts.withDefaults(),
 		peers:   make(map[string]*tcpPeer),
 		inbound: make(map[net.Conn]struct{}),
@@ -193,17 +210,25 @@ func (c *TCPConn) readLoop(conn net.Conn) {
 		if n == 0 || n > maxMessage {
 			return // corrupt stream; drop the connection
 		}
-		// Pooled per-frame buffer, recycled as soon as the handler
-		// returns — the handler only borrows it (see Handler).
+		// Pooled per-frame buffer: a Handler borrows it until it returns,
+		// an OwningHandler keeps it until Release.
 		data := c.readPool.Get(int(n))[:n]
 		if _, err := io.ReadFull(r, data); err != nil {
 			c.readPool.Put(data)
 			return
 		}
+		if c.owner != nil {
+			c.owner(data, from, c)
+			continue
+		}
 		c.handler(data, from)
 		c.readPool.Put(data)
 	}
 }
+
+// Release implements Releaser: it takes back a read buffer handed to the
+// OwningHandler.
+func (c *TCPConn) Release(buf []byte) { c.readPool.Put(buf) }
 
 // SendToAddr implements Endpoint: it frames data onto a pooled connection
 // to addr under the endpoint's retry budget — each attempt dials (if

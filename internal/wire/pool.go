@@ -2,24 +2,29 @@
 // path — decode at a worker, process, re-encode, forward — runs at the
 // offered frame rate times the client count, so every per-frame
 // allocation multiplies into GC pressure exactly when the sidecar queues
-// need headroom. These pools let the steady-state hot path recycle one
-// arena per worker: FramePool recycles decoded envelopes (payload,
-// stage, and span capacity included), BufPool recycles encode and
-// receive scratch. Both are safe for concurrent use and follow the
-// same shape as internal/vision/parallel.SlicePool.
+// need headroom. These pools let the steady-state hot path recycle what
+// it uses: FramePool recycles decoded envelopes (stage and span
+// capacity, and payload capacity for copying decodes), BufPool recycles
+// encode scratch and the transports' receive buffers. Both are safe for
+// concurrent use and follow the same shape as
+// internal/vision/parallel.SlicePool.
 package wire
 
 import "sync"
 
 // FramePool recycles Frame envelopes. Frames returned by Get are zeroed
 // (Reset) but keep the payload/record capacity of their previous life,
-// so a worker decoding same-sized frames reaches steady state after one
-// frame and allocates nothing afterwards.
+// so a decoder reaches steady state after one frame and allocates
+// nothing afterwards.
 //
 // Ownership: Get transfers the frame to the caller; Put transfers it
 // back and must be the caller's last use. Never Put a frame whose
-// Payload aliases a borrowed buffer (UnmarshalBinaryNoCopy) — the alias
-// would survive as reusable capacity; nil the Payload first.
+// Payload aliases a buffer it does not own (UnmarshalBinaryNoCopy) — the
+// alias would survive as reusable capacity and a later decode would
+// write into someone else's bytes; nil the Payload first. A worker
+// decodes without a copy into a receive buffer it owns, so its envelopes
+// go back with a nil Payload and carry only stage and span capacity;
+// the buffer goes back to its transport separately (transport.Releaser).
 type FramePool struct {
 	pool sync.Pool
 }

@@ -270,12 +270,13 @@ func (f *Frame) UnmarshalBinary(data []byte) error {
 // f.Payload into data instead of copying it out.
 //
 // Buffer-ownership contract: data must stay alive and unmodified for as
-// long as f.Payload is in use. Transport receive buffers are only
-// borrowed for the duration of a Handler call (see transport.Handler),
-// so a handler using this mode must finish with the payload — or copy
-// it — before returning. A frame holding an aliased payload must not be
-// recycled through a FramePool (Put would retain the alias as reusable
-// capacity); drop it or set Payload to nil first.
+// long as f.Payload is in use. A transport.Handler only borrows its
+// buffer for the duration of the call, so it must finish with the
+// payload — or copy it — before returning; a transport.OwningHandler
+// keeps its buffer until it releases it, so the frame may live that long
+// (the worker's data plane). A frame holding an aliased payload must not
+// be recycled through a FramePool (Put would retain the alias as reusable
+// capacity); set Payload to nil first, and release the buffer after.
 func (f *Frame) UnmarshalBinaryNoCopy(data []byte) error {
 	return f.unmarshal(data, false)
 }
