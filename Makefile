@@ -70,13 +70,15 @@ ledger:
 	$(GO) run ./bench
 
 # CPU-profiles the vision kernel benchmarks for flamegraph inspection
-# (see EXPERIMENTS.md): writes cpu_lsh.pprof / cpu_match.pprof, and
+# (see EXPERIMENTS.md): writes cpu_lsh.pprof (queries on the
+# bigdb-100k-shaped index, whose arena does not fit a cache) /
+# cpu_match.pprof, and
 # cpu_full.pprof of one whole recognition frame (primary → sift →
 # encoding → lsh → matching, BenchmarkFastPathFrame/full) — the split
 # EXPERIMENTS and ROADMAP quote. Open with `go tool pprof -http=:
 # cpu_full.pprof`.
 profile-vision:
-	$(GO) test -run '^$$' -bench 'Kernel' -benchtime 20x -cpuprofile cpu_lsh.pprof \
+	$(GO) test -run '^$$' -bench 'KernelQuery/bigdb-100k' -benchtime 3000x -cpuprofile cpu_lsh.pprof \
 		-o /dev/null ./internal/vision/lsh
 	$(GO) test -run '^$$' -bench 'Kernel' -cpuprofile cpu_match.pprof \
 		-o /dev/null ./internal/vision/match
@@ -91,11 +93,17 @@ bench-vision:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -cpu 1,4,8 ./internal/vision/...
 	$(GO) test -run '^$$' -bench Primary720p -benchtime=1x -cpu 1,4,8 ./internal/core
 
-# Short fuzzing passes over the wire/payload decoders and UDP reassembly.
+# Short fuzzing passes over the wire/payload decoders, UDP reassembly, the
+# lsh query path against its reference and the lsh kernels against their
+# Go twins. The seed corpora under internal/vision/{lsh,simd}/testdata
+# are committed, so plain go test replays them.
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalBinary -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzDecodePayload -fuzztime 30s
 	$(GO) test ./internal/vision/lsh -fuzz FuzzSketchMatchesHash -fuzztime 30s
+	$(GO) test ./internal/vision/lsh -fuzz FuzzQueryMatchesReference -fuzztime 30s
+	$(GO) test ./internal/vision/simd -fuzz FuzzDotHighHalfMatchesTwin -fuzztime 30s
+	$(GO) test ./internal/vision/simd -fuzz FuzzDot16MatchesTwin -fuzztime 30s
 	$(GO) test ./internal/transport -fuzz FuzzReassembly -fuzztime 30s
 
 # Chaos suite: fault-injected transports, mid-run partitions, machine
@@ -121,5 +129,5 @@ handover:
 
 clean:
 	$(GO) clean ./...
-	rm -rf internal/wire/testdata internal/core/testdata internal/vision/lsh/testdata internal/transport/testdata
+	rm -rf internal/wire/testdata internal/core/testdata internal/vision/lsh/testdata/fuzz/FuzzSketchMatchesHash internal/transport/testdata
 	rm -rf .bench_build bench/out

@@ -3,6 +3,7 @@ package lsh
 import (
 	"math/rand"
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -53,7 +54,11 @@ func BenchmarkKernelRank(b *testing.B) {
 }
 
 // BenchmarkKernelQuery measures the full single-query path (hash, probe,
-// rank, top-k) on the dense-bucket index, where ranking dominates.
+// rank, top-k) on the dense-bucket index, where ranking dominates, and on
+// an index of bigdb-100k's shape: 100 003 Gaussian rows of 384 floats (a
+// 154 MB arena, so a query's ~32 k candidates come from memory, not
+// cache), Tables 8, Bits 6, Probes 2, k 3 and the pool at GOMAXPROCS, as
+// the lsh service runs it. That index is built before the timer starts.
 func BenchmarkKernelQuery(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		ix, queries := kernelBenchIndex(b, n)
@@ -64,6 +69,47 @@ func BenchmarkKernelQuery(b *testing.B) {
 			}
 		})
 	}
+	b.Run("bigdb-100k", func(b *testing.B) {
+		ix, queries := bigdbIndex(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ix.Query(queries[i%len(queries)], 3)
+		}
+	})
+}
+
+// bigdbIndex is the bigdb-100k database: Gaussian rows as bench/ pads it
+// with, added by two goroutines as there, and 16 Gaussian queries.
+func bigdbIndex(b *testing.B) (*Index, [][]float32) {
+	b.Helper()
+	const n, dim = 100_003, 384
+	ix := New(Config{Dim: dim, Tables: 8, Bits: 6, Probes: 2, Seed: 3})
+	gauss := func(rng *rand.Rand, v []float32) []float32 {
+		for d := range v {
+			v[d] = float32(rng.NormFloat64())
+		}
+		return v
+	}
+	var wg sync.WaitGroup
+	for part := 0; part < 2; part++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(300 + part)))
+			v := make([]float32, dim)
+			for id := part; id < n; id += 2 {
+				ix.Add(id, gauss(rng, v))
+			}
+		}()
+	}
+	wg.Wait()
+	rng := rand.New(rand.NewSource(302))
+	queries := make([][]float32, 16)
+	for q := range queries {
+		queries[q] = gauss(rng, make([]float32, dim))
+	}
+	return ix, queries
 }
 
 // BenchmarkKernelPreRank sweeps the Hamming pre-ranking budget on a

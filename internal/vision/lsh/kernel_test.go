@@ -235,12 +235,31 @@ func TestExactNNAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		ix.ExactNN(q, 10)
 	})
-	// The measured constant: the escaping top-k copy, the pool-return
-	// box, and sort.Slice bookkeeping on the k-prefix. What matters is
-	// that it does not grow with index size — the probe at 2000 and
-	// 20000 items measures the same 5.
+	// What matters is that it does not grow with index size. Since the
+	// query scratch is pooled whole, the measured constant is the
+	// escaping top-k copy alone; the bound keeps its old headroom.
 	if allocs > 6 {
 		t.Fatalf("ExactNN allocates %.1f per run, want <= 6 (pooled scratch)", allocs)
+	}
+}
+
+// TestQueryAllocBudget: after warm-up, a screened query on the serial
+// path allocates only its result — the hashing, the bitset collect, the
+// screen, the exact pass and the top-k selection all run in pooled
+// scratch.
+func TestQueryAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	// One table of one bit, probed both ways: every row is a candidate.
+	ix, _ := kernelIndex(t, 56, 2*screenCutIn, 16, Config{Tables: 1, Bits: 1, Probes: 1, Seed: 29, Workers: 1})
+	q := randomUnit(rand.New(rand.NewSource(57)), 16)
+	if candidates, kept := ix.screenCounts(q, 3); kept >= candidates {
+		t.Fatalf("the screen kept %d of %d candidates; this query is not screened", kept, candidates)
+	}
+	ix.Query(q, 3) // warm the pool
+	if allocs := testing.AllocsPerRun(50, func() { ix.Query(q, 3) }); allocs != 1 {
+		t.Fatalf("a screened Query allocates %.1f per run, want 1 (its result)", allocs)
 	}
 }
 

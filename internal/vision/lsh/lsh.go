@@ -10,9 +10,18 @@
 // (vector data, squared norms, and bit-packed sign sketches in three
 // dense parallel slabs indexed by slot), hyperplanes in one row-major
 // matrix, and ranking does a single dot-product pass per candidate
-// against norms cached at Add time. With Config.PreRank armed, ranking
-// first cuts the candidate set by packed-sketch Hamming distance —
-// XOR/popcount over a few words — before the exact cosine pass.
+// against norms cached at Add time.
+//
+// A stored row keeps the high 16 bits of each of its floats first and
+// the low 16 bits after them. Above screenCutIn candidates, ranking
+// screens every candidate on the high halves alone — half the bytes — and
+// gets an interval its exact distance must lie in; only the candidates
+// whose interval reaches below the k-th smallest upper end are rebuilt
+// and ranked exactly. The result is the one ranking every candidate
+// exactly gives, bit for bit (see screenLocked). With Config.PreRank
+// armed, ranking instead first cuts the candidate set by packed-sketch
+// Hamming distance — XOR/popcount over a few words — before the exact
+// cosine pass, which can change the result.
 package lsh
 
 import (
@@ -20,7 +29,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,14 +54,15 @@ type Config struct {
 	// queries rank candidates first by Hamming distance between packed
 	// sign sketches (Tables×Bits bits, XOR + popcount) and exactly
 	// re-rank only the top PreRank·k by cosine distance. Zero (the
-	// default) keeps exact mode — every candidate cosine-ranked,
-	// bit-identical to an index without sketches. A PreRank·k cut at or
+	// default) keeps exact mode — the result of cosine-ranking every
+	// candidate, bit-identical to an index without sketches. A PreRank·k cut at or
 	// above the candidate count degenerates to exact mode.
 	PreRank int
 	// Workers bounds the worker pool for table construction, bulk
-	// hashing, and candidate ranking. Zero uses GOMAXPROCS; one forces
-	// the serial path. Hash tables and query results are identical at
-	// any setting.
+	// hashing, the high-half screen and exact candidate ranking. Zero
+	// uses GOMAXPROCS; one forces the serial path, on which a query
+	// allocates only its result. Hash tables and query results are
+	// identical at any setting.
 	Workers int
 }
 
@@ -60,10 +70,12 @@ type Config struct {
 // concurrent use: lookups take a read lock, Add takes a write lock.
 //
 // Reference storage is a structure-of-arrays arena: vector s occupies
-// arena[s*Dim:(s+1)*Dim], its squared L2 norm normsSq[s], and its packed
+// arena[s*2*Dim:(s+1)*2*Dim] — the high 16 bits of its Dim floats, then
+// their low 16 bits, so float d is arena[s*2*Dim+d]<<16 |
+// arena[s*2*Dim+Dim+d] — its squared L2 norm normsSq[s], and its packed
 // sign sketch sketches[s*sketchWords:(s+1)*sketchWords]. Slots are dense;
 // Remove swap-moves the last slot into the hole so the arena never
-// fragments and the ranking pass streams contiguous memory.
+// fragments and the ranking passes stream contiguous memory.
 //
 // Hash buckets hold slots, not ids, so candidate collection, Hamming
 // pre-ranking, and cosine ranking are pure array indexing — no map
@@ -84,13 +96,21 @@ type Index struct {
 	// atomic so SetPreRank can retune a serving index without the lock.
 	preRank atomic.Int64
 
+	// slack is the relative half-width of a screened distance
+	// interval (see screenSlack); fixed by Dim.
+	slack float64
+
 	mu       sync.RWMutex
 	tables   []map[uint64][]int
-	arena    []float32
+	arena    []uint16 // split rows: high halves, then low halves
 	normsSq  []float64
 	sketches []uint64
 	slotIDs  []int       // slot → id
 	slots    map[int]int // id → slot
+	// nonFinite counts stored rows with a NaN or infinite component
+	// (exactly the rows whose cached squared norm is not finite); while
+	// there is one, the screen stands down.
+	nonFinite int
 }
 
 // New creates an empty index. It panics on a non-positive dimension or
@@ -123,6 +143,7 @@ func New(cfg Config) *Index {
 		cfg:         cfg,
 		planes:      make([]float32, cfg.Tables*cfg.Bits*cfg.Dim),
 		sketchWords: (cfg.Tables*cfg.Bits + 63) / 64,
+		slack:       screenSlack(cfg.Dim),
 		tables:      make([]map[uint64][]int, cfg.Tables),
 		slots:       make(map[int]int),
 	}
@@ -215,6 +236,8 @@ func normSq(v []float32) float64 {
 	return n
 }
 
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+
 // packSketch packs per-table bucket keys into a dense little-endian bit
 // string: table t's bit b lands at global bit position t*bits + b. dst
 // must hold ceil(len(keys)*bits / 64) words and is overwritten.
@@ -257,20 +280,26 @@ var keyPool parallel.SlicePool[uint64]
 // multiply-add count is large enough to amortize the handoff (a full
 // hash below the cutoff costs on the order of the fan-out itself).
 func (ix *Index) hashAll(v []float32, keys []uint64) {
-	workers := ix.cfg.Workers
-	if ix.cfg.Tables*ix.cfg.Bits*ix.cfg.Dim < 1<<17 {
-		workers = 1
+	if ix.cfg.Workers == 1 || ix.cfg.Tables*ix.cfg.Bits*ix.cfg.Dim < 1<<17 {
+		for t := range keys {
+			keys[t] = ix.Hash(t, v)
+		}
+		return
 	}
-	parallel.For(workers, ix.cfg.Tables, 1, func(_, start, end int) {
+	parallel.For(ix.cfg.Workers, ix.cfg.Tables, 1, func(_, start, end int) {
 		for t := start; t < end; t++ {
 			keys[t] = ix.Hash(t, v)
 		}
 	})
 }
 
+// halfPool recycles Add's split-row buffer.
+var halfPool parallel.SlicePool[uint16]
+
 // Add stores vector v under id, replacing any previous vector with the
-// same id. The vector is copied into the arena. Per-table hashing, norm
-// caching, and sketch packing all happen outside the write lock.
+// same id. The vector is copied into the arena as a split row. Per-table
+// hashing, norm caching, sketch packing and splitting the row all happen
+// outside the write lock.
 func (ix *Index) Add(id int, v []float32) {
 	ix.checkDim(v)
 	keys := keyPool.Get(ix.cfg.Tables)
@@ -278,13 +307,21 @@ func (ix *Index) Add(id int, v []float32) {
 	n := normSq(v)
 	sketch := keyPool.Get(ix.sketchWords)
 	packSketch(sketch, keys, ix.cfg.Bits)
+	row := halfPool.Get(2 * ix.cfg.Dim)
+	for d, x := range v {
+		b := math.Float32bits(x)
+		row[d], row[ix.cfg.Dim+d] = uint16(b>>16), uint16(b)
+	}
 
 	ix.mu.Lock()
 	if slot, ok := ix.slots[id]; ok {
 		ix.removeSlotLocked(id, slot)
 	}
 	slot := len(ix.slotIDs)
-	ix.arena = append(ix.arena, v...)
+	ix.arena = append(ix.arena, row...)
+	if !finite(n) {
+		ix.nonFinite++
+	}
 	ix.normsSq = append(ix.normsSq, n)
 	ix.sketches = append(ix.sketches, sketch...)
 	ix.slotIDs = append(ix.slotIDs, id)
@@ -293,6 +330,7 @@ func (ix *Index) Add(id int, v []float32) {
 		ix.tables[t][keys[t]] = append(ix.tables[t][keys[t]], slot)
 	}
 	ix.mu.Unlock()
+	halfPool.Put(row)
 	keyPool.Put(sketch)
 	keyPool.Put(keys)
 }
@@ -313,7 +351,10 @@ func (ix *Index) Remove(id int) {
 // new slot the same way, via its own sketch. Callers must hold the
 // write lock.
 func (ix *Index) removeSlotLocked(id, slot int) {
-	sw, dim := ix.sketchWords, ix.cfg.Dim
+	sw, stride := ix.sketchWords, 2*ix.cfg.Dim
+	if !finite(ix.normsSq[slot]) {
+		ix.nonFinite--
+	}
 	sketch := ix.sketches[slot*sw : (slot+1)*sw]
 	for t := range ix.tables {
 		key := unpackKey(sketch, t, ix.cfg.Bits)
@@ -340,14 +381,14 @@ func (ix *Index) removeSlotLocked(id, slot int) {
 				}
 			}
 		}
-		copy(ix.arena[slot*dim:(slot+1)*dim], ix.arena[last*dim:(last+1)*dim])
+		copy(ix.arena[slot*stride:(slot+1)*stride], ix.arena[last*stride:(last+1)*stride])
 		copy(sketch, moved)
 		ix.normsSq[slot] = ix.normsSq[last]
 		movedID := ix.slotIDs[last]
 		ix.slotIDs[slot] = movedID
 		ix.slots[movedID] = slot
 	}
-	ix.arena = ix.arena[:last*dim]
+	ix.arena = ix.arena[:last*stride]
 	ix.sketches = ix.sketches[:last*sw]
 	ix.normsSq = ix.normsSq[:last]
 	ix.slotIDs = ix.slotIDs[:last]
@@ -391,44 +432,60 @@ func dot1(v, r []float32) (d float64) {
 	return
 }
 
+// rebuild writes the stored floats of slot into dst (length Dim), each put
+// back together from its high and low half, bit for bit what Add was given.
+func (ix *Index) rebuild(dst []float32, slot int) []float32 {
+	dim := ix.cfg.Dim
+	hi, lo := ix.arena[slot*2*dim:][:dim], ix.arena[slot*2*dim+dim:][:dim]
+	dst = dst[:dim]
+	for d := range dst {
+		dst[d] = math.Float32frombits(uint32(hi[d])<<16 | uint32(lo[d]))
+	}
+	return dst
+}
+
 // rankRange ranks candidates neighbors[start:end], whose ID field holds
-// arena slots on entry: a dot-product pass over the arena rows of sixteen
-// candidates at a time (simd.Dot16), then four, then one, against the
-// Add-time norm cache and the hoisted query norm qn, then the slot is
-// rewritten to the public id. Every form accumulates a row's dot in index
-// order and the norms accumulate per vector in index order — the same
-// three float64 reduction sequences the reference CosineDistance runs in
-// one loop — so
-// the distance is bit-identical to the fused computation.
+// arena slots on entry: sixteen candidates at a time are rebuilt into
+// pooled rows and go through one dot-product pass (simd.Dot16), then four,
+// then one, against the Add-time norm cache and the hoisted query norm
+// qn, then the slot is rewritten to the public id. Every form accumulates
+// a row's dot in index order and the norms accumulate per vector in index
+// order — the same three float64 reduction sequences the reference
+// CosineDistance runs in one loop — so the distance is bit-identical to
+// the fused computation.
 func (ix *Index) rankRange(v []float32, qn float64, neighbors []Neighbor, start, end int) {
 	dim := ix.cfg.Dim
-	row := func(slot int) []float32 { return ix.arena[slot*dim : (slot+1)*dim] }
+	sc := scratchPool.Get().(*scratch)
+	rows := resize(sc.rows, 16*dim)
+	sc.rows = rows
+	row := func(r, slot int) []float32 { return ix.rebuild(rows[r*dim:], slot) }
 	finish := func(i int, dot float64) {
 		slot := neighbors[i].ID
 		neighbors[i] = Neighbor{ID: ix.slotIDs[slot], Dist: cosineFromDot(dot, qn, ix.normsSq[slot])}
 	}
 	i := start
 	for ; i+16 <= end; i += 16 {
-		var rows [16]*float32
+		var ptrs [16]*float32
 		var dots [16]float64
-		for r := range rows {
-			rows[r] = &row(neighbors[i+r].ID)[0]
+		for r := range ptrs {
+			ptrs[r] = &row(r, neighbors[i+r].ID)[0]
 		}
-		simd.Dot16(&dots, v, &rows)
+		simd.Dot16(&dots, v, &ptrs)
 		for r, d := range dots {
 			finish(i+r, d)
 		}
 	}
 	for ; i+4 <= end; i += 4 {
-		d0, d1, d2, d3 := dot4(v, row(neighbors[i].ID), row(neighbors[i+1].ID), row(neighbors[i+2].ID), row(neighbors[i+3].ID))
+		d0, d1, d2, d3 := dot4(v, row(0, neighbors[i].ID), row(1, neighbors[i+1].ID), row(2, neighbors[i+2].ID), row(3, neighbors[i+3].ID))
 		finish(i, d0)
 		finish(i+1, d1)
 		finish(i+2, d2)
 		finish(i+3, d3)
 	}
 	for ; i < end; i++ {
-		finish(i, dot1(v, row(neighbors[i].ID)))
+		finish(i, dot1(v, row(0, neighbors[i].ID)))
 	}
+	scratchPool.Put(sc)
 }
 
 // rankLocked ranks every candidate neighbor (ID holds the arena slot on
@@ -449,47 +506,165 @@ func (ix *Index) rankLocked(v []float32, neighbors []Neighbor) {
 	})
 }
 
-// rankAllLocked ranks every stored item into neighbors (length Len) —
-// the ExactNN path: every slot is a candidate, listed in slot order, so
-// the rank kernel streams the arena front to back. Callers must hold at
-// least a read lock.
-func (ix *Index) rankAllLocked(v []float32, neighbors []Neighbor) {
-	for s := range neighbors {
-		neighbors[s].ID = s
+// screenCutIn is the candidate count above which ranking screens on the
+// high halves first. At or below it, ranking every candidate exactly
+// costs little enough that the screen's extra pass does not pay.
+const screenCutIn = 4096
+
+// screenGrain is the candidate granularity of the parallel screen pass.
+const screenGrain = 1024
+
+// screenSlack is the relative half-width of a screened distance interval
+// at dimension dim: 2⁻⁷ for the dropped low halves, 2g ≥ g/(1−g) = γ for
+// the float32 accumulation of dim rounded products, g = (dim+1)·2⁻²⁴, and
+// 2⁻³⁰ for float64 rounding (see screenLocked). Past g = 1/2 the bound is
+// not worth having and the slack is infinite: every candidate is kept.
+func screenSlack(dim int) float64 {
+	g := float64(dim+1) * 0x1p-24
+	if g > 0.5 {
+		return math.Inf(1)
 	}
-	ix.rankLocked(v, neighbors)
+	return 0x1p-7 + 2*g + 0x1p-30
 }
 
-// preRankLocked cuts the candidate set (ID holds arena slots) to
-// PreRank·k by packed-sketch Hamming distance (XOR + popcount over
-// sketchWords words per candidate) ahead of exact cosine ranking.
-// Selection is under the (Hamming, slot) total order, so the kept set
-// is deterministic. With PreRank zero, or PreRank·k at or above the
-// candidate count, the set is returned intact — exact mode. keys are
-// the query's per-table bucket keys (already computed for probing).
-// Callers must hold at least a read lock.
-func (ix *Index) preRankLocked(keys []uint64, neighbors []Neighbor, k int) []Neighbor {
-	pr := int(ix.preRank.Load())
-	if pr <= 0 {
-		return neighbors
+// screenLocked returns, as Neighbor{ID: slot}, the candidates among slots
+// (ascending) that can be among the k nearest of v, whose squared norm is
+// qn. They always include the exact k nearest, ties and all, so ranking
+// them exactly gives the result that ranking every candidate would.
+//
+// The screen stands down, and every candidate is returned, when there are
+// at most screenCutIn candidates or no more than k; when the query is zero
+// or not finite (qn is then 0, +Inf or NaN); and while a stored row is not
+// finite, since its distance would be NaN and no interval holds NaN.
+//
+// Otherwise simd.DotHighHalf gives each candidate the float32 dot product
+// ĥ of v with h, its row with the low 16 bits of every float cleared. A
+// normal float x moves by |x − h| < 2⁻⁷·|x| and a subnormal one by less
+// than 2⁻¹³³, so by Cauchy–Schwarz v·h is within 2⁻⁷·√(qn·nb) +
+// 2⁻¹³³·√(Dim·qn) of v·x (nb the row's squared norm). ĥ is within
+// γ·Σ|vᵢhᵢ| ≤ γ·√(qn·nb) of v·h, γ = g/(1−g) with g = (Dim+1)·2⁻²⁴ —
+// rounded products in sums no deeper than Dim terms — plus 2⁻¹⁵⁰ for each
+// product that underflows. The exact path's own float64 rounding (the
+// dot product, the cached norms, the square root, division and the
+// subtraction from 1) and the rounding in forming the interval are each
+// far below 2⁻⁴⁰, which screenSlack's 2⁻³⁰ covers. So with s = √(qn·nb)
+// computed as cosineFromDot computes it, the exactly ranked distance lies
+// in [c − δ, c + δ], c = 1 − ĥ/s and δ = slack + (2⁻¹³²·√(Dim·qn) +
+// Dim·2⁻¹⁴⁹)/s, the absolute terms doubled against their own rounding. A
+// zero row's interval is [1, 1], its exact distance; a candidate with s
+// above 2¹²⁶, whose float32 sum might overflow, gets (−∞, +∞).
+//
+// Let U be the k-th smallest upper end. The k candidates that hold the k
+// smallest upper ends have exact distances ≤ U, so every one of the exact
+// k nearest has an exact distance ≤ U too, and a lower end ≤ U: keeping
+// every candidate whose lower end is ≤ U keeps them all. A max-heap holds
+// the k smallest upper ends seen so far; its top only falls, towards U,
+// so a candidate whose lower end is above it is dropped on the spot, and
+// the rest are filtered against U at the end. Callers must hold at least
+// a read lock.
+func (ix *Index) screenLocked(v []float32, qn float64, slots []int32, k int, sc *scratch) []Neighbor {
+	if len(slots) <= screenCutIn || k >= len(slots) || ix.nonFinite > 0 || !(qn > 0) || math.IsInf(qn, 1) {
+		return sc.candidates(slots)
 	}
-	keep := pr * k
-	if keep <= 0 || keep >= len(neighbors) {
-		return neighbors
-	}
-	qs := keyPool.Get(ix.sketchWords)
-	packSketch(qs, keys, ix.cfg.Bits)
-	n := len(neighbors)
-	if ix.cfg.Workers == 1 || n <= rankGrain {
-		ix.hammingRange(qs, neighbors, 0, n)
+	dim := ix.cfg.Dim
+	dots := resize(sc.dots, len(slots))
+	sc.dots = dots
+	if ix.cfg.Workers == 1 || len(slots) <= screenGrain {
+		simd.DotHighHalf(dots, v, ix.arena, 2*dim, slots)
 	} else {
-		parallel.For(ix.cfg.Workers, n, rankGrain, func(_, start, end int) {
-			ix.hammingRange(qs, neighbors, start, end)
+		parallel.For(ix.cfg.Workers, len(slots), screenGrain, func(_, start, end int) {
+			simd.DotHighHalf(dots[start:end], v, ix.arena, 2*dim, slots[start:end])
 		})
 	}
-	neighbors = sortAndTrim(neighbors, keep)
-	keyPool.Put(qs)
-	return neighbors
+	abs := 0x1p-132*math.Sqrt(float64(dim)*qn) + float64(dim)*0x1p-149
+	cands, top := sc.cands[:0], sc.bounds[:0]
+	for i, s := range slots {
+		lo, hi := 1.0, 1.0
+		if nb := ix.normsSq[s]; nb != 0 {
+			root := math.Sqrt(qn * nb)
+			if root > 0x1p126 {
+				lo, hi = math.Inf(-1), math.Inf(1)
+			} else {
+				c, e := 1-float64(dots[i])/root, ix.slack+abs/root
+				lo, hi = c-e, c+e
+			}
+		}
+		if len(top) < k {
+			top = pushBound(top, hi)
+		} else {
+			if hi < top[0] {
+				replaceTop(top, hi)
+			}
+			if lo > top[0] {
+				continue
+			}
+		}
+		cands = append(cands, Neighbor{ID: int(s), Dist: lo}) // Dist: the lower end, until the filter
+	}
+	sc.bounds, sc.cands = top, cands
+	kept := cands[:0]
+	for _, c := range cands {
+		if c.Dist <= top[0] {
+			kept = append(kept, Neighbor{ID: c.ID})
+		}
+	}
+	return kept
+}
+
+// pushBound adds x to the max-heap h.
+func pushBound(h []float64, x float64) []float64 {
+	h = append(h, x)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] >= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	return h
+}
+
+// replaceTop puts x in place of the largest element of the max-heap h.
+func replaceTop(h []float64, x float64) {
+	h[0] = x
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[c] <= h[i] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// preRankLocked cuts the candidate slots to the keep nearest by
+// packed-sketch Hamming distance (XOR + popcount over sketchWords words
+// per candidate) ahead of exact cosine ranking, and returns them as
+// Neighbor{ID: slot}. Selection is under the (Hamming, slot) total order,
+// so the kept set is deterministic. The query's per-table bucket keys
+// are sc.keys (already computed for probing). Callers must hold at least
+// a read lock.
+func (ix *Index) preRankLocked(slots []int32, keep int, sc *scratch) []Neighbor {
+	cands := sc.candidates(slots)
+	qs := resize(sc.sketch, ix.sketchWords)
+	sc.sketch = qs
+	packSketch(qs, sc.keys, ix.cfg.Bits)
+	n := len(cands)
+	if ix.cfg.Workers == 1 || n <= rankGrain {
+		ix.hammingRange(qs, cands, 0, n)
+	} else {
+		parallel.For(ix.cfg.Workers, n, rankGrain, func(_, start, end int) {
+			ix.hammingRange(qs, cands, start, end)
+		})
+	}
+	return sortAndTrim(cands, keep)
 }
 
 // hammingRange fills Dist for neighbors[start:end] (ID holds the arena
@@ -509,13 +684,28 @@ func (ix *Index) hammingRange(qs []uint64, neighbors []Neighbor, start, end int)
 }
 
 // neighborLess is the (distance, id) comparator used everywhere results
-// are ranked. Distinct IDs make it a strict total order, so any ranking
-// built on it is deterministic regardless of candidate collection order.
+// are ranked, a NaN distance (a NaN or infinite row or query) after every
+// number. Distinct IDs make it a strict total order, so any ranking built
+// on it is deterministic regardless of candidate collection order.
 func neighborLess(a, b Neighbor) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
+	if a.Dist < b.Dist || b.Dist != b.Dist && a.Dist == a.Dist {
+		return true
+	}
+	if b.Dist < a.Dist || a.Dist != a.Dist && b.Dist == b.Dist {
+		return false
 	}
 	return a.ID < b.ID
+}
+
+// compareNeighbors is neighborLess as a three-way comparison.
+func compareNeighbors(a, b Neighbor) int {
+	switch {
+	case neighborLess(a, b):
+		return -1
+	case neighborLess(b, a):
+		return 1
+	}
+	return 0
 }
 
 // sortAndTrim orders neighbors by (distance, id) and truncates to k.
@@ -532,9 +722,7 @@ func sortAndTrim(neighbors []Neighbor, k int) []Neighbor {
 		selectK(neighbors, k)
 		neighbors = neighbors[:k]
 	}
-	sort.Slice(neighbors, func(i, j int) bool {
-		return neighborLess(neighbors[i], neighbors[j])
-	})
+	slices.SortFunc(neighbors, compareNeighbors)
 	return neighbors
 }
 
@@ -596,94 +784,135 @@ func insertionSortNeighbors(a []Neighbor, lo, hi int) {
 	}
 }
 
-// seenPool recycles the per-query candidate-dedup bitmap. Slots are
-// dense, so membership is one bool indexed by slot — no hash map on the
-// candidate-collection path.
-var seenPool parallel.SlicePool[bool]
+// scratch is one query's working memory. It is pooled across queries, so
+// that after warm-up a query allocates only its result.
+type scratch struct {
+	keys   []uint64   // the query's bucket key per table
+	sketch []uint64   // the query's packed sketch (pre-ranking only)
+	seen   []uint64   // candidate bitset over slots; all zero while pooled
+	slots  []int32    // candidate slots, ascending
+	dots   []float32  // the screen's dot product per candidate
+	bounds []float64  // max-heap of the k smallest upper ends
+	cands  []Neighbor // candidates for exact ranking
+	rows   []float32  // up to 16 rebuilt rows for the exact pass
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// candidates lists slots as Neighbor{ID: slot} in sc.cands.
+func (sc *scratch) candidates(slots []int32) []Neighbor {
+	cands := sc.cands[:0]
+	for _, s := range slots {
+		cands = append(cands, Neighbor{ID: int(s)})
+	}
+	sc.cands = cands
+	return cands
+}
+
+// resize returns s at length n, allocating (zeroed) only when its
+// capacity is short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // collectLocked gathers the deduplicated candidate slots of the query
-// whose per-table bucket keys are keys — the exact buckets plus
-// single-bit-flip probe buckets — and appends them to dst as
-// Neighbor{ID: slot} entries in ascending slot order, so the ranking
-// passes walk the arena and the sketch slab forwards. Every ranking is
-// under a total order ((Hamming, slot), then (distance, id)), so the
-// order candidates are listed in never shows in a result. seen must be a
-// zeroed bitmap of Len bools; it is left with the collected slots set.
-// Callers must hold at least a read lock.
-func (ix *Index) collectLocked(keys []uint64, seen []bool, dst []Neighbor) []Neighbor {
+// whose per-table bucket keys are sc.keys — the exact buckets plus
+// single-bit-flip probe buckets — as bits of the bitset sc.seen, then
+// lists them in ascending slot order (TrailingZeros64 per set bit),
+// clearing the bitset as it goes, so the ranking passes walk the arena
+// and the sketch slab forwards. Every ranking is under a total order
+// ((Hamming, slot), then (distance, id)), so the order candidates are
+// listed in never shows in a result. Callers must hold at least a read
+// lock.
+func (ix *Index) collectLocked(sc *scratch) []int32 {
+	seen := resize(sc.seen, (len(ix.slotIDs)+63)/64)
+	sc.seen = seen
 	for t := range ix.tables {
-		key := keys[t]
-		for _, s := range ix.tables[t][key] {
-			seen[s] = true
-		}
-		for p := 0; p < ix.cfg.Probes && p < ix.cfg.Bits; p++ {
-			for _, s := range ix.tables[t][key^(1<<uint(p))] {
-				seen[s] = true
+		for p := -1; p < ix.cfg.Probes && p < ix.cfg.Bits; p++ {
+			key := sc.keys[t]
+			if p >= 0 {
+				key ^= 1 << uint(p)
+			}
+			for _, s := range ix.tables[t][key] {
+				seen[s>>6] |= 1 << uint(s&63)
 			}
 		}
 	}
-	for s, hit := range seen {
-		if hit {
-			dst = append(dst, Neighbor{ID: s})
+	slots := sc.slots[:0]
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			slots = append(slots, int32(w<<6|bits.TrailingZeros64(word)))
 		}
+		seen[w] = 0
 	}
-	return dst
+	sc.slots = slots
+	return slots
 }
 
 // Query returns up to k approximate nearest neighbours of v, ranked by
 // exact cosine distance over the union of candidate buckets across all
-// tables (plus multi-probe buckets differing by one bit). With PreRank
-// armed the candidate set is first cut to PreRank·k by sketch Hamming
-// distance. Per-table hashing and candidate ranking run on the worker
-// pool; candidate scratch is pooled, so only the top-k copy escapes.
+// tables (plus multi-probe buckets differing by one bit). Above
+// screenCutIn candidates only those the high-half screen cannot rule out
+// are ranked, which changes no result. With PreRank armed the candidate
+// set is instead first cut to PreRank·k by sketch Hamming distance.
 func (ix *Index) Query(v []float32, k int) []Neighbor {
 	ix.checkDim(v)
 	if k <= 0 {
 		return nil
 	}
-	keys := keyPool.Get(ix.cfg.Tables)
-	ix.hashAll(v, keys)
+	sc := scratchPool.Get().(*scratch)
+	sc.keys = resize(sc.keys, ix.cfg.Tables)
+	ix.hashAll(v, sc.keys)
+	qn := normSq(v)
 
 	ix.mu.RLock()
-	seen := seenPool.Get(len(ix.slotIDs))
-	scratch := neighborPool.Get(0)
-	neighbors := ix.collectLocked(keys, seen, scratch[:0])
-	neighbors = ix.preRankLocked(keys, neighbors, k)
-	ix.rankLocked(v, neighbors)
-	ix.mu.RUnlock()
-	top := sortAndTrim(neighbors, k)
-	out := make([]Neighbor, len(top))
-	copy(out, top)
-	if cap(neighbors) > cap(scratch) {
-		scratch = neighbors
+	slots := ix.collectLocked(sc)
+	var cands []Neighbor
+	if keep := int(ix.preRank.Load()) * k; keep > 0 && keep < len(slots) {
+		cands = ix.preRankLocked(slots, keep, sc)
+	} else {
+		cands = ix.screenLocked(v, qn, slots, k, sc)
 	}
-	neighborPool.Put(scratch)
-	seenPool.Put(seen)
-	keyPool.Put(keys)
+	ix.rankLocked(v, cands)
+	ix.mu.RUnlock()
+	out := trimmedCopy(cands, k)
+	scratchPool.Put(sc)
 	return out
 }
 
-// neighborPool recycles candidate-ranking buffers across Query and
-// ExactNN calls, so a steady stream of queries allocates only the trimmed
-// result slices that escape to the caller.
-var neighborPool parallel.SlicePool[Neighbor]
+// trimmedCopy returns the k nearest of the ranked candidates in a slice
+// of their own — the one allocation of a query.
+func trimmedCopy(cands []Neighbor, k int) []Neighbor {
+	top := sortAndTrim(cands, k)
+	out := make([]Neighbor, len(top))
+	copy(out, top)
+	return out
+}
 
 // ExactNN returns the true k nearest neighbours by brute force — the
-// accuracy baseline LSH recall is measured against. The distance scan
-// streams the arena in slot order (row-parallel on the worker pool) into
-// a pooled candidate buffer; only the trimmed top-k escapes.
+// accuracy baseline LSH recall is measured against. Every stored item is
+// a candidate, listed in slot order, so the screen and the exact pass
+// stream the arena front to back.
 func (ix *Index) ExactNN(v []float32, k int) []Neighbor {
 	ix.checkDim(v)
 	if k <= 0 {
 		return nil
 	}
+	sc := scratchPool.Get().(*scratch)
+	qn := normSq(v)
 	ix.mu.RLock()
-	scratch := neighborPool.Get(len(ix.slotIDs))
-	ix.rankAllLocked(v, scratch)
+	slots := resize(sc.slots, len(ix.slotIDs))
+	sc.slots = slots
+	for s := range slots {
+		slots[s] = int32(s)
+	}
+	cands := ix.screenLocked(v, qn, slots, k, sc)
+	ix.rankLocked(v, cands)
 	ix.mu.RUnlock()
-	top := sortAndTrim(scratch, k)
-	out := make([]Neighbor, len(top))
-	copy(out, top)
-	neighborPool.Put(scratch)
+	out := trimmedCopy(cands, k)
+	scratchPool.Put(sc)
 	return out
 }

@@ -1,11 +1,15 @@
 package lsh
 
 // Exact-equality oracles for the query path. The ref functions are the
-// kernels as they stood before candidates were listed in slot order and
-// ranked four arena rows per sweep; refQuery and refExactNN assemble them
-// the way Query and ExactNN did, serially.
+// kernels as they stood before candidates were listed in slot order,
+// ranked four arena rows per sweep and screened on the high halves of the
+// stored floats; refQuery and refExactNN assemble them the way Query and
+// ExactNN did, serially, ranking every candidate exactly. They read the
+// stored rows through storedRow, which puts each float back together from
+// the split layout.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,6 +17,16 @@ import (
 	"sync"
 	"testing"
 )
+
+// storedRow writes the floats stored in slot into row (length Dim),
+// rebuilt from their high and low halves.
+func (ix *Index) storedRow(row []float32, slot int) []float32 {
+	dim := ix.cfg.Dim
+	for d := range row {
+		row[d] = math.Float32frombits(uint32(ix.arena[slot*2*dim+d])<<16 | uint32(ix.arena[slot*2*dim+dim+d]))
+	}
+	return row
+}
 
 // refCollectLocked lists candidates in the order the buckets yield them:
 // table by table, exact bucket then probes, first sighting wins.
@@ -39,10 +53,10 @@ func (ix *Index) refCollectLocked(keys []uint64, seen []bool, dst []Neighbor) []
 
 // refRankRange is the one-arena-row-per-candidate distance pass.
 func (ix *Index) refRankRange(v []float32, qn float64, neighbors []Neighbor, start, end int) {
-	dim := ix.cfg.Dim
+	ref := make([]float32, ix.cfg.Dim)
 	for i := start; i < end; i++ {
 		slot := neighbors[i].ID
-		ref := ix.arena[slot*dim : (slot+1)*dim]
+		ix.storedRow(ref, slot)
 		var dot float64
 		for d, x := range v {
 			dot += float64(x) * float64(ref[d])
@@ -58,9 +72,9 @@ func (ix *Index) refRankRange(v []float32, qn float64, neighbors []Neighbor, sta
 
 // refRankAllRange is the one-row-at-a-time full scan.
 func (ix *Index) refRankAllRange(v []float32, qn float64, neighbors []Neighbor, start, end int) {
-	dim := ix.cfg.Dim
+	ref := make([]float32, ix.cfg.Dim)
 	for s := start; s < end; s++ {
-		ref := ix.arena[s*dim : (s+1)*dim]
+		ix.storedRow(ref, s)
 		var dot float64
 		for d, x := range v {
 			dot += float64(x) * float64(ref[d])
@@ -110,12 +124,19 @@ func (ix *Index) refExactNN(v []float32, k int) []Neighbor {
 
 // oracleIndex holds n clustered vectors (so buckets are full and
 // distances tie: every fifth vector repeats an earlier one under a new
-// id, a few are zero) with a third of the ids then removed or replaced,
-// so slot order, id order and bucket order all differ.
+// id, a few are zero, some carry subnormal components or are subnormal
+// throughout, some carry a component near MaxFloat32) with a third of
+// the ids then removed or replaced, so slot order, id order and bucket
+// order all differ. Four copies of one vector right beside each of the
+// first three queries, under fresh ids, tie across the k-th place. Three
+// bits a table and two probes make most of the index a candidate, so
+// above screenCutIn vectors queries are screened. The queries are near
+// the clusters, plus a zero one, one with subnormal components and one
+// with a component near MaxFloat32.
 func oracleIndex(t testing.TB, n, dim, workers int) (*Index, [][]float32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(71))
-	ix := New(Config{Dim: dim, Tables: 6, Bits: 5, Probes: 2, Seed: 13, Workers: workers})
+	ix := New(Config{Dim: dim, Tables: 6, Bits: 3, Probes: 2, Seed: 13, Workers: workers})
 	centers := make([][]float32, 4)
 	for c := range centers {
 		centers[c] = randomUnit(rng, dim)
@@ -127,6 +148,23 @@ func oracleIndex(t testing.TB, n, dim, workers int) (*Index, [][]float32) {
 		}
 		return v
 	}
+	sign := func() float32 { return float32(1 - 2*rng.Intn(2)) }
+	subnormal := func() float32 { return sign() * math.Float32frombits(uint32(1+rng.Intn(1<<23-1))) }
+	huge := func() float32 {
+		return sign() * math.Float32frombits(math.Float32bits(math.MaxFloat32)-uint32(rng.Intn(1<<16)))
+	}
+	withSubnormals := func() []float32 {
+		v := near()
+		for d := 0; d < dim; d += 3 {
+			v[d] = subnormal()
+		}
+		return v
+	}
+	withHuge := func() []float32 {
+		v := near()
+		v[rng.Intn(dim)] = huge()
+		return v
+	}
 	vecs := make([][]float32, n)
 	for id := range vecs {
 		switch {
@@ -134,6 +172,15 @@ func oracleIndex(t testing.TB, n, dim, workers int) (*Index, [][]float32) {
 			vecs[id] = make([]float32, dim)
 		case id%5 == 4:
 			vecs[id] = vecs[rng.Intn(id)]
+		case id%53 == 11:
+			vecs[id] = withSubnormals()
+		case id%211 == 13:
+			vecs[id] = make([]float32, dim)
+			for d := range vecs[id] {
+				vecs[id][d] = subnormal()
+			}
+		case id%97 == 17:
+			vecs[id] = withHuge()
 		default:
 			vecs[id] = near()
 		}
@@ -150,41 +197,252 @@ func oracleIndex(t testing.TB, n, dim, workers int) (*Index, [][]float32) {
 	for i := 0; i < 12; i++ {
 		queries = append(queries, near())
 	}
+	queries = append(queries, withSubnormals(), withHuge())
+	for i, q := range queries[1:4] {
+		twin := append([]float32(nil), q...)
+		for d := range twin {
+			twin[d] += float32(rng.NormFloat64()) * 1e-3
+		}
+		for c := 0; c < 4; c++ {
+			ix.Add(n+4*i+c, twin)
+		}
+	}
 	return ix, queries
 }
 
-func TestQueryMatchesReference(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		ix, queries := oracleIndex(t, 1500, 24, workers)
-		for _, preRank := range []int{0, 4} {
-			ix.SetPreRank(preRank)
-			ranked := 0
-			for _, q := range queries {
-				for _, k := range []int{1, 3, 10, 2000} {
-					got, want := ix.Query(q, k), ix.refQuery(q, k)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("workers %d preRank %d k %d: Query differs from reference:\n got %v\nwant %v", workers, preRank, k, got, want)
-					}
-					ranked += len(got)
-					if got, want := ix.ExactNN(q, k), ix.refExactNN(q, k); !reflect.DeepEqual(got, want) {
-						t.Fatalf("workers %d k %d: ExactNN differs from reference", workers, k)
-					}
-				}
+// screenCounts is the candidate count of q and how many of them the
+// screen keeps for the k nearest.
+func (ix *Index) screenCounts(q []float32, k int) (candidates, kept int) {
+	sc := new(scratch)
+	sc.keys = make([]uint64, ix.cfg.Tables)
+	ix.hashAll(q, sc.keys)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	slots := ix.collectLocked(sc)
+	return len(slots), len(ix.screenLocked(q, normSq(q), slots, k, sc))
+}
+
+// sameNeighbors is equality of results, bit for bit in the distances,
+// except that any NaN equals any NaN: which payload a NaN distance
+// carries depends on which dot-product kernel produced it.
+func sameNeighbors(got, want []Neighbor) bool {
+	if len(got) != len(want) || (got == nil) != (want == nil) {
+		return false
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.ID != w.ID || math.Float64bits(g.Dist) != math.Float64bits(w.Dist) && !(g.Dist != g.Dist && w.Dist != w.Dist) {
+			return false
+		}
+	}
+	return true
+}
+
+// requireReference compares Query and ExactNN with refQuery and
+// refExactNN on every query at several k, and returns how many
+// neighbours were ranked.
+func requireReference(t *testing.T, what string, ix *Index, queries [][]float32, ks []int) int {
+	t.Helper()
+	ranked := 0
+	for qi, q := range queries {
+		for _, k := range ks {
+			got, want := ix.Query(q, k), ix.refQuery(q, k)
+			if !sameNeighbors(got, want) {
+				t.Fatalf("%s query %d k %d: Query differs from reference:\n got %v\nwant %v", what, qi, k, got, want)
 			}
-			if ranked < 100 {
-				t.Fatalf("workers %d preRank %d: only %d neighbours ranked; the index is too sparse to test anything", workers, preRank, ranked)
+			ranked += len(got)
+			if got, want := ix.ExactNN(q, k), ix.refExactNN(q, k); !sameNeighbors(got, want) {
+				t.Fatalf("%s query %d k %d: ExactNN differs from reference:\n got %v\nwant %v", what, qi, k, got, want)
 			}
 		}
 	}
+	return ranked
+}
+
+func TestQueryMatchesReference(t *testing.T) {
+	ks := []int{1, 3, 10, 2000}
+	for _, workers := range []int{1, 2} {
+		ix, queries := oracleIndex(t, 6000, 24, workers)
+		screened := 0
+		for _, q := range queries {
+			if candidates, kept := ix.screenCounts(q, 3); kept < candidates {
+				screened++
+			}
+		}
+		if screened < len(queries)/2 {
+			t.Fatalf("workers %d: the screen cut only %d of %d queries; the index is too sparse to test it", workers, screened, len(queries))
+		}
+		for _, preRank := range []int{0, 4} {
+			ix.SetPreRank(preRank)
+			what := fmt.Sprintf("workers %d preRank %d", workers, preRank)
+			if ranked := requireReference(t, what, ix, queries, ks); ranked < 100 {
+				t.Fatalf("%s: only %d neighbours ranked; the index is too sparse to test anything", what, ranked)
+			}
+		}
+		ix.SetPreRank(0)
+		// A NaN row, then an infinite one: the screen stands down while
+		// either is stored, and comes back once it is gone.
+		nan, inf := queries[1], queries[2]
+		nan, inf = append([]float32(nil), nan...), append([]float32(nil), inf...)
+		nan[5], inf[7] = float32(math.NaN()), float32(math.Inf(-1))
+		for _, bad := range [][]float32{nan, inf} {
+			ix.Add(99_999, bad)
+			if candidates, kept := ix.screenCounts(queries[1], 3); kept != candidates {
+				t.Fatalf("workers %d: with a non-finite row stored the screen kept %d of %d candidates", workers, kept, candidates)
+			}
+			requireReference(t, fmt.Sprintf("workers %d non-finite row", workers), ix, queries, []int{3})
+			ix.Remove(99_999)
+		}
+		if ix.nonFinite != 0 {
+			t.Fatalf("workers %d: %d non-finite rows counted after removing them all", workers, ix.nonFinite)
+		}
+		if candidates, kept := ix.screenCounts(queries[1], 3); kept == candidates {
+			t.Fatalf("workers %d: the screen did not come back after the non-finite rows left", workers)
+		}
+	}
+}
+
+// TestScreenCutIn ranks indexes whose every row is a candidate (one
+// table of one bit, probed both ways) just at and just above the
+// screen's cut-in: at screenCutIn the screen stands down, one more and it
+// runs, and both match the reference.
+func TestScreenCutIn(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	for _, n := range []int{screenCutIn, screenCutIn + 1} {
+		ix := New(Config{Dim: 8, Tables: 1, Bits: 1, Probes: 1, Seed: 17, Workers: 1})
+		for id := 0; id < n; id++ {
+			ix.Add(id, randomUnit(rng, 8))
+		}
+		queries := make([][]float32, 6)
+		for i := range queries {
+			queries[i] = randomUnit(rng, 8)
+		}
+		for _, q := range queries {
+			candidates, kept := ix.screenCounts(q, 3)
+			if candidates != n {
+				t.Fatalf("n %d: %d candidates, want every row", n, candidates)
+			}
+			if screened := kept < candidates; screened != (n > screenCutIn) {
+				t.Fatalf("n %d: the screen kept %d of %d candidates", n, kept, candidates)
+			}
+		}
+		requireReference(t, fmt.Sprintf("n %d", n), ix, queries, []int{1, 3, 10})
+	}
+}
+
+// TestScreenKeepsTiesAtTheBound: zero rows sit at exactly distance 1 with
+// the interval [1, 1], so when the query points away from every other
+// row the k-th smallest upper end is 1 and the zero rows' lower ends
+// equal it. They are the exact top k, and the screen must keep them.
+func TestScreenKeepsTiesAtTheBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	const dim = 8
+	q := randomUnit(rng, dim)
+	ix := New(Config{Dim: dim, Tables: 1, Bits: 1, Probes: 1, Seed: 19, Workers: 1})
+	for id := 0; id < screenCutIn+100; id++ {
+		v := make([]float32, dim)
+		if id%1000 != 500 { // five zero rows among rows opposite the query
+			for d := range v {
+				v[d] = -q[d] + float32(rng.NormFloat64())*0.05
+			}
+		}
+		ix.Add(id, v)
+	}
+	for _, k := range []int{1, 3, 5, 6} {
+		if candidates, kept := ix.screenCounts(q, k); kept >= candidates {
+			t.Fatalf("k %d: the screen kept all %d candidates", k, candidates)
+		}
+		requireReference(t, fmt.Sprintf("k %d", k), ix, [][]float32{q}, []int{k})
+	}
+}
+
+// fuzzReader hands out the fuzzer's bytes, zeros once they run out.
+type fuzzReader []byte
+
+func (r *fuzzReader) next() byte {
+	if len(*r) == 0 {
+		return 0
+	}
+	b := (*r)[0]
+	*r = (*r)[1:]
+	return b
+}
+
+// float decodes a class byte and the bytes its class reads: ±0, NaN,
+// ±Inf, subnormals, values near MaxFloat32 and raw bits; classes 6 and 7
+// draw an ordinary value from rng instead.
+func (r *fuzzReader) float(rng *rand.Rand) float32 {
+	c := r.next()
+	sign := float32(1 - 2*int(c>>7))
+	switch c & 7 {
+	case 0:
+		return sign * 0
+	case 1:
+		return float32(math.NaN())
+	case 2:
+		return sign * float32(math.Inf(1))
+	case 3:
+		return sign * math.Float32frombits(uint32(r.next())|uint32(r.next())<<8|uint32(r.next()&0x7f)<<16)
+	case 4:
+		return sign * math.Float32frombits(math.Float32bits(math.MaxFloat32)-uint32(r.next()))
+	case 5:
+		return math.Float32frombits(uint32(r.next()) | uint32(r.next())<<8 | uint32(r.next())<<16 | uint32(r.next())<<24)
+	default:
+		return float32(rng.NormFloat64())
+	}
+}
+
+// FuzzQueryMatchesReference decodes an index and a query and compares
+// Query and ExactNN with refQuery and refExactNN bit for bit. The index
+// is screenCutIn plus up to 255 Gaussian rows of up to 16 dimensions
+// over one to three tables of up to three bits — so queries usually
+// screen — then up to 31 decoded rows added under new or existing ids
+// and a few ids removed; the query is decoded the same way.
+func FuzzQueryMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7, 40, 2, 1, 3, 8, 6, 6, 6, 6, 6, 6, 6, 6, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{15, 200, 0, 2, 1, 0x83, 9, 0, 2, 0x84, 0, 3, 1, 2, 3, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := fuzzReader(data)
+		dim := 1 + int(r.next())%16
+		n := screenCutIn + int(r.next())
+		cfg := Config{Dim: dim, Tables: 1 + int(r.next())%3, Bits: 1 + int(r.next())%3, Probes: 1 + int(r.next())%2, Seed: int64(r.next()), Workers: 1 + int(r.next())%2}
+		ix := New(cfg)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for id := 0; id < n; id++ {
+			ix.Add(id, randomUnit(rng, dim))
+		}
+		decode := func() []float32 {
+			v := make([]float32, dim)
+			for d := range v {
+				v[d] = r.float(rng)
+			}
+			return v
+		}
+		for i, extra := 0, int(r.next())%32; i < extra; i++ {
+			ix.Add(int(r.next())*int(r.next()), decode())
+		}
+		for i, removes := 0, int(r.next())%8; i < removes; i++ {
+			ix.Remove(int(r.next()) * 17)
+		}
+		q := decode()
+		k := 1 + int(r.next())%12
+		if got, want := ix.Query(q, k), ix.refQuery(q, k); !sameNeighbors(got, want) {
+			t.Fatalf("cfg %+v k %d: Query differs from reference:\n got %v\nwant %v", cfg, k, got, want)
+		}
+		if got, want := ix.ExactNN(q, k), ix.refExactNN(q, k); !sameNeighbors(got, want) {
+			t.Fatalf("cfg %+v k %d: ExactNN differs from reference:\n got %v\nwant %v", cfg, k, got, want)
+		}
+	})
 }
 
 // Queries racing Add and Remove (which swap-move slots under them) must
 // stay consistent: a free-running reader gives the race detector its
 // chance, and a second reader that holds the writer off for the length of
 // one comparison checks Query against the reference on whatever layout
-// the churn has produced.
+// the churn has produced. At 6000 vectors the queries are screened.
 func TestQueryMatchesReferenceUnderChurn(t *testing.T) {
-	const n, dim = 600, 24
+	const n, dim = 6000, 24
 	for _, preRank := range []int{0, 4} {
 		ix, queries := oracleIndex(t, n, dim, 2)
 		ix.SetPreRank(preRank)

@@ -1,0 +1,107 @@
+package simd_test
+
+import (
+	"math"
+	"testing"
+	"unsafe"
+
+	"github.com/edge-mar/scatter/internal/vision/simd"
+)
+
+// fuzzBytes hands out the fuzzer's bytes, zeros once they run out.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+func (b *fuzzBytes) u16() uint16 { return uint16(b.next()) | uint16(b.next())<<8 }
+
+// float decodes one value: a class byte, then the bytes that class reads.
+// The classes are the values a reordered, fused or truncated sum gives
+// away — ±0, NaN, ±Inf, denormals, values near the float32 limit — and
+// ordinary values from raw bits.
+func (b *fuzzBytes) float() float32 {
+	c := b.next()
+	sign := float32(1 - 2*int(c>>7))
+	switch c & 7 {
+	case 0:
+		return sign * 0
+	case 1:
+		return float32(math.NaN())
+	case 2:
+		return sign * float32(math.Inf(1))
+	case 3:
+		return sign * math.Float32frombits(uint32(b.u16())|uint32(b.next()&0x7f)<<16) // denormal or zero
+	case 4:
+		return sign * math.Float32frombits(math.Float32bits(math.MaxFloat32)-uint32(b.next()))
+	default:
+		return math.Float32frombits(uint32(b.u16()) | uint32(b.u16())<<16)
+	}
+}
+
+func (b *fuzzBytes) floats(n int) []float32 {
+	s := make([]float32, n)
+	for i := range s {
+		s[i] = b.float()
+	}
+	return s
+}
+
+// FuzzDot16MatchesTwin pins the exact lsh ranking kernel, whose input the
+// screen's survivors are, to its Go twin and the one-row reference on
+// decoded rows of any length, lengths that are not a multiple of the four
+// lanes among them.
+func FuzzDot16MatchesTwin(f *testing.F) {
+	f.Add([]byte{5, 0, 0x80, 1, 2, 0x82, 3, 1, 2, 3, 4, 0xff, 7, 1, 2, 3, 4})
+	f.Add([]byte{0, 5, 6, 7, 8})
+	f.Add([]byte{70, 3, 0xff, 0xff, 0x7f, 0x84, 9, 4, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzBytes(data)
+		dim := 1 + int(b.next())%70
+		q := b.floats(dim)
+		var rows [16]*float32
+		var want [16]float64
+		for r := range rows {
+			row := b.floats(dim)
+			rows[r], want[r] = unsafe.SliceData(row), refDot(q, row)
+		}
+		var got [16]float64
+		simd.Dot16(&got, q, &rows)
+		requireSame64(t, "Dot16", got[:], want[:])
+		got = [16]float64{}
+		simd.GoOnly(func() { simd.Dot16(&got, q, &rows) })
+		requireSame64(t, "Dot16 (Go twin)", got[:], want[:])
+	})
+}
+
+// FuzzDotHighHalfMatchesTwin pins the screen kernel to its Go twin and the
+// lane-by-lane reference on decoded rows of halves (any 16 bits: NaN, Inf
+// and denormal high halves among them), lengths on both sides of the
+// 32-lane block, strides wider than a row and row lists that repeat.
+func FuzzDotHighHalfMatchesTwin(f *testing.F) {
+	f.Add([]byte{33, 3, 1, 4, 0, 2, 2, 1, 0x80, 0x7f, 0xff, 0x80, 0xff})
+	f.Add([]byte{0, 1, 0, 1})
+	f.Add([]byte{96, 7, 5, 0, 3, 1, 4, 6, 2, 2, 0x81, 0x82, 0x83, 0x84, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzBytes(data)
+		dim := int(b.next()) % 100
+		stored := 1 + int(b.next())%8
+		stride := dim + int(b.next())%5
+		rows := make([]int32, 1+int(b.next())%12)
+		for i := range rows {
+			rows[i] = int32(int(b.next()) % stored)
+		}
+		q := b.floats(dim)
+		halves := make([]uint16, (stored-1)*stride+dim)
+		for i := range halves {
+			halves[i] = b.u16()
+		}
+		checkHighHalf(t, "", q, halves, stride, rows)
+	})
+}

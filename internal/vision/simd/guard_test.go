@@ -74,6 +74,17 @@ func (g *guarded) slice64(n int, atEnd bool) []float64 {
 	return s
 }
 
+// halves is bytes holding n random high halves of floats.
+func (g *guarded) halves(n int, atEnd bool) []uint16 {
+	g.t.Helper()
+	mem := g.bytes(2*n, atEnd)
+	s := unsafe.Slice((*uint16)(unsafe.Pointer(&mem[0])), n)
+	for i := range s {
+		s[i] = uint16(g.rng.Uint32())
+	}
+	return s
+}
+
 // TestKernelsStayInsideTheirSlices runs every kernel, on both paths, over
 // operands that end (and then start) exactly at a page the process may not
 // touch: reading or writing one byte outside a slice is a fault, which
@@ -156,6 +167,14 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 			out := (*[16]float64)(unsafe.Pointer(&outMem[0]))
 			run("SqDist16", func() { simd.SqDist16(out, q, &rows) })
 			run("Dot16", func() { simd.Dot16(out, q, &rows) })
+			// Three rows of a wider stride, the list and the results all
+			// against the guard; the last row listed ends the halves.
+			stride := dim + 3
+			halves := g.halves(2*stride+dim, atEnd)
+			list := unsafe.Slice((*int32)(unsafe.Pointer(&g.bytes(4*4, atEnd)[0])), 4)
+			copy(list, []int32{1, 0, 2, 2})
+			res := g.slice(len(list), atEnd)
+			run("DotHighHalf", func() { simd.DotHighHalf(res, q, halves, stride, list) })
 		}
 	}
 }

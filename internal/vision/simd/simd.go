@@ -1,8 +1,9 @@
-// Package simd holds the repo's only assembly: AVX2 forms of the six
+// Package simd holds the repo's only assembly: AVX2 forms of the seven
 // inner loops the frame ledger is spent on — four from SIFT (the separable
 // convolution of the pyramid, the DoG extrema scan, the gradient patch
 // around each keypoint and the descriptor's trilinear spread), the ratio
-// test's squared distances and the LSH ranking's dot products.
+// test's squared distances, and the LSH ranking's dot products and the
+// screen ahead of them over the high halves of stored floats.
 //
 // Every exported function has exactly one meaning, given by a pure-Go
 // twin in this file. The twin is the fallback (other architectures, amd64
@@ -43,6 +44,11 @@
 // therefore ends with the adds the twin makes, in the same pixel order;
 // each pixel adds to a bin at most once, so the order of one pixel's
 // adds does not matter.
+//
+// DotHighHalf is the one kernel whose lanes are not pixels or rows: a
+// lane is a residue class of dimensions, and the lanes are folded in a
+// fixed order at the end of each row. The twin declares those 32 lanes and
+// that fold, so it is the same arithmetic in the same order too.
 //
 // Which path ran is therefore invisible in the output, and there is
 // nothing to configure: it is picked once at start-up from CPUID.
@@ -218,6 +224,67 @@ func requireRows(rows *[16]*float32) {
 		if p == nil {
 			panic(fmt.Sprintf("simd: row %d of 16 is nil", r))
 		}
+	}
+}
+
+// DotHighHalf computes, for each i, out[i] = the float32 dot product of q
+// with the high halves of row rows[i]. That row starts at
+// halves[rows[i]·stride], and its element d stands for the float32 whose
+// bits are halves[rows[i]·stride+d] << 16: the sign, exponent and top
+// seven mantissa bits of a stored float, the low sixteen bits zero. Each
+// product is rounded to float32. The first len(q)&^31 dimensions are added
+// in 32 lanes, lane l taking the products of dimensions d ≡ l (mod 32) in
+// ascending d from +0; lanes l, l+8, l+16 and l+24 are folded into
+// s[l] = (a[l]+a[l+8]) + (a[l+16]+a[l+24]), the eight into
+// ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)), and the remaining dimensions are
+// added to that one at a time in ascending order. While the vector kernel
+// works on one row it prefetches the row four places further down the
+// list, one cache line per 32 dimensions. len(out) must equal len(rows),
+// stride must not be negative, and every row must lie inside halves.
+func DotHighHalf(out, q []float32, halves []uint16, stride int, rows []int32) {
+	if len(out) != len(rows) {
+		panic(fmt.Sprintf("simd: DotHighHalf of %d rows into %d results", len(rows), len(out)))
+	}
+	if stride < 0 {
+		panic(fmt.Sprintf("simd: DotHighHalf with stride %d", stride))
+	}
+	if len(rows) > 0 {
+		lo, hi := rows[0], rows[0]
+		for _, r := range rows {
+			lo, hi = min(lo, r), max(hi, r)
+		}
+		if room := len(halves) - len(q); lo < 0 || room < 0 || stride > 0 && int(hi) > room/stride {
+			panic(fmt.Sprintf("simd: DotHighHalf rows %d..%d of stride %d and length %d outside %d halves",
+				lo, hi, stride, len(q), len(halves)))
+		}
+	}
+	if useAVX2 && len(q) > 0 && len(rows) > 0 {
+		dotHighHalfAVX2(&out[0], &q[0], len(q), &halves[0], stride, &rows[0], len(rows))
+		return
+	}
+	dotHighHalfGo(out, q, halves, stride, rows)
+}
+
+// dotHighHalfGo is DotHighHalf in Go, without the prefetch.
+func dotHighHalfGo(out, q []float32, halves []uint16, stride int, rows []int32) {
+	blocks := len(q) &^ 31
+	for i, r := range rows {
+		h := halves[int(r)*stride:][:len(q)]
+		var a [32]float32
+		for d := 0; d < blocks; d += 32 {
+			for l := range a {
+				a[l] += q[d+l] * math.Float32frombits(uint32(h[d+l])<<16)
+			}
+		}
+		var s [8]float32
+		for l := range s {
+			s[l] = (a[l] + a[l+8]) + (a[l+16] + a[l+24])
+		}
+		sum := ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]))
+		for d := blocks; d < len(q); d++ {
+			sum += q[d] * math.Float32frombits(uint32(h[d])<<16)
+		}
+		out[i] = sum
 	}
 }
 

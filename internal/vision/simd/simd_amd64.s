@@ -245,6 +245,101 @@ dotdone:
 	VZEROUPPER
 	RET
 
+// func dotHighHalfAVX2(out, q *float32, n int, halves *uint16, stride int, rows *int32, count int)
+//
+// One row at a time: R8 points at its high halves, DX at those of the
+// row four places further down the list (the last row near the end),
+// and R13 is the dimension. Per 32 dimensions, four VPMOVZXWD/VPSLLD
+// pairs turn 32 halves into floats — lanes = dimensions — multiplied by
+// q and added to Y0..Y3, and one PREFETCHT0 fetches the same cache line
+// of the row ahead. Y0..Y3 are then folded as (Y0+Y1)+(Y2+Y3), the
+// eight lanes as ((s0+s4)+(s2+s6))+((s1+s5)+(s3+s7)), and the last
+// n mod 32 dimensions added one at a time.
+TEXT ·dotHighHalfAVX2(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), DI
+	MOVQ q+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ halves+24(FP), R9
+	MOVQ stride+32(FP), R10
+	MOVQ rows+40(FP), R11
+	MOVQ count+48(FP), R12
+	SHLQ $1, R10
+	MOVQ CX, BX
+	ANDQ $-32, BX
+	XORQ AX, AX
+
+hhrow:
+	MOVLQSX (R11)(AX*4), R8
+	IMULQ   R10, R8
+	ADDQ    R9, R8
+	LEAQ    4(AX), DX
+	CMPQ    DX, R12
+	JLT     hhahead
+	LEAQ    -1(R12), DX
+
+hhahead:
+	MOVLQSX (R11)(DX*4), DX
+	IMULQ   R10, DX
+	ADDQ    R9, DX
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	XORQ    R13, R13
+
+hhblock:
+	CMPQ       R13, BX
+	JGE        hhfold
+	PREFETCHT0 (DX)(R13*2)
+	VPMOVZXWD  (R8)(R13*2), Y4
+	VPMOVZXWD  16(R8)(R13*2), Y5
+	VPMOVZXWD  32(R8)(R13*2), Y6
+	VPMOVZXWD  48(R8)(R13*2), Y7
+	VPSLLD     $16, Y4, Y4
+	VPSLLD     $16, Y5, Y5
+	VPSLLD     $16, Y6, Y6
+	VPSLLD     $16, Y7, Y7
+	VMULPS     (SI)(R13*4), Y4, Y4
+	VMULPS     32(SI)(R13*4), Y5, Y5
+	VMULPS     64(SI)(R13*4), Y6, Y6
+	VMULPS     96(SI)(R13*4), Y7, Y7
+	VADDPS     Y4, Y0, Y0
+	VADDPS     Y5, Y1, Y1
+	VADDPS     Y6, Y2, Y2
+	VADDPS     Y7, Y3, Y3
+	ADDQ       $32, R13
+	JMP        hhblock
+
+hhfold:
+	VADDPS       Y1, Y0, Y0
+	VADDPS       Y3, Y2, Y2
+	VADDPS       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS       X1, X0, X0
+	VMOVHLPS     X0, X0, X1
+	VADDPS       X1, X0, X0
+	VMOVSHDUP    X0, X1
+	VADDSS       X1, X0, X0
+
+hhtail:
+	CMPQ    R13, CX
+	JGE     hhstore
+	MOVWLZX (R8)(R13*2), DX
+	SHLL    $16, DX
+	VMOVD   DX, X1
+	VMULSS  (SI)(R13*4), X1, X1
+	VADDSS  X1, X0, X0
+	INCQ    R13
+	JMP     hhtail
+
+hhstore:
+	VMOVSS X0, (DI)(AX*4)
+	INCQ   AX
+	CMPQ   AX, R12
+	JLT    hhrow
+	VZEROUPPER
+	RET
+
 // The gradient kernel replays, one pixel per float64 lane, the exact
 // operation sequences of the standard library on amd64: math.Hypot is the
 // archHypot assembly (math/hypot_amd64.s) and math.Atan2 the pure-Go

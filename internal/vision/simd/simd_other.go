@@ -23,6 +23,10 @@ func dot16AVX2(out *[16]float64, q *float32, rows *[16]*float32, blocks int) {
 	panic("simd: no vector kernels on this architecture")
 }
 
+func dotHighHalfAVX2(out, q *float32, n int, halves *uint16, stride int, rows *int32, count int) {
+	panic("simd: no vector kernels on this architecture")
+}
+
 func gradAVX2(mag, theta *float64, up, cur, down *float32, n int) int {
 	panic("simd: no vector kernels on this architecture")
 }

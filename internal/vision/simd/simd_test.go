@@ -275,6 +275,72 @@ func TestRows16MatchOnClipDescriptors(t *testing.T) {
 	}
 }
 
+// refHighHalf is DotHighHalf for one row by its definition: every
+// dimension's rounded product goes to lane d mod 32 while whole blocks of
+// 32 last, then the fold, then the rest in order.
+func refHighHalf(q []float32, row []uint16) float32 {
+	var lane [32]float32
+	blocks := len(q) / 32 * 32
+	for d := 0; d < blocks; d++ {
+		lane[d%32] += q[d] * math.Float32frombits(uint32(row[d])<<16)
+	}
+	var s [8]float32
+	for l := range s {
+		s[l] = (lane[l] + lane[l+8]) + (lane[l+16] + lane[l+24])
+	}
+	sum := ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]))
+	for d := blocks; d < len(q); d++ {
+		sum += q[d] * math.Float32frombits(uint32(row[d])<<16)
+	}
+	return sum
+}
+
+// checkHighHalf runs DotHighHalf on both paths into NaN-filled results
+// and requires both to equal refHighHalf row by row.
+func checkHighHalf(t *testing.T, what string, q []float32, halves []uint16, stride int, rows []int32) {
+	t.Helper()
+	want := make([]float32, len(rows))
+	for i, r := range rows {
+		want[i] = refHighHalf(q, halves[int(r)*stride:][:len(q)])
+	}
+	got := nans(len(rows), 0)
+	simd.DotHighHalf(got, q, halves, stride, rows)
+	requireSame32(t, "DotHighHalf "+what, got, want)
+	got = nans(len(rows), 0)
+	simd.GoOnly(func() { simd.DotHighHalf(got, q, halves, stride, rows) })
+	requireSame32(t, "DotHighHalf (Go twin) "+what, got, want)
+}
+
+// randomHalves is n high halves of awkward floats: signed zeros,
+// denormals and infinities among ordinary values.
+func randomHalves(rng *rand.Rand, n int) []uint16 {
+	h := make([]uint16, n)
+	for i := range h {
+		h[i] = uint16(math.Float32bits(awkward(rng)) >> 16)
+	}
+	return h
+}
+
+// TestDotHighHalfMatchesTwin covers lengths on both sides of every block
+// boundary, row lists that repeat and skip rows, and a stride wider than
+// a row, as the split rows of lsh give it (high halves first, then low).
+func TestDotHighHalfMatchesTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, dim := range []int{1, 7, 8, 31, 32, 33, 63, 64, 65, 96, 384, 385} {
+		for round := 0; round < 8; round++ {
+			const stored = 40
+			stride := 2 * dim
+			halves := randomHalves(rng, stored*stride)
+			rows := make([]int32, 1+rng.Intn(3*stored))
+			for i := range rows {
+				rows[i] = int32(rng.Intn(stored))
+			}
+			q := unaligned(rng, dim, 1+round%7)
+			checkHighHalf(t, fmt.Sprintf("dim=%d round=%d", dim, round), q, halves, stride, rows)
+		}
+	}
+}
+
 // TestBlurMatchesTwin drives the convolution the way the pyramid does —
 // through imgproc, on a clip frame — on both paths.
 func TestBlurMatchesTwin(t *testing.T) {
@@ -726,6 +792,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 func TestWrappersRefuse(t *testing.T) {
 	f := func(n int) []float32 { return make([]float32, n) }
 	f64 := func(n int) []float64 { return make([]float64, n) }
+	halves := func(n int) []uint16 { return make([]uint16, n) }
 	var out [16]float64
 	var grid simd.DescGrid
 	var full [16]*float32
@@ -770,6 +837,11 @@ func TestWrappersRefuse(t *testing.T) {
 		{"DescRow: colCos one short", func() { simd.DescRow(&grid, f64(9), f64(9), f64(9), f64(8), f64(9), 0, 0, 1, 0) }},
 		{"DescRow: colSin one long", func() { simd.DescRow(&grid, f64(9), f64(9), f64(9), f64(9), f64(10), 0, 0, 1, 0) }},
 		{"DescRow: mag empty", func() { simd.DescRow(&grid, nil, f64(1), f64(1), f64(1), f64(1), 0, 0, 1, 0) }},
+		{"DotHighHalf: one result short", func() { simd.DotHighHalf(f(1), f(8), halves(24), 8, []int32{0, 2}) }},
+		{"DotHighHalf: last row one past the end", func() { simd.DotHighHalf(f(2), f(8), halves(23), 8, []int32{0, 2}) }},
+		{"DotHighHalf: negative row", func() { simd.DotHighHalf(f(2), f(8), halves(24), 8, []int32{-1, 2}) }},
+		{"DotHighHalf: negative stride", func() { simd.DotHighHalf(f(1), f(8), halves(24), -8, []int32{0}) }},
+		{"DotHighHalf: row longer than the halves", func() { simd.DotHighHalf(f(1), f(8), halves(7), 0, []int32{0}) }},
 	}
 	for _, c := range cases {
 		mustPanic(t, c.what, c.call)
@@ -788,6 +860,10 @@ func TestWrappersRefuse(t *testing.T) {
 	simd.Extrema(nil, f(6), f(6), f(6), 2, 0.03)
 	simd.DescRow(&grid, f64(9), f64(9), f64(9), f64(9), f64(9), 0, 0, 1, 0)
 	simd.DescRow(&grid, nil, nil, nil, nil, nil, 0, 0, 1, 0)
+	simd.DotHighHalf(f(2), f(8), halves(24), 8, []int32{0, 2})
+	simd.DotHighHalf(f(2), f(8), halves(8), 0, []int32{0, 0})
+	simd.DotHighHalf(nil, f(8), nil, 8, nil)
+	simd.DotHighHalf(f(1), nil, nil, 8, []int32{0})
 }
 
 func TestWrappersDoNotAllocate(t *testing.T) {
@@ -808,8 +884,10 @@ func TestWrappersDoNotAllocate(t *testing.T) {
 	win := unaligned(rng, 2*w+8*groups+2, 0)
 	row := patchRow(rng, 27, 5, 3.2, 0.7, 0)
 	var grid simd.DescGrid
+	halves, hhRows, hhOut := randomHalves(rng, 8*130), []int32{3, 0, 7, 7}, make([]float32, 4)
 	calls := func() {
 		row.add(&grid)
+		simd.DotHighHalf(hhOut, q, halves, 130, hhRows)
 		simd.Conv(dst, src, offs, k)
 		simd.Sub(dst, src[:67], src[12:])
 		simd.SqDist16(&out, q, &rows)
@@ -831,7 +909,8 @@ func TestWrappersDoNotAllocate(t *testing.T) {
 // BenchmarkKernels times each wrapper on the shapes the pipeline gives it
 // (a 320-pixel row under 13 taps, 128-dimensional descriptors, a 45-pixel
 // gradient-patch row, the extrema scan over a 320-pixel DoG row, a
-// 55-pixel descriptor row), vector path against Go twin.
+// 55-pixel descriptor row, a thousand-row screen), vector path against Go
+// twin.
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	ordinary := func(n int) []float32 { // no denormals or infinities: those time the microcode
@@ -869,6 +948,20 @@ func BenchmarkKernels(b *testing.B) {
 	// Row 5 of the widest descriptor window (sigma 3.2, radius 27).
 	row := patchRow(rng, 27, 5, 3.2, 0.7, 0)
 	var grid simd.DescGrid
+	// The lsh screen: 384-dimensional split rows (768 halves each), every
+	// third of 3000 listed — the spacing of a bigdb-100k query's candidates,
+	// over 4.6 MB, so the rows come from memory as they do there.
+	const hhDim = 384
+	halves := make([]uint16, 3000*2*hhDim)
+	for i := range halves {
+		halves[i] = uint16(math.Float32bits(rng.Float32()) >> 16)
+	}
+	hhQ := ordinary(hhDim)
+	hhRows := make([]int32, 1000)
+	for i := range hhRows {
+		hhRows[i] = int32(3 * i)
+	}
+	hhOut := make([]float32, len(hhRows))
 	kernels := []struct {
 		name string
 		call func()
@@ -880,6 +973,7 @@ func BenchmarkKernels(b *testing.B) {
 		{"Grad", func() { simd.Grad(mag, theta, src[:patch], src[1:patch+3], src[12:patch+12]) }},
 		{"Extrema", func() { simd.Extrema(mask[:], below, cur, above, w, 0.03) }},
 		{"DescRow", func() { row.add(&grid) }},
+		{"DotHighHalf", func() { simd.DotHighHalf(hhOut, hhQ, halves, 2*hhDim, hhRows) }},
 	}
 	for _, kn := range kernels {
 		loop := func(b *testing.B) {
