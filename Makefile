@@ -100,7 +100,6 @@ bench-vision:
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalBinary -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzDecodePayload -fuzztime 30s
-	$(GO) test ./internal/vision/lsh -fuzz FuzzSketchMatchesHash -fuzztime 30s
 	$(GO) test ./internal/vision/lsh -fuzz FuzzQueryMatchesReference -fuzztime 30s
 	$(GO) test ./internal/vision/simd -fuzz FuzzDotHighHalfMatchesTwin -fuzztime 30s
 	$(GO) test ./internal/vision/simd -fuzz FuzzDot16MatchesTwin -fuzztime 30s
@@ -129,5 +128,5 @@ handover:
 
 clean:
 	$(GO) clean ./...
-	rm -rf internal/wire/testdata internal/core/testdata internal/vision/lsh/testdata/fuzz/FuzzSketchMatchesHash internal/transport/testdata
+	rm -rf internal/wire/testdata internal/core/testdata internal/transport/testdata
 	rm -rf .bench_build bench/out

@@ -25,7 +25,6 @@
 //	  "trace_spans": true,
 //	  "route_stats": {"enabled": true, "ack_timeout_ms": 250},
 //	  "fast_path": {"enabled": true, "refresh_every": 30, "min_confidence": 0.5},
-//	  "lsh": {"pre_rank": 4},
 //	  "fault": {"packet_loss": 0.01, "delay_ms": 5, "seed": 42}
 //	}
 //
@@ -39,12 +38,10 @@
 // in heartbeats;
 // fast_path arms the tracker-gated recognition fast path (confident
 // frames answered at primary from matching's published verdicts, skipping
-// sift→matching; scatter_fastpath_* series on the obs endpoints); lsh
-// arms bit-packed Hamming pre-ranking on the reference index (pre_rank n
-// cuts the exact cosine pass to n·k candidates; 0/omitted is exact
-// mode); fault (all fields optional) injects drops, compounding
-// per-fragment loss, delay, jitter, and duplication on this node's
-// outbound traffic for chaos experiments.
+// sift→matching; scatter_fastpath_* series on the obs endpoints); fault
+// (all fields optional) injects drops, compounding per-fragment loss,
+// delay, jitter, and duplication on this node's outbound traffic for
+// chaos experiments.
 //
 // Split deployments run scatter-node on several machines with routes
 // pointing across hosts, exactly as the paper pins services to E1/E2.
@@ -121,18 +118,6 @@ type fastPathSpec struct {
 	TrackerIdleTimeoutMs int     `json:"tracker_idle_timeout_ms,omitempty"`
 }
 
-// lshSpec tunes the lsh service's recognition index. pre_rank > 0 arms
-// bit-packed Hamming pre-ranking: candidates are cut to pre_rank·k by
-// sketch Hamming distance (XOR/popcount over the Add-time sign
-// sketches) before the exact cosine pass re-ranks the survivors. 0
-// (default) is exact mode — every candidate cosine-ranked, bit-identical
-// results. 4 is the recommended trimming setting (recall@10 ≥ 0.95 on
-// clustered reference sets; see EXPERIMENTS.md, "Distance kernels &
-// Hamming pre-ranking").
-type lshSpec struct {
-	PreRank int `json:"pre_rank,omitempty"`
-}
-
 // routeStatsSpec arms stats-driven routing. Zero fields take the
 // routestats defaults; see internal/obs/routestats for the semantics.
 type routeStatsSpec struct {
@@ -198,9 +183,6 @@ type nodeConfig struct {
 	// published verdicts and skip sift→encoding→lsh→matching. Exported as
 	// scatter_fastpath_* on the obs endpoints.
 	FastPath *fastPathSpec `json:"fast_path,omitempty"`
-	// LSH tunes the recognition index's ranking kernels (Hamming
-	// pre-ranking budget; see lshSpec).
-	LSH *lshSpec `json:"lsh,omitempty"`
 }
 
 // parseConfig decodes a node deployment document. Keys it does not know
@@ -285,12 +267,6 @@ func main() {
 		router = statsRouter
 		log.Info("stats-driven routing armed",
 			"ack_timeout", statsRouter.AckTimeout())
-	}
-
-	// Optional Hamming pre-ranking on the recognition index.
-	if cfg.LSH != nil && cfg.LSH.PreRank > 0 {
-		model.Index.SetPreRank(cfg.LSH.PreRank)
-		log.Info("lsh pre-ranking armed", "pre_rank", cfg.LSH.PreRank)
 	}
 
 	// Optional tracker-gated fast path: the gate is shared by the primary

@@ -32,13 +32,15 @@ func TestParseConfigAcceptsDeployFiles(t *testing.T) {
 }
 
 // TestParseConfigRejectsUnknownKeys covers the removed batching,
-// recognition-cache and sharding keys, a typo inside a nested block, and
-// trailing data: each must fail at parse with the offending key named.
+// recognition-cache, sharding and lsh pre-ranking keys, a typo inside a
+// nested block, and trailing data: each must fail at parse with the
+// offending key named.
 func TestParseConfigRejectsUnknownKeys(t *testing.T) {
 	for _, tc := range []struct{ doc, want string }{
 		{`{"mode": "scatter++", "batch_max": 4}`, "batch_max"},
 		{`{"mode": "scatter++", "recognition_cache": {"enabled": true}}`, "recognition_cache"},
 		{`{"mode": "scatter++", "sharding": {"enabled": true, "shards": 4}}`, "sharding"},
+		{`{"mode": "scatter++", "lsh": {"pre_rank": 4}}`, "lsh"},
 		{`{"route_stats": {"enabeld": true}}`, "enabeld"},
 		{`{"mode": "scatter"} {"mode": "scatter++"}`, "trailing"},
 	} {

@@ -7,10 +7,10 @@
 //
 // The distance kernels are laid out for the cache, not the type system:
 // reference vectors live in one contiguous structure-of-arrays arena
-// (vector data, squared norms, and bit-packed sign sketches in three
-// dense parallel slabs indexed by slot), hyperplanes in one row-major
-// matrix, and ranking does a single dot-product pass per candidate
-// against norms cached at Add time.
+// (vector data, squared norms, and per-table bucket keys in three dense
+// parallel slabs indexed by slot), hyperplanes in one row-major matrix,
+// and ranking does a single dot-product pass per candidate against norms
+// cached at Add time.
 //
 // A stored row keeps the high 16 bits of each of its floats first and
 // the low 16 bits after them. Above screenCutIn candidates, ranking
@@ -18,10 +18,8 @@
 // gets an interval its exact distance must lie in; only the candidates
 // whose interval reaches below the k-th smallest upper end are rebuilt
 // and ranked exactly. The result is the one ranking every candidate
-// exactly gives, bit for bit (see screenLocked). With Config.PreRank
-// armed, ranking instead first cuts the candidate set by packed-sketch
-// Hamming distance — XOR/popcount over a few words — before the exact
-// cosine pass, which can change the result.
+// exactly gives, bit for bit (see screenLocked). Query and ExactNN share
+// this one ranking path.
 package lsh
 
 import (
@@ -31,7 +29,6 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/edge-mar/scatter/internal/vision/parallel"
 	"github.com/edge-mar/scatter/internal/vision/simd"
@@ -50,14 +47,6 @@ type Config struct {
 	Bits   int   // hyperplanes per table, <= 64 (default 16)
 	Probes int   // additional single-bit-flip probes per table (default 2)
 	Seed   int64 // RNG seed for hyperplanes (default 1)
-	// PreRank, when positive, arms bit-packed Hamming pre-ranking:
-	// queries rank candidates first by Hamming distance between packed
-	// sign sketches (Tables×Bits bits, XOR + popcount) and exactly
-	// re-rank only the top PreRank·k by cosine distance. Zero (the
-	// default) keeps exact mode — the result of cosine-ranking every
-	// candidate, bit-identical to an index without sketches. A PreRank·k cut at or
-	// above the candidate count degenerates to exact mode.
-	PreRank int
 	// Workers bounds the worker pool for table construction, bulk
 	// hashing, the high-half screen and exact candidate ranking. Zero
 	// uses GOMAXPROCS; one forces the serial path, on which a query
@@ -72,41 +61,36 @@ type Config struct {
 // Reference storage is a structure-of-arrays arena: vector s occupies
 // arena[s*2*Dim:(s+1)*2*Dim] — the high 16 bits of its Dim floats, then
 // their low 16 bits, so float d is arena[s*2*Dim+d]<<16 |
-// arena[s*2*Dim+Dim+d] — its squared L2 norm normsSq[s], and its packed
-// sign sketch sketches[s*sketchWords:(s+1)*sketchWords]. Slots are dense;
+// arena[s*2*Dim+Dim+d] — its squared L2 norm normsSq[s], and its bucket
+// key in each table, keys[s*Tables:(s+1)*Tables]. Slots are dense;
 // Remove swap-moves the last slot into the hole so the arena never
 // fragments and the ranking passes stream contiguous memory.
 //
-// Hash buckets hold slots, not ids, so candidate collection, Hamming
-// pre-ranking, and cosine ranking are pure array indexing — no map
-// lookups on the query hot path. Ranking translates slots back to
-// public ids (slotIDs is a dense array) before the (distance, id)
-// sort, so result ordering and tie-breaking stay on ids exactly as
-// before. Remove redirects the swap-moved item's bucket entries using
-// its stored sketch, keeping bucket slots valid.
+// Hash buckets hold slots, not ids, so candidate collection and cosine
+// ranking are pure array indexing — no map lookups on the query hot
+// path. Ranking translates slots back to public ids (slotIDs is a dense
+// array) before the (distance, id) sort, so result ordering and
+// tie-breaking stay on ids exactly as before. Remove finds a row's
+// buckets, and the swap-moved row's, from their stored keys rather than
+// by re-hashing, keeping bucket slots valid.
 type Index struct {
 	cfg Config
 	// planes is the row-major hyperplane matrix: the plane of (table t,
 	// bit b) occupies planes[((t*Bits)+b)*Dim : ((t*Bits)+b+1)*Dim].
 	// Immutable after New, so hashing never takes the index lock.
 	planes []float32
-	// sketchWords is the packed-sketch stride: ceil(Tables*Bits / 64).
-	sketchWords int
-	// preRank is the live Hamming pre-ranking budget (see Config.PreRank);
-	// atomic so SetPreRank can retune a serving index without the lock.
-	preRank atomic.Int64
 
 	// slack is the relative half-width of a screened distance
 	// interval (see screenSlack); fixed by Dim.
 	slack float64
 
-	mu       sync.RWMutex
-	tables   []map[uint64][]int
-	arena    []uint16 // split rows: high halves, then low halves
-	normsSq  []float64
-	sketches []uint64
-	slotIDs  []int       // slot → id
-	slots    map[int]int // id → slot
+	mu      sync.RWMutex
+	tables  []map[uint64][]int
+	arena   []uint16 // split rows: high halves, then low halves
+	normsSq []float64
+	keys    []uint64    // bucket key per (slot, table), stride Tables
+	slotIDs []int       // slot → id
+	slots   map[int]int // id → slot
 	// nonFinite counts stored rows with a NaN or infinite component
 	// (exactly the rows whose cached squared norm is not finite); while
 	// there is one, the screen stands down.
@@ -136,18 +120,13 @@ func New(cfg Config) *Index {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.PreRank < 0 {
-		cfg.PreRank = 0
-	}
 	ix := &Index{
-		cfg:         cfg,
-		planes:      make([]float32, cfg.Tables*cfg.Bits*cfg.Dim),
-		sketchWords: (cfg.Tables*cfg.Bits + 63) / 64,
-		slack:       screenSlack(cfg.Dim),
-		tables:      make([]map[uint64][]int, cfg.Tables),
-		slots:       make(map[int]int),
+		cfg:    cfg,
+		planes: make([]float32, cfg.Tables*cfg.Bits*cfg.Dim),
+		slack:  screenSlack(cfg.Dim),
+		tables: make([]map[uint64][]int, cfg.Tables),
+		slots:  make(map[int]int),
 	}
-	ix.preRank.Store(int64(cfg.PreRank))
 	// Each table draws its hyperplanes from its own rand.Rand seeded
 	// deterministically from the config seed, so construction can fan out
 	// across the pool and the planes of table t never depend on how many
@@ -179,17 +158,6 @@ func tableSeed(seed int64, table int) int64 {
 
 // Dim returns the configured vector dimensionality.
 func (ix *Index) Dim() int { return ix.cfg.Dim }
-
-// SetPreRank retunes the Hamming pre-ranking budget on a live index
-// (see Config.PreRank). Zero restores exact mode. Sketches are always
-// maintained at Add time, so the switch costs nothing and applies to the
-// next query.
-func (ix *Index) SetPreRank(n int) {
-	if n < 0 {
-		n = 0
-	}
-	ix.preRank.Store(int64(n))
-}
 
 // Len returns the number of stored items.
 func (ix *Index) Len() int {
@@ -238,40 +206,7 @@ func normSq(v []float32) float64 {
 
 func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
-// packSketch packs per-table bucket keys into a dense little-endian bit
-// string: table t's bit b lands at global bit position t*bits + b. dst
-// must hold ceil(len(keys)*bits / 64) words and is overwritten.
-func packSketch(dst, keys []uint64, bitsPerTable int) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for t, key := range keys {
-		p := t * bitsPerTable
-		w, off := p>>6, uint(p&63)
-		dst[w] |= key << off
-		if off+uint(bitsPerTable) > 64 {
-			dst[w+1] |= key >> (64 - off)
-		}
-	}
-}
-
-// unpackKey extracts table t's bucket key back out of a packed sketch —
-// the inverse of packSketch, pinned to Hash by a differential fuzz
-// target. Remove recovers bucket keys this way instead of re-hashing.
-func unpackKey(sketch []uint64, t, bitsPerTable int) uint64 {
-	p := t * bitsPerTable
-	w, off := p>>6, uint(p&63)
-	key := sketch[w] >> off
-	if off+uint(bitsPerTable) > 64 {
-		key |= sketch[w+1] << (64 - off)
-	}
-	if bitsPerTable < 64 {
-		key &= 1<<uint(bitsPerTable) - 1
-	}
-	return key
-}
-
-// keyPool recycles per-call bucket-key and packed-sketch buffers.
+// keyPool recycles Add's bucket-key buffer.
 var keyPool parallel.SlicePool[uint64]
 
 // hashAll computes the bucket key of v in every table into keys (length
@@ -298,15 +233,13 @@ var halfPool parallel.SlicePool[uint16]
 
 // Add stores vector v under id, replacing any previous vector with the
 // same id. The vector is copied into the arena as a split row. Per-table
-// hashing, norm caching, sketch packing and splitting the row all happen
-// outside the write lock.
+// hashing, norm caching and splitting the row all happen outside the
+// write lock.
 func (ix *Index) Add(id int, v []float32) {
 	ix.checkDim(v)
 	keys := keyPool.Get(ix.cfg.Tables)
 	ix.hashAll(v, keys)
 	n := normSq(v)
-	sketch := keyPool.Get(ix.sketchWords)
-	packSketch(sketch, keys, ix.cfg.Bits)
 	row := halfPool.Get(2 * ix.cfg.Dim)
 	for d, x := range v {
 		b := math.Float32bits(x)
@@ -323,7 +256,7 @@ func (ix *Index) Add(id int, v []float32) {
 		ix.nonFinite++
 	}
 	ix.normsSq = append(ix.normsSq, n)
-	ix.sketches = append(ix.sketches, sketch...)
+	ix.keys = append(ix.keys, keys...)
 	ix.slotIDs = append(ix.slotIDs, id)
 	ix.slots[id] = slot
 	for t := range ix.tables {
@@ -331,7 +264,6 @@ func (ix *Index) Add(id int, v []float32) {
 	}
 	ix.mu.Unlock()
 	halfPool.Put(row)
-	keyPool.Put(sketch)
 	keyPool.Put(keys)
 }
 
@@ -344,20 +276,18 @@ func (ix *Index) Remove(id int) {
 	}
 }
 
-// removeSlotLocked unlinks slot from every bucket (bucket keys are
-// recovered from the stored sketch — no re-hash) and swap-moves the last
-// arena slot into the hole, keeping vector data, cached norms, and
-// sketches dense. The moved item's bucket entries are redirected to its
-// new slot the same way, via its own sketch. Callers must hold the
-// write lock.
+// removeSlotLocked unlinks slot from every bucket (bucket keys are read
+// from the key slab — no re-hash) and swap-moves the last arena slot into
+// the hole, keeping vector data, cached norms, and keys dense. The moved
+// item's bucket entries are redirected to its new slot the same way, via
+// its own keys. Callers must hold the write lock.
 func (ix *Index) removeSlotLocked(id, slot int) {
-	sw, stride := ix.sketchWords, 2*ix.cfg.Dim
+	nt, stride := ix.cfg.Tables, 2*ix.cfg.Dim
 	if !finite(ix.normsSq[slot]) {
 		ix.nonFinite--
 	}
-	sketch := ix.sketches[slot*sw : (slot+1)*sw]
-	for t := range ix.tables {
-		key := unpackKey(sketch, t, ix.cfg.Bits)
+	keys := ix.keys[slot*nt : (slot+1)*nt]
+	for t, key := range keys {
 		bucket := ix.tables[t][key]
 		for i, bs := range bucket {
 			if bs == slot {
@@ -371,9 +301,9 @@ func (ix *Index) removeSlotLocked(id, slot int) {
 	}
 	last := len(ix.slotIDs) - 1
 	if slot != last {
-		moved := ix.sketches[last*sw : (last+1)*sw]
-		for t := range ix.tables {
-			bucket := ix.tables[t][unpackKey(moved, t, ix.cfg.Bits)]
+		moved := ix.keys[last*nt : (last+1)*nt]
+		for t, key := range moved {
+			bucket := ix.tables[t][key]
 			for i, bs := range bucket {
 				if bs == last {
 					bucket[i] = slot
@@ -382,14 +312,14 @@ func (ix *Index) removeSlotLocked(id, slot int) {
 			}
 		}
 		copy(ix.arena[slot*stride:(slot+1)*stride], ix.arena[last*stride:(last+1)*stride])
-		copy(sketch, moved)
+		copy(keys, moved)
 		ix.normsSq[slot] = ix.normsSq[last]
 		movedID := ix.slotIDs[last]
 		ix.slotIDs[slot] = movedID
 		ix.slots[movedID] = slot
 	}
 	ix.arena = ix.arena[:last*stride]
-	ix.sketches = ix.sketches[:last*sw]
+	ix.keys = ix.keys[:last*nt]
 	ix.normsSq = ix.normsSq[:last]
 	ix.slotIDs = ix.slotIDs[:last]
 	delete(ix.slots, id)
@@ -644,45 +574,6 @@ func replaceTop(h []float64, x float64) {
 	}
 }
 
-// preRankLocked cuts the candidate slots to the keep nearest by
-// packed-sketch Hamming distance (XOR + popcount over sketchWords words
-// per candidate) ahead of exact cosine ranking, and returns them as
-// Neighbor{ID: slot}. Selection is under the (Hamming, slot) total order,
-// so the kept set is deterministic. The query's per-table bucket keys
-// are sc.keys (already computed for probing). Callers must hold at least
-// a read lock.
-func (ix *Index) preRankLocked(slots []int32, keep int, sc *scratch) []Neighbor {
-	cands := sc.candidates(slots)
-	qs := resize(sc.sketch, ix.sketchWords)
-	sc.sketch = qs
-	packSketch(qs, sc.keys, ix.cfg.Bits)
-	n := len(cands)
-	if ix.cfg.Workers == 1 || n <= rankGrain {
-		ix.hammingRange(qs, cands, 0, n)
-	} else {
-		parallel.For(ix.cfg.Workers, n, rankGrain, func(_, start, end int) {
-			ix.hammingRange(qs, cands, start, end)
-		})
-	}
-	return sortAndTrim(cands, keep)
-}
-
-// hammingRange fills Dist for neighbors[start:end] (ID holds the arena
-// slot) with the Hamming distance between each candidate's packed
-// sketch and the query sketch qs — XOR and popcount over sketchWords
-// words per candidate, straight out of the sketch slab.
-func (ix *Index) hammingRange(qs []uint64, neighbors []Neighbor, start, end int) {
-	sw := ix.sketchWords
-	for i := start; i < end; i++ {
-		ref := ix.sketches[neighbors[i].ID*sw : (neighbors[i].ID+1)*sw]
-		h := 0
-		for w, x := range ref {
-			h += bits.OnesCount64(x ^ qs[w])
-		}
-		neighbors[i].Dist = float64(h)
-	}
-}
-
 // neighborLess is the (distance, id) comparator used everywhere results
 // are ranked, a NaN distance (a NaN or infinite row or query) after every
 // number. Distinct IDs make it a strict total order, so any ranking built
@@ -788,7 +679,6 @@ func insertionSortNeighbors(a []Neighbor, lo, hi int) {
 // that after warm-up a query allocates only its result.
 type scratch struct {
 	keys   []uint64   // the query's bucket key per table
-	sketch []uint64   // the query's packed sketch (pre-ranking only)
 	seen   []uint64   // candidate bitset over slots; all zero while pooled
 	slots  []int32    // candidate slots, ascending
 	dots   []float32  // the screen's dot product per candidate
@@ -823,10 +713,9 @@ func resize[T any](s []T, n int) []T {
 // single-bit-flip probe buckets — as bits of the bitset sc.seen, then
 // lists them in ascending slot order (TrailingZeros64 per set bit),
 // clearing the bitset as it goes, so the ranking passes walk the arena
-// and the sketch slab forwards. Every ranking is under a total order
-// ((Hamming, slot), then (distance, id)), so the order candidates are
-// listed in never shows in a result. Callers must hold at least a read
-// lock.
+// forwards. Ranking is under the (distance, id) total order, so the order
+// candidates are listed in never shows in a result. Callers must hold at
+// least a read lock.
 func (ix *Index) collectLocked(sc *scratch) []int32 {
 	seen := resize(sc.seen, (len(ix.slotIDs)+63)/64)
 	sc.seen = seen
@@ -856,8 +745,7 @@ func (ix *Index) collectLocked(sc *scratch) []int32 {
 // exact cosine distance over the union of candidate buckets across all
 // tables (plus multi-probe buckets differing by one bit). Above
 // screenCutIn candidates only those the high-half screen cannot rule out
-// are ranked, which changes no result. With PreRank armed the candidate
-// set is instead first cut to PreRank·k by sketch Hamming distance.
+// are ranked, which changes no result.
 func (ix *Index) Query(v []float32, k int) []Neighbor {
 	ix.checkDim(v)
 	if k <= 0 {
@@ -869,13 +757,7 @@ func (ix *Index) Query(v []float32, k int) []Neighbor {
 	qn := normSq(v)
 
 	ix.mu.RLock()
-	slots := ix.collectLocked(sc)
-	var cands []Neighbor
-	if keep := int(ix.preRank.Load()) * k; keep > 0 && keep < len(slots) {
-		cands = ix.preRankLocked(slots, keep, sc)
-	} else {
-		cands = ix.screenLocked(v, qn, slots, k, sc)
-	}
+	cands := ix.screenLocked(v, qn, ix.collectLocked(sc), k, sc)
 	ix.rankLocked(v, cands)
 	ix.mu.RUnlock()
 	out := trimmedCopy(cands, k)

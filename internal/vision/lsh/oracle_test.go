@@ -88,8 +88,8 @@ func (ix *Index) refRankAllRange(v []float32, qn float64, neighbors []Neighbor, 
 	}
 }
 
-// refQuery is Query over the reference kernels, with preRankLocked's
-// selection written out serially.
+// refQuery is Query over the reference kernels: every candidate ranked
+// exactly, serially, with no screen.
 func (ix *Index) refQuery(v []float32, k int) []Neighbor {
 	if k <= 0 {
 		return nil
@@ -101,12 +101,6 @@ func (ix *Index) refQuery(v []float32, k int) []Neighbor {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	neighbors := ix.refCollectLocked(keys, make([]bool, len(ix.slotIDs)), nil)
-	if keep := int(ix.preRank.Load()) * k; keep > 0 && keep < len(neighbors) {
-		qs := make([]uint64, ix.sketchWords)
-		packSketch(qs, keys, ix.cfg.Bits)
-		ix.hammingRange(qs, neighbors, 0, len(neighbors))
-		neighbors = sortAndTrim(neighbors, keep)
-	}
 	ix.refRankRange(v, normSq(v), neighbors, 0, len(neighbors))
 	return append([]Neighbor{}, sortAndTrim(neighbors, k)...)
 }
@@ -272,14 +266,10 @@ func TestQueryMatchesReference(t *testing.T) {
 		if screened < len(queries)/2 {
 			t.Fatalf("workers %d: the screen cut only %d of %d queries; the index is too sparse to test it", workers, screened, len(queries))
 		}
-		for _, preRank := range []int{0, 4} {
-			ix.SetPreRank(preRank)
-			what := fmt.Sprintf("workers %d preRank %d", workers, preRank)
-			if ranked := requireReference(t, what, ix, queries, ks); ranked < 100 {
-				t.Fatalf("%s: only %d neighbours ranked; the index is too sparse to test anything", what, ranked)
-			}
+		what := fmt.Sprintf("workers %d", workers)
+		if ranked := requireReference(t, what, ix, queries, ks); ranked < 100 {
+			t.Fatalf("%s: only %d neighbours ranked; the index is too sparse to test anything", what, ranked)
 		}
-		ix.SetPreRank(0)
 		// A NaN row, then an infinite one: the screen stands down while
 		// either is stored, and comes back once it is gone.
 		nan, inf := queries[1], queries[2]
@@ -443,60 +433,57 @@ func FuzzQueryMatchesReference(f *testing.F) {
 // the churn has produced. At 6000 vectors the queries are screened.
 func TestQueryMatchesReferenceUnderChurn(t *testing.T) {
 	const n, dim = 6000, 24
-	for _, preRank := range []int{0, 4} {
-		ix, queries := oracleIndex(t, n, dim, 2)
-		ix.SetPreRank(preRank)
-		var gate sync.Mutex // held by the writer per mutation, by the checker per comparison
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { // writer: churn ids n..n+63 and replace live ones
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(5))
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				gate.Lock()
-				if id := n + rng.Intn(64); i%3 == 2 {
-					ix.Remove(id)
-				} else {
-					ix.Add(id, queries[1+rng.Intn(len(queries)-1)])
-				}
-				gate.Unlock()
+	ix, queries := oracleIndex(t, n, dim, 2)
+	var gate sync.Mutex // held by the writer per mutation, by the checker per comparison
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // writer: churn ids n..n+63 and replace live ones
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}()
-		go func() { // free-running reader
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for _, nb := range ix.Query(queries[i%len(queries)], 5) {
-					if math.IsNaN(nb.Dist) {
-						t.Error("NaN distance under churn")
-						return
-					}
-				}
-			}
-		}()
-		for i := 0; i < 200; i++ {
-			q := queries[i%len(queries)]
 			gate.Lock()
-			got, want := ix.Query(q, 7), ix.refQuery(q, 7)
+			if id := n + rng.Intn(64); i%3 == 2 {
+				ix.Remove(id)
+			} else {
+				ix.Add(id, queries[1+rng.Intn(len(queries)-1)])
+			}
 			gate.Unlock()
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("preRank %d comparison %d: Query differs from reference under churn", preRank, i)
-				break
+		}
+	}()
+	go func() { // free-running reader
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, nb := range ix.Query(queries[i%len(queries)], 5) {
+				if math.IsNaN(nb.Dist) {
+					t.Error("NaN distance under churn")
+					return
+				}
 			}
 		}
-		close(stop)
-		wg.Wait()
+	}()
+	for i := 0; i < 200; i++ {
+		q := queries[i%len(queries)]
+		gate.Lock()
+		got, want := ix.Query(q, 7), ix.refQuery(q, 7)
+		gate.Unlock()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("comparison %d: Query differs from reference under churn", i)
+			break
+		}
 	}
+	close(stop)
+	wg.Wait()
 }
 
 // referenceSortAndTrim is the pre-quickselect implementation kept as the
