@@ -94,8 +94,8 @@ bench-vision:
 	$(GO) test -run '^$$' -bench Primary720p -benchtime=1x -cpu 1,4,8 ./internal/core
 
 # Short fuzzing passes over the wire/payload decoders, UDP reassembly, the
-# lsh query path against its reference and the lsh kernels against their
-# Go twins. The seed corpora under internal/vision/{lsh,simd}/testdata
+# lsh query path against its reference, and the lsh kernels and the DoG
+# subtraction and extrema scan against their Go twins. The seed corpora under internal/vision/{lsh,simd}/testdata
 # are committed, so plain go test replays them.
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalBinary -fuzztime 30s
@@ -103,6 +103,8 @@ fuzz:
 	$(GO) test ./internal/vision/lsh -fuzz FuzzQueryMatchesReference -fuzztime 30s
 	$(GO) test ./internal/vision/simd -fuzz FuzzDotHighHalfMatchesTwin -fuzztime 30s
 	$(GO) test ./internal/vision/simd -fuzz FuzzDot16MatchesTwin -fuzztime 30s
+	$(GO) test ./internal/vision/simd -fuzz FuzzSubMatchesTwin -fuzztime 30s
+	$(GO) test ./internal/vision/simd -fuzz FuzzExtremaMatchesTwin -fuzztime 30s
 	$(GO) test ./internal/transport -fuzz FuzzReassembly -fuzztime 30s
 
 # Chaos suite: fault-injected transports, mid-run partitions, machine

@@ -77,6 +77,39 @@ func TestPrimary720pMatchesReference(t *testing.T) {
 	}
 }
 
+// Converting an 8-bit pixel to its intensity and back is the identity, so
+// primary passes an image already at the analysis size on untouched
+// instead of making that round trip.
+func TestIntensityRoundTripsEvery8BitValue(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		if got := quantize8(unitIntensity[v]); got != uint8(v) {
+			t.Errorf("quantize8(float32(%d)/255) = %d", v, got)
+		}
+	}
+}
+
+// A frame already at the analysis size leaves primary byte for byte as it
+// came in, in a buffer of its own.
+func TestPrimaryPassesAnalysisSizeThrough(t *testing.T) {
+	in := noisePayload(320, 180, 5)
+	encoded := (&Payload{Image: in}).Encode()
+	fr := &wire.Frame{Step: wire.StepPrimary, Payload: bytes.Clone(encoded)}
+	input := fr.Payload
+	if err := NewPrimary(320, 180).Process(fr); err != nil {
+		t.Fatal(err)
+	}
+	if fr.Step != wire.StepSIFT {
+		t.Fatalf("step after primary = %v", fr.Step)
+	}
+	if !bytes.Equal(fr.Payload, encoded) {
+		t.Fatal("a 320x180 frame left primary changed")
+	}
+	clear(input)
+	if !bytes.Equal(fr.Payload, encoded) {
+		t.Error("primary's output shares memory with the payload it was given")
+	}
+}
+
 func TestPrimaryRejectsEmptyImage(t *testing.T) {
 	for _, size := range [][2]int{{0, 0}, {0, 5}, {5, 0}} {
 		p := &Payload{Image: &ImagePayload{W: size[0], H: size[1], Pix: []uint8{}}}

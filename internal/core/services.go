@@ -108,9 +108,10 @@ func (s *Primary) Process(fr *wire.Frame) error {
 	if err := checkStep(fr, wire.StepPrimary); err != nil {
 		return err
 	}
-	// The image is only read until the resized copy exists, which is
-	// before advance replaces fr.Payload, so its pixels can stay where
-	// they arrived.
+	// The image is only read until advance has encoded the new payload,
+	// which copies it, before fr.Payload is replaced — so its pixels can
+	// stay where they arrived, and an image already at the analysis size
+	// goes on as decoded.
 	p, err := decodePayload(fr.Payload, true)
 	if err != nil {
 		return err
@@ -123,8 +124,6 @@ func (s *Primary) Process(fr *wire.Frame) error {
 	}
 	if p.Image.W != s.TargetW || p.Image.H != s.TargetH {
 		p.Image = resizeImage(p.Image, s.TargetW, s.TargetH)
-	} else {
-		p.Image = grayToPayload(payloadToGray(p.Image))
 	}
 	advance(fr, p)
 	return nil

@@ -4,7 +4,8 @@
 //
 // All operations work on Gray, a float32 single-channel image with values
 // nominally in [0, 1]. The representation is row-major with no padding so
-// that pyramid levels and scratch buffers can be pooled and reused.
+// that a caller can lay many images out in one buffer: the Into forms
+// write into images it provides.
 package imgproc
 
 import (
@@ -193,47 +194,25 @@ func BlurInto(dst, tmp, src *Gray, k []float32, workers int) {
 	convolveV(dst, tmp, k, workers)
 }
 
-// Subtract returns a-b pixel-wise. The images must have equal dimensions.
-func Subtract(a, b *Gray) *Gray {
-	out := NewGray(a.W, a.H)
-	SubtractInto(out, a, b)
-	return out
-}
-
-// SubtractInto writes a-b pixel-wise into dst, which may be a or b
-// themselves. The images must have equal dimensions.
-func SubtractInto(dst, a, b *Gray) {
-	if a.W != b.W || a.H != b.H || dst.W != a.W || dst.H != a.H {
-		panic(fmt.Sprintf("imgproc: size mismatch %dx%d vs %dx%d into %dx%d", a.W, a.H, b.W, b.H, dst.W, dst.H))
+// DownsampleInto writes src reduced by a factor of two with 2×2 box
+// averaging into dst, which must be max(src.W/2, 1)×max(src.H/2, 1) and
+// must not overlap src. Odd trailing rows/columns are dropped.
+func DownsampleInto(dst, src *Gray) {
+	w, h := max(src.W/2, 1), max(src.H/2, 1)
+	if dst.W != w || dst.H != h {
+		panic(fmt.Sprintf("imgproc: downsample of %dx%d into %dx%d", src.W, src.H, dst.W, dst.H))
 	}
-	simd.Sub(dst.Pix, a.Pix, b.Pix)
-}
-
-// Downsample returns the image reduced by a factor of two using 2×2 box
-// averaging. Odd trailing rows/columns are dropped. The result is at least
-// 1×1.
-func Downsample(src *Gray) *Gray {
-	w := src.W / 2
-	h := src.H / 2
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
-	out := NewGray(w, h)
 	// dx and the bottom row index collapse onto the top-left sample for a
 	// one-pixel-wide or one-pixel-tall source, which repeats its border.
 	dx := min(1, src.W-1)
 	for y := 0; y < h; y++ {
 		top := src.Pix[2*y*src.W:][:src.W]
 		bot := src.Pix[min(2*y+1, src.H-1)*src.W:][:src.W]
-		row := out.Pix[y*w:][:w]
+		row := dst.Pix[y*w:][:w]
 		for x := range row {
 			row[x] = (top[2*x] + top[2*x+dx] + bot[2*x] + bot[2*x+dx]) / 4
 		}
 	}
-	return out
 }
 
 // Resize returns the image resampled to w×h with bilinear interpolation.

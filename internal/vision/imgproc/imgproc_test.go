@@ -127,24 +127,13 @@ func TestGaussianBlurSmooths(t *testing.T) {
 	}
 }
 
-func TestSubtract(t *testing.T) {
-	a := NewGray(2, 2)
-	b := NewGray(2, 2)
-	a.Set(0, 0, 0.8)
-	b.Set(0, 0, 0.3)
-	d := Subtract(a, b)
-	if math.Abs(float64(d.At(0, 0))-0.5) > 1e-6 {
-		t.Errorf("Subtract = %v, want 0.5", d.At(0, 0))
-	}
-}
-
-func TestSubtractPanicsOnMismatch(t *testing.T) {
+func TestDownsampleIntoPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Subtract with mismatched sizes did not panic")
+			t.Error("DownsampleInto into a 3x3 image of an 8x6 one did not panic")
 		}
 	}()
-	Subtract(NewGray(2, 2), NewGray(3, 2))
+	DownsampleInto(NewGray(3, 3), NewGray(8, 6))
 }
 
 func TestDownsampleHalves(t *testing.T) {
@@ -152,7 +141,7 @@ func TestDownsampleHalves(t *testing.T) {
 	for i := range g.Pix {
 		g.Pix[i] = float32(i)
 	}
-	d := Downsample(g)
+	d := downsample(g)
 	if d.W != 4 || d.H != 3 {
 		t.Fatalf("Downsample dims = %dx%d, want 4x3", d.W, d.H)
 	}
@@ -165,7 +154,7 @@ func TestDownsampleHalves(t *testing.T) {
 
 func TestDownsampleMinimumSize(t *testing.T) {
 	g := NewGray(1, 1)
-	d := Downsample(g)
+	d := downsample(g)
 	if d.W != 1 || d.H != 1 {
 		t.Errorf("Downsample of 1x1 = %dx%d, want 1x1", d.W, d.H)
 	}
@@ -264,8 +253,8 @@ func TestBlurBoundsProperty(t *testing.T) {
 	}
 }
 
-// Property: Downsample then the implied dimensions always halve (floor) and
-// output values stay within input range.
+// Property: downsampling halves the dimensions (floor) and keeps the
+// output values within the input range.
 func TestDownsampleRangeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -275,7 +264,7 @@ func TestDownsampleRangeProperty(t *testing.T) {
 		for i := range g.Pix {
 			g.Pix[i] = rng.Float32()
 		}
-		d := Downsample(g)
+		d := downsample(g)
 		if d.W != w/2 || d.H != h/2 {
 			return false
 		}
@@ -289,6 +278,13 @@ func TestDownsampleRangeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// downsample returns src halved by DownsampleInto into a new image.
+func downsample(src *Gray) *Gray {
+	dst := NewGray(max(src.W/2, 1), max(src.H/2, 1))
+	DownsampleInto(dst, src)
+	return dst
 }
 
 // Clone returns a deep copy of the image.

@@ -173,26 +173,10 @@ func TestBlurIntoReusesScratch(t *testing.T) {
 	requireSameBits(t, "second use of the same tmp", dst, want)
 }
 
-func TestSubtractIntoInPlace(t *testing.T) {
-	a, b := noiseImage(21, 4, 4), noiseImage(21, 4, 5)
-	want := Subtract(a, b)
-	overA, overB := a.Clone(), b.Clone()
-	SubtractInto(overA, overA, b)
-	requireSameBits(t, "dst == a", overA, want)
-	SubtractInto(overB, a, overB)
-	requireSameBits(t, "dst == b", overB, want)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SubtractInto accepted a dst of another size")
-		}
-	}()
-	SubtractInto(NewGray(4, 21), a, b)
-}
-
 func TestDownsampleMatchesReference(t *testing.T) {
 	for _, size := range append(oracleSizes, [2]int{1, 9}, [2]int{9, 1}, [2]int{2, 2}) {
 		src := noiseImage(size[0], size[1], 6)
-		requireSameBits(t, fmt.Sprintf("Downsample %dx%d", size[0], size[1]), Downsample(src), refDownsample(src))
+		requireSameBits(t, fmt.Sprintf("DownsampleInto %dx%d", size[0], size[1]), downsample(src), refDownsample(src))
 	}
 }
 

@@ -5,15 +5,16 @@ import (
 	"testing"
 )
 
-// Detect's per-frame garbage at the analysis resolution: eight images per
-// octave (six Gaussian levels, three of which end up holding DoG levels,
-// plus the inner DoG levels) and the features. The horizontal-pass buffer
-// and the gradient patch are pooled; 5.68 MB before the in-place DoG.
+// Detect's per-frame garbage at the analysis resolution: one slab for the
+// pyramid — six Gaussian levels of the first octave plus the blur's
+// horizontal-pass buffer, 7·320·180 floats (1.6 MB), which every later
+// octave reuses — and the features. DoG bands and gradient patches are
+// pooled.
 func TestDetectAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is unreliable under -race")
 	}
-	const budget = 3 << 20
+	const budget = 2 << 20
 	frame := clipFrames(t)[0]
 	cfg := Defaults()
 	cfg.MaxFeatures = 150

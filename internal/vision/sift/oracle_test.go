@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -563,16 +564,53 @@ func TestDetectMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	// Odd sizes: octaves that end early, rows shorter than a kernel.
+	// Five levels per octave: eight Gaussian levels, seven DoG bands, and
+	// a slab sized for them.
+	five := New(Config{Levels: 5, MaxFeatures: 150, Workers: 2}).cfg
+	sameFeatures(t, "clip frame 0, 5 levels", New(five).Detect(frames[0]), refDetect(five, frames[0]))
+	// Odd sizes: octaves that end early, rows shorter than a kernel, and
+	// more octaves asked for than halving leaves room for.
+	lowContrast := New(Config{ContrastThreshold: 0.005, Workers: 2}).cfg
+	deep := lowContrast
+	deep.Octaves = 6
 	for _, size := range [][2]int{{33, 17}, {21, 4}, {7, 5}, {3, 3}, {1, 1}} {
 		img := noiseImage(size[0], size[1], 9)
-		cfg := New(Config{ContrastThreshold: 0.005, Workers: 2}).cfg
-		sameFeatures(t, fmt.Sprintf("%dx%d", size[0], size[1]), New(cfg).Detect(img), refDetect(cfg, img))
+		for _, cfg := range []Config{lowContrast, deep} {
+			what := fmt.Sprintf("%dx%d, %d octaves asked", size[0], size[1], cfg.Octaves)
+			sameFeatures(t, what, New(cfg).Detect(img), refDetect(cfg, img))
+		}
+	}
+	// Scan chunk seams, on crops of clip frame 0 whose reference keeps a
+	// keypoint on each row named: 16 interior rows, one whole chunk, with
+	// keypoints on its first and last; 17, whose last chunk is one row;
+	// 32, two chunks, with keypoints either side of the seam and on the
+	// last row. The widths leave the 8-pixel Extrema groups a remainder.
+	for _, c := range []struct {
+		x, y, w, h int
+		rows       []int
+	}{
+		{102, 126, 43, 18, []int{1, 16}},
+		{111, 4, 29, 19, []int{17}},
+		{72, 68, 29, 34, []int{15, 17, 32}},
+	} {
+		img := imgproc.NewGray(c.w, c.h)
+		for y := range c.h {
+			copy(img.Pix[y*c.w:][:c.w], frames[0].Pix[(c.y+y)*frames[0].W+c.x:])
+		}
+		what := fmt.Sprintf("%dx%d crop at (%d,%d)", c.w, c.h, c.x, c.y)
+		want := refDetect(lowContrast, img)
+		for _, row := range c.rows {
+			if !slices.ContainsFunc(want, func(f Feature) bool { return f.Octave == 0 && f.Y == float64(row) }) {
+				t.Fatalf("%s: reference keeps no keypoint on row %d", what, row)
+			}
+		}
+		sameFeatures(t, what, New(lowContrast).Detect(img), want)
 	}
 }
 
-// Detect calls share the tmp and patch pools; concurrent calls (two
-// frames at once in the sift worker) must not see each other's scratch.
+// Detect calls share the DoG band and gradient patch pools; concurrent
+// calls (two frames at once in the sift worker) must not see each other's
+// scratch.
 func TestDetectConcurrentMatchesSerial(t *testing.T) {
 	frames := clipFrames(t)
 	small := noiseImage(96, 64, 3)

@@ -168,90 +168,86 @@ func gaussianWindow(radius int, w float64) []float64 {
 	return tab
 }
 
-// pyramid holds the Gaussian and DoG scale spaces for one image.
+// pyramid is what describe reads of an image's Gaussian scale space:
+// gauss[octave][level] for levels 1..Levels, views into the slab scan
+// allocated. Entry 0 of each octave is empty.
 type pyramid struct {
-	// gauss[octave][level] is set for levels 1..Levels, the ones
-	// descriptors sample; the storage of the other three went to dog.
-	gauss [][]*imgproc.Gray
-	dog   [][]*imgproc.Gray // [octave][level], levels+2 per octave
+	gauss [][]imgproc.Gray
 }
 
-// tmpPool holds the blur's horizontal-pass buffer between Detect calls.
-// Every blur overwrites it whole, so one buffer serves a whole pyramid.
-var tmpPool sync.Pool
-
-func (d *Detector) buildPyramid(img *imgproc.Gray) *pyramid {
-	cfg := d.cfg
-	octaves := cfg.Octaves
-	if octaves == 0 {
-		minDim := img.W
-		if img.H < minDim {
-			minDim = img.H
+// octaves returns how many octaves the pyramid of a w×h image has: the
+// configured number, or as many as keep the smaller side at 16 pixels or
+// more, but no octave after one narrower or shorter than 8 pixels, whose
+// halving would be under 4.
+func (d *Detector) octaves(w, h int) int {
+	n := d.cfg.Octaves
+	if n == 0 {
+		for minDim := min(w, h); minDim >= 16; minDim /= 2 {
+			n++
 		}
-		for octaves = 0; minDim >= 16; octaves++ {
-			minDim /= 2
+		n = max(n, 1)
+	}
+	for o := 1; o < n; o++ {
+		if w < 8 || h < 8 {
+			return o
 		}
-		if octaves < 1 {
-			octaves = 1
+		w, h = w/2, h/2
+	}
+	return n
+}
+
+// scan builds img's Gaussian pyramid and finds its DoG extrema, octave by
+// octave: it blurs an octave's Levels+3 levels, scans them, and only then
+// builds the next octave.
+//
+// Every level lives in one slab, the only pyramid allocation of the call.
+// An octave's levels 1..Levels, which describe reads later, go at a bump
+// pointer; behind them come its scratch — level 0, levels Levels+1 and
+// Levels+2 — and the blur's horizontal-pass buffer. The next octave's
+// kept levels start where this octave's scratch does, so they overwrite
+// only what its scan is done with; its level 0, downsampled from this
+// octave's level Levels, lands in that scratch too. The slab is sized
+// up front to the furthest any octave reaches (7·W·H floats at 3 levels).
+func (d *Detector) scan(img *imgproc.Gray) (*pyramid, []candidate) {
+	nLevels := d.cfg.Levels + 3
+	octaves := d.octaves(img.W, img.H)
+	size, kept := 0, 0
+	for o, w, h := 0, img.W, img.H; o < octaves; o, w, h = o+1, w/2, h/2 {
+		size = max(size, kept+(nLevels+1)*w*h)
+		kept += d.cfg.Levels * w * h
+	}
+	slab := make([]float32, size)
+
+	p := &pyramid{gauss: make([][]imgproc.Gray, octaves)}
+	var cands []candidate
+	kept = 0
+	for o, w, h := 0, img.W, img.H; o < octaves; o, w, h = o+1, w/2, h/2 {
+		n := w * h
+		view := func(at int) imgproc.Gray { return imgproc.Gray{W: w, H: h, Pix: slab[at:][:n]} }
+		levels := make([]imgproc.Gray, nLevels)
+		for l := 1; l <= d.cfg.Levels; l++ {
+			levels[l] = view(kept + (l-1)*n)
 		}
-	}
-	nLevels := cfg.Levels + 3
-
-	scratch, _ := tmpPool.Get().(*[]float32)
-	if scratch == nil || cap(*scratch) < len(img.Pix) {
-		buf := make([]float32, len(img.Pix))
-		scratch = &buf
-	}
-	defer tmpPool.Put(scratch)
-	blur := func(src *imgproc.Gray, k []float32) *imgproc.Gray {
-		dst := imgproc.NewGray(src.W, src.H)
-		tmp := imgproc.Gray{W: src.W, H: src.H, Pix: (*scratch)[:len(src.Pix)]}
-		imgproc.BlurInto(dst, &tmp, src, k, cfg.Workers)
-		return dst
-	}
-
-	p := &pyramid{}
-	base := blur(img, d.kernels[0])
-	for o := 0; o < octaves; o++ {
-		levels := make([]*imgproc.Gray, nLevels)
-		levels[0] = base
-		for i := 1; i < nLevels; i++ {
+		scratch := kept + d.cfg.Levels*n
+		levels[0] = view(scratch)
+		levels[nLevels-2], levels[nLevels-1] = view(scratch+n), view(scratch+2*n)
+		tmp := view(scratch + 3*n)
+		if o == 0 {
+			imgproc.BlurInto(&levels[0], &tmp, img, d.kernels[0], d.cfg.Workers)
+		} else {
+			imgproc.DownsampleInto(&levels[0], &p.gauss[o-1][d.cfg.Levels])
+		}
+		for l := 1; l < nLevels; l++ {
 			// Levels chain sequentially, but each blur's convolution
 			// passes fan rows out across the pool.
-			levels[i] = blur(levels[i-1], d.kernels[i])
+			imgproc.BlurInto(&levels[l], &tmp, &levels[l-1], d.kernels[l], d.cfg.Workers)
 		}
-		// Next octave starts from the level with blur 2*sigmaBase.
-		next := levels[cfg.Levels]
-
-		// dogs[i] = levels[i+1] - levels[i]. Nothing downstream reads
-		// Gaussian levels 0, Levels+1 and Levels+2, so the three DoG
-		// images at the ends are written over them — each level only
-		// after the last difference that needs it.
-		last := nLevels - 2
-		dogs := make([]*imgproc.Gray, nLevels-1)
-		inPlace := func(i int, over *imgproc.Gray) {
-			imgproc.SubtractInto(over, levels[i+1], levels[i])
-			dogs[i] = over
-		}
-		inPlace(0, levels[0])
-		inPlace(last, levels[last+1])
-		inPlace(last-1, levels[last])
-		for i := 1; i < last-1; i++ {
-			dogs[i] = imgproc.Subtract(levels[i+1], levels[i])
-		}
-		levels[0], levels[last], levels[last+1] = nil, nil, nil
-
-		p.gauss = append(p.gauss, levels)
-		p.dog = append(p.dog, dogs)
-		if next.W < 4 || next.H < 4 {
-			break
-		}
-		base = imgproc.Downsample(next)
-		if base.W < 4 || base.H < 4 {
-			break
-		}
+		cands = d.scanOctave(cands, o, levels)
+		levels[0] = imgproc.Gray{}
+		p.gauss[o] = levels[:d.cfg.Levels+1]
+		kept += d.cfg.Levels * n
 	}
-	return p
+	return p, cands
 }
 
 // isExtremum reports whether interior pixel i of cur (row stride w) is a
@@ -306,83 +302,101 @@ type candidate struct {
 	response            float64
 }
 
-// scanGrain is the row granularity of the parallel extrema scan;
-// describeGrain the keypoint granularity of descriptor computation.
-// Both are fixed so chunk boundaries — and therefore output order —
-// never depend on the worker count.
+// scanGrain is the row granularity of the extrema scan; describeGrain the
+// keypoint granularity of descriptor computation. Both are fixed so chunk
+// boundaries — and therefore output order — never depend on the worker
+// count.
 const (
 	scanGrain     = 16
 	describeGrain = 4
 )
 
-// scanExtrema finds DoG extrema across the pyramid, parallelized over row
-// bands within each (octave, level). Per-chunk candidate lists are
-// concatenated in chunk order, so the result matches the serial
-// octave→level→row→column scan order exactly. The scan visits interior
-// pixels only, so neighbours are read straight out of the three slices.
-// simd.Extrema applies the contrast and extremum tests eight pixels at a
-// time, its mask bits walked in x order; the fewer than eight pixels a
-// row leaves over take the same tests one by one. On vector units a whole
-// 320×180 scan is shorter than waking the second core (EXPERIMENTS.md,
-// "Fourth purchase"), so, like the vector convolution passes, it runs on
-// the caller; chunking is the same either way.
-func (d *Detector) scanExtrema(p *pyramid) []candidate {
+// bandPool holds the DoG bands of one scan chunk between chunks and
+// between Detect calls. A chunk writes every band row it reads.
+var bandPool sync.Pool
+
+// scanOctave appends the DoG extrema of one octave's Gaussian levels to
+// cands. No DoG image is stored: a chunk of scanGrain interior rows
+// subtracts, for every DoG level, its rows and one halo row on each side
+// into a band, and tests its rows of levels 1..Levels there. Candidates
+// are collected per (level, chunk) and concatenated level by level, each
+// level's chunks in order, so the result is the octave→level→row→column
+// order of a scan over whole DoG images. simd.Extrema applies the
+// contrast and extremum tests eight pixels at a time, its mask bits
+// walked in x order; the fewer than eight pixels a row leaves over take
+// the same tests one by one. On vector units a whole 320×180 scan is
+// shorter than waking the second core (EXPERIMENTS.md, "Fourth
+// purchase"), so, like the vector convolution passes, it runs on the
+// caller; chunking is the same either way.
+func (d *Detector) scanOctave(cands []candidate, o int, levels []imgproc.Gray) []candidate {
 	cfg := d.cfg
+	w, rows := levels[0].W, levels[0].H-2
+	if rows <= 0 {
+		return cands
+	}
 	workers := cfg.Workers
 	if simd.Vector() {
 		workers = 1
 	}
-	var cands []candidate
-	for o := range p.dog {
-		dogs := p.dog[o]
-		for l := 1; l < len(dogs)-1; l++ {
-			w := dogs[l].W
-			below, cur, above := dogs[l-1].Pix, dogs[l].Pix, dogs[l+1].Pix
-			rows := dogs[l].H - 2
-			if rows <= 0 {
-				continue
-			}
-			parts := make([][]candidate, parallel.Chunks(rows, scanGrain))
-			parallel.For(workers, rows, scanGrain, func(chunk, start, end int) {
-				var out []candidate
-				// keep appends extremum (x, y) unless it lies on an edge.
-				keep := func(x, y int) {
-					i := y*w + x
-					if !edgeLike(cur, w, i, cfg.EdgeThreshold) {
-						out = append(out, candidate{
-							octave: o, level: l, x: x, y: y,
-							response: math.Abs(float64(cur[i])),
-						})
-					}
-				}
-				var mask [64]uint8
-				for y := start + 1; y < end+1; y++ {
-					x := 1
-					for x+8 <= w-1 {
-						m := mask[:min((w-1-x)/8, len(mask))]
-						at, n := (y-1)*w+x-1, 2*w+8*len(m)+2
-						simd.Extrema(m, below[at:at+n], cur[at:at+n], above[at:at+n], w, cfg.ContrastThreshold)
-						for k, set := range m {
-							for ; set != 0; set &= set - 1 {
-								keep(x+8*k+bits.TrailingZeros8(set), y)
-							}
-						}
-						x += 8 * len(m)
-					}
-					for ; x < w-1; x++ {
-						i := y*w + x
-						if math.Abs(float64(cur[i])) < cfg.ContrastThreshold || !isExtremum(below, cur, above, w, i) {
-							continue
-						}
-						keep(x, y)
-					}
-				}
-				parts[chunk] = out
-			})
-			for _, part := range parts {
-				cands = append(cands, part...)
-			}
+	chunks := parallel.Chunks(rows, scanGrain)
+	band := (scanGrain + 2) * w
+	bands := (len(levels) - 1) * band
+	parts := make([][]candidate, cfg.Levels*chunks)
+	parallel.For(workers, rows, scanGrain, func(chunk, start, end int) {
+		buf, _ := bandPool.Get().(*[]float32)
+		if buf == nil || cap(*buf) < bands {
+			b := make([]float32, bands)
+			buf = &b
 		}
+		defer bandPool.Put(buf)
+		// Band l holds DoG level l's image rows start..end+1; image pixel
+		// (x, y) is band index (y-start)*w + x.
+		m := (end - start + 2) * w
+		dog := func(l int) []float32 { return (*buf)[l*band:][:m] }
+		for l := range len(levels) - 1 {
+			simd.Sub(dog(l), levels[l+1].Pix[start*w:][:m], levels[l].Pix[start*w:][:m])
+		}
+		for l := 1; l <= cfg.Levels; l++ {
+			below, cur, above := dog(l-1), dog(l), dog(l+1)
+			var out []candidate
+			// keep appends extremum (x, y) unless it lies on an edge.
+			keep := func(x, y int) {
+				i := (y-start)*w + x
+				if !edgeLike(cur, w, i, cfg.EdgeThreshold) {
+					out = append(out, candidate{
+						octave: o, level: l, x: x, y: y,
+						response: math.Abs(float64(cur[i])),
+					})
+				}
+			}
+			var mask [64]uint8
+			for y := start + 1; y < end+1; y++ {
+				row := (y - start) * w
+				x := 1
+				for x+8 <= w-1 {
+					mk := mask[:min((w-1-x)/8, len(mask))]
+					at, n := row-w+x-1, 2*w+8*len(mk)+2
+					simd.Extrema(mk, below[at:at+n], cur[at:at+n], above[at:at+n], w, cfg.ContrastThreshold)
+					for k, set := range mk {
+						for ; set != 0; set &= set - 1 {
+							keep(x+8*k+bits.TrailingZeros8(set), y)
+						}
+					}
+					x += 8 * len(mk)
+				}
+				for ; x < w-1; x++ {
+					i := row + x
+					if math.Abs(float64(cur[i])) < cfg.ContrastThreshold || !isExtremum(below, cur, above, w, i) {
+						continue
+					}
+					keep(x, y)
+				}
+			}
+			parts[(l-1)*chunks+chunk] = out
+		}
+	})
+	for _, part := range parts {
+		cands = append(cands, part...)
 	}
 	return cands
 }
@@ -444,7 +458,7 @@ func (d *Detector) describe(p *pyramid, cands []candidate) []Feature {
 			c := cands[i]
 			sigma := d.sigmas[c.level]
 			scale := float64(int(1) << uint(c.octave))
-			pt.fill(p.gauss[c.octave][c.level], c.x, c.y, max(orientationRadius(sigma), descriptorRadius(sigma)))
+			pt.fill(&p.gauss[c.octave][c.level], c.x, c.y, max(orientationRadius(sigma), descriptorRadius(sigma)))
 			oris := dominantOrientations(pt, sigma, d.oriWeight[c.level])
 			feats := make([]Feature, 0, len(oris))
 			for _, ori := range oris {
@@ -478,8 +492,7 @@ func (d *Detector) describe(p *pyramid, cands []candidate) []Feature {
 // decreasing response strength. Detection runs on the configured worker
 // pool; the output is bit-identical to the serial (Workers=1) path.
 func (d *Detector) Detect(img *imgproc.Gray) []Feature {
-	p := d.buildPyramid(img)
-	feats := d.describe(p, d.scanExtrema(p))
+	feats := d.describe(d.scan(img))
 	sort.Slice(feats, func(i, j int) bool { return feats[i].Response > feats[j].Response })
 	if d.cfg.MaxFeatures > 0 && len(feats) > d.cfg.MaxFeatures {
 		feats = feats[:d.cfg.MaxFeatures]

@@ -340,8 +340,7 @@ func BenchmarkDescribeClip(b *testing.B) {
 	cfg := Defaults()
 	cfg.MaxFeatures = 150
 	d := New(cfg)
-	p := d.buildPyramid(img)
-	cands := d.scanExtrema(p)
+	p, cands := d.scan(img)
 	descs := len(d.describe(p, cands))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -105,3 +105,74 @@ func FuzzDotHighHalfMatchesTwin(f *testing.F) {
 		checkHighHalf(t, "", q, halves, stride, rows)
 	})
 }
+
+// palette decodes up to 16 values, specials among them, for picks to draw
+// from: with few distinct values, equal ones — ties — are common.
+func (b *fuzzBytes) palette() []float32 { return b.floats(1 + int(b.next())%16) }
+
+// picks is n palette values, one byte each choosing which, in a slice that
+// starts shift elements into its allocation.
+func (b *fuzzBytes) picks(pal []float32, n, shift int) []float32 {
+	s := make([]float32, n+shift)[shift:]
+	for i := range s {
+		s[i] = pal[int(b.next())%len(pal)]
+	}
+	return s
+}
+
+// FuzzSubMatchesTwin pins the DoG subtraction to its Go twin and to a-b
+// element by element, on rows of any length around the 8-lane block, at
+// any offset into their allocations, into a separate dst — as the scan's
+// bands take it — and in place.
+func FuzzSubMatchesTwin(f *testing.F) {
+	f.Add([]byte{19, 3, 4, 0x80, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3, 1, 2, 3, 0, 1, 2, 3, 2, 2, 1, 1, 0})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{8, 5, 0xb2, 5, 1, 2, 3, 4, 3, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzBytes(data)
+		n := int(b.next()) % 80
+		shift := int(b.next()) % 8
+		pal := b.palette()
+		x, y := b.picks(pal, n, shift), b.picks(pal, n, (shift+5)%8)
+		want := make([]float32, n)
+		for i := range want {
+			want[i] = x[i] - y[i]
+		}
+		for _, path := range []struct {
+			name string
+			run  func(f func())
+		}{{"Sub", func(f func()) { f() }}, {"Sub (Go twin)", simd.GoOnly}} {
+			dst := nans(n, (shift+3)%8)
+			path.run(func() { simd.Sub(dst, x, y) })
+			requireSame32(t, path.name, dst, want)
+			over := append([]float32(nil), x...)
+			path.run(func() { simd.Sub(over, over, y) })
+			requireSame32(t, path.name+" dst=a", over, want)
+		}
+	})
+}
+
+// FuzzExtremaMatchesTwin pins the extrema scan to its Go twin and to the
+// pixel-by-pixel reference: masks of 1 to 64 groups, strides from the
+// narrowest a window allows to 15 pixels wider, windows of palette values
+// (ties with the centre, NaN, infinities, signed zeros, denormals), and
+// thresholds that are float32s, lie just above one, or are NaN or
+// infinite.
+func FuzzExtremaMatchesTwin(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 0, 0x80, 5, 0, 0, 0x80, 0x3f, 7, 0, 0, 0xc0, 0x40, 2, 1, 0})
+	f.Add([]byte{1, 3, 0, 1, 0})
+	f.Add([]byte{7, 9, 2, 5, 0, 0, 0x80, 0x3f, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzBytes(data)
+		groups := 1 + int(b.next())%64
+		w := 8*groups + 2 + int(b.next())%16
+		thr := float64(b.float())
+		if b.next()&1 != 0 {
+			thr = math.Nextafter(thr, math.Inf(1))
+		}
+		pal := b.palette()
+		n := 2*w + 8*groups + 2
+		below, cur, above := b.picks(pal, n, 1), b.picks(pal, n, 2), b.picks(pal, n, 3)
+		checkExtrema(t, "", below, cur, above, w, groups, thr)
+	})
+}
