@@ -35,7 +35,7 @@ test:
 	$(GO) test -race ./internal/core ./internal/obs/... ./internal/agent ./internal/transport ./internal/netem ./internal/vision/... ./internal/appaware ./internal/orchestrator ./internal/wire
 	$(GO) test -run '^$$' -bench 'WorkerHop|DataplaneEncode|ReplicaPick' -benchtime=1x ./internal/agent
 	$(GO) test -run '^$$' -bench 'AutoscalePolicy' -benchtime=1x ./internal/appaware
-	$(GO) test -run '^$$' -bench 'KernelRank|KernelRatio|RANSACClip' -benchtime=1x ./internal/vision/lsh ./internal/vision/match
+	$(GO) test -run '^$$' -bench 'KernelRank|KernelRatio|KernelAdd|RANSACClip' -benchtime=1x ./internal/vision/lsh ./internal/vision/match
 	$(GO) test -run '^$$' -bench 'EncodingClip' -benchtime=1x ./internal/core
 	$(GO) test -run '^$$' -bench 'Kernels' -benchtime=1x ./internal/vision/simd
 	$(GO) test -run '^$$' -bench 'DetectClip|DescribeClip|Detect320x180' -benchtime=1x ./internal/vision/sift
@@ -94,15 +94,17 @@ bench-vision:
 	$(GO) test -run '^$$' -bench Primary720p -benchtime=1x -cpu 1,4,8 ./internal/core
 
 # Short fuzzing passes over the wire/payload decoders, UDP reassembly, the
-# lsh query path against its reference, and the lsh kernels and the DoG
-# subtraction and extrema scan against their Go twins. The seed corpora under internal/vision/{lsh,simd}/testdata
-# are committed, so plain go test replays them.
+# lsh query path against its reference, and the lsh and ratio-test
+# kernels and the DoG subtraction and extrema scan against their Go twins.
+# The seed corpora under internal/vision/{lsh,simd}/testdata are
+# committed, so plain go test replays them.
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalBinary -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzDecodePayload -fuzztime 30s
 	$(GO) test ./internal/vision/lsh -fuzz FuzzQueryMatchesReference -fuzztime 30s
 	$(GO) test ./internal/vision/simd -fuzz FuzzDotHighHalfMatchesTwin -fuzztime 30s
 	$(GO) test ./internal/vision/simd -fuzz FuzzDot16MatchesTwin -fuzztime 30s
+	$(GO) test ./internal/vision/simd -fuzz FuzzSqDist16MatchesTwin -fuzztime 30s
 	$(GO) test ./internal/vision/simd -fuzz FuzzSubMatchesTwin -fuzztime 30s
 	$(GO) test ./internal/vision/simd -fuzz FuzzExtremaMatchesTwin -fuzztime 30s
 	$(GO) test ./internal/transport -fuzz FuzzReassembly -fuzztime 30s

@@ -47,7 +47,8 @@ func BenchmarkKernelRank(b *testing.B) {
 				for j := range neighbors {
 					neighbors[j] = Neighbor{ID: j}
 				}
-				ix.rankLocked(queries[i%len(queries)], neighbors)
+				q := queries[i%len(queries)]
+				ix.rankLocked(q, normSq(q), neighbors)
 			}
 		})
 	}
@@ -110,6 +111,29 @@ func bigdbIndex(b *testing.B) (*Index, [][]float32) {
 		queries[q] = gauss(rng, make([]float32, dim))
 	}
 	return ix, queries
+}
+
+// BenchmarkKernelAdd measures one Remove + Add pair — what bigdb-100k's
+// mutator pays per replaced view, and what its padding phase pays per row
+// less the Remove — at the ledger's shape (Dim 384, Tables 8, Bits 6) over
+// a 1 000-row index with Workers 1: hashing, the norm, the split row, the
+// bucket updates and the swap-move.
+func BenchmarkKernelAdd(b *testing.B) {
+	const n, dim = 1000, 384
+	rng := rand.New(rand.NewSource(58))
+	ix := New(Config{Dim: dim, Tables: 8, Bits: 6, Probes: 2, Seed: 3, Workers: 1})
+	vecs := make([][]float32, n)
+	for id := range vecs {
+		vecs[id] = randomUnit(rng, dim)
+		ix.Add(id, vecs[id])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := i % n
+		ix.Remove(id)
+		ix.Add(id, vecs[id])
+	}
 }
 
 // BenchmarkSortAndTrim compares the bounded quickselect top-k

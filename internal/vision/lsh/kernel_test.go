@@ -37,7 +37,7 @@ func TestRankMatchesCosineOracle(t *testing.T) {
 				neighbors[id] = Neighbor{ID: id}
 			}
 			ix.mu.RLock()
-			ix.rankLocked(q, neighbors)
+			ix.rankLocked(q, normSq(q), neighbors)
 			ix.mu.RUnlock()
 			for _, nb := range neighbors {
 				want := CosineDistance(q, vecs[nb.ID])
@@ -90,10 +90,11 @@ func TestRankZeroVectors(t *testing.T) {
 // arena slots — Add-replace (same id, new vector) and Remove (swap-move
 // of the last slot into the hole) — and checks distances stay exactly
 // CosineDistance of the live vectors, i.e. no stale cached norm or stale
-// arena row survives. It then checks the buckets against Hash: every live
-// id's slot sits in the bucket Hash gives for each table, and the buckets
-// hold Len()·Tables entries in all, so no stale slot survives either —
-// which the oracles, reading the same buckets Query reads, cannot see.
+// arena row survives. It then checks the buckets against refHash: every
+// live id's slot sits in the bucket refHash gives for each table, and the
+// buckets hold Len()·Tables entries in all, so no stale slot survives
+// either — which the oracles, reading the same buckets Query reads,
+// cannot see.
 // (Its third leg, a sharded Resize, went with the sharded index.)
 func TestNormCacheInvalidation(t *testing.T) {
 	const dim, n = 16, 60
@@ -147,8 +148,8 @@ func TestNormCacheInvalidation(t *testing.T) {
 		}
 		slot := ix.slots[id]
 		for tb := range ix.tables {
-			if !slices.Contains(ix.tables[tb][ix.Hash(tb, v)], slot) {
-				t.Fatalf("table %d: id %d (slot %d) missing from its Hash bucket", tb, id, slot)
+			if !slices.Contains(ix.tables[tb][ix.refHash(tb, v)], slot) {
+				t.Fatalf("table %d: id %d (slot %d) missing from its refHash bucket", tb, id, slot)
 			}
 		}
 	}
@@ -169,7 +170,7 @@ func TestRankLockedNoAllocs(t *testing.T) {
 		for j := range neighbors {
 			neighbors[j] = Neighbor{ID: j}
 		}
-		ix.rankLocked(q, neighbors)
+		ix.rankLocked(q, normSq(q), neighbors)
 	})
 	if allocs != 0 {
 		t.Fatalf("rankLocked allocates %.1f per run, want 0", allocs)

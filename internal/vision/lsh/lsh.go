@@ -47,9 +47,9 @@ type Config struct {
 	Bits   int   // hyperplanes per table, <= 64 (default 16)
 	Probes int   // additional single-bit-flip probes per table (default 2)
 	Seed   int64 // RNG seed for hyperplanes (default 1)
-	// Workers bounds the worker pool for table construction, bulk
-	// hashing, the high-half screen and exact candidate ranking. Zero
-	// uses GOMAXPROCS; one forces the serial path, on which a query
+	// Workers bounds the worker pool for table construction, the
+	// high-half screen and exact candidate ranking. Zero uses
+	// GOMAXPROCS; one forces the serial path, on which a query
 	// allocates only its result. Hash tables and query results are
 	// identical at any setting.
 	Workers int
@@ -166,25 +166,6 @@ func (ix *Index) Len() int {
 	return len(ix.slotIDs)
 }
 
-// Hash returns the bucket key of v in the given table.
-func (ix *Index) Hash(table int, v []float32) uint64 {
-	ix.checkDim(v)
-	var key uint64
-	dim := ix.cfg.Dim
-	base := table * ix.cfg.Bits * dim
-	for b := 0; b < ix.cfg.Bits; b++ {
-		plane := ix.planes[base+b*dim : base+(b+1)*dim]
-		var dot float64
-		for d, x := range v {
-			dot += float64(x) * float64(plane[d])
-		}
-		if dot >= 0 {
-			key |= 1 << uint(b)
-		}
-	}
-	return key
-}
-
 func (ix *Index) checkDim(v []float32) {
 	if len(v) != ix.cfg.Dim {
 		panic(fmt.Sprintf("lsh: vector dim %d, want %d", len(v), ix.cfg.Dim))
@@ -210,22 +191,31 @@ func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 var keyPool parallel.SlicePool[uint64]
 
 // hashAll computes the bucket key of v in every table into keys (length
-// Tables). Hashing reads only the immutable hyperplanes, so it runs
-// outside the index lock; it fans out across tables only when the total
-// multiply-add count is large enough to amortize the handoff (a full
-// hash below the cutoff costs on the order of the fan-out itself).
+// Tables): plane p of the row-major plane matrix sets bit p%Bits of
+// keys[p/Bits] when its dot product with v is >= 0. simd.Dot16 takes the
+// planes sixteen at a time; a last partial block points its spare lanes at
+// the last plane and ignores their sums. Each lane adds its float64
+// products in ascending index from zero, so every key is the one a scalar
+// loop over each plane gives. Hashing reads only the immutable hyperplanes,
+// so it runs outside the index lock.
 func (ix *Index) hashAll(v []float32, keys []uint64) {
-	if ix.cfg.Workers == 1 || ix.cfg.Tables*ix.cfg.Bits*ix.cfg.Dim < 1<<17 {
-		for t := range keys {
-			keys[t] = ix.Hash(t, v)
+	clear(keys)
+	dim, nb := ix.cfg.Dim, ix.cfg.Bits
+	planes := len(ix.planes) / dim
+	for p := 0; p < planes; p += 16 {
+		n := min(16, planes-p)
+		var rows [16]*float32
+		var dots [16]float64
+		for r := range rows {
+			rows[r] = &ix.planes[(p+min(r, n-1))*dim]
 		}
-		return
+		simd.Dot16(&dots, v, &rows)
+		for r, d := range dots[:n] {
+			if d >= 0 {
+				keys[(p+r)/nb] |= 1 << uint((p+r)%nb)
+			}
+		}
 	}
-	parallel.For(ix.cfg.Workers, ix.cfg.Tables, 1, func(_, start, end int) {
-		for t := start; t < end; t++ {
-			keys[t] = ix.Hash(t, v)
-		}
-	})
 }
 
 // halfPool recycles Add's split-row buffer.
@@ -338,30 +328,6 @@ func cosineFromDot(dot, qn, nb float64) float64 {
 	return 1 - dot/math.Sqrt(qn*nb)
 }
 
-// dot4 returns the dot products of v with four equally long rows in one
-// sweep over v. Each product accumulates on its own, in index order, so
-// every result is the one a single-row loop would give.
-func dot4(v, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float64) {
-	r0, r1, r2, r3 = r0[:len(v)], r1[:len(v)], r2[:len(v)], r3[:len(v)]
-	for i, x := range v {
-		f := float64(x)
-		d0 += f * float64(r0[i])
-		d1 += f * float64(r1[i])
-		d2 += f * float64(r2[i])
-		d3 += f * float64(r3[i])
-	}
-	return
-}
-
-// dot1 is the single-row dot product dot4's remainder rows use.
-func dot1(v, r []float32) (d float64) {
-	r = r[:len(v)]
-	for i, x := range v {
-		d += float64(x) * float64(r[i])
-	}
-	return
-}
-
 // rebuild writes the stored floats of slot into dst (length Dim), each put
 // back together from its high and low half, bit for bit what Add was given.
 func (ix *Index) rebuild(dst []float32, slot int) []float32 {
@@ -376,9 +342,10 @@ func (ix *Index) rebuild(dst []float32, slot int) []float32 {
 
 // rankRange ranks candidates neighbors[start:end], whose ID field holds
 // arena slots on entry: sixteen candidates at a time are rebuilt into
-// pooled rows and go through one dot-product pass (simd.Dot16), then four,
-// then one, against the Add-time norm cache and the hoisted query norm
-// qn, then the slot is rewritten to the public id. Every form accumulates
+// pooled rows and go through one dot-product pass (simd.Dot16) against the
+// Add-time norm cache and the query norm qn, then the slot is rewritten to
+// the public id. A last partial block points its spare lanes at its last
+// rebuilt row and finishes only the real candidates. Each lane accumulates
 // a row's dot in index order and the norms accumulate per vector in index
 // order — the same three float64 reduction sequences the reference
 // CosineDistance runs in one loop — so the distance is bit-identical to
@@ -388,44 +355,34 @@ func (ix *Index) rankRange(v []float32, qn float64, neighbors []Neighbor, start,
 	sc := scratchPool.Get().(*scratch)
 	rows := resize(sc.rows, 16*dim)
 	sc.rows = rows
-	row := func(r, slot int) []float32 { return ix.rebuild(rows[r*dim:], slot) }
-	finish := func(i int, dot float64) {
-		slot := neighbors[i].ID
-		neighbors[i] = Neighbor{ID: ix.slotIDs[slot], Dist: cosineFromDot(dot, qn, ix.normsSq[slot])}
-	}
-	i := start
-	for ; i+16 <= end; i += 16 {
+	for i := start; i < end; i += 16 {
+		n := min(16, end-i)
 		var ptrs [16]*float32
 		var dots [16]float64
 		for r := range ptrs {
-			ptrs[r] = &row(r, neighbors[i+r].ID)[0]
+			if r < n {
+				ptrs[r] = &ix.rebuild(rows[r*dim:], neighbors[i+r].ID)[0]
+			} else {
+				ptrs[r] = ptrs[n-1]
+			}
 		}
 		simd.Dot16(&dots, v, &ptrs)
-		for r, d := range dots {
-			finish(i+r, d)
+		for r, dot := range dots[:n] {
+			slot := neighbors[i+r].ID
+			neighbors[i+r] = Neighbor{ID: ix.slotIDs[slot], Dist: cosineFromDot(dot, qn, ix.normsSq[slot])}
 		}
-	}
-	for ; i+4 <= end; i += 4 {
-		d0, d1, d2, d3 := dot4(v, row(0, neighbors[i].ID), row(1, neighbors[i+1].ID), row(2, neighbors[i+2].ID), row(3, neighbors[i+3].ID))
-		finish(i, d0)
-		finish(i+1, d1)
-		finish(i+2, d2)
-		finish(i+3, d3)
-	}
-	for ; i < end; i++ {
-		finish(i, dot1(v, row(0, neighbors[i].ID)))
 	}
 	scratchPool.Put(sc)
 }
 
 // rankLocked ranks every candidate neighbor (ID holds the arena slot on
-// entry, the public id on return — see rankRange). The query norm is
-// computed once and shared by every candidate; each distance is an
-// independent exact computation, so the fan-out cannot change results.
-// The serial path runs inline (no closure, no goroutines — zero
-// allocations). Callers must hold at least a read lock.
-func (ix *Index) rankLocked(v []float32, neighbors []Neighbor) {
-	qn := normSq(v)
+// entry, the public id on return — see rankRange) against v, whose
+// squared norm qn the caller computed once for the screen and the exact
+// pass alike; each distance is an independent exact computation, so the
+// fan-out cannot change results. The serial path runs inline (no closure,
+// no goroutines — zero allocations). Callers must hold at least a read
+// lock.
+func (ix *Index) rankLocked(v []float32, qn float64, neighbors []Neighbor) {
 	n := len(neighbors)
 	if ix.cfg.Workers == 1 || n <= rankGrain {
 		ix.rankRange(v, qn, neighbors, 0, n)
@@ -758,7 +715,7 @@ func (ix *Index) Query(v []float32, k int) []Neighbor {
 
 	ix.mu.RLock()
 	cands := ix.screenLocked(v, qn, ix.collectLocked(sc), k, sc)
-	ix.rankLocked(v, cands)
+	ix.rankLocked(v, qn, cands)
 	ix.mu.RUnlock()
 	out := trimmedCopy(cands, k)
 	scratchPool.Put(sc)
@@ -792,7 +749,7 @@ func (ix *Index) ExactNN(v []float32, k int) []Neighbor {
 		slots[s] = int32(s)
 	}
 	cands := ix.screenLocked(v, qn, slots, k, sc)
-	ix.rankLocked(v, cands)
+	ix.rankLocked(v, qn, cands)
 	ix.mu.RUnlock()
 	out := trimmedCopy(cands, k)
 	scratchPool.Put(sc)

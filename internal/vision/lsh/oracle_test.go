@@ -28,6 +28,25 @@ func (ix *Index) storedRow(row []float32, slot int) []float32 {
 	return row
 }
 
+// refHash is the bucket key of v in the given table, one plane at a time,
+// each dot product a scalar float64 sum in index order from zero.
+func (ix *Index) refHash(table int, v []float32) uint64 {
+	var key uint64
+	dim := ix.cfg.Dim
+	base := table * ix.cfg.Bits * dim
+	for b := 0; b < ix.cfg.Bits; b++ {
+		plane := ix.planes[base+b*dim : base+(b+1)*dim]
+		var dot float64
+		for d, x := range v {
+			dot += float64(x) * float64(plane[d])
+		}
+		if dot >= 0 {
+			key |= 1 << uint(b)
+		}
+	}
+	return key
+}
+
 // refCollectLocked lists candidates in the order the buckets yield them:
 // table by table, exact bucket then probes, first sighting wins.
 func (ix *Index) refCollectLocked(keys []uint64, seen []bool, dst []Neighbor) []Neighbor {
@@ -96,7 +115,7 @@ func (ix *Index) refQuery(v []float32, k int) []Neighbor {
 	}
 	keys := make([]uint64, ix.cfg.Tables)
 	for t := range keys {
-		keys[t] = ix.Hash(t, v)
+		keys[t] = ix.refHash(t, v)
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -202,6 +221,95 @@ func oracleIndex(t testing.TB, n, dim, workers int) (*Index, [][]float32) {
 		}
 	}
 	return ix, queries
+}
+
+// special draws one of the values a reordered or fused sum gives away:
+// ±0, NaN, ±Inf and subnormals.
+func special(rng *rand.Rand) float32 {
+	sign := float32(1 - 2*rng.Intn(2))
+	switch rng.Intn(4) {
+	case 0:
+		return sign * 0
+	case 1:
+		return float32(math.NaN())
+	case 2:
+		return sign * float32(math.Inf(1))
+	default:
+		return sign * math.Float32frombits(uint32(1+rng.Intn(1<<23-1)))
+	}
+}
+
+// TestHashAllMatchesReference pins hashAll, sixteen planes per simd.Dot16
+// call, to refHash's one-plane scalar loop: plane counts on both sides of
+// the 16-plane block (1, 15, 16, 17, 48 and 8 × 64) at dimensions on both
+// sides of Dot16's four lanes, planes and queries salted with ±0, NaN,
+// ±Inf and subnormals, and a query of signed zeros and subnormals alone.
+// The key buffer starts dirty.
+func TestHashAllMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	shapes := []struct{ tables, bits int }{{1, 1}, {1, 15}, {3, 5}, {2, 8}, {1, 17}, {8, 6}, {8, 64}}
+	for _, dim := range []int{1, 3, 5, 33, 384} {
+		for _, sh := range shapes {
+			ix := New(Config{Dim: dim, Tables: sh.tables, Bits: sh.bits, Seed: int64(1 + rng.Intn(1000)), Workers: 1})
+			for p := 0; p < len(ix.planes)/dim; p += 3 {
+				ix.planes[p*dim+rng.Intn(dim)] = special(rng)
+			}
+			keys := make([]uint64, sh.tables)
+			for trial := 0; trial < 12; trial++ {
+				v := randomUnit(rng, dim)
+				switch {
+				case trial == 1:
+					for d := range v {
+						v[d] = float32(1-2*rng.Intn(2)) * math.Float32frombits(uint32(rng.Intn(1<<23)))
+					}
+				case trial > 1:
+					for i := rng.Intn(3); i > 0; i-- {
+						v[rng.Intn(dim)] = special(rng)
+					}
+				}
+				for i := range keys {
+					keys[i] = ^uint64(0)
+				}
+				ix.hashAll(v, keys)
+				for tb, key := range keys {
+					if want := ix.refHash(tb, v); key != want {
+						t.Fatalf("dim %d, %d × %d, trial %d, table %d: hashAll key %#x, refHash %#x",
+							dim, sh.tables, sh.bits, trial, tb, key, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRankRangeMatchesReference pins rankRange, sixteen candidates per
+// simd.Dot16 call, to refRankRange's one-row pass for every candidate
+// count from 1 to 40 — every remainder of the 16-row block — over the
+// oracle index's zero, subnormal and huge rows at a dimension off the four
+// lanes, the range starting mid-slice; the entries around it must come
+// back untouched.
+func TestRankRangeMatchesReference(t *testing.T) {
+	ix, queries := oracleIndex(t, 300, 33, 1)
+	rng := rand.New(rand.NewSource(75))
+	const start, after = 3, 3
+	for count := 1; count <= 40; count++ {
+		for qi, q := range queries {
+			got := make([]Neighbor, start+count+after)
+			for i := range got {
+				got[i] = Neighbor{ID: -1 - i, Dist: float64(i)}
+			}
+			for i := start; i < start+count; i++ {
+				got[i] = Neighbor{ID: rng.Intn(ix.Len())}
+			}
+			want := append([]Neighbor(nil), got...)
+			qn := normSq(q)
+			ix.rankRange(q, qn, got, start, start+count)
+			ix.refRankRange(q, qn, want, start, start+count)
+			if !sameNeighbors(got, want) {
+				t.Fatalf("%d candidates, query %d: rankRange differs from reference:\n got %v\nwant %v", count, qi, got, want)
+			}
+		}
+	}
 }
 
 // screenCounts is the candidate count of q and how many of them the

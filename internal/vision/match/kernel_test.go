@@ -9,10 +9,10 @@ import (
 )
 
 // referenceRatioTest is the pre-deferred-sqrt kernel, kept as an oracle:
-// per-pair sift.L2 (sqrt per distance), best/second selection on the
-// sqrt'd values, ratio comparison on the same. The production kernel
-// selects on squared distances and takes two sqrts per query feature;
-// sqrt is monotone and L2 = Sqrt(L2Sq) with the identical summation, so
+// per-pair L2 (sqrt per distance), best/second selection on the sqrt'd
+// values, ratio comparison on the same. The production kernel selects on
+// squared distances and takes two sqrts per query feature; sqrt is
+// monotone and the reference takes the sqrt of the identical sum, so
 // results must match bit for bit.
 func referenceRatioTest(query, train []sift.Feature, ratio float64) []Match {
 	if ratio <= 0 || ratio >= 1 {
@@ -26,7 +26,7 @@ func referenceRatioTest(query, train []sift.Feature, ratio float64) []Match {
 		best, second := math.Inf(1), math.Inf(1)
 		bestIdx := -1
 		for ti := range train {
-			d := math.Sqrt(sift.L2Sq(&query[qi].Desc, &train[ti].Desc))
+			d := math.Sqrt(refL2Sq(&query[qi].Desc, &train[ti].Desc))
 			if d < best {
 				second = best
 				best = d

@@ -87,53 +87,29 @@ func ratioTest(query, train []sift.Feature, ratio float64, workers int) []Match 
 // nearestTwo returns the smallest and second-smallest squared L2 distance
 // from q to the train descriptors and the index of the nearest (-1 when
 // no distance is below +Inf). It takes sixteen train rows per simd.SqDist16
-// call, then four per pass over q with four accumulators, then one; every
-// form sums a row in sift.L2Sq's order and offers its distances to the
-// selection in train order — the distances and the choice are those of one
-// sift.L2Sq call per row.
+// call; a last partial block points its spare lanes at its last real row
+// and offers only the real rows. Each lane sums a row from zero in index
+// order and the distances are offered to the selection in train order —
+// the distances and the choice are those of one single-row loop per row.
 func nearestTwo(q *sift.Descriptor, train []sift.Feature) (best, second float64, bestIdx int) {
 	best, second, bestIdx = math.Inf(1), math.Inf(1), -1
-	offer := func(d float64, ti int) {
-		if d < best {
-			second = best
-			best = d
-			bestIdx = ti
-		} else if d < second {
-			second = d
-		}
-	}
-	ti := 0
-	for ; ti+16 <= len(train); ti += 16 {
+	for ti := 0; ti < len(train); ti += 16 {
+		n := min(16, len(train)-ti)
 		var rows [16]*float32
 		var dists [16]float64
 		for r := range rows {
-			rows[r] = &train[ti+r].Desc[0]
+			rows[r] = &train[ti+min(r, n-1)].Desc[0]
 		}
 		simd.SqDist16(&dists, q[:], &rows)
-		for r, d := range dists {
-			offer(d, ti+r)
+		for r, d := range dists[:n] {
+			if d < best {
+				second = best
+				best = d
+				bestIdx = ti + r
+			} else if d < second {
+				second = d
+			}
 		}
-	}
-	for ; ti+4 <= len(train); ti += 4 {
-		t0, t1, t2, t3 := &train[ti].Desc, &train[ti+1].Desc, &train[ti+2].Desc, &train[ti+3].Desc
-		var d0, d1, d2, d3 float64
-		for i, v := range q {
-			e0 := float64(v - t0[i])
-			e1 := float64(v - t1[i])
-			e2 := float64(v - t2[i])
-			e3 := float64(v - t3[i])
-			d0 += e0 * e0
-			d1 += e1 * e1
-			d2 += e2 * e2
-			d3 += e3 * e3
-		}
-		offer(d0, ti)
-		offer(d1, ti+1)
-		offer(d2, ti+2)
-		offer(d3, ti+3)
-	}
-	for ; ti < len(train); ti++ {
-		offer(sift.L2Sq(q, &train[ti].Desc), ti)
 	}
 	return best, second, bestIdx
 }

@@ -21,7 +21,19 @@ import (
 	"github.com/edge-mar/scatter/internal/vision/sift"
 )
 
-// refRatioTest is the one-train-row-per-sift.L2Sq-call scan.
+// refL2Sq is the squared distance of two descriptors, one row at a time:
+// each difference taken in float32, squared in float64 and added in index
+// order from zero.
+func refL2Sq(a, b *sift.Descriptor) float64 {
+	var sum float64
+	for i := range a {
+		d := float64(a[i] - b[i])
+		sum += d * d
+	}
+	return sum
+}
+
+// refRatioTest is the one-train-row-per-refL2Sq-call scan.
 func refRatioTest(query, train []sift.Feature, ratio float64, workers int) []Match {
 	if ratio <= 0 || ratio >= 1 {
 		ratio = 0.8
@@ -44,7 +56,7 @@ func refRatioTest(query, train []sift.Feature, ratio float64, workers int) []Mat
 			best, second := math.Inf(1), math.Inf(1)
 			bestIdx := -1
 			for ti := range train {
-				d := sift.L2Sq(&query[qi].Desc, &train[ti].Desc)
+				d := refL2Sq(&query[qi].Desc, &train[ti].Desc)
 				if d < best {
 					second = best
 					best = d
@@ -511,12 +523,18 @@ func sameBits(a, b Homography) bool {
 	return true
 }
 
-// The four-row sweep against the one-row scan on inputs that reach its
-// edges: train counts around multiples of four, fewer than two rows,
-// duplicate and all-equal rows (ties in the selection), workers 1 and 2.
+// The 16-row scan against the one-row scan on inputs that reach its
+// edges: every train count from 0 to 40, so every remainder of the
+// 16-row block, and two past it; duplicate and all-equal rows (ties in the
+// selection); the last train row a near-duplicate of a query, so its
+// match hangs on the padded lanes being ignored; workers 1 and 2.
 func TestRatioTestMatchesReferenceOnRandomSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	for _, nTrain := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 150} {
+	nTrains := []int{63, 150}
+	for n := 0; n <= 40; n++ {
+		nTrains = append(nTrains, n)
+	}
+	for _, nTrain := range nTrains {
 		for _, nQuery := range []int{0, 1, 17, 40} {
 			query := randomFeatures(rng, nQuery)
 			train := randomFeatures(rng, nTrain)
@@ -527,6 +545,10 @@ func TestRatioTestMatchesReferenceOnRandomSets(t *testing.T) {
 			if nTrain > 6 {
 				train[5] = train[2]
 				train[6] = train[2]
+			}
+			if nTrain > 2 && nQuery > 1 {
+				train[nTrain-1].Desc = query[1].Desc
+				train[nTrain-1].Desc[7] += 0.01
 			}
 			for _, ratio := range []float64{0.8, 0.99, 0} {
 				want := refRatioTest(query, train, ratio, 1)

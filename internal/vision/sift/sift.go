@@ -676,16 +676,3 @@ func normalizeDescriptor(d *Descriptor) {
 		d[i] = float32(float64(d[i]) / norm)
 	}
 }
-
-// L2Sq returns the squared Euclidean distance between two descriptors.
-// Sqrt is monotone, so nearest-neighbour selection over L2Sq picks the
-// same winners as over L2 — the ratio-test kernels select on L2Sq and
-// take sqrt only for the two distances that survive per query feature.
-func L2Sq(a, b *Descriptor) float64 {
-	var sum float64
-	for i := range a {
-		d := float64(a[i] - b[i])
-		sum += d * d
-	}
-	return sum
-}

@@ -176,8 +176,8 @@ func TestL2Distance(t *testing.T) {
 	}
 }
 
-// TestL2SqMatchesL2 pins the deferred-sqrt identity the match kernels
-// rely on: L2 must be exactly math.Sqrt(L2Sq) — same summation order,
+// TestL2SqMatchesL2 pins the deferred-sqrt identity the ratio test relies
+// on: L2 must be exactly math.Sqrt(L2Sq) — same summation order,
 // bit-identical — so selecting on L2Sq and sqrt-ing the survivors
 // reproduces per-pair L2 results exactly.
 func TestL2SqMatchesL2(t *testing.T) {
@@ -353,4 +353,17 @@ func BenchmarkDescribeClip(b *testing.B) {
 // L2 returns the Euclidean distance between two descriptors.
 func L2(a, b *Descriptor) float64 {
 	return math.Sqrt(L2Sq(a, b))
+}
+
+// L2Sq returns the squared Euclidean distance between two descriptors:
+// each difference taken in float32, squared in float64 and added in index
+// order from zero — the sum simd.SqDist16 computes per row for the ratio
+// test.
+func L2Sq(a, b *Descriptor) float64 {
+	var sum float64
+	for i := range a {
+		d := float64(a[i] - b[i])
+		sum += d * d
+	}
+	return sum
 }

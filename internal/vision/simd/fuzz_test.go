@@ -53,30 +53,74 @@ func (b *fuzzBytes) floats(n int) []float32 {
 	return s
 }
 
-// FuzzDot16MatchesTwin pins the exact lsh ranking kernel, whose input the
-// screen's survivors are, to its Go twin and the one-row reference on
-// decoded rows of any length, lengths that are not a multiple of the four
-// lanes among them.
+// rows16 decodes a length from 1 to 70, a query and 16 rows of that
+// length, then one byte per row: a nonzero byte a points row r at row
+// (a−1) mod 16 instead, so pointers repeat as in the callers' padded last
+// blocks; a zero byte, which is what a short input reads, keeps the row's
+// own. want holds ref of the query and each row's pointee.
+func (b *fuzzBytes) rows16(ref func(q, row []float32) float64) (q []float32, rows [16]*float32, want [16]float64) {
+	dim := 1 + int(b.next())%70
+	q = b.floats(dim)
+	for r := range rows {
+		rows[r] = unsafe.SliceData(b.floats(dim))
+	}
+	for r := range rows {
+		if a := b.next(); a != 0 {
+			rows[r] = rows[int(a-1)%16]
+		}
+	}
+	for r, p := range rows {
+		want[r] = ref(q, unsafe.Slice(p, dim))
+	}
+	return q, rows, want
+}
+
+// checkRows16 runs a 16-row kernel on both paths into NaN-filled results
+// and requires both to equal want.
+func checkRows16(t *testing.T, name string, kernel func(*[16]float64, []float32, *[16]*float32), q []float32, rows *[16]*float32, want *[16]float64) {
+	t.Helper()
+	for _, path := range []struct {
+		name string
+		run  func(f func())
+	}{{name, func(f func()) { f() }}, {name + " (Go twin)", simd.GoOnly}} {
+		var got [16]float64
+		for r := range got {
+			got[r] = math.NaN()
+		}
+		path.run(func() { kernel(&got, q, rows) })
+		requireSame64(t, path.name, got[:], want[:])
+	}
+}
+
+// FuzzDot16MatchesTwin pins the 16-row dot product — the lsh hash over
+// the plane matrix and the exact ranking of the screen's survivors — to
+// its Go twin and the one-row reference on decoded rows of any length,
+// lengths that are not a multiple of the four lanes among them, and rows
+// that share a pointer.
 func FuzzDot16MatchesTwin(f *testing.F) {
 	f.Add([]byte{5, 0, 0x80, 1, 2, 0x82, 3, 1, 2, 3, 4, 0xff, 7, 1, 2, 3, 4})
 	f.Add([]byte{0, 5, 6, 7, 8})
 	f.Add([]byte{70, 3, 0xff, 0xff, 0x7f, 0x84, 9, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzBytes(data)
-		dim := 1 + int(b.next())%70
-		q := b.floats(dim)
-		var rows [16]*float32
-		var want [16]float64
-		for r := range rows {
-			row := b.floats(dim)
-			rows[r], want[r] = unsafe.SliceData(row), refDot(q, row)
-		}
-		var got [16]float64
-		simd.Dot16(&got, q, &rows)
-		requireSame64(t, "Dot16", got[:], want[:])
-		got = [16]float64{}
-		simd.GoOnly(func() { simd.Dot16(&got, q, &rows) })
-		requireSame64(t, "Dot16 (Go twin)", got[:], want[:])
+		q, rows, want := b.rows16(refDot)
+		checkRows16(t, "Dot16", simd.Dot16, q, &rows, &want)
+	})
+}
+
+// FuzzSqDist16MatchesTwin pins the ratio test's 16-row squared distance
+// to its Go twin and the one-row reference on the same decoded rows as
+// FuzzDot16MatchesTwin: lengths on and off the four-lane width, ±0, NaN,
+// ±Inf and subnormals, and rows that share a pointer, as the padded last
+// block of nearestTwo makes them.
+func FuzzSqDist16MatchesTwin(f *testing.F) {
+	f.Add([]byte{5, 0, 0x80, 1, 2, 0x82, 3, 1, 2, 3, 4, 0xff, 7, 1, 2, 3, 4})
+	f.Add([]byte{0, 5, 6, 7, 8})
+	f.Add([]byte{70, 3, 0xff, 0xff, 0x7f, 0x84, 9, 4, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzBytes(data)
+		q, rows, want := b.rows16(refSqDist)
+		checkRows16(t, "SqDist16", simd.SqDist16, q, &rows, &want)
 	})
 }
 

@@ -2,8 +2,9 @@
 // inner loops the frame ledger is spent on — four from SIFT (the separable
 // convolution of the pyramid, the DoG extrema scan, the gradient patch
 // around each keypoint and the descriptor's trilinear spread), the ratio
-// test's squared distances, and the LSH ranking's dot products and the
-// screen ahead of them over the high halves of stored floats.
+// test's squared distances, the dot products of the LSH hash and of its
+// ranking, and the screen ahead of the ranking over the high halves of
+// stored floats.
 //
 // Every exported function has exactly one meaning, given by a pure-Go
 // twin in this file. The twin is the fallback (other architectures, amd64
