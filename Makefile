@@ -71,14 +71,17 @@ ledger:
 
 # CPU-profiles the vision kernel benchmarks for flamegraph inspection
 # (see EXPERIMENTS.md): writes cpu_lsh.pprof (queries on the
-# bigdb-100k-shaped index, whose arena does not fit a cache) /
-# cpu_match.pprof, and
+# bigdb-100k-shaped index, whose arena does not fit a cache),
+# cpu_build.pprof (building that index from two goroutines, as its
+# set-up does) / cpu_match.pprof, and
 # cpu_full.pprof of one whole recognition frame (primary → sift →
 # encoding → lsh → matching, BenchmarkFastPathFrame/full) — the split
 # EXPERIMENTS and ROADMAP quote. Open with `go tool pprof -http=:
 # cpu_full.pprof`.
 profile-vision:
 	$(GO) test -run '^$$' -bench 'KernelQuery/bigdb-100k' -benchtime 3000x -cpuprofile cpu_lsh.pprof \
+		-o /dev/null ./internal/vision/lsh
+	$(GO) test -run '^$$' -bench 'KernelBuild/bigdb-100k' -benchtime 5x -cpuprofile cpu_build.pprof \
 		-o /dev/null ./internal/vision/lsh
 	$(GO) test -run '^$$' -bench 'Kernel' -cpuprofile cpu_match.pprof \
 		-o /dev/null ./internal/vision/match

@@ -690,9 +690,17 @@ func (w *Worker) ackSweepLoop() {
 	}
 }
 
+// sidecarLoop serves the scAtteR++ queue in arrival order. It checks done
+// before it takes each item, so a closing worker leaves what is still
+// queued to Close, which counts it as shutdown drops.
 func (w *Worker) sidecarLoop() {
 	defer w.wg.Done()
 	for {
+		select {
+		case <-w.done:
+			return
+		default:
+		}
 		select {
 		case <-w.done:
 			return

@@ -5,6 +5,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -248,6 +249,18 @@ func (r *countingReleaser) verify(t *testing.T) {
 	}
 }
 
+// heldProcessor holds each frame until its worker's done closes, so every
+// frame received behind the first is still queued when Close starts.
+type heldProcessor struct {
+	core.Processor
+	worker atomic.Pointer[Worker]
+}
+
+func (p *heldProcessor) Process(fr *wire.Frame) error {
+	<-p.worker.Load().done
+	return p.Processor.Process(fr)
+}
+
 // TestFramePoolReleaseOnAllExits drives a worker through each exit an
 // envelope and its receive buffer can take — processed, threshold-drop at
 // dequeue, shutdown-drain, queue overflow, admission reject, processing
@@ -267,7 +280,9 @@ func TestFramePoolReleaseOnAllExits(t *testing.T) {
 		// closeEarly closes once the frames are received, while most still
 		// sit in the queue; otherwise Close waits until all have left.
 		closeEarly bool
-		want       func(WorkerStats) bool
+		// hold wraps the processor in a heldProcessor.
+		hold bool
+		want func(WorkerStats) bool
 	}{
 		{
 			name: "processed",
@@ -281,8 +296,9 @@ func TestFramePoolReleaseOnAllExits(t *testing.T) {
 		},
 		{
 			name:       "shutdown-drain",
-			cfg:        WorkerConfig{Mode: pp, Processor: slow, Threshold: 10 * time.Second},
+			cfg:        WorkerConfig{Mode: pp, Processor: fast, Threshold: 10 * time.Second},
 			closeEarly: true,
+			hold:       true,
 			want: func(st WorkerStats) bool {
 				return st.DroppedShutdown > 0 && st.Processed+st.DroppedShutdown == n
 			},
@@ -319,7 +335,15 @@ func TestFramePoolReleaseOnAllExits(t *testing.T) {
 					cfg.Network = network
 					cfg.framePool = pool
 					cfg.wrapOwner = bufs.wrap
+					var held *heldProcessor
+					if tc.hold {
+						held = &heldProcessor{Processor: cfg.Processor}
+						cfg.Processor = held
+					}
 					w, send := startHopRig(t, cfg, nil)
+					if held != nil {
+						held.worker.Store(w)
+					}
 					if tc.reject {
 						w.SetAdmitState(core.AdmitReject)
 					}

@@ -57,9 +57,10 @@ func BenchmarkKernelRank(b *testing.B) {
 // BenchmarkKernelQuery measures the full single-query path (hash, probe,
 // rank, top-k) on the dense-bucket index, where ranking dominates, and on
 // an index of bigdb-100k's shape: 100 003 Gaussian rows of 384 floats (a
-// 154 MB arena, so a query's ~32 k candidates come from memory, not
-// cache), Tables 8, Bits 6, Probes 2, k 3 and the pool at GOMAXPROCS, as
-// the lsh service runs it. That index is built before the timer starts.
+// 154 MB arena in 98 chunks, so a query's ~32 k candidates come from
+// memory, not cache), Tables 8, Bits 6, Probes 2, k 3 and the pool at
+// GOMAXPROCS, as the lsh service runs it. That index is built before the
+// timer starts.
 func BenchmarkKernelQuery(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		ix, queries := kernelBenchIndex(b, n)
@@ -71,7 +72,12 @@ func BenchmarkKernelQuery(b *testing.B) {
 		})
 	}
 	b.Run("bigdb-100k", func(b *testing.B) {
-		ix, queries := bigdbIndex(b)
+		ix := buildBigdb(bigdbVectors())
+		rng := rand.New(rand.NewSource(302))
+		queries := make([][]float32, 16)
+		for q := range queries {
+			queries[q] = gauss(rng, make([]float32, bigdbDim))
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -80,37 +86,62 @@ func BenchmarkKernelQuery(b *testing.B) {
 	})
 }
 
-// bigdbIndex is the bigdb-100k database: Gaussian rows as bench/ pads it
-// with, added by two goroutines as there, and 16 Gaussian queries.
-func bigdbIndex(b *testing.B) (*Index, [][]float32) {
-	b.Helper()
-	const n, dim = 100_003, 384
-	ix := New(Config{Dim: dim, Tables: 8, Bits: 6, Probes: 2, Seed: 3})
-	gauss := func(rng *rand.Rand, v []float32) []float32 {
-		for d := range v {
-			v[d] = float32(rng.NormFloat64())
+// BenchmarkKernelBuild measures building bigdb-100k's index — what each
+// set-up of that workload pays to pad its database — from vectors drawn
+// before the timer starts: ns per added row, and bytes allocated per
+// build.
+func BenchmarkKernelBuild(b *testing.B) {
+	b.Run("bigdb-100k", func(b *testing.B) {
+		vecs := bigdbVectors()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buildBigdb(vecs)
 		}
-		return v
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bigdbRows), "ns/row")
+	})
+}
+
+// bigdbRows and bigdbDim are the shape of bigdb-100k's database.
+const bigdbRows, bigdbDim = 100_003, 384
+
+func gauss(rng *rand.Rand, v []float32) []float32 {
+	for d := range v {
+		v[d] = float32(rng.NormFloat64())
 	}
+	return v
+}
+
+// bigdbVectors is bigdb-100k's database as bench/ pads it: Gaussian rows,
+// the even ids drawn from one stream and the odd ones from another, row
+// id at [id*bigdbDim:].
+func bigdbVectors() []float32 {
+	vecs := make([]float32, bigdbRows*bigdbDim)
+	for part := 0; part < 2; part++ {
+		rng := rand.New(rand.NewSource(int64(300 + part)))
+		for id := part; id < bigdbRows; id += 2 {
+			gauss(rng, vecs[id*bigdbDim:(id+1)*bigdbDim])
+		}
+	}
+	return vecs
+}
+
+// buildBigdb adds vecs to an index of bigdb-100k's shape from two
+// goroutines, one the even ids and one the odd, as bench/ pads it.
+func buildBigdb(vecs []float32) *Index {
+	ix := New(Config{Dim: bigdbDim, Tables: 8, Bits: 6, Probes: 2, Seed: 3})
 	var wg sync.WaitGroup
 	for part := 0; part < 2; part++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(300 + part)))
-			v := make([]float32, dim)
-			for id := part; id < n; id += 2 {
-				ix.Add(id, gauss(rng, v))
+			for id := part; id < bigdbRows; id += 2 {
+				ix.Add(id, vecs[id*bigdbDim:(id+1)*bigdbDim])
 			}
 		}()
 	}
 	wg.Wait()
-	rng := rand.New(rand.NewSource(302))
-	queries := make([][]float32, 16)
-	for q := range queries {
-		queries[q] = gauss(rng, make([]float32, dim))
-	}
-	return ix, queries
+	return ix
 }
 
 // BenchmarkKernelAdd measures one Remove + Add pair — what bigdb-100k's

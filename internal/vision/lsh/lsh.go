@@ -6,11 +6,11 @@
 // (multi-probe) before ranking candidates by exact cosine distance.
 //
 // The distance kernels are laid out for the cache, not the type system:
-// reference vectors live in one contiguous structure-of-arrays arena
-// (vector data, squared norms, and per-table bucket keys in three dense
-// parallel slabs indexed by slot), hyperplanes in one row-major matrix,
-// and ranking does a single dot-product pass per candidate against norms
-// cached at Add time.
+// reference vectors live in a structure-of-arrays arena (vector data in
+// fixed chunks of chunkRows rows, squared norms and per-table bucket keys
+// in two dense parallel slabs, all indexed by slot), hyperplanes in one
+// row-major matrix, and ranking does a single dot-product pass per
+// candidate against norms cached at Add time.
 //
 // A stored row keeps the high 16 bits of each of its floats first and
 // the low 16 bits after them. Above screenCutIn candidates, ranking
@@ -58,13 +58,16 @@ type Config struct {
 // Index is a multi-table random-hyperplane LSH index. It is safe for
 // concurrent use: lookups take a read lock, Add takes a write lock.
 //
-// Reference storage is a structure-of-arrays arena: vector s occupies
-// arena[s*2*Dim:(s+1)*2*Dim] — the high 16 bits of its Dim floats, then
-// their low 16 bits, so float d is arena[s*2*Dim+d]<<16 |
-// arena[s*2*Dim+Dim+d] — its squared L2 norm normsSq[s], and its bucket
-// key in each table, keys[s*Tables:(s+1)*Tables]. Slots are dense;
-// Remove swap-moves the last slot into the hole so the arena never
-// fragments and the ranking passes stream contiguous memory.
+// Reference storage is a structure-of-arrays arena: vector s is the split
+// row r = arena[s>>chunkShift][(s%chunkRows)*2*Dim:][:2*Dim] — the high
+// 16 bits of its Dim floats, then their low 16 bits, so float d is
+// r[d]<<16 | r[Dim+d] — its squared L2 norm normsSq[s], and its bucket
+// key in each table, keys[s*Tables:(s+1)*Tables]. The rows live in chunks
+// of chunkRows, so a growing index never copies a stored row: the first
+// chunk grows by append (a small index stays exactly sized), every later
+// one is made at full size. Slots are dense; Remove swap-moves the last
+// slot into the hole so the arena never fragments and the ranking passes
+// stream memory one chunk after another.
 //
 // Hash buckets hold slots, not ids, so candidate collection and cosine
 // ranking are pure array indexing — no map lookups on the query hot
@@ -86,7 +89,7 @@ type Index struct {
 
 	mu      sync.RWMutex
 	tables  []map[uint64][]int
-	arena   []uint16 // split rows: high halves, then low halves
+	arena   [][]uint16 // split rows, chunkRows a chunk: high halves, then low halves
 	normsSq []float64
 	keys    []uint64    // bucket key per (slot, table), stride Tables
 	slotIDs []int       // slot → id
@@ -187,9 +190,6 @@ func normSq(v []float32) float64 {
 
 func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
-// keyPool recycles Add's bucket-key buffer.
-var keyPool parallel.SlicePool[uint64]
-
 // hashAll computes the bucket key of v in every table into keys (length
 // Tables): plane p of the row-major plane matrix sets bit p%Bits of
 // keys[p/Bits] when its dot product with v is >= 0. simd.Dot16 takes the
@@ -218,19 +218,31 @@ func (ix *Index) hashAll(v []float32, keys []uint64) {
 	}
 }
 
-// halfPool recycles Add's split-row buffer.
-var halfPool parallel.SlicePool[uint16]
+// chunkShift sets the arena's chunk size: chunkRows split rows a chunk.
+// At bigdb-100k's Dim 384 a chunk is 1.5 MB; chunks of 4 096 rows built
+// that index no faster and can leave 6 MB unused in the last one.
+const (
+	chunkShift = 10
+	chunkRows  = 1 << chunkShift
+)
+
+// row returns the split row of slot.
+func (ix *Index) row(slot int) []uint16 {
+	stride := 2 * ix.cfg.Dim
+	return ix.arena[slot>>chunkShift][slot%chunkRows*stride:][:stride]
+}
 
 // Add stores vector v under id, replacing any previous vector with the
 // same id. The vector is copied into the arena as a split row. Per-table
 // hashing, norm caching and splitting the row all happen outside the
-// write lock.
+// write lock, into buffers of a pooled scratch that they overwrite whole.
 func (ix *Index) Add(id int, v []float32) {
 	ix.checkDim(v)
-	keys := keyPool.Get(ix.cfg.Tables)
+	sc := scratchPool.Get().(*scratch)
+	keys, row := resize(sc.keys, ix.cfg.Tables), resize(sc.row, 2*ix.cfg.Dim)
+	sc.keys, sc.row = keys, row
 	ix.hashAll(v, keys)
 	n := normSq(v)
-	row := halfPool.Get(2 * ix.cfg.Dim)
 	for d, x := range v {
 		b := math.Float32bits(x)
 		row[d], row[ix.cfg.Dim+d] = uint16(b>>16), uint16(b)
@@ -241,7 +253,15 @@ func (ix *Index) Add(id int, v []float32) {
 		ix.removeSlotLocked(id, slot)
 	}
 	slot := len(ix.slotIDs)
-	ix.arena = append(ix.arena, row...)
+	c := slot >> chunkShift
+	if c == len(ix.arena) {
+		var chunk []uint16 // the first grows by append
+		if c > 0 {
+			chunk = make([]uint16, 0, chunkRows*len(row))
+		}
+		ix.arena = append(ix.arena, chunk)
+	}
+	ix.arena[c] = append(ix.arena[c], row...)
 	if !finite(n) {
 		ix.nonFinite++
 	}
@@ -253,8 +273,7 @@ func (ix *Index) Add(id int, v []float32) {
 		ix.tables[t][keys[t]] = append(ix.tables[t][keys[t]], slot)
 	}
 	ix.mu.Unlock()
-	halfPool.Put(row)
-	keyPool.Put(keys)
+	scratchPool.Put(sc)
 }
 
 // Remove deletes id from the index. Removing an absent id is a no-op.
@@ -270,9 +289,10 @@ func (ix *Index) Remove(id int) {
 // from the key slab — no re-hash) and swap-moves the last arena slot into
 // the hole, keeping vector data, cached norms, and keys dense. The moved
 // item's bucket entries are redirected to its new slot the same way, via
-// its own keys. Callers must hold the write lock.
+// its own keys. A last chunk that empties stays in the arena with its
+// capacity, for the next Add. Callers must hold the write lock.
 func (ix *Index) removeSlotLocked(id, slot int) {
-	nt, stride := ix.cfg.Tables, 2*ix.cfg.Dim
+	nt := ix.cfg.Tables
 	if !finite(ix.normsSq[slot]) {
 		ix.nonFinite--
 	}
@@ -301,14 +321,15 @@ func (ix *Index) removeSlotLocked(id, slot int) {
 				}
 			}
 		}
-		copy(ix.arena[slot*stride:(slot+1)*stride], ix.arena[last*stride:(last+1)*stride])
+		copy(ix.row(slot), ix.row(last))
 		copy(keys, moved)
 		ix.normsSq[slot] = ix.normsSq[last]
 		movedID := ix.slotIDs[last]
 		ix.slotIDs[slot] = movedID
 		ix.slots[movedID] = slot
 	}
-	ix.arena = ix.arena[:last*stride]
+	c := last >> chunkShift
+	ix.arena[c] = ix.arena[c][:last%chunkRows*2*ix.cfg.Dim]
 	ix.keys = ix.keys[:last*nt]
 	ix.normsSq = ix.normsSq[:last]
 	ix.slotIDs = ix.slotIDs[:last]
@@ -332,7 +353,8 @@ func cosineFromDot(dot, qn, nb float64) float64 {
 // back together from its high and low half, bit for bit what Add was given.
 func (ix *Index) rebuild(dst []float32, slot int) []float32 {
 	dim := ix.cfg.Dim
-	hi, lo := ix.arena[slot*2*dim:][:dim], ix.arena[slot*2*dim+dim:][:dim]
+	row := ix.row(slot)
+	hi, lo := row[:dim], row[dim:]
 	dst = dst[:dim]
 	for d := range dst {
 		dst[d] = math.Float32frombits(uint32(hi[d])<<16 | uint32(lo[d]))
@@ -457,10 +479,10 @@ func (ix *Index) screenLocked(v []float32, qn float64, slots []int32, k int, sc 
 	dots := resize(sc.dots, len(slots))
 	sc.dots = dots
 	if ix.cfg.Workers == 1 || len(slots) <= screenGrain {
-		simd.DotHighHalf(dots, v, ix.arena, 2*dim, slots)
+		simd.DotHighHalf(dots, v, ix.arena, chunkShift, 2*dim, slots)
 	} else {
 		parallel.For(ix.cfg.Workers, len(slots), screenGrain, func(_, start, end int) {
-			simd.DotHighHalf(dots[start:end], v, ix.arena, 2*dim, slots[start:end])
+			simd.DotHighHalf(dots[start:end], v, ix.arena, chunkShift, 2*dim, slots[start:end])
 		})
 	}
 	abs := 0x1p-132*math.Sqrt(float64(dim)*qn) + float64(dim)*0x1p-149
@@ -632,16 +654,17 @@ func insertionSortNeighbors(a []Neighbor, lo, hi int) {
 	}
 }
 
-// scratch is one query's working memory. It is pooled across queries, so
-// that after warm-up a query allocates only its result.
+// scratch is the working memory of one query or one Add. It is pooled
+// across both, so that after warm-up a query allocates only its result.
 type scratch struct {
-	keys   []uint64   // the query's bucket key per table
+	keys   []uint64   // the bucket key per table of the query or added vector
 	seen   []uint64   // candidate bitset over slots; all zero while pooled
 	slots  []int32    // candidate slots, ascending
 	dots   []float32  // the screen's dot product per candidate
 	bounds []float64  // max-heap of the k smallest upper ends
 	cands  []Neighbor // candidates for exact ranking
 	rows   []float32  // up to 16 rebuilt rows for the exact pass
+	row    []uint16   // Add's split row
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

@@ -13,17 +13,20 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // storedRow writes the floats stored in slot into row (length Dim),
-// rebuilt from their high and low halves.
+// rebuilt from their high and low halves in chunk slot/chunkRows.
 func (ix *Index) storedRow(row []float32, slot int) []float32 {
 	dim := ix.cfg.Dim
+	split := ix.arena[slot/chunkRows][slot%chunkRows*2*dim:]
 	for d := range row {
-		row[d] = math.Float32frombits(uint32(ix.arena[slot*2*dim+d])<<16 | uint32(ix.arena[slot*2*dim+dim+d]))
+		row[d] = math.Float32frombits(uint32(split[d])<<16 | uint32(split[dim+d]))
 	}
 	return row
 }
@@ -451,6 +454,122 @@ func TestScreenKeepsTiesAtTheBound(t *testing.T) {
 			t.Fatalf("k %d: the screen kept all %d candidates", k, candidates)
 		}
 		requireReference(t, fmt.Sprintf("k %d", k), ix, [][]float32{q}, []int{k})
+	}
+}
+
+// TestChunkedArena drives indexes of Dim 8 across five arena chunks, with
+// one table of one bit probed both ways so that every row is a candidate
+// and a query above screenCutIn screens rows in every chunk: it replaces
+// and removes ids on both sides of a chunk seam, swap-moves a row from the
+// last chunk into the first, empties the last chunk and fills it again.
+// After each step every live id's stored row must be the vector last added
+// under it, every bucket refHash's, and Query and ExactNN the reference's.
+func TestChunkedArena(t *testing.T) {
+	const dim = 8
+	for _, workers := range []int{1, 2} {
+		rng := rand.New(rand.NewSource(76))
+		ix := New(Config{Dim: dim, Tables: 1, Bits: 1, Probes: 1, Seed: 31, Workers: workers})
+		vecs := map[int][]float32{}
+		add := func(id int) {
+			vecs[id] = randomUnit(rng, dim)
+			if v, ok := vecs[id/3]; ok && id%7 == 3 { // a tie, most often in another chunk
+				vecs[id] = v
+			}
+			ix.Add(id, vecs[id])
+		}
+		idAt := func(slot int) int {
+			ix.mu.RLock()
+			defer ix.mu.RUnlock()
+			return ix.slotIDs[slot]
+		}
+		remove := func(id int) {
+			ix.Remove(id)
+			delete(vecs, id)
+		}
+		queries := make([][]float32, 4)
+		for i := range queries {
+			queries[i] = randomUnit(rng, dim)
+		}
+		check := func(step string) {
+			t.Helper()
+			what := fmt.Sprintf("workers %d, %s", workers, step)
+			ix.mu.RLock()
+			if len(ix.slotIDs) != len(vecs) {
+				t.Fatalf("%s: %d rows stored, want %d", what, len(ix.slotIDs), len(vecs))
+			}
+			row := make([]float32, dim)
+			entries := 0
+			for _, bucket := range ix.tables[0] {
+				entries += len(bucket)
+			}
+			if entries != len(vecs) {
+				t.Fatalf("%s: buckets hold %d entries, want %d", what, entries, len(vecs))
+			}
+			for id, v := range vecs {
+				slot := ix.slots[id]
+				if ix.slotIDs[slot] != id {
+					t.Fatalf("%s: slot %d holds id %d, want %d", what, slot, ix.slotIDs[slot], id)
+				}
+				for d, x := range ix.storedRow(row, slot) {
+					if math.Float32bits(x) != math.Float32bits(v[d]) {
+						t.Fatalf("%s: id %d at slot %d stores %v, want %v", what, id, slot, row, v)
+					}
+				}
+				if !slices.Contains(ix.tables[0][ix.refHash(0, v)], slot) {
+					t.Fatalf("%s: id %d (slot %d) missing from its refHash bucket", what, id, slot)
+				}
+			}
+			ix.mu.RUnlock()
+			for _, q := range queries {
+				if candidates, kept := ix.screenCounts(q, 3); candidates != len(vecs) || (kept < candidates) != (len(vecs) > screenCutIn) {
+					t.Fatalf("%s: the screen kept %d of %d candidates among %d rows", what, kept, candidates, len(vecs))
+				}
+			}
+			requireReference(t, what, ix, queries, []int{1, 3, 10})
+		}
+
+		const n = 4*chunkRows + 40
+		for id := 0; id < n; id++ {
+			add(id)
+		}
+		check("filled")
+		for _, slot := range []int{chunkRows - 1, chunkRows} {
+			add(idAt(slot))
+		}
+		check("replaced beside the first seam")
+		for _, slot := range []int{2*chunkRows - 1, 2 * chunkRows} {
+			remove(idAt(slot))
+		}
+		check("removed beside the second seam")
+		moved := idAt(ix.Len() - 1)
+		remove(idAt(5))
+		if got := idAt(5); got != moved {
+			t.Fatalf("workers %d: slot 5 holds id %d after the removal, want %d from the last chunk", workers, got, moved)
+		}
+		check("swap-moved from the last chunk into the first")
+		ix.mu.RLock()
+		last := ix.arena[4]
+		ix.mu.RUnlock()
+		for ix.Len() > 4*chunkRows {
+			remove(idAt(ix.Len() - 1))
+		}
+		ix.mu.RLock()
+		if len(ix.arena) != 5 || len(ix.arena[4]) != 0 || cap(ix.arena[4]) != cap(last) {
+			t.Fatalf("workers %d: emptied last chunk has length %d and capacity %d of %d, want 0 and %d",
+				workers, len(ix.arena[4]), cap(ix.arena[4]), len(ix.arena), cap(last))
+		}
+		ix.mu.RUnlock()
+		check("last chunk emptied")
+		for id := n; id < n+10; id++ {
+			add(id)
+		}
+		ix.mu.RLock()
+		refilled := unsafe.SliceData(ix.arena[4]) == unsafe.SliceData(last)
+		ix.mu.RUnlock()
+		if !refilled {
+			t.Fatalf("workers %d: refilling the emptied last chunk reallocated it", workers)
+		}
+		check("last chunk refilled")
 	}
 }
 

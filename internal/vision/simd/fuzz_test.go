@@ -1,6 +1,7 @@
 package simd_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"unsafe"
@@ -127,7 +128,11 @@ func FuzzSqDist16MatchesTwin(f *testing.F) {
 // FuzzDotHighHalfMatchesTwin pins the screen kernel to its Go twin and the
 // lane-by-lane reference on decoded rows of halves (any 16 bits: NaN, Inf
 // and denormal high halves among them), lengths on both sides of the
-// 32-lane block, strides wider than a row and row lists that repeat.
+// 32-lane block, strides wider than a row, row lists that repeat, and
+// chunks of one to eight rows, so that rows listed side by side, or four
+// places apart as the prefetch reads them, lie in different chunks. The
+// chunk shift is the last byte read: an input that ends before it has a
+// row per chunk.
 func FuzzDotHighHalfMatchesTwin(f *testing.F) {
 	f.Add([]byte{33, 3, 1, 4, 0, 2, 2, 1, 0x80, 0x7f, 0xff, 0x80, 0xff})
 	f.Add([]byte{0, 1, 0, 1})
@@ -146,7 +151,13 @@ func FuzzDotHighHalfMatchesTwin(f *testing.F) {
 		for i := range halves {
 			halves[i] = b.u16()
 		}
-		checkHighHalf(t, "", q, halves, stride, rows)
+		shift := uint(b.next()) % 4
+		chunks := newChunks(stored, shift, stride, dim, func() uint16 {
+			h := halves[0]
+			halves = halves[1:]
+			return h
+		})
+		checkHighHalf(t, fmt.Sprintf("shift=%d", shift), q, chunks, shift, stride, rows)
 	})
 }
 

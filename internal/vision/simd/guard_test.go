@@ -167,14 +167,15 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 			out := (*[16]float64)(unsafe.Pointer(&outMem[0]))
 			run("SqDist16", func() { simd.SqDist16(out, q, &rows) })
 			run("Dot16", func() { simd.Dot16(out, q, &rows) })
-			// Three rows of a wider stride, the list and the results all
-			// against the guard; the last row listed ends the halves.
+			// Three rows of a wider stride in chunks of two, each chunk,
+			// the list and the results against the guard; the last row of
+			// each chunk ends it.
 			stride := dim + 3
-			halves := g.halves(2*stride+dim, atEnd)
+			chunks := [][]uint16{g.halves(stride+dim, atEnd), g.halves(dim, atEnd)}
 			list := unsafe.Slice((*int32)(unsafe.Pointer(&g.bytes(4*4, atEnd)[0])), 4)
 			copy(list, []int32{1, 0, 2, 2})
 			res := g.slice(len(list), atEnd)
-			run("DotHighHalf", func() { simd.DotHighHalf(res, q, halves, stride, list) })
+			run("DotHighHalf", func() { simd.DotHighHalf(res, q, chunks, 1, stride, list) })
 		}
 	}
 }

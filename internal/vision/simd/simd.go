@@ -229,48 +229,66 @@ func requireRows(rows *[16]*float32) {
 }
 
 // DotHighHalf computes, for each i, out[i] = the float32 dot product of q
-// with the high halves of row rows[i]. That row starts at
-// halves[rows[i]·stride], and its element d stands for the float32 whose
-// bits are halves[rows[i]·stride+d] << 16: the sign, exponent and top
-// seven mantissa bits of a stored float, the low sixteen bits zero. Each
-// product is rounded to float32. The first len(q)&^31 dimensions are added
-// in 32 lanes, lane l taking the products of dimensions d ≡ l (mod 32) in
-// ascending d from +0; lanes l, l+8, l+16 and l+24 are folded into
-// s[l] = (a[l]+a[l+8]) + (a[l+16]+a[l+24]), the eight into
-// ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)), and the remaining dimensions are
-// added to that one at a time in ascending order. While the vector kernel
-// works on one row it prefetches the row four places further down the
-// list, one cache line per 32 dimensions. len(out) must equal len(rows),
-// stride must not be negative, and every row must lie inside halves.
-func DotHighHalf(out, q []float32, halves []uint16, stride int, rows []int32) {
+// with the high halves of row rows[i]. The rows are stored 1<<shift to a
+// chunk: row r is h = chunks[r>>shift][(r&(1<<shift−1))·stride:], and its
+// element d stands for the float32 whose bits are h[d] << 16: the sign,
+// exponent and top seven mantissa bits of a stored float, the low sixteen
+// bits zero. Each product is rounded to float32. The first len(q)&^31
+// dimensions are added in 32 lanes, lane l taking the products of
+// dimensions d ≡ l (mod 32) in ascending d from +0; lanes l, l+8, l+16
+// and l+24 are folded into s[l] = (a[l]+a[l+8]) + (a[l+16]+a[l+24]), the
+// eight into ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)), and the remaining
+// dimensions are added to that one at a time in ascending order. While
+// the vector kernel works on one row it prefetches the row four places
+// further down the list, in whichever chunk that row lies, one cache line
+// per 32 dimensions. len(out) must equal len(rows), shift must be below 32,
+// stride must not be negative, every row must lie inside its chunk, and
+// every chunk from the lowest row's up to the highest row's must hold
+// all 1<<shift rows.
+func DotHighHalf(out, q []float32, chunks [][]uint16, shift uint, stride int, rows []int32) {
 	if len(out) != len(rows) {
 		panic(fmt.Sprintf("simd: DotHighHalf of %d rows into %d results", len(rows), len(out)))
 	}
-	if stride < 0 {
-		panic(fmt.Sprintf("simd: DotHighHalf with stride %d", stride))
+	if stride < 0 || shift >= 32 {
+		panic(fmt.Sprintf("simd: DotHighHalf with stride %d and chunk shift %d", stride, shift))
 	}
 	if len(rows) > 0 {
 		lo, hi := rows[0], rows[0]
 		for _, r := range rows {
 			lo, hi = min(lo, r), max(hi, r)
 		}
-		if room := len(halves) - len(q); lo < 0 || room < 0 || stride > 0 && int(hi) > room/stride {
-			panic(fmt.Sprintf("simd: DotHighHalf rows %d..%d of stride %d and length %d outside %d halves",
-				lo, hi, stride, len(q), len(halves)))
+		mask := 1<<shift - 1
+		first, last := int(lo)>>shift, int(hi)>>shift
+		if lo < 0 || last >= len(chunks) || !rowFits(chunks[last], int(hi)&mask, len(q), stride) {
+			panic(fmt.Sprintf("simd: DotHighHalf rows %d..%d of stride %d and length %d outside %d chunks of %d",
+				lo, hi, stride, len(q), len(chunks), 1<<shift))
+		}
+		for c := first; c < last; c++ {
+			if !rowFits(chunks[c], mask, len(q), stride) {
+				panic(fmt.Sprintf("simd: DotHighHalf chunk %d of %d halves below row %d is not full", c, len(chunks[c]), hi))
+			}
 		}
 	}
 	if useAVX2 && len(q) > 0 && len(rows) > 0 {
-		dotHighHalfAVX2(&out[0], &q[0], len(q), &halves[0], stride, &rows[0], len(rows))
+		dotHighHalfAVX2(&out[0], &q[0], len(q), &chunks[0], shift, stride, &rows[0], len(rows))
 		return
 	}
-	dotHighHalfGo(out, q, halves, stride, rows)
+	dotHighHalfGo(out, q, chunks, shift, stride, rows)
+}
+
+// rowFits reports whether row r of the given stride and length n lies
+// inside chunk.
+func rowFits(chunk []uint16, r, n, stride int) bool {
+	room := len(chunk) - n
+	return room >= 0 && (stride == 0 || r <= room/stride)
 }
 
 // dotHighHalfGo is DotHighHalf in Go, without the prefetch.
-func dotHighHalfGo(out, q []float32, halves []uint16, stride int, rows []int32) {
+func dotHighHalfGo(out, q []float32, chunks [][]uint16, shift uint, stride int, rows []int32) {
 	blocks := len(q) &^ 31
+	mask := 1<<shift - 1
 	for i, r := range rows {
-		h := halves[int(r)*stride:][:len(q)]
+		h := chunks[int(r)>>shift][(int(r)&mask)*stride:][:len(q)]
 		var a [32]float32
 		for d := 0; d < blocks; d += 32 {
 			for l := range a {

@@ -51,7 +51,7 @@ func dot16AVX2(out *[16]float64, q *float32, rows *[16]*float32, blocks int)
 // dotHighHalfAVX2 is DotHighHalf over count rows, n and count positive.
 //
 //go:noescape
-func dotHighHalfAVX2(out, q *float32, n int, halves *uint16, stride int, rows *int32, count int)
+func dotHighHalfAVX2(out, q *float32, n int, chunks *[]uint16, shift uint, stride int, rows *int32, count int)
 
 // gradAVX2 is Grad over the first n pixels, n a multiple of 4, four at a
 // time. It stops before the first group of four with a non-finite

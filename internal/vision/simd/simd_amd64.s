@@ -245,33 +245,45 @@ dotdone:
 	VZEROUPPER
 	RET
 
-// func dotHighHalfAVX2(out, q *float32, n int, halves *uint16, stride int, rows *int32, count int)
+// func dotHighHalfAVX2(out, q *float32, n int, chunks *[]uint16, shift uint, stride int, rows *int32, count int)
 //
 // One row at a time: R8 points at its high halves, DX at those of the
 // row four places further down the list (the last row near the end),
-// and R13 is the dimension. Per 32 dimensions, four VPMOVZXWD/VPSLLD
-// pairs turn 32 halves into floats — lanes = dimensions — multiplied by
-// q and added to Y0..Y3, and one PREFETCHT0 fetches the same cache line
-// of the row ahead. Y0..Y3 are then folded as (Y0+Y1)+(Y2+Y3), the
-// eight lanes as ((s0+s4)+(s2+s6))+((s1+s5)+(s3+s7)), and the last
-// n mod 32 dimensions added one at a time.
-TEXT ·dotHighHalfAVX2(SB), NOSPLIT, $0-56
+// and R13 is the dimension. A row r is found through the chunk table:
+// the base pointer of chunk r>>shift (shift in CL; a slice header is 24
+// bytes, the pointer first) plus (r&mask)·stride halves (mask in R14),
+// R13 holding the chunk index until the block loop starts. CX is taken,
+// so the tail loop compares against n in memory. Per 32
+// dimensions, four VPMOVZXWD/VPSLLD pairs turn 32 halves into floats —
+// lanes = dimensions — multiplied by q and added to Y0..Y3, and one
+// PREFETCHT0 fetches the same cache line of the row ahead. Y0..Y3 are
+// then folded as (Y0+Y1)+(Y2+Y3), the eight lanes as
+// ((s0+s4)+(s2+s6))+((s1+s5)+(s3+s7)), and the last n mod 32 dimensions
+// added one at a time.
+TEXT ·dotHighHalfAVX2(SB), NOSPLIT, $0-64
 	MOVQ out+0(FP), DI
 	MOVQ q+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ halves+24(FP), R9
-	MOVQ stride+32(FP), R10
-	MOVQ rows+40(FP), R11
-	MOVQ count+48(FP), R12
+	MOVQ n+16(FP), BX
+	MOVQ chunks+24(FP), R9
+	MOVQ shift+32(FP), CX
+	MOVQ stride+40(FP), R10
+	MOVQ rows+48(FP), R11
+	MOVQ count+56(FP), R12
+	MOVQ $1, R14
+	SHLQ CX, R14
+	DECQ R14
 	SHLQ $1, R10
-	MOVQ CX, BX
 	ANDQ $-32, BX
 	XORQ AX, AX
 
 hhrow:
 	MOVLQSX (R11)(AX*4), R8
+	MOVQ    R8, R13
+	SHRQ    CX, R13
+	ANDQ    R14, R8
 	IMULQ   R10, R8
-	ADDQ    R9, R8
+	LEAQ    (R13)(R13*2), R13
+	ADDQ    (R9)(R13*8), R8
 	LEAQ    4(AX), DX
 	CMPQ    DX, R12
 	JLT     hhahead
@@ -279,8 +291,12 @@ hhrow:
 
 hhahead:
 	MOVLQSX (R11)(DX*4), DX
+	MOVQ    DX, R13
+	SHRQ    CX, R13
+	ANDQ    R14, DX
 	IMULQ   R10, DX
-	ADDQ    R9, DX
+	LEAQ    (R13)(R13*2), R13
+	ADDQ    (R9)(R13*8), DX
 	VXORPS  Y0, Y0, Y0
 	VXORPS  Y1, Y1, Y1
 	VXORPS  Y2, Y2, Y2
@@ -322,7 +338,7 @@ hhfold:
 	VADDSS       X1, X0, X0
 
 hhtail:
-	CMPQ    R13, CX
+	CMPQ    R13, n+16(FP)
 	JGE     hhstore
 	MOVWLZX (R8)(R13*2), DX
 	SHLL    $16, DX

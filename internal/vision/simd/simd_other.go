@@ -23,7 +23,7 @@ func dot16AVX2(out *[16]float64, q *float32, rows *[16]*float32, blocks int) {
 	panic("simd: no vector kernels on this architecture")
 }
 
-func dotHighHalfAVX2(out, q *float32, n int, halves *uint16, stride int, rows *int32, count int) {
+func dotHighHalfAVX2(out, q *float32, n int, chunks *[]uint16, shift uint, stride int, rows *int32, count int) {
 	panic("simd: no vector kernels on this architecture")
 }
 

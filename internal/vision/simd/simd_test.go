@@ -285,47 +285,69 @@ func refHighHalf(q []float32, row []uint16) float32 {
 }
 
 // checkHighHalf runs DotHighHalf on both paths into NaN-filled results
-// and requires both to equal refHighHalf row by row.
-func checkHighHalf(t *testing.T, what string, q []float32, halves []uint16, stride int, rows []int32) {
+// and requires both to equal refHighHalf row by row, each row found by
+// dividing its index by the chunk size.
+func checkHighHalf(t *testing.T, what string, q []float32, chunks [][]uint16, shift uint, stride int, rows []int32) {
 	t.Helper()
 	want := make([]float32, len(rows))
+	per := 1 << shift
 	for i, r := range rows {
-		want[i] = refHighHalf(q, halves[int(r)*stride:][:len(q)])
+		want[i] = refHighHalf(q, chunks[int(r)/per][int(r)%per*stride:][:len(q)])
 	}
 	got := nans(len(rows), 0)
-	simd.DotHighHalf(got, q, halves, stride, rows)
+	simd.DotHighHalf(got, q, chunks, shift, stride, rows)
 	requireSame32(t, "DotHighHalf "+what, got, want)
 	got = nans(len(rows), 0)
-	simd.GoOnly(func() { simd.DotHighHalf(got, q, halves, stride, rows) })
+	simd.GoOnly(func() { simd.DotHighHalf(got, q, chunks, shift, stride, rows) })
 	requireSame32(t, "DotHighHalf (Go twin) "+what, got, want)
 }
 
-// randomHalves is n high halves of awkward floats: signed zeros,
-// denormals and infinities among ordinary values.
-func randomHalves(rng *rand.Rand, n int) []uint16 {
-	h := make([]uint16, n)
-	for i := range h {
-		h[i] = uint16(math.Float32bits(awkward(rng)) >> 16)
+// newChunks lays out stored rows of the given stride 1<<shift to a chunk,
+// as an lsh arena holds them: every chunk an allocation of its own, a
+// full one (1<<shift)·stride halves long, the last one ending with its
+// last row's dim halves. next gives the halves in order.
+func newChunks(stored int, shift uint, stride, dim int, next func() uint16) [][]uint16 {
+	per := 1 << shift
+	var chunks [][]uint16
+	for first := 0; first < stored; first += per {
+		n := per * stride
+		if first+per >= stored {
+			n = (stored-1-first)*stride + dim
+		}
+		c := make([]uint16, n)
+		for i := range c {
+			c[i] = next()
+		}
+		chunks = append(chunks, c)
 	}
-	return h
+	return chunks
+}
+
+// awkwardHalves draws high halves of awkward floats: signed zeros,
+// denormals and infinities among ordinary values.
+func awkwardHalves(rng *rand.Rand) func() uint16 {
+	return func() uint16 { return uint16(math.Float32bits(awkward(rng)) >> 16) }
 }
 
 // TestDotHighHalfMatchesTwin covers lengths on both sides of every block
 // boundary, row lists that repeat and skip rows, and a stride wider than
-// a row, as the split rows of lsh give it (high halves first, then low).
+// a row, as the split rows of lsh give it (high halves first, then low),
+// over chunks of 1 to 32 rows: neighbours in the list, and the row four
+// places ahead that the kernel prefetches, often lie in another chunk.
 func TestDotHighHalfMatchesTwin(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, dim := range []int{1, 7, 8, 31, 32, 33, 63, 64, 65, 96, 384, 385} {
-		for round := 0; round < 8; round++ {
+		for round := 0; round < 10; round++ {
 			const stored = 40
 			stride := 2 * dim
-			halves := randomHalves(rng, stored*stride)
+			shift := []uint{0, 1, 2, 3, 5}[round%5]
+			chunks := newChunks(stored, shift, stride, dim, awkwardHalves(rng))
 			rows := make([]int32, 1+rng.Intn(3*stored))
 			for i := range rows {
 				rows[i] = int32(rng.Intn(stored))
 			}
 			q := unaligned(rng, dim, 1+round%7)
-			checkHighHalf(t, fmt.Sprintf("dim=%d round=%d", dim, round), q, halves, stride, rows)
+			checkHighHalf(t, fmt.Sprintf("dim=%d round=%d shift=%d", dim, round, shift), q, chunks, shift, stride, rows)
 		}
 	}
 }
@@ -781,7 +803,13 @@ func mustPanic(t *testing.T, what string, f func()) {
 func TestWrappersRefuse(t *testing.T) {
 	f := func(n int) []float32 { return make([]float32, n) }
 	f64 := func(n int) []float64 { return make([]float64, n) }
-	halves := func(n int) []uint16 { return make([]uint16, n) }
+	halves := func(lens ...int) [][]uint16 {
+		chunks := make([][]uint16, len(lens))
+		for c, n := range lens {
+			chunks[c] = make([]uint16, n)
+		}
+		return chunks
+	}
 	var out [16]float64
 	var grid simd.DescGrid
 	var full [16]*float32
@@ -826,11 +854,15 @@ func TestWrappersRefuse(t *testing.T) {
 		{"DescRow: colCos one short", func() { simd.DescRow(&grid, f64(9), f64(9), f64(9), f64(8), f64(9), 0, 0, 1, 0) }},
 		{"DescRow: colSin one long", func() { simd.DescRow(&grid, f64(9), f64(9), f64(9), f64(9), f64(10), 0, 0, 1, 0) }},
 		{"DescRow: mag empty", func() { simd.DescRow(&grid, nil, f64(1), f64(1), f64(1), f64(1), 0, 0, 1, 0) }},
-		{"DotHighHalf: one result short", func() { simd.DotHighHalf(f(1), f(8), halves(24), 8, []int32{0, 2}) }},
-		{"DotHighHalf: last row one past the end", func() { simd.DotHighHalf(f(2), f(8), halves(23), 8, []int32{0, 2}) }},
-		{"DotHighHalf: negative row", func() { simd.DotHighHalf(f(2), f(8), halves(24), 8, []int32{-1, 2}) }},
-		{"DotHighHalf: negative stride", func() { simd.DotHighHalf(f(1), f(8), halves(24), -8, []int32{0}) }},
-		{"DotHighHalf: row longer than the halves", func() { simd.DotHighHalf(f(1), f(8), halves(7), 0, []int32{0}) }},
+		{"DotHighHalf: one result short", func() { simd.DotHighHalf(f(1), f(8), halves(24), 2, 8, []int32{0, 2}) }},
+		{"DotHighHalf: last row one past the end", func() { simd.DotHighHalf(f(2), f(8), halves(23), 2, 8, []int32{0, 2}) }},
+		{"DotHighHalf: negative row", func() { simd.DotHighHalf(f(2), f(8), halves(24), 2, 8, []int32{-1, 2}) }},
+		{"DotHighHalf: negative stride", func() { simd.DotHighHalf(f(1), f(8), halves(24), 2, -8, []int32{0}) }},
+		{"DotHighHalf: row longer than the halves", func() { simd.DotHighHalf(f(1), f(8), halves(7), 0, 0, []int32{0}) }},
+		{"DotHighHalf: row past the last chunk", func() { simd.DotHighHalf(f(2), f(8), halves(16, 16), 1, 8, []int32{0, 4}) }},
+		{"DotHighHalf: chunk below the last row one short", func() { simd.DotHighHalf(f(2), f(8), halves(15, 8), 1, 8, []int32{0, 2}) }},
+		{"DotHighHalf: middle chunk one short", func() { simd.DotHighHalf(f(2), f(8), halves(16, 15, 8), 1, 8, []int32{1, 4}) }},
+		{"DotHighHalf: chunk shift of 32", func() { simd.DotHighHalf(f(1), f(8), halves(8), 32, 8, []int32{0}) }},
 	}
 	for _, c := range cases {
 		mustPanic(t, c.what, c.call)
@@ -849,10 +881,13 @@ func TestWrappersRefuse(t *testing.T) {
 	simd.Extrema(nil, f(6), f(6), f(6), 2, 0.03)
 	simd.DescRow(&grid, f64(9), f64(9), f64(9), f64(9), f64(9), 0, 0, 1, 0)
 	simd.DescRow(&grid, nil, nil, nil, nil, nil, 0, 0, 1, 0)
-	simd.DotHighHalf(f(2), f(8), halves(24), 8, []int32{0, 2})
-	simd.DotHighHalf(f(2), f(8), halves(8), 0, []int32{0, 0})
-	simd.DotHighHalf(nil, f(8), nil, 8, nil)
-	simd.DotHighHalf(f(1), nil, nil, 8, []int32{0})
+	simd.DotHighHalf(f(2), f(8), halves(24), 2, 8, []int32{0, 2})
+	simd.DotHighHalf(f(2), f(8), halves(16, 8), 1, 8, []int32{0, 2})
+	simd.DotHighHalf(f(2), f(8), halves(15, 8), 1, 8, []int32{2, 2}) // chunk 0 is never read
+	simd.DotHighHalf(f(2), f(8), halves(8), 0, 0, []int32{0, 0})
+	simd.DotHighHalf(f(1), f(8), halves(8), 31, 8, []int32{0})
+	simd.DotHighHalf(nil, f(8), nil, 0, 8, nil)
+	simd.DotHighHalf(f(1), nil, halves(0), 3, 8, []int32{0})
 }
 
 func TestWrappersDoNotAllocate(t *testing.T) {
@@ -873,10 +908,10 @@ func TestWrappersDoNotAllocate(t *testing.T) {
 	win := unaligned(rng, 2*w+8*groups+2, 0)
 	row := patchRow(rng, 27, 5, 3.2, 0.7, 0)
 	var grid simd.DescGrid
-	halves, hhRows, hhOut := randomHalves(rng, 8*130), []int32{3, 0, 7, 7}, make([]float32, 4)
+	hhChunks, hhRows, hhOut := newChunks(8, 1, 130, 130, awkwardHalves(rng)), []int32{3, 0, 7, 7}, make([]float32, 4)
 	calls := func() {
 		row.add(&grid)
-		simd.DotHighHalf(hhOut, q, halves, 130, hhRows)
+		simd.DotHighHalf(hhOut, q, hhChunks, 1, 130, hhRows)
 		simd.Conv(dst, src, offs, k)
 		simd.Sub(dst, src[:67], src[12:])
 		simd.SqDist16(&out, q, &rows)
@@ -937,14 +972,12 @@ func BenchmarkKernels(b *testing.B) {
 	// Row 5 of the widest descriptor window (sigma 3.2, radius 27).
 	row := patchRow(rng, 27, 5, 3.2, 0.7, 0)
 	var grid simd.DescGrid
-	// The lsh screen: 384-dimensional split rows (768 halves each), every
-	// third of 3000 listed — the spacing of a bigdb-100k query's candidates,
-	// over 4.6 MB, so the rows come from memory as they do there.
+	// The lsh screen: 384-dimensional split rows (768 halves each) in
+	// chunks of 1 024, every third of 3000 listed — the spacing of a
+	// bigdb-100k query's candidates, over 4.6 MB, so the rows come from
+	// memory as they do there.
 	const hhDim = 384
-	halves := make([]uint16, 3000*2*hhDim)
-	for i := range halves {
-		halves[i] = uint16(math.Float32bits(rng.Float32()) >> 16)
-	}
+	halves := newChunks(3000, 10, 2*hhDim, 2*hhDim, func() uint16 { return uint16(math.Float32bits(rng.Float32()) >> 16) })
 	hhQ := ordinary(hhDim)
 	hhRows := make([]int32, 1000)
 	for i := range hhRows {
@@ -962,7 +995,7 @@ func BenchmarkKernels(b *testing.B) {
 		{"Grad", func() { simd.Grad(mag, theta, src[:patch], src[1:patch+3], src[12:patch+12]) }},
 		{"Extrema", func() { simd.Extrema(mask[:], below, cur, above, w, 0.03) }},
 		{"DescRow", func() { row.add(&grid) }},
-		{"DotHighHalf", func() { simd.DotHighHalf(hhOut, hhQ, halves, 2*hhDim, hhRows) }},
+		{"DotHighHalf", func() { simd.DotHighHalf(hhOut, hhQ, halves, 10, 2*hhDim, hhRows) }},
 	}
 	for _, kn := range kernels {
 		loop := func(b *testing.B) {
