@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -595,17 +597,26 @@ func (s *Matching) sweepTrackersLocked(now time.Time) {
 }
 
 // matchScratch is what one Matching.Process call needs and nothing
-// outlives: the frame's features in the matcher's form and the matched
-// point pairs handed to RANSAC.
+// outlives: the frame's features in the matcher's form, onePerPoint's
+// sort order and verdicts, and the matched point pairs handed to RANSAC.
 type matchScratch struct {
 	query    []sift.Feature
+	order    []int32
+	keep     []bool
 	src, dst []match.Point
 }
 
 var matchScratchPool = sync.Pool{New: func() any { return new(matchScratch) }}
 
+// matchObject fits a pose of ref to the frame: ratio-test matches, one
+// per reference location, RANSAC, and a projected reference outline that
+// must be strictly convex.
 func (s *Matching) matchObject(sc *matchScratch, query []sift.Feature, ref *ReferenceObject) (match.Detection, bool) {
 	matches := match.RatioTest(query, ref.Features, s.ratio)
+	if len(matches) < s.ransac.MinInliers {
+		return match.Detection{}, false
+	}
+	matches = sc.onePerPoint(matches, ref.Features)
 	if len(matches) < s.ransac.MinInliers {
 		return match.Detection{}, false
 	}
@@ -618,7 +629,7 @@ func (s *Matching) matchObject(sc *matchScratch, query []sift.Feature, ref *Refe
 	}
 	sc.src, sc.dst = src, dst
 	res, err := match.EstimateHomographyRANSAC(src, dst, s.ransac)
-	if err != nil {
+	if err != nil || !match.ConvexQuad(match.ProjectCorners(&res.H, ref.W, ref.H)) {
 		return match.Detection{}, false
 	}
 	return match.Detection{
@@ -627,6 +638,55 @@ func (s *Matching) matchObject(sc *matchScratch, query []sift.Feature, ref *Refe
 		Box:        match.ProjectBox(&res.H, ref.W, ref.H),
 		InlierFrac: res.InlierFrac,
 	}, true
+}
+
+// onePerPoint keeps one match per distinct reference location (X, Y):
+// the one with the smallest Dist, ties going to the lowest QueryIdx. The
+// ratio test matches many query features to one reference feature, and
+// SIFT gives one location several orientations, so without this a
+// four-point sample often holds one reference point twice (a degenerate
+// solve) and a few reference points can make many inliers. It filters
+// matches in place and keeps their order.
+func (sc *matchScratch) onePerPoint(matches []match.Match, train []sift.Feature) []match.Match {
+	n := len(matches)
+	if cap(sc.order) < n {
+		sc.order = make([]int32, n)
+		sc.keep = make([]bool, n)
+	}
+	order, keep := sc.order[:n], sc.keep[:n]
+	for i := range order {
+		order[i] = int32(i)
+	}
+	// By location, then distance, then query index.
+	slices.SortFunc(order, func(a, b int32) int {
+		ma, mb := &matches[a], &matches[b]
+		pa, pb := &train[ma.TrainIdx], &train[mb.TrainIdx]
+		if c := cmp.Compare(pa.X, pb.X); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(pa.Y, pb.Y); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(ma.Dist, mb.Dist); c != 0 {
+			return c
+		}
+		return cmp.Compare(ma.QueryIdx, mb.QueryIdx)
+	})
+	for i, idx := range order {
+		if i == 0 {
+			keep[idx] = true
+			continue
+		}
+		prev, cur := &train[matches[order[i-1]].TrainIdx], &train[matches[idx].TrainIdx]
+		keep[idx] = cmp.Compare(prev.X, cur.X) != 0 || cmp.Compare(prev.Y, cur.Y) != 0
+	}
+	out := matches[:0]
+	for i, m := range matches {
+		if keep[i] {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // featuresToSIFT converts the wire features into the scratch's query

@@ -3,10 +3,14 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/edge-mar/scatter/internal/trace"
+	"github.com/edge-mar/scatter/internal/vision/match"
+	"github.com/edge-mar/scatter/internal/vision/sift"
 	"github.com/edge-mar/scatter/internal/wire"
 )
 
@@ -224,6 +228,71 @@ func TestMatchingStatefulMissingFetcher(t *testing.T) {
 	fr := &wire.Frame{Step: wire.StepMatching, Payload: (&Payload{Candidates: []Candidate{}}).Encode()}
 	if err := matching.Process(fr); !errors.Is(err, ErrMissingSection) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+func TestOnePerPoint(t *testing.T) {
+	train := make([]sift.Feature, 4)
+	for i, xy := range [][2]float64{{1, 1}, {2, 2}, {1, 1}, {3, 3}} {
+		train[i].X, train[i].Y = xy[0], xy[1]
+	}
+	matches := []match.Match{
+		{QueryIdx: 0, TrainIdx: 1, Dist: 0.5},
+		{QueryIdx: 1, TrainIdx: 0, Dist: 0.3},
+		{QueryIdx: 2, TrainIdx: 1, Dist: 0.4}, // same TrainIdx as query 0, nearer
+		{QueryIdx: 3, TrainIdx: 2, Dist: 0.2}, // TrainIdx 2 sits where 0 does, nearer than query 1
+		{QueryIdx: 4, TrainIdx: 3, Dist: 0.6},
+		{QueryIdx: 5, TrainIdx: 3, Dist: 0.6}, // Dist tie: query 4 wins
+		{QueryIdx: 6, TrainIdx: 0, Dist: 0.2}, // ties query 3 on one location: query 3 wins
+	}
+	want := []match.Match{matches[2], matches[3], matches[4]}
+	var sc matchScratch
+	if got := sc.onePerPoint(slices.Clone(matches), train); !slices.Equal(got, want) {
+		t.Errorf("onePerPoint = %v, want %v", got, want)
+	}
+	if got := sc.onePerPoint(nil, train); len(got) != 0 {
+		t.Errorf("onePerPoint(nil) = %v", got)
+	}
+
+	// Against the plainest scan on random sets with many shared
+	// locations and distances, query order ascending with gaps.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		train := make([]sift.Feature, 1+rng.Intn(12))
+		for i := range train {
+			train[i].X, train[i].Y = float64(rng.Intn(3)), float64(rng.Intn(3))
+		}
+		var in []match.Match
+		for q := 0; q < rng.Intn(40); q++ {
+			if rng.Intn(3) > 0 {
+				in = append(in, match.Match{QueryIdx: q, TrainIdx: rng.Intn(len(train)), Dist: float64(rng.Intn(4))})
+			}
+		}
+		var ref []match.Match
+		for i, m := range in {
+			p := train[m.TrainIdx]
+			if !slices.ContainsFunc(in, func(o match.Match) bool {
+				q := train[o.TrainIdx]
+				return o != in[i] && p.X == q.X && p.Y == q.Y &&
+					(o.Dist < m.Dist || o.Dist == m.Dist && o.QueryIdx < m.QueryIdx)
+			}) {
+				ref = append(ref, m)
+			}
+		}
+		if got := sc.onePerPoint(slices.Clone(in), train); !slices.Equal(got, ref) {
+			t.Fatalf("trial %d: onePerPoint(%v) = %v, want %v", trial, in, got, ref)
+		}
+	}
+
+	if raceEnabled {
+		return
+	}
+	buf := make([]match.Match, len(matches))
+	if allocs := testing.AllocsPerRun(10, func() {
+		copy(buf, matches)
+		sc.onePerPoint(buf, train)
+	}); allocs != 0 {
+		t.Errorf("onePerPoint allocates %v times a call, want 0", allocs)
 	}
 }
 

@@ -35,26 +35,38 @@ func BenchmarkKernelRatioTest(b *testing.B) {
 }
 
 // BenchmarkRANSACClip is RANSAC as the matching service runs it
-// (matchingRANSAC: 400 iterations, threshold 5, at least 5 inliers) over
-// the recorded clip's correspondences, every frame and object with four
-// pairs or more per op; ns/call is the time per EstimateHomographyRANSAC
-// call, the shape vision.match.ransac_ms sees.
+// (matchingRANSAC: at most 400 iterations, threshold 5, at least 5
+// inliers) over the recorded clip's correspondences, every frame and
+// object with four pairs or more per op; ns/call is the time per
+// EstimateHomographyRANSAC call, the shape vision.match.ransac_ms sees.
+// "one-per-point" feeds the pairs the matching service keeps;
+// "ratio-test" feeds every ratio-test match, as the ledger's kernel pass
+// does and as the service did before it kept one match per reference
+// location.
 func BenchmarkRANSACClip(b *testing.B) {
-	var sets []correspondences
-	for _, c := range clipCorrespondences(b) {
-		if len(c.src) >= 4 {
-			sets = append(sets, c)
+	cs := clipCorrespondences(b, clipFrames)
+	for _, mode := range []string{"one-per-point", "ratio-test"} {
+		var src, dst [][]Point
+		for _, c := range cs {
+			s, d := c.oneSrc, c.oneDst
+			if mode == "ratio-test" {
+				s, d = c.src, c.dst
+			}
+			if len(s) >= 4 {
+				src, dst = append(src, s), append(dst, d)
+			}
 		}
-	}
-	if len(sets) == 0 {
-		b.Fatal("the clip yields no correspondence set RANSAC can run on")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range sets {
-			_, _ = EstimateHomographyRANSAC(c.src, c.dst, matchingRANSAC)
+		if len(src) == 0 {
+			b.Fatal("the clip yields no correspondence set RANSAC can run on")
 		}
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := range src {
+					_, _ = EstimateHomographyRANSAC(src[j], dst[j], matchingRANSAC)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(src)), "ns/call")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sets)), "ns/call")
 }

@@ -417,9 +417,28 @@ type RANSACConfig struct {
 // source's ~4.9 KB of state on every call.
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
+// ransacConfidence is the probability p with which RANSAC has drawn at
+// least one all-inlier sample of its best model before it stops. DESIGN
+// §5a ("Exact by default") records the sweep that chose it: the smallest
+// p whose p95 worst-corner error on the accuracy contract's clips is no
+// worse than that of 400 fixed iterations.
+const ransacConfidence = 0.9999
+
 // EstimateHomographyRANSAC robustly fits a homography src -> dst. It
 // returns ErrDegenerate when no model reaches MinInliers.
+//
+// It stops adaptively: whenever the best model improves to an inlier
+// fraction w, the iteration count it needs becomes log(1−p)/log(1−w⁴) for
+// p = ransacConfidence, capped by cfg.Iterations. A model that explains
+// every pair (w = 1) ends the search at once.
 func EstimateHomographyRANSAC(src, dst []Point, cfg RANSACConfig) (*RANSACResult, error) {
+	res, _, err := estimateRANSAC(src, dst, cfg)
+	return res, err
+}
+
+// estimateRANSAC is EstimateHomographyRANSAC that also reports how many
+// four-point samples it drew.
+func estimateRANSAC(src, dst []Point, cfg RANSACConfig) (*RANSACResult, int, error) {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 500
 	}
@@ -434,7 +453,7 @@ func EstimateHomographyRANSAC(src, dst []Point, cfg RANSACConfig) (*RANSACResult
 	}
 	n := len(src)
 	if n < 4 || len(dst) != n {
-		return nil, fmt.Errorf("%w: %d correspondences", ErrDegenerate, n)
+		return nil, 0, fmt.Errorf("%w: %d correspondences", ErrDegenerate, n)
 	}
 	rng := rngPool.Get().(*rand.Rand)
 	defer rngPool.Put(rng)
@@ -447,7 +466,9 @@ func EstimateHomographyRANSAC(src, dst []Point, cfg RANSACConfig) (*RANSACResult
 	inliers := make([]int, 0, n)
 	var sample [4]int
 	var s4, d4 [4]Point
-	for it := 0; it < cfg.Iterations; it++ {
+	limit := cfg.Iterations
+	it := 0
+	for ; it < limit; it++ {
 		// Sample 4 distinct indices.
 		for i := range sample {
 			for {
@@ -491,14 +512,11 @@ func EstimateHomographyRANSAC(src, dst []Point, cfg RANSACConfig) (*RANSACResult
 		}
 		if len(inliers) > len(bestInliers) {
 			bestInliers, inliers = inliers, bestInliers
-			// Early exit when almost everything is an inlier.
-			if len(bestInliers) > n*95/100 {
-				break
-			}
+			limit = min(limit, ransacLimit(len(bestInliers), n))
 		}
 	}
 	if len(bestInliers) < cfg.MinInliers {
-		return nil, fmt.Errorf("%w: best model has %d inliers < %d",
+		return nil, it, fmt.Errorf("%w: best model has %d inliers < %d",
 			ErrDegenerate, len(bestInliers), cfg.MinInliers)
 	}
 	// Refine on all inliers.
@@ -510,13 +528,26 @@ func EstimateHomographyRANSAC(src, dst []Point, cfg RANSACConfig) (*RANSACResult
 	}
 	h, err := homographyFromPairs(srcIn, dstIn)
 	if err != nil {
-		return nil, err
+		return nil, it, err
 	}
 	return &RANSACResult{
 		H:          h,
 		Inliers:    bestInliers,
 		InlierFrac: float64(len(bestInliers)) / float64(n),
-	}, nil
+	}, it, nil
+}
+
+// ransacLimit is the number of samples after which, with probability
+// ransacConfidence, at least one drawn sample held four inliers of a model
+// with inliers of n pairs: ⌈log(1−p)/log(1−w⁴)⌉ for w = inliers/n, 0 when
+// w = 1, and MaxInt when the count passes 2³¹ (no cap is that high).
+func ransacLimit(inliers, n int) int {
+	w := float64(inliers) / float64(n)
+	k := math.Ceil(math.Log(1-ransacConfidence) / math.Log1p(-w*w*w*w))
+	if !(k < math.MaxInt32) {
+		return math.MaxInt
+	}
+	return int(k)
 }
 
 // BoundingBox is an axis-aligned box in image coordinates.
@@ -545,10 +576,8 @@ func IoU(a, b BoundingBox) float64 {
 // homography and returns the axis-aligned bounding box of the result —
 // the box scAtteR draws over a recognized object.
 func ProjectBox(h *Homography, refW, refH float64) BoundingBox {
-	corners := [4]Point{{0, 0}, {refW, 0}, {refW, refH}, {0, refH}}
 	box := BoundingBox{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
-	for _, c := range corners {
-		p := h.Apply(c)
+	for _, p := range ProjectCorners(h, refW, refH) {
 		if math.IsNaN(p.X) {
 			continue
 		}
@@ -558,4 +587,37 @@ func ProjectBox(h *Homography, refW, refH float64) BoundingBox {
 		box.MaxY = math.Max(box.MaxY, p.Y)
 	}
 	return box
+}
+
+// ProjectCorners maps the corners (0,0), (refW,0), (refW,refH), (0,refH)
+// of a reference image through a homography, in that order.
+func ProjectCorners(h *Homography, refW, refH float64) [4]Point {
+	return [4]Point{
+		h.Apply(Point{0, 0}), h.Apply(Point{refW, 0}),
+		h.Apply(Point{refW, refH}), h.Apply(Point{0, refH}),
+	}
+}
+
+// ConvexQuad reports whether the quadrilateral q[0] q[1] q[2] q[3] is
+// finite and strictly convex: all four turns go the same way and none is
+// straight. A rectangle seen through any plausible camera pose stays
+// convex; a bow-tie, a fold or a collapsed side is a pose no plane
+// produces in front of the camera.
+func ConvexQuad(q [4]Point) bool {
+	var left, right int
+	for i, a := range q {
+		if math.IsInf(a.X, 0) || math.IsInf(a.Y, 0) {
+			return false
+		}
+		b, c := q[(i+1)%4], q[(i+2)%4]
+		switch cross := (b.X-a.X)*(c.Y-b.Y) - (b.Y-a.Y)*(c.X-b.X); {
+		case cross > 0:
+			left++
+		case cross < 0:
+			right++
+		default: // straight, or NaN
+			return false
+		}
+	}
+	return left == 4 || right == 4
 }

@@ -356,6 +356,57 @@ func TestProjectBox(t *testing.T) {
 	}
 }
 
+func TestProjectCornersOrder(t *testing.T) {
+	shift := Homography{2, 0, 10, 0, 2, 20, 0, 0, 1}
+	want := [4]Point{{10, 20}, {210, 20}, {210, 120}, {10, 120}}
+	if got := ProjectCorners(&shift, 100, 50); got != want {
+		t.Errorf("corners = %v, want %v", got, want)
+	}
+}
+
+func TestConvexQuad(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		q    [4]Point
+		want bool
+	}{
+		{"square", [4]Point{{0, 0}, {10, 0}, {10, 10}, {0, 10}}, true},
+		{"square, other winding", [4]Point{{0, 0}, {0, 10}, {10, 10}, {10, 0}}, true},
+		{"perspective trapezoid", [4]Point{{2, 0}, {8, 0}, {10, 10}, {0, 10}}, true},
+		{"bow-tie", [4]Point{{0, 0}, {10, 10}, {10, 0}, {0, 10}}, false},
+		{"dart (one reflex corner)", [4]Point{{0, 0}, {10, 0}, {3, 3}, {0, 10}}, false},
+		{"collinear corners", [4]Point{{0, 0}, {5, 0}, {10, 0}, {0, 10}}, false},
+		{"all on a line", [4]Point{{0, 0}, {1, 1}, {2, 2}, {3, 3}}, false},
+		{"repeated corner", [4]Point{{0, 0}, {0, 0}, {10, 10}, {0, 10}}, false},
+		{"NaN corner", [4]Point{{0, 0}, {10, 0}, {nan, nan}, {0, 10}}, false},
+		{"infinite corner", [4]Point{{0, 0}, {10, 0}, {inf, 10}, {0, 10}}, false},
+	} {
+		if got := ConvexQuad(c.q); got != c.want {
+			t.Errorf("%s: ConvexQuad(%v) = %v, want %v", c.name, c.q, got, c.want)
+		}
+	}
+	// A pose at the plane at infinity projects NaN corners.
+	flat := Homography{1, 0, 0, 0, 1, 0, 0, 0, 0}
+	if ConvexQuad(ProjectCorners(&flat, 10, 10)) {
+		t.Error("a pose projecting a corner to infinity counts as convex")
+	}
+}
+
+func TestRANSACLimit(t *testing.T) {
+	for _, c := range []struct{ inliers, n, want int }{
+		{10, 10, 0}, // every pair an inlier: the search is over
+		{9, 10, 9},  // ⌈ln 1e-4 / ln(1 − 0.9⁴)⌉ = ⌈8.63⌉
+		{5, 10, 143},
+		{1, 10, 92099},
+		{1, 1000, math.MaxInt}, // past any iteration cap
+	} {
+		if got := ransacLimit(c.inliers, c.n); got != c.want {
+			t.Errorf("ransacLimit(%d, %d) = %d, want %d", c.inliers, c.n, got, c.want)
+		}
+	}
+}
+
 // Property: homographyFromPairs recovers random well-conditioned affine
 // transforms from noiseless correspondences.
 func TestHomographyRecoveryProperty(t *testing.T) {
@@ -436,10 +487,10 @@ func BenchmarkRatioTest200x300(b *testing.B) {
 	}
 }
 
-// BenchmarkRANSAC100 runs n=100 pairs at the default 500 iterations, with
-// 80 % inliers so the 95 % early exit never fires. It is not the
-// workload's shape — the matching service sees some 14 pairs per object
-// at 400 iterations; BenchmarkRANSACClip is that.
+// BenchmarkRANSAC100 runs n=100 pairs under the default cap of 500
+// iterations, with 80 % inliers, so the adaptive stop ends a call after
+// some 18 samples once it has found the true model. It is not the
+// workload's shape; BenchmarkRANSACClip is that.
 func BenchmarkRANSAC100(b *testing.B) {
 	truth := knownH()
 	rng := rand.New(rand.NewSource(34))
