@@ -97,8 +97,10 @@ bench-vision:
 	$(GO) test -run '^$$' -bench Primary720p -benchtime=1x -cpu 1,4,8 ./internal/core
 
 # Short fuzzing passes over the wire/payload decoders, UDP reassembly, the
-# lsh query path against its reference, and the lsh and ratio-test
-# kernels and the DoG subtraction and extrema scan against their Go twins.
+# lsh query path against its reference, and every AVX2 kernel against its
+# Go twin: the lsh and ratio-test row kernels and the ratio test's float32
+# screen, the convolution, the DoG subtraction and extrema scan, the
+# gradient patch and the descriptor spread.
 # The seed corpora under internal/vision/{lsh,simd}/testdata are
 # committed, so plain go test replays them.
 fuzz:
@@ -108,6 +110,10 @@ fuzz:
 	$(GO) test ./internal/vision/simd -fuzz FuzzDotHighHalfMatchesTwin -fuzztime 30s
 	$(GO) test ./internal/vision/simd -fuzz FuzzDot16MatchesTwin -fuzztime 30s
 	$(GO) test ./internal/vision/simd -fuzz FuzzSqDist16MatchesTwin -fuzztime 30s
+	$(GO) test ./internal/vision/simd -fuzz FuzzSqDistScreen16MatchesTwin -fuzztime 30s
+	$(GO) test ./internal/vision/simd -fuzz FuzzConvMatchesTwin -fuzztime 30s
+	$(GO) test ./internal/vision/simd -fuzz FuzzGradMatchesTwin -fuzztime 30s
+	$(GO) test ./internal/vision/simd -fuzz FuzzDescRowMatchesTwin -fuzztime 30s
 	$(GO) test ./internal/vision/simd -fuzz FuzzSubMatchesTwin -fuzztime 30s
 	$(GO) test ./internal/vision/simd -fuzz FuzzExtremaMatchesTwin -fuzztime 30s
 	$(GO) test ./internal/transport -fuzz FuzzReassembly -fuzztime 30s

@@ -86,32 +86,147 @@ func ratioTest(query, train []sift.Feature, ratio float64, workers int) []Match 
 
 // nearestTwo returns the smallest and second-smallest squared L2 distance
 // from q to the train descriptors and the index of the nearest (-1 when
-// no distance is below +Inf). It takes sixteen train rows per simd.SqDist16
-// call; a last partial block points its spare lanes at its last real row
-// and offers only the real rows. Each lane sums a row from zero in index
-// order and the distances are offered to the selection in train order —
-// the distances and the choice are those of one single-row loop per row.
+// no distance is below +Inf): what one pass offering every row's exact
+// distance (simd.SqDist16's sum, the single-row loop's bits) to the
+// selection in train order returns, ties to the lowest index. It gets
+// there in two passes (DESIGN §5g, "The ratio test's float32 screen").
+// The first screens sixteen rows per simd.SqDistScreen16 call and keeps
+// the two smallest screened values s1 ≤ s2 so far; a row whose screen
+// exceeds screenLimit(s2) has an exact distance strictly above the exact
+// second-best, so dropping it changes neither the minimum, its first
+// index, nor the second-smallest. The second pass ranks the rows left —
+// candidates in train order, sixteen per padded simd.SqDist16 call — as
+// the one-pass scan did. Candidates wait in a 32-row buffer that each
+// block first prunes against the tightened limit; a full one ranks its
+// oldest sixteen. A screened NaN or infinity (a non-finite row or query,
+// or a float32 sum past MaxFloat32) bounds nothing, so then every row is
+// ranked exactly.
 func nearestTwo(q *sift.Descriptor, train []sift.Feature) (best, second float64, bestIdx int) {
-	best, second, bestIdx = math.Inf(1), math.Inf(1), -1
+	sel := nearest{best: math.Inf(1), second: math.Inf(1), idx: -1}
+	s1, s2 := float32(math.Inf(1)), float32(math.Inf(1))
+	var cand [32]int32
+	var candS [32]float32
+	nc := 0
 	for ti := 0; ti < len(train); ti += 16 {
 		n := min(16, len(train)-ti)
 		var rows [16]*float32
-		var dists [16]float64
 		for r := range rows {
 			rows[r] = &train[ti+min(r, n-1)].Desc[0]
 		}
-		simd.SqDist16(&dists, q[:], &rows)
-		for r, d := range dists[:n] {
-			if d < best {
-				second = best
-				best = d
-				bestIdx = ti + r
-			} else if d < second {
-				second = d
+		var screen [16]float32
+		simd.SqDistScreen16(&screen, q[:], &rows)
+		for _, s := range screen[:n] {
+			if !(s <= math.MaxFloat32) {
+				return nearestTwoExact(q, train)
+			}
+			if s < s1 {
+				s1, s2 = s, s1
+			} else if s < s2 {
+				s2 = s
 			}
 		}
+		limit := screenLimit(s2)
+		nc = prune(cand[:nc], candS[:nc], limit)
+		for r, s := range screen[:n] {
+			if float64(s) <= limit {
+				cand[nc], candS[nc] = int32(ti+r), s
+				nc++
+			}
+		}
+		if nc >= 16 {
+			sel.rank(q, train, cand[:16])
+			nc = copy(cand[:], cand[16:nc])
+			copy(candS[:], candS[16:16+nc])
+		}
 	}
-	return best, second, bestIdx
+	if nc > 0 {
+		sel.rank(q, train, cand[:nc])
+	}
+	return sel.best, sel.second, sel.idx
+}
+
+// The screen's error bound, for 128-dimensional descriptors. Let T be
+// the real sum of the squares e_i² of a row's float32 differences. Its
+// exact distance D rounds only SqDist16's 128 float64 adds (a float32
+// squared is exact in float64), so |D − T| ≤ γ₁₂₈T with u = 2⁻⁵³. Its
+// screened value S rounds each term at most 13 times in float32 (u =
+// 2⁻²⁴): the square, eight adds in its lane, the lane pair and the
+// three-level fold — fewer where the compiler fuses a multiply and add
+// — and a square below 2⁻¹²⁶ is off by up to 2⁻¹⁵⁰ on the subnormal
+// grid, so |S − T| ≤ γ₁₃T + 2⁻¹⁴², γ₁₃ < 7.8·10⁻⁷. The two rows
+// screened s1 and s2 are distinct, so the exact second-best is at most
+// the larger of their exact distances, at most (s2 + 2⁻¹⁴²)(1+γ₁₂₈)/(1−γ₁₃);
+// a row screened S has D ≥ (S − 2⁻¹⁴²)(1−γ₁₂₈)/(1+γ₁₃). The second
+// exceeds the first whenever S > s2·(1 + 2.1γ₁₃) + 2⁻¹⁴⁰; screenRel and
+// screenAbs are nine and sixteen times those slacks, which also covers
+// the float64 rounding of the limit itself.
+const (
+	screenRel = 0x1p-16
+	screenAbs = 0x1p-136
+)
+
+// screenLimit is the largest screened value a row may have and still be
+// best or second when s2 is the second-smallest screened value; +Inf
+// while fewer than two rows are screened. It is computed in float64, so
+// no finite s2 overflows it.
+func screenLimit(s2 float32) float64 {
+	return float64(s2)*(1+screenRel) + screenAbs
+}
+
+// prune keeps, in order, the candidates whose screened value is within
+// limit and returns how many.
+func prune(cand []int32, candS []float32, limit float64) int {
+	k := 0
+	for i, s := range candS {
+		if float64(s) <= limit {
+			cand[k], candS[k] = cand[i], s
+			k++
+		}
+	}
+	return k
+}
+
+// nearestTwoExact is nearestTwo with every row ranked exactly.
+func nearestTwoExact(q *sift.Descriptor, train []sift.Feature) (best, second float64, bestIdx int) {
+	sel := nearest{best: math.Inf(1), second: math.Inf(1), idx: -1}
+	var idx [16]int32
+	for ti := 0; ti < len(train); ti += 16 {
+		n := min(16, len(train)-ti)
+		for r := range idx[:n] {
+			idx[r] = int32(ti + r)
+		}
+		sel.rank(q, train, idx[:n])
+	}
+	return sel.best, sel.second, sel.idx
+}
+
+// nearest is the selection of the one-pass scan: the smallest and
+// second-smallest distance offered and the first index offered the
+// smallest.
+type nearest struct {
+	best, second float64
+	idx          int
+}
+
+// rank offers the exact distances from q to train rows idx, 1 to 16 of
+// them in ascending order, to the selection: one simd.SqDist16 call
+// whose spare lanes point at the last row and are not offered.
+func (n *nearest) rank(q *sift.Descriptor, train []sift.Feature, idx []int32) {
+	var rows [16]*float32
+	for r := range rows {
+		rows[r] = &train[idx[min(r, len(idx)-1)]].Desc[0]
+	}
+	var dists [16]float64
+	simd.SqDist16(&dists, q[:], &rows)
+	for r, d := range dists[:len(idx)] {
+		if d < n.best {
+			n.second = n.best
+			n.best = d
+			n.idx = int(idx[r])
+		} else if d < n.second {
+			n.second = d
+		}
+	}
 }
 
 // Point is a 2-D image point.

@@ -683,6 +683,149 @@ func TestRatioTestMatchesReferenceOnRandomSets(t *testing.T) {
 			}
 		}
 	}
+	// The float32 screen's edges, each query checked through nearestTwo
+	// itself — best, second and bestIdx, which a tie hides from the
+	// matches — and through ratioTest.
+	nudged := func(d sift.Descriptor, i int) sift.Descriptor {
+		d[i] = math.Nextafter32(d[i], float32(math.Inf(1)))
+		return d
+	}
+	scaled := func(fs []sift.Feature, by float32) {
+		for i := range fs {
+			for d := range fs[i].Desc {
+				fs[i].Desc[d] *= by
+			}
+		}
+	}
+	edges := []struct {
+		name string
+		make func(query, train []sift.Feature)
+	}{
+		// Rows a float32 sum cannot tell apart: one dimension of a near
+		// copy of a query nudged by one ulp, the copies scattered over
+		// the blocks, so the exact pass decides best and second.
+		{"one-ulp rows", func(query, train []sift.Feature) {
+			for qi := range query {
+				near := query[qi].Desc
+				near[qi%sift.DescriptorSize] += 0.25
+				for k := 0; k < 4; k++ {
+					ti := (qi*7 + k*13) % len(train)
+					train[ti].Desc = nudged(near, (qi+k*31)%sift.DescriptorSize)
+				}
+			}
+		}},
+		// Every row a permutation of one vector and the query zero: the
+		// same real distance, which float32 and float64 round each in
+		// their own way, so the screen orders the rows at random — and
+		// every row is a candidate, more than the buffer holds.
+		{"permuted rows", func(query, train []sift.Feature) {
+			v := train[0].Desc
+			for ti := range train {
+				perm := rand.New(rand.NewSource(int64(ti))).Perm(sift.DescriptorSize)
+				for d, p := range perm {
+					train[ti].Desc[d] = v[p]
+				}
+			}
+			for qi := range query {
+				query[qi].Desc = sift.Descriptor{}
+			}
+		}},
+		// The best row twice, the copy later in train order: bestIdx is
+		// the first, second equals best and the ratio test drops it.
+		{"duplicated best", func(query, train []sift.Feature) {
+			for qi := range query {
+				near := query[qi].Desc
+				near[5] += 0.1
+				first := qi % len(train)
+				train[first].Desc = near
+				train[(first+17)%len(train)].Desc = near
+			}
+		}},
+		// Rows so large a float32 square overflows: every screened value
+		// is +Inf, and the exact scan decides in float64.
+		{"float32 overflow", func(query, train []sift.Feature) {
+			scaled(query, 1e19)
+			scaled(train, 1e19)
+		}},
+		// One overflowing row among ordinary ones.
+		{"one huge row", func(query, train []sift.Feature) {
+			train[len(train)/2].Desc[3] = 3e38
+		}},
+		// NaN rows, which no distance of the selection is drawn from.
+		{"NaN rows", func(query, train []sift.Feature) {
+			for ti := 1; ti < len(train); ti += 5 {
+				train[ti].Desc[ti%sift.DescriptorSize] = float32(math.NaN())
+			}
+		}},
+		// All-zero rows and a zero query: distances 0 and ties at zero.
+		{"zero rows", func(query, train []sift.Feature) {
+			for ti := 0; ti < len(train); ti += 3 {
+				train[ti].Desc = sift.Descriptor{}
+			}
+			query[0].Desc = sift.Descriptor{}
+		}},
+		// Squares below the float32 normal range: the screen's absolute
+		// slack is all that separates these rows.
+		{"subnormal squares", func(query, train []sift.Feature) {
+			scaled(query, 1e-22)
+			scaled(train, 1e-22)
+		}},
+	}
+	for _, edge := range edges {
+		for _, nTrain := range []int{2, 3, 17, 40, 150} {
+			query, train := randomFeatures(rng, 12), randomFeatures(rng, nTrain)
+			edge.make(query, train)
+			for qi := range query {
+				best, second, bestIdx := nearestTwo(&query[qi].Desc, train)
+				wBest, wSecond, wIdx := refNearestTwo(&query[qi].Desc, train)
+				if math.Float64bits(best) != math.Float64bits(wBest) || math.Float64bits(second) != math.Float64bits(wSecond) || bestIdx != wIdx {
+					t.Fatalf("%s, train %d, query %d: nearestTwo = %v, %v, %d; reference %v, %v, %d",
+						edge.name, nTrain, qi, best, second, bestIdx, wBest, wSecond, wIdx)
+				}
+			}
+			for _, ratio := range []float64{0.8, 0.99} {
+				if got, want := ratioTest(query, train, ratio, 1), refRatioTest(query, train, ratio, 1); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, train %d, ratio %v: differs from reference", edge.name, nTrain, ratio)
+				}
+			}
+		}
+	}
+}
+
+// refNearestTwo is the one-pass selection over refL2Sq, one row at a time.
+func refNearestTwo(q *sift.Descriptor, train []sift.Feature) (best, second float64, bestIdx int) {
+	best, second, bestIdx = math.Inf(1), math.Inf(1), -1
+	for ti := range train {
+		d := refL2Sq(q, &train[ti].Desc)
+		if d < best {
+			second = best
+			best = d
+			bestIdx = ti
+		} else if d < second {
+			second = d
+		}
+	}
+	return best, second, bestIdx
+}
+
+// The ratio test's allocation budget over the clip, on the serial path
+// AllocsPerRun runs it on, is what it was before the screen: the chunk
+// list, one match slice per 16-query chunk, the result, and the chunk
+// body's closure with the ratio it captures. The screen's scratch is on
+// the stack; one allocation per query would be a hundred more, one per
+// chunk seven or eight.
+func TestRatioTestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is unreliable under -race")
+	}
+	for _, c := range clipCorrespondences(t, clipFrames) {
+		budget := 4 + parallel.Chunks(len(c.query), ratioGrain)
+		allocs := testing.AllocsPerRun(5, func() { RatioTest(c.query, c.train, 0.85) })
+		if allocs > float64(budget) {
+			t.Errorf("%s (%d × %d features): RatioTest allocates %v times, budget %d",
+				c.what, len(c.query), len(c.train), allocs, budget)
+		}
+	}
 }
 
 // RANSAC's allocation budget on the clip's correspondences: the two

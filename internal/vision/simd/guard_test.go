@@ -157,7 +157,7 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 				run("Extrema", func() { simd.Extrema(mask, below, cur, above, w, 0.03) })
 			}
 		}
-		for _, dim := range []int{1, 3, 4, 5, 128, 385} {
+		for _, dim := range []int{1, 3, 4, 5, 16, 17, 128, 385} {
 			q := g.slice(dim, atEnd)
 			var rows [16]*float32
 			for r := range rows {
@@ -166,6 +166,8 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 			outMem := g.slice(32, atEnd) // 16 float64
 			out := (*[16]float64)(unsafe.Pointer(&outMem[0]))
 			run("SqDist16", func() { simd.SqDist16(out, q, &rows) })
+			out32 := (*[16]float32)(unsafe.Pointer(&g.slice(16, atEnd)[0]))
+			run("SqDistScreen16", func() { simd.SqDistScreen16(out32, q, &rows) })
 			run("Dot16", func() { simd.Dot16(out, q, &rows) })
 			// Three rows of a wider stride in chunks of two, each chunk,
 			// the list and the results against the guard; the last row of

@@ -1,10 +1,10 @@
-// Package simd holds the repo's only assembly: AVX2 forms of the seven
+// Package simd holds the repo's only assembly: AVX2 forms of the eight
 // inner loops the frame ledger is spent on — four from SIFT (the separable
 // convolution of the pyramid, the DoG extrema scan, the gradient patch
 // around each keypoint and the descriptor's trilinear spread), the ratio
-// test's squared distances, the dot products of the LSH hash and of its
-// ranking, and the screen ahead of the ranking over the high halves of
-// stored floats.
+// test's squared distances and the float32 screen ahead of them, the dot
+// products of the LSH hash and of its ranking, and the screen ahead of
+// the ranking over the high halves of stored floats.
 //
 // Every exported function has exactly one meaning, given by a pure-Go
 // twin in this file. The twin is the fallback (other architectures, amd64
@@ -46,10 +46,11 @@
 // each pixel adds to a bin at most once, so the order of one pixel's
 // adds does not matter.
 //
-// DotHighHalf is the one kernel whose lanes are not pixels or rows: a
-// lane is a residue class of dimensions, and the lanes are folded in a
-// fixed order at the end of each row. The twin declares those 32 lanes and
-// that fold, so it is the same arithmetic in the same order too.
+// The two screens, DotHighHalf and SqDistScreen16, are the kernels whose
+// lanes are not pixels or rows: a lane is a residue class of dimensions,
+// and the lanes are folded in a fixed order at the end of each row. Each
+// twin declares its lanes (32 and 16) and that fold, so it is the same
+// arithmetic in the same order too.
 //
 // Which path ran is therefore invisible in the output, and there is
 // nothing to configure: it is picked once at start-up from CPUID.
@@ -182,6 +183,68 @@ func sqDist16Go(out *[16]float64, q []float32, rows *[16]*float32, from int) {
 			d3 += e3 * e3
 		}
 		out[r], out[r+1], out[r+2], out[r+3] = d0, d1, d2, d3
+	}
+}
+
+// SqDistScreen16 computes, for each of 16 rows, a float32 screen of
+// SqDist16's out[r]: the same float32 differences e = q[i] − rows[r][i],
+// each squared and rounded to float32 and added in float32. The first
+// len(q)&^15 dimensions are added in 16 lanes, lane l taking the squares
+// of dimensions i ≡ l (mod 16) in ascending i from +0; lane l+8 is added
+// to lane l, s[l] = a[l] + a[l+8], the eight are folded into ((s0+s4) +
+// (s2+s6)) + ((s1+s5) + (s3+s7)), and the remaining dimensions are added
+// to that one at a time in ascending order. Every rows[r] must point at
+// len(q) readable elements, as for SqDist16.
+func SqDistScreen16(out *[16]float32, q []float32, rows *[16]*float32) {
+	requireRows(rows)
+	blocks := len(q) &^ 15
+	if useAVX2 && blocks > 0 {
+		sqDistScreen16AVX2(out, &q[0], rows, blocks/16)
+	} else {
+		sqDistScreen16Go(out, q, rows, blocks)
+	}
+	if blocks == len(q) {
+		return
+	}
+	for r, p := range rows {
+		t := unsafe.Slice(p, len(q))
+		sum := out[r]
+		for i := blocks; i < len(q); i++ {
+			e := q[i] - t[i]
+			sum += e * e
+		}
+		out[r] = sum
+	}
+}
+
+// sqDistScreen16Go is SqDistScreen16 over the first blocks dimensions,
+// lanes and fold, one lane at a time.
+func sqDistScreen16Go(out *[16]float32, q []float32, rows *[16]*float32, blocks int) {
+	for r, p := range rows {
+		t := unsafe.Slice(p, blocks)
+		var a [16]float32
+		for l := 0; l < 16; l += 8 {
+			var a0, a1, a2, a3, a4, a5, a6, a7 float32
+			for i := l; i < blocks; i += 16 {
+				qb, tb := (*[8]float32)(q[i:]), (*[8]float32)(t[i:])
+				e0, e1, e2, e3 := qb[0]-tb[0], qb[1]-tb[1], qb[2]-tb[2], qb[3]-tb[3]
+				e4, e5, e6, e7 := qb[4]-tb[4], qb[5]-tb[5], qb[6]-tb[6], qb[7]-tb[7]
+				a0 += e0 * e0
+				a1 += e1 * e1
+				a2 += e2 * e2
+				a3 += e3 * e3
+				a4 += e4 * e4
+				a5 += e5 * e5
+				a6 += e6 * e6
+				a7 += e7 * e7
+			}
+			a[l], a[l+1], a[l+2], a[l+3], a[l+4], a[l+5], a[l+6], a[l+7] = a0, a1, a2, a3, a4, a5, a6, a7
+		}
+		var s [8]float32
+		for l := range s {
+			s[l] = a[l] + a[l+8]
+		}
+		out[r] = ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]))
 	}
 }
 

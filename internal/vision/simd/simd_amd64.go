@@ -43,6 +43,12 @@ func subAVX2(dst, a, b *float32, n int)
 //go:noescape
 func sqDist16AVX2(out *[16]float64, q *float32, rows *[16]*float32, blocks int)
 
+// sqDistScreen16AVX2 is SqDistScreen16 over the first 16·blocks
+// dimensions, folded; blocks must be positive.
+//
+//go:noescape
+func sqDistScreen16AVX2(out *[16]float32, q *float32, rows *[16]*float32, blocks int)
+
 // dot16AVX2 is Dot16 over the first 4·blocks dimensions.
 //
 //go:noescape

@@ -245,6 +245,79 @@ dotdone:
 	VZEROUPPER
 	RET
 
+// SCROW: the 16 float32 differences q − row of one block (q in Y8 and
+// Y9), squared and added to the row's lanes 0–7 (lo) and 8–15 (hi).
+#define SCROW(row, lo, hi) \
+	VSUBPS (row)(AX*1), Y8, Y10; \
+	VSUBPS 32(row)(AX*1), Y9, Y11; \
+	VMULPS Y10, Y10, Y10; \
+	VMULPS Y11, Y11, Y11; \
+	VADDPS Y10, lo, lo; \
+	VADDPS Y11, hi, hi
+
+// SCFOLD: adds lane l+8 (hi) to lane l (lo), folds the eight as
+// ((s0+s4)+(s2+s6))+((s1+s5)+(s3+s7)) — the fold of dotHighHalfAVX2 —
+// and stores the sum at off(DI).
+#define SCFOLD(lo, hi, xlo, off) \
+	VADDPS       hi, lo, lo; \
+	VEXTRACTF128 $1, lo, X10; \
+	VADDPS       X10, xlo, xlo; \
+	VMOVHLPS     xlo, xlo, X10; \
+	VADDPS       X10, xlo, xlo; \
+	VMOVSHDUP    xlo, X10; \
+	VADDSS       X10, xlo, xlo; \
+	VMOVSS       xlo, off(DI)
+
+// func sqDistScreen16AVX2(out *[16]float32, q *float32, rows *[16]*float32, blocks int)
+//
+// Four rows at a time (R8..R11, CX groups left), each with two
+// accumulators — Y0/Y1 the first row's lanes 0–7 and 8–15, Y2/Y3 the
+// second's, and so on — so eight add chains are in flight. AX is the
+// byte offset of the block of 16 dimensions, BX the end of the last.
+TEXT ·sqDistScreen16AVX2(SB), NOSPLIT, $0-32
+	MOVQ out+0(FP), DI
+	MOVQ q+8(FP), SI
+	MOVQ rows+16(FP), DX
+	MOVQ blocks+24(FP), BX
+	SHLQ $6, BX
+	MOVQ $4, CX
+
+scgroup:
+	MOVQ   0(DX), R8
+	MOVQ   8(DX), R9
+	MOVQ   16(DX), R10
+	MOVQ   24(DX), R11
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	XORQ   AX, AX
+
+scblock:
+	VMOVUPS (SI)(AX*1), Y8
+	VMOVUPS 32(SI)(AX*1), Y9
+	SCROW(R8, Y0, Y1)
+	SCROW(R9, Y2, Y3)
+	SCROW(R10, Y4, Y5)
+	SCROW(R11, Y6, Y7)
+	ADDQ    $64, AX
+	CMPQ    AX, BX
+	JLT     scblock
+	SCFOLD(Y0, Y1, X0, 0)
+	SCFOLD(Y2, Y3, X2, 4)
+	SCFOLD(Y4, Y5, X4, 8)
+	SCFOLD(Y6, Y7, X6, 12)
+	ADDQ    $32, DX
+	ADDQ    $16, DI
+	DECQ    CX
+	JNZ     scgroup
+	VZEROUPPER
+	RET
+
 // func dotHighHalfAVX2(out, q *float32, n int, chunks *[]uint16, shift uint, stride int, rows *int32, count int)
 //
 // One row at a time: R8 points at its high halves, DX at those of the

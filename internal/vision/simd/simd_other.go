@@ -19,6 +19,10 @@ func sqDist16AVX2(out *[16]float64, q *float32, rows *[16]*float32, blocks int) 
 	panic("simd: no vector kernels on this architecture")
 }
 
+func sqDistScreen16AVX2(out *[16]float32, q *float32, rows *[16]*float32, blocks int) {
+	panic("simd: no vector kernels on this architecture")
+}
+
 func dot16AVX2(out *[16]float64, q *float32, rows *[16]*float32, blocks int) {
 	panic("simd: no vector kernels on this architecture")
 }

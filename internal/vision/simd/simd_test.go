@@ -195,8 +195,8 @@ func refDot(q, row []float32) (d float64) {
 	return
 }
 
-// check16 runs both 16-row kernels on both paths over the given rows
-// against the one-row references; out starts dirty.
+// check16 runs the three 16-row kernels on both paths over the given
+// rows against the one-row references; out starts dirty.
 func check16(t *testing.T, what string, q []float32, rows [][]float32) {
 	t.Helper()
 	var ptrs [16]*float32
@@ -221,6 +221,94 @@ func check16(t *testing.T, what string, q []float32, rows [][]float32) {
 		}
 		simd.GoOnly(func() { kernel.run(&got, q, &ptrs) })
 		requireSame64(t, kernel.name+" (Go twin) "+what, got[:], kernel.want[:])
+	}
+	checkScreen16(t, what, q, &ptrs)
+}
+
+// refSqDistScreen is SqDistScreen16 for one row by its definition: each
+// dimension's rounded square goes to lane i mod 16 while whole blocks of
+// 16 last, then the lane pairs and the fold, then the rest in order.
+func refSqDistScreen(q, row []float32) float32 {
+	var lane [16]float32
+	blocks := len(q) &^ 15
+	for i := 0; i < blocks; i++ {
+		e := q[i] - row[i]
+		lane[i%16] += e * e
+	}
+	var s [8]float32
+	for l := range s {
+		s[l] = lane[l] + lane[l+8]
+	}
+	sum := ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]))
+	for i := blocks; i < len(q); i++ {
+		e := q[i] - row[i]
+		sum += e * e
+	}
+	return sum
+}
+
+// checkScreen16 runs SqDistScreen16 on both paths into NaN-filled results
+// and requires both to equal refSqDistScreen row by row.
+func checkScreen16(t *testing.T, what string, q []float32, rows *[16]*float32) {
+	t.Helper()
+	var want [16]float32
+	for r, p := range rows {
+		want[r] = refSqDistScreen(q, unsafe.Slice(p, len(q)))
+	}
+	for _, path := range []struct {
+		name string
+		run  func(f func())
+	}{{"SqDistScreen16", func(f func()) { f() }}, {"SqDistScreen16 (Go twin)", simd.GoOnly}} {
+		var got [16]float32
+		for r := range got {
+			got[r] = nan32
+		}
+		path.run(func() { simd.SqDistScreen16(&got, q, rows) })
+		requireSame32(t, path.name+" "+what, got[:], want[:])
+	}
+}
+
+// TestSqDistScreen16MatchesTwin covers every length from 1 to 67 — on
+// both sides of each 16-lane block — and 128 and 385, over three kinds of
+// rows: awkward values (±0, subnormals, ±Inf), ordinary ones, and tiny
+// ones whose squares are subnormal or underflow to zero. Every other
+// round repeats the pointer of a random row n−1 in rows n to 15, as a
+// padded last block of the ratio test does.
+func TestSqDistScreen16MatchesTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	dims := []int{128, 385}
+	for dim := 1; dim <= 67; dim++ {
+		dims = append(dims, dim)
+	}
+	kinds := []func() float32{
+		func() float32 { return awkward(rng) },
+		func() float32 { return float32(rng.NormFloat64()) },
+		func() float32 { return float32(rng.NormFloat64() * 0x1p-70) },
+	}
+	for _, dim := range dims {
+		for round := 0; round < 6; round++ {
+			draw := kinds[round%3]
+			shift := 1 + (dim+round)%7
+			row := func(shift int) []float32 {
+				s := make([]float32, dim+shift)[shift:]
+				for i := range s {
+					s[i] = draw()
+				}
+				return s
+			}
+			q := row(shift)
+			var rows [16]*float32
+			for r := range rows {
+				rows[r] = unsafe.SliceData(row((shift + r) % 8))
+			}
+			if round%2 == 1 {
+				n := 1 + rng.Intn(16)
+				for r := n; r < 16; r++ {
+					rows[r] = rows[n-1]
+				}
+			}
+			checkScreen16(t, fmt.Sprintf("dim=%d round=%d", dim, round), q, &rows)
+		}
 	}
 }
 
@@ -811,6 +899,7 @@ func TestWrappersRefuse(t *testing.T) {
 		return chunks
 	}
 	var out [16]float64
+	var out32 [16]float32
 	var grid simd.DescGrid
 	var full [16]*float32
 	for r := range full {
@@ -836,6 +925,8 @@ func TestWrappersRefuse(t *testing.T) {
 		{"Sub: long a", func() { simd.Sub(f(16), f(17), f(16)) }},
 		{"SqDist16: first row nil", func() { simd.SqDist16(&out, f(8), missing(0)) }},
 		{"SqDist16: last row nil", func() { simd.SqDist16(&out, f(8), missing(15)) }},
+		{"SqDistScreen16: first row nil", func() { simd.SqDistScreen16(&out32, f(8), missing(0)) }},
+		{"SqDistScreen16: last row nil", func() { simd.SqDistScreen16(&out32, f(8), missing(15)) }},
 		{"Dot16: first row nil", func() { simd.Dot16(&out, f(8), missing(0)) }},
 		{"Dot16: last row nil", func() { simd.Dot16(&out, f(8), missing(15)) }},
 		{"Grad: theta one short", func() { simd.Grad(f64(9), f64(8), f(9), f(11), f(9)) }},
@@ -874,6 +965,7 @@ func TestWrappersRefuse(t *testing.T) {
 	simd.Conv(nil, nil, nil, nil)
 	simd.Sub(nil, nil, nil)
 	simd.SqDist16(&out, nil, &full)
+	simd.SqDistScreen16(&out32, nil, &full)
 	simd.Dot16(&out, nil, &full)
 	simd.Grad(f64(9), f64(9), f(9), f(11), f(9))
 	simd.Grad(nil, nil, nil, f(2), nil)
@@ -903,6 +995,7 @@ func TestWrappersDoNotAllocate(t *testing.T) {
 		rows[r] = &unaligned(rng, 130, 0)[0]
 	}
 	var out [16]float64
+	var out32 [16]float32
 	mag, theta := make([]float64, 67), make([]float64, 67)
 	const groups, w = 8, 8*8 + 2
 	win := unaligned(rng, 2*w+8*groups+2, 0)
@@ -915,6 +1008,7 @@ func TestWrappersDoNotAllocate(t *testing.T) {
 		simd.Conv(dst, src, offs, k)
 		simd.Sub(dst, src[:67], src[12:])
 		simd.SqDist16(&out, q, &rows)
+		simd.SqDistScreen16(&out32, q, &rows)
 		simd.Dot16(&out, q, &rows)
 		simd.Grad(mag, theta, src[:67], src[1:70], src[12:79])
 		var mask [groups]uint8
@@ -955,6 +1049,7 @@ func BenchmarkKernels(b *testing.B) {
 		rows[r] = &ordinary(128)[0]
 	}
 	var out [16]float64
+	var out32 [16]float32
 	const patch = 45
 	mag, theta := make([]float64, patch), make([]float64, patch)
 	// A DoG-like row: small values, about one pixel in twenty past the
@@ -991,6 +1086,7 @@ func BenchmarkKernels(b *testing.B) {
 		{"Conv", func() { simd.Conv(dst, src, offs, k) }},
 		{"Sub", func() { simd.Sub(dst, src[:320], src[12:]) }},
 		{"SqDist16", func() { simd.SqDist16(&out, q, &rows) }},
+		{"SqDistScreen16", func() { simd.SqDistScreen16(&out32, q, &rows) }},
 		{"Dot16", func() { simd.Dot16(&out, q, &rows) }},
 		{"Grad", func() { simd.Grad(mag, theta, src[:patch], src[1:patch+3], src[12:patch+12]) }},
 		{"Extrema", func() { simd.Extrema(mask[:], below, cur, above, w, 0.03) }},
