@@ -25,6 +25,7 @@ import (
 	"github.com/edge-mar/scatter/internal/trace"
 	"github.com/edge-mar/scatter/internal/vision/parallel"
 	"github.com/edge-mar/scatter/internal/vision/sift"
+	"github.com/edge-mar/scatter/internal/vision/simd"
 )
 
 // refL2Sq is the squared distance of two descriptors, one row at a time:
@@ -751,6 +752,19 @@ func TestRatioTestMatchesReferenceOnRandomSets(t *testing.T) {
 		{"one huge row", func(query, train []sift.Feature) {
 			train[len(train)/2].Desc[3] = 3e38
 		}},
+		// A row whose float32 sum just overflows among rows whose sums
+		// just do not, yet whose exact distance is the smallest: the
+		// screen cannot bound it, so only the exact scan finds it best.
+		{"overflow at the edge", func(query, train []sift.Feature) {
+			overflowed, finite := straddlingRows(t)
+			for qi := range query {
+				query[qi].Desc = sift.Descriptor{}
+			}
+			for ti := range train {
+				train[ti].Desc = finite
+			}
+			train[len(train)/2].Desc = overflowed
+		}},
 		// NaN rows, which no distance of the selection is drawn from.
 		{"NaN rows", func(query, train []sift.Feature) {
 			for ti := 1; ti < len(train); ti += 5 {
@@ -806,6 +820,49 @@ func refNearestTwo(q *sift.Descriptor, train []sift.Feature) (best, second float
 		}
 	}
 	return best, second, bestIdx
+}
+
+// straddlingRows returns two rows, zero past their first two dimensions,
+// that the float32 screen orders against their exact distances from the
+// zero query: overflowed screens +Inf, finite screens at most
+// MaxFloat32, and overflowed's exact distance is the smaller. Each
+// dimension is a float32 near √(MaxFloat32/2), whose square rounds up or
+// down in float32.
+func straddlingRows(t *testing.T) (overflowed, finite sift.Descriptor) {
+	t.Helper()
+	var xs []float32
+	x := float32(math.Sqrt(math.MaxFloat32 / 2))
+	for range 40 {
+		x = math.Nextafter32(x, 0)
+	}
+	for range 80 {
+		xs = append(xs, x)
+		x = math.Nextafter32(x, float32(math.Inf(1)))
+	}
+	least, most := math.Inf(1), 0.0
+	for _, a := range xs {
+		for _, b := range xs {
+			exact := float64(a)*float64(a) + float64(b)*float64(b)
+			if math.IsInf(float64(float32(a*a)+float32(b*b)), 1) {
+				if exact < least {
+					least, overflowed[0], overflowed[1] = exact, a, b
+				}
+			} else if exact > most {
+				most, finite[0], finite[1] = exact, a, b
+			}
+		}
+	}
+	rows := [16]*float32{&overflowed[0]}
+	for r := 1; r < 16; r++ {
+		rows[r] = &finite[0]
+	}
+	var zero sift.Descriptor
+	var screen [16]float32
+	simd.SqDistScreen16(&screen, zero[:], &rows)
+	if !math.IsInf(float64(screen[0]), 1) || screen[1] > math.MaxFloat32 || refL2Sq(&zero, &overflowed) >= refL2Sq(&zero, &finite) {
+		t.Fatalf("rows %v and %v do not straddle the float32 overflow: screens %v, %v", overflowed[:2], finite[:2], screen[0], screen[1])
+	}
+	return overflowed, finite
 }
 
 // The ratio test's allocation budget over the clip, on the serial path

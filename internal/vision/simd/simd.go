@@ -218,7 +218,8 @@ func SqDistScreen16(out *[16]float32, q []float32, rows *[16]*float32) {
 }
 
 // sqDistScreen16Go is SqDistScreen16 over the first blocks dimensions,
-// lanes and fold, one lane at a time.
+// lanes and fold: per row, lanes 0–7 and then lanes 8–15, each eight in
+// registers over the row's blocks.
 func sqDistScreen16Go(out *[16]float32, q []float32, rows *[16]*float32, blocks int) {
 	for r, p := range rows {
 		t := unsafe.Slice(p, blocks)
