@@ -119,10 +119,10 @@ fuzz:
 	$(GO) test ./internal/transport -fuzz FuzzReassembly -fuzztime 30s
 
 # Chaos suite: fault-injected transports, mid-run partitions, machine
-# kills, and the end-to-end failover/recovery acceptance run — all under
-# the race detector.
+# kills, the end-to-end failover/recovery acceptance run, and the node
+# wiring tests that arm a fault block — all under the race detector.
 chaos:
-	$(GO) test -race -run 'Chaos|Failover|Fault|Partition|Reconnect|StatsRouting' -v ./internal/transport ./internal/agent
+	$(GO) test -race -run 'Chaos|Failover|Fault|Partition|Reconnect|StatsRouting|NodeDeployFiles' -v ./internal/transport ./internal/agent
 
 examples:
 	$(GO) run ./examples/quickstart

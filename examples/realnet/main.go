@@ -2,11 +2,13 @@
 // style orchestrator schedules the five-service SLA onto registered
 // nodes, the placed services start as UDP workers executing the actual
 // vision algorithms (scAtteR++ wiring with sidecar queues), and a client
-// streams the synthetic clip and prints live results.
+// streams the synthetic clip and prints live results. Each placed machine
+// is one agent.StartNode node, as cmd/scatter-node runs it.
 //
-// The run exercises the observability layer end to end: workers feed a
-// shared live metrics registry served over HTTP (scraped mid-stream,
-// like an orchestrator would), stamp per-service spans onto every frame,
+// The run exercises the observability layer end to end: each node's
+// workers feed its live metrics registry served over HTTP (scraped
+// mid-stream, like an orchestrator would), stamp per-service spans onto
+// every frame,
 // and the collected spans are exported as Chrome trace-event JSON
 // (realnet-trace.json) for Perfetto / chrome://tracing.
 //
@@ -17,15 +19,20 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
+	"maps"
 	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	scatter "github.com/edge-mar/scatter"
+	"github.com/edge-mar/scatter/internal/agent"
 )
 
 func main() {
+	// Keep the nodes' start-up log out of the demo's own output.
+	slog.SetLogLoggerLevel(slog.LevelWarn)
 	// 1. Control plane: register two "machines" with heterogeneous GPUs.
 	orch := scatter.NewOrchestrator()
 	nodes := []scatter.NodeInfo{
@@ -63,49 +70,49 @@ func main() {
 		fmt.Printf("  %-9s -> %s\n", inst.Service, inst.Node)
 	}
 
-	// 3. Data plane: start a real UDP worker for each placed instance.
-	//    Every worker feeds the shared live registry and stamps a span
-	//    onto each frame it processes, labelled with its placement node.
+	// 3. Data plane: one node per placed machine, each starting the
+	//    services placed on it as real UDP workers. E2 hosts the tail and
+	//    starts first, so E1 can route to its bound addresses. Each node
+	//    serves its own live registry and stamps a span onto each frame it
+	//    processes, labelled with the node's name.
 	video := scatter.NewVideoSource(scatter.VideoConfig{W: 320, H: 180, FPS: 10, Seconds: 2, Seed: 7})
 	model, err := scatter.Train(video.ReferenceImages(), scatter.TrainConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	procs := scatter.NewProcessors(model, true, 320, 180) // scAtteR++ wiring
-
-	reg := scatter.NewObsRegistry()
-	table := map[scatter.Step][]string{}
-	router := scatter.NewStaticRouter(nil)
-	late := lateRouter{inner: func(step scatter.Step) (string, bool) { return router.Next(step) }}
-	var workers []*scatter.Worker
 	order := []scatter.Step{scatter.StepPrimary, scatter.StepSIFT, scatter.StepEncoding, scatter.StepLSH, scatter.StepMatching}
-	for _, step := range order {
-		w, err := scatter.StartWorker(scatter.WorkerConfig{
-			Step: step, Mode: scatter.ModeScatterPP, Processor: procs[step],
-			ListenAddr: "127.0.0.1:0", Router: late,
-			Obs: reg, Host: placedOn[step.String()], TraceSpans: true,
-		})
+	running := map[string]*agent.Node{}
+	routes := map[string][]string{}
+	for _, name := range []string{"E2", "E1"} {
+		cfg := agent.NodeConfig{
+			Mode: "scatter++", Routes: maps.Clone(routes), Node: &scatter.NodeInfo{Name: name},
+			ObsListen: "127.0.0.1:0", TraceSpans: true,
+		}
+		for _, step := range order {
+			if placedOn[step.String()] == name {
+				cfg.Services = append(cfg.Services, agent.ServiceSpec{Step: step.String(), Listen: "127.0.0.1:0"})
+			}
+		}
+		node, err := agent.StartNode(cfg, model)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer w.Close()
-		workers = append(workers, w)
-		table[step] = []string{w.Addr()}
-		fmt.Printf("  %-9s up at %s\n", step, w.Addr())
+		defer node.Close()
+		running[name] = node
+		for _, step := range order {
+			if w := node.Worker(step); w != nil {
+				routes[step.String()] = []string{w.Addr()}
+				fmt.Printf("  %-9s up on %s at %s\n", step, name, w.Addr())
+			}
+		}
+		fmt.Printf("  %s telemetry at http://%s/metrics\n", name, node.ObsAddr())
 	}
-	router.SetRoutes(table)
-
-	// Telemetry endpoint, the node-local view an orchestrator scrapes.
-	obsSrv, obsAddr, err := scatter.ServeObs("127.0.0.1:0", reg, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer obsSrv.Close()
-	fmt.Printf("  telemetry at http://%s/metrics\n", obsAddr)
+	e1 := running["E1"]
 
 	// 4. Stream the clip and watch results come back.
+	// The client counts its frames into E1's registry, the ingress node.
 	client, err := scatter.StartClient(scatter.ClientConfig{
-		ID: 1, FPS: 10, Ingress: table[scatter.StepPrimary][0], Obs: reg,
+		ID: 1, FPS: 10, Ingress: e1.Worker(scatter.StepPrimary).Addr(), Obs: e1.Registry(),
 		NextFrame: func(i int) []byte { return scatter.FramePayload(video, i) },
 	})
 	if err != nil {
@@ -131,8 +138,10 @@ loop:
 			// Scrape the live endpoint mid-run, as a monitoring system
 			// (or the app-aware orchestrator) would.
 			fmt.Println("\nlive /metrics sample at t=2.5s:")
-			for _, line := range scrapeMetrics(obsAddr) {
-				fmt.Println(" ", line)
+			for _, name := range []string{"E1", "E2"} {
+				for _, line := range scrapeMetrics(running[name].ObsAddr()) {
+					fmt.Println(" ", name, line)
+				}
 			}
 		case <-deadline:
 			break loop
@@ -148,11 +157,13 @@ loop:
 
 	fmt.Println("\nper-service sidecar analytics (worker counters vs live registry):")
 	digest := map[string]scatter.ServiceDigest{}
-	for _, d := range reg.Digest() {
-		digest[d.Service] = d
+	for _, node := range running {
+		for _, d := range node.Registry().Digest() {
+			digest[d.Service] = d
+		}
 	}
-	for i, step := range order {
-		st := workers[i].Stats()
+	for _, step := range order {
+		st := running[placedOn[step.String()]].Worker(step).Stats()
 		d := digest[step.String()]
 		fmt.Printf("  %-9s received=%-4d processed=%-4d dropped(queue/threshold)=%d/%d  live{processed=%d p95=%v}\n",
 			step, st.Received, st.Processed, st.DroppedQueue, st.DroppedThreshold,
@@ -207,10 +218,3 @@ func scrapeMetrics(addr string) []string {
 	}
 	return out
 }
-
-// lateRouter defers routing lookups until the table is complete.
-type lateRouter struct {
-	inner func(step scatter.Step) (string, bool)
-}
-
-func (r lateRouter) Next(step scatter.Step) (string, bool) { return r.inner(step) }

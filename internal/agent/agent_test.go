@@ -1,7 +1,6 @@
 package agent
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -10,8 +9,8 @@ import (
 	"github.com/edge-mar/scatter/internal/wire"
 )
 
-// testDeployment wires a full five-service real pipeline on loopback UDP
-// and returns the ingress address.
+// testDeployment starts a node-single-shaped node on loopback UDP and
+// returns the ingress address and the workers in pipeline order.
 func testDeployment(t *testing.T, mode core.Mode) (ingress string, workers []*Worker, gen *trace.Generator) {
 	return testDeploymentNet(t, mode, "udp")
 }
@@ -19,88 +18,9 @@ func testDeployment(t *testing.T, mode core.Mode) (ingress string, workers []*Wo
 func testDeploymentNet(t *testing.T, mode core.Mode, network string) (ingress string, workers []*Worker, gen *trace.Generator) {
 	t.Helper()
 	gen = trace.NewGenerator(trace.Config{W: 320, H: 180, FPS: 10, Seconds: 2, Seed: 7})
-	model, err := core.Train(gen.ReferenceImages(), core.TrainConfig{GMMK: 4, GMMIters: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stateless := mode == core.ModeScatterPP
-
-	// Stateful matching needs sift's RPC address, and all workers need the
-	// routing table, so start sift first with an explicit RPC port.
-	sift := core.NewSIFT(120, stateless)
-	var fetch core.StateFetcher
-	siftCfg := WorkerConfig{
-		Step: wire.StepSIFT, Mode: mode, Processor: sift,
-		ListenAddr: "127.0.0.1:0", Router: nil, Network: network,
-	}
-	if !stateless {
-		siftCfg.StateRPCListen = "127.0.0.1:0"
-	}
-	// Build everything with a late-bound router.
-	table := map[wire.Step][]string{}
-	router := NewStaticRouter(nil)
-	lateRouter := routerFunc(func(step wire.Step) (string, bool) { return router.Next(step) })
-
-	siftCfg.Router = lateRouter
-	procs := [wire.NumSteps]core.Processor{
-		wire.StepPrimary:  core.NewPrimary(320, 180),
-		wire.StepSIFT:     sift,
-		wire.StepEncoding: core.NewEncoding(model.PCA, model.Encoder),
-		wire.StepLSH:      core.NewLSHService(model.Index, 3),
-	}
-	for step := 0; step < wire.NumSteps; step++ {
-		if wire.Step(step) == wire.StepMatching {
-			continue
-		}
-		var w *Worker
-		var err error
-		if wire.Step(step) == wire.StepSIFT {
-			w, err = StartWorker(siftCfg)
-		} else {
-			w, err = StartWorker(WorkerConfig{
-				Step: wire.Step(step), Mode: mode, Processor: procs[step],
-				ListenAddr: "127.0.0.1:0", Router: lateRouter, Network: network,
-			})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers = append(workers, w)
-		table[wire.Step(step)] = []string{w.Addr()}
-	}
-	if !stateless {
-		// The sift worker binds its RPC listener at StartWorker time with
-		// an ephemeral port; reconstruct the fetcher from its address.
-		rpcAddr := workers[1].RPCAddr()
-		if rpcAddr == "" || rpcAddr == "127.0.0.1:0" {
-			t.Fatal("sift RPC address not resolvable; see Worker.RPCAddr")
-		}
-		fetch = RPCStateFetcherContext(context.Background(), rpcAddr, time.Second)
-	}
-	matching := core.NewMatching(model.Objects, fetch)
-	mw, err := StartWorker(WorkerConfig{
-		Step: wire.StepMatching, Mode: mode, Processor: matching,
-		ListenAddr: "127.0.0.1:0", Router: lateRouter, Network: network,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	workers = append(workers, mw)
-	table[wire.StepMatching] = []string{mw.Addr()}
-	router.SetRoutes(table)
-
-	t.Cleanup(func() {
-		for _, w := range workers {
-			w.Close()
-		}
-	})
-	return table[wire.StepPrimary][0], workers, gen
+	n := startTestNode(t, singleNodeConfig(mode, network), testModel(t))
+	return n.Worker(wire.StepPrimary).Addr(), n.workers, gen
 }
-
-// routerFunc adapts a closure to Router.
-type routerFunc func(step wire.Step) (string, bool)
-
-func (f routerFunc) Next(step wire.Step) (string, bool) { return f(step) }
 
 func TestStaticRouter(t *testing.T) {
 	r := NewStaticRouter(map[wire.Step][]string{

@@ -10,53 +10,25 @@ import (
 	"github.com/edge-mar/scatter/internal/wire"
 )
 
-// TestWorkerObservability runs a five-service scAtteR++ deployment with a
-// shared live registry and span tracing enabled, and verifies (a) result
-// frames carry one span per stage with host attribution and consistent
-// segments, and (b) the registry's live digest agrees with the worker's
-// own counters while the run is still in flight.
+// TestWorkerObservability runs the two-node scAtteR++ split with span
+// tracing on, and verifies (a) result frames carry one span per stage
+// with host attribution and consistent segments, and (b) each node's live
+// registry digest agrees with its workers' own counters while the run is
+// still in flight.
 func TestWorkerObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real pipeline integration test")
 	}
 	gen := trace.NewGenerator(trace.Config{W: 320, H: 180, FPS: 10, Seconds: 2, Seed: 7})
-	model, err := core.Train(gen.ReferenceImages(), core.TrainConfig{GMMK: 4, GMMIters: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := core.NewProcessors(model, true, 320, 180)
-
-	reg := obs.NewRegistry()
-	table := map[wire.Step][]string{}
-	router := NewStaticRouter(nil)
-	lateRouter := routerFunc(func(step wire.Step) (string, bool) { return router.Next(step) })
+	e1, e2 := startSplit(t, testModel(t))
 	hosts := []string{"E1", "E1", "E2", "E2", "E2"}
-	var workers []*Worker
-	for step := 0; step < wire.NumSteps; step++ {
-		w, err := StartWorker(WorkerConfig{
-			Step: wire.Step(step), Mode: core.ModeScatterPP, Processor: procs[step],
-			ListenAddr: "127.0.0.1:0", Router: lateRouter,
-			Obs: reg, Host: hosts[step], TraceSpans: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers = append(workers, w)
-		table[wire.Step(step)] = []string{w.Addr()}
-	}
-	defer func() {
-		for _, w := range workers {
-			w.Close()
-		}
-	}()
-	router.SetRoutes(table)
 
 	fps, wantResults, patience := 10, 4, 20*time.Second
 	if raceEnabled {
 		fps, wantResults, patience = 4, 2, 45*time.Second
 	}
 	client, err := StartClient(ClientConfig{
-		ID: 1, FPS: fps, Ingress: table[wire.StepPrimary][0], Obs: reg,
+		ID: 1, FPS: fps, Ingress: e1.Worker(wire.StepPrimary).Addr(), Obs: e1.reg,
 		NextFrame: func(i int) []byte {
 			p := &core.Payload{Image: core.GrayToPayload(gen.GrayFrame(i % gen.NumFrames()))}
 			return p.Encode()
@@ -103,30 +75,32 @@ func TestWorkerObservability(t *testing.T) {
 		}
 	}
 
-	// (b) the live digest matches worker counters mid-run.
-	digest := reg.Digest()
-	if len(digest) != wire.NumSteps {
-		t.Fatalf("digest has %d services, want %d", len(digest), wire.NumSteps)
-	}
-	byName := map[string]obs.ServiceDigest{}
-	for _, d := range digest {
-		byName[d.Service] = d
-	}
-	for i, w := range workers {
-		st := w.Stats()
-		d, ok := byName[wire.Step(i).String()]
-		if !ok {
-			t.Fatalf("no digest for %s", wire.Step(i))
+	// (b) each node's live digest matches its worker counters mid-run.
+	for _, n := range []*Node{e1, e2} {
+		digest := n.reg.Digest()
+		if len(digest) != len(n.workers) {
+			t.Fatalf("digest has %d services, node runs %d", len(digest), len(n.workers))
 		}
-		if d.Processed != st.Processed {
-			t.Errorf("%s digest processed = %d, worker counter = %d",
-				d.Service, d.Processed, st.Processed)
+		byName := map[string]obs.ServiceDigest{}
+		for _, d := range digest {
+			byName[d.Service] = d
 		}
-		if d.Processed > 0 && d.P95Micros == 0 {
-			t.Errorf("%s has processed frames but zero p95", d.Service)
+		for _, w := range n.workers {
+			st := w.Stats()
+			d, ok := byName[w.cfg.Step.String()]
+			if !ok {
+				t.Fatalf("no digest for %s", w.cfg.Step)
+			}
+			if d.Processed != st.Processed {
+				t.Errorf("%s digest processed = %d, worker counter = %d",
+					d.Service, d.Processed, st.Processed)
+			}
+			if d.Processed > 0 && d.P95Micros == 0 {
+				t.Errorf("%s has processed frames but zero p95", d.Service)
+			}
 		}
 	}
-	if reg.FramesSent.Value() == 0 || reg.FramesDelivered.Value() == 0 {
+	if e1.reg.FramesSent.Value() == 0 || e1.reg.FramesDelivered.Value() == 0 {
 		t.Error("client counters not fed")
 	}
 }

@@ -261,13 +261,3 @@ func BenchmarkReplicaPick(b *testing.B) {
 		}
 	})
 }
-
-// SetRoutes atomically replaces the routing table, resetting the
-// round-robin cursors exactly like StaticRouter.SetRoutes. Statistics
-// windows of replicas that keep their address survive the swap. Only
-// tests swap a StatsRouter's table: it makes the router a RouteUpdater.
-func (r *StatsRouter) SetRoutes(hops map[wire.Step][]string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.setRoutesLocked(hops)
-}

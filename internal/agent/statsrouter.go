@@ -39,12 +39,8 @@ type StatsRouter struct {
 // NewStatsRouter builds a stats-driven router over a step→replicas table
 // with the given window configuration (zero Config = defaults).
 func NewStatsRouter(hops map[wire.Step][]string, cfg routestats.Config) *StatsRouter {
-	r := &StatsRouter{
-		hops:  make(map[wire.Step][]string, len(hops)),
-		index: make(map[wire.Step]int),
-		table: routestats.New(cfg),
-	}
-	r.setRoutesLocked(hops)
+	r := &StatsRouter{table: routestats.New(cfg)}
+	r.SetRoutes(hops)
 	return r
 }
 
@@ -55,7 +51,12 @@ func (r *StatsRouter) Table() *routestats.Table { return r.table }
 // AckTimeout implements ReplicaPicker.
 func (r *StatsRouter) AckTimeout() time.Duration { return r.table.Config().AckTimeout }
 
-func (r *StatsRouter) setRoutesLocked(hops map[wire.Step][]string) {
+// SetRoutes atomically replaces the routing table, resetting the
+// round-robin cursors exactly like StaticRouter.SetRoutes. Statistics
+// windows of replicas that keep their address survive the swap.
+func (r *StatsRouter) SetRoutes(hops map[wire.Step][]string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	cp := make(map[wire.Step][]string, len(hops))
 	for k, v := range hops {
 		cp[k] = append([]string(nil), v...)

@@ -508,6 +508,13 @@ func DescRow(grid *DescGrid, mag, theta, weight, colCos, colSin []float64, rowSi
 	descRowGo(grid, mag, theta, weight, colCos, colSin, rowSin, rowCos, binWidth, orientation, done, n)
 }
 
+// maxLoopWrap bounds the |theta − orientation| descRowGo wraps by
+// repeated ±2π, whose roundings define its bits. Every angle sift makes (a
+// gradient angle less an orientation, both within ±π) and every angle
+// within ±64 stays under it; beyond it the exact remainder comes first,
+// so a huge angle cannot keep the loops turning.
+const maxLoopWrap = 1024
+
 // descRowGo is DescRow over pixels from..to-1.
 func descRowGo(grid *DescGrid, mag, theta, weight, colCos, colSin []float64, rowSin, rowCos, binWidth, orientation float64, from, to int) {
 	const grid4, bins = 4, 8
@@ -526,6 +533,9 @@ func descRowGo(grid *DescGrid, mag, theta, weight, colCos, colSin []float64, row
 			continue
 		}
 		rel := theta[i] - orientation
+		if math.Abs(rel) > maxLoopWrap {
+			rel = math.Mod(rel, 2*math.Pi) // ±Inf becomes NaN and takes its path
+		}
 		for rel < 0 {
 			rel += 2 * math.Pi
 		}

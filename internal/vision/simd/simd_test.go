@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 	"unsafe"
 
 	"github.com/edge-mar/scatter/internal/trace"
@@ -1102,4 +1103,43 @@ func BenchmarkKernels(b *testing.B) {
 		b.Run(kn.name+"/vector", loop)
 		b.Run(kn.name+"/go", func(b *testing.B) { simd.GoOnly(func() { loop(b) }) })
 	}
+}
+
+// TestDescRowHugeAngles: an infinite or huge finite angle returns at once
+// on both paths. An infinite one adds what a NaN angle adds, and 1e300
+// adds what its exact remainder modulo 2π adds.
+func TestDescRowHugeAngles(t *testing.T) {
+	row := func(theta ...float64) *descRow {
+		n := len(theta)
+		r := &descRow{mag: make([]float64, n), theta: theta, weight: make([]float64, n),
+			colCos: make([]float64, n), colSin: make([]float64, n), binWidth: 1}
+		for i := range r.mag {
+			r.mag[i], r.weight[i], r.colCos[i], r.colSin[i] = 1+float64(i), 1, 0.25*float64(i%3), -0.5
+		}
+		return r
+	}
+	inf := math.Inf(1)
+	cases := []struct{ theta, same float64 }{
+		{inf, math.NaN()}, {-inf, math.NaN()}, {1e300, math.Mod(1e300, 2*math.Pi)}, {-1e300, math.Mod(-1e300, 2*math.Pi)},
+	}
+	got, want := make([]simd.DescGrid, len(cases)), make([]simd.DescGrid, len(cases))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		simd.GoOnly(func() {
+			for i, tc := range cases {
+				row(tc.theta).add(&got[i])
+				row(tc.same).add(&want[i])
+			}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("descRowGo still wrapping a huge angle after 10 s")
+	}
+	for i, tc := range cases {
+		requireSame32(t, fmt.Sprintf("angle %v", tc.theta), got[i][:], want[i][:])
+	}
+	checkDescRow(t, "mixed huge angles", new(simd.DescGrid), row(inf, 1e300, -inf, 0.5, -1e300))
 }

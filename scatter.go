@@ -19,9 +19,8 @@
 //     services over UDP; NewFaultyEndpoint injects link faults; a
 //     Deployer runs workers under an orchestrator's lifecycle hooks.
 //   - Orchestration: NewOrchestrator, SLA, and the HTTP control plane.
-//   - Observability: the live ObsRegistry with Prometheus/JSON exposition
-//     (ServeObs), per-frame Spans, and Chrome trace export
-//     (WriteChromeTrace) for Perfetto.
+//   - Observability: per-service digests of the live registry, per-frame
+//     Spans, and Chrome trace export (WriteChromeTrace) for Perfetto.
 //   - Simulated testbed: RunExperiment on the paper's placements,
 //     machine profiles and network links.
 //
@@ -33,7 +32,6 @@ package scatter
 
 import (
 	"io"
-	"net/http"
 	"time"
 
 	"github.com/edge-mar/scatter/internal/agent"
@@ -188,32 +186,16 @@ func WithHeartbeatTimeout(d time.Duration) orchestrator.Option {
 	return orchestrator.WithHeartbeatTimeout(d)
 }
 
-// Observability: per-frame spans, live metrics registry, exposition.
+// Observability: per-frame spans, live service digests, trace export.
 type (
-	// ObsRegistry is the lock-free live metrics registry (counters,
-	// gauges, latency histograms) workers and clients feed.
-	ObsRegistry = obs.Registry
 	// ServiceDigest is one service's live telemetry snapshot.
 	ServiceDigest = obs.ServiceDigest
 	// Span is one service's handling of one frame: queue-wait plus
 	// processing segments and an outcome.
 	Span = obs.Span
-	// SpanRecorder is a bounded in-memory span sink.
-	SpanRecorder = obs.Recorder
 	// SpanRecord is the wire form of a span as carried on frames.
 	SpanRecord = wire.SpanRecord
 )
-
-// NewObsRegistry creates an empty live metrics registry.
-func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
-
-// ServeObs starts an HTTP server on addr (":0" picks an ephemeral port)
-// exposing /metrics, /metrics.json, /healthz, /spans, /spans.trace,
-// /debug/vars and /debug/pprof for a registry (rec may be nil to disable
-// the span endpoints), and returns the server plus its bound address.
-func ServeObs(addr string, reg *ObsRegistry, rec *SpanRecorder) (*http.Server, string, error) {
-	return obs.Serve(addr, reg, rec)
-}
 
 // SpansFromWire converts the span records a result frame carried into
 // exporter-ready spans.
